@@ -47,12 +47,10 @@ from .carleman import (
 )
 from .observability import (
     ObservabilityReport,
-    clustered_times,
     estimate_constant,
     observability_ratio,
     window_bound_check,
 )
 from .rng import Lcg, random_admissible
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -97,6 +98,34 @@ class ExperimentConfig:
 
 _KNOWN_KEYS = {"experiment", "domain", "alpha", "T", "n", "grading", "steps",
                "modes", "deltas", "s_grid", "samples", "seed", "out"}
+_INT_KEYS = ("n", "steps", "modes", "samples", "seed")
+_REAL_KEYS = ("alpha", "T", "grading")
+_REAL_LIST_KEYS = ("deltas", "s_grid")
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _check_types(raw):
+    """Reject values of the wrong type before any range check sees them."""
+    def fail(name, msg):
+        raise ConfigError(f"config field '{name}': {msg}, got {raw[name]!r}")
+
+    for key in _INT_KEYS:
+        if key in raw and not _is_int(raw[key]):
+            fail(key, "must be an integer")
+    for key in _REAL_KEYS:
+        if key in raw and not _is_real(raw[key]):
+            fail(key, "must be a real number")
+    for key in _REAL_LIST_KEYS:
+        if key in raw and not (isinstance(raw[key], list)
+                               and all(_is_real(v) for v in raw[key])):
+            fail(key, "must be a list of real numbers")
 
 
 def load_config(path, experiment=None):
@@ -116,8 +145,9 @@ def load_config(path, experiment=None):
         raw["experiment"] = experiment
     if "experiment" not in raw:
         raise ConfigError("config field 'experiment': missing")
-    for key in ("deltas", "s_grid"):
-        if key in raw and raw[key] is not None:
+    _check_types(raw)
+    for key in _REAL_LIST_KEYS:
+        if key in raw:
             raw[key] = tuple(float(v) for v in raw[key])
     try:
         return ExperimentConfig(**raw)
@@ -137,9 +167,8 @@ def _fmt(value):
 
 def _context_line(cfg: ExperimentConfig, delta="", s="") -> str:
     dstr = delta if delta != "" else ";".join(_fmt(d) for d in cfg.deltas)
-    sstr = s if s != "" else ""
     return (f"# alpha={_fmt(cfg.alpha)},T={_fmt(cfg.T)},n={cfg.n},"
-            f"g={_fmt(cfg.grading)},delta={dstr},s={sstr},K={cfg.modes}")
+            f"g={_fmt(cfg.grading)},delta={dstr},s={s},K={cfg.modes}")
 
 
 def _write_csv(path, context, columns, rows):
@@ -184,10 +213,27 @@ def _bump_factory(lo, hi):
     return bump
 
 
-def run_spectrum(cfg: ExperimentConfig) -> Outcome:
-    domain = make_domain(cfg.domain, cfg.alpha)
-    ops = assemble(build_mesh(domain, cfg.n, cfg.grading))
-    spec = compute_spectrum(ops, cfg.modes)
+def _problem_memo():
+    """Memoised builder of (mesh, ops, spectrum) for the full domain of a
+    config with cfg.modes modes.  One memo serves one run, so the
+    experiments of a full report assemble and eigensolve the domain once."""
+    built = {}
+    lock = threading.Lock()
+
+    def problem(cfg: ExperimentConfig):
+        key = (cfg.domain, cfg.alpha, cfg.n, cfg.grading, cfg.modes)
+        with lock:
+            if key not in built:
+                mesh = build_mesh(make_domain(cfg.domain, cfg.alpha), cfg.n, cfg.grading)
+                ops = assemble(mesh)
+                built[key] = (mesh, ops, compute_spectrum(ops, cfg.modes))
+            return built[key]
+
+    return problem
+
+
+def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
+    _, ops, spec = problem(cfg)
     phi = spec.modes[ops.interior]
     gram_m = phi.T @ (ops.M @ phi)
     gram_k = phi.T @ (ops.K @ phi)
@@ -206,12 +252,9 @@ def run_spectrum(cfg: ExperimentConfig) -> Outcome:
     )
 
 
-def run_hardy(cfg: ExperimentConfig) -> Outcome:
-    domain = make_domain(cfg.domain, cfg.alpha)
-    mesh = build_mesh(domain, cfg.n, cfg.grading)
-    ops = assemble(mesh)
+def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
+    mesh, ops, spec = problem(cfg)
     n_eigs = min(cfg.modes, 10)
-    spec = compute_spectrum(ops, n_eigs)
     rng = Lcg(cfg.seed)
     rows = []
     all_hold = True
@@ -237,10 +280,8 @@ def run_hardy(cfg: ExperimentConfig) -> Outcome:
     )
 
 
-def run_evolve(cfg: ExperimentConfig) -> Outcome:
-    domain = make_domain(cfg.domain, cfg.alpha)
-    ops = assemble(build_mesh(domain, cfg.n, cfg.grading))
-    spec = compute_spectrum(ops, cfg.modes)
+def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
+    _, ops, spec = problem(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
@@ -335,11 +376,8 @@ def run_carleman(cfg: ExperimentConfig, jobs: int = 1) -> Outcome:
     )
 
 
-def run_observability(cfg: ExperimentConfig) -> Outcome:
-    domain = make_domain(cfg.domain, cfg.alpha)
-    mesh = build_mesh(domain, cfg.n, cfg.grading)
-    ops = assemble(mesh)
-    spec = compute_spectrum(ops, cfg.modes)
+def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
+    mesh, ops, spec = problem(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
     report = obs.estimate_constant(grid, ops, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]
@@ -366,12 +404,10 @@ def run_observability(cfg: ExperimentConfig) -> Outcome:
     )
 
 
-_RUNNERS = {
+_SHARED_PROBLEM_RUNNERS = {
     "spectrum": run_spectrum,
     "hardy": run_hardy,
     "evolve": run_evolve,
-    "delta-sweep": run_delta_sweep,
-    "carleman": run_carleman,
     "observability": run_observability,
 }
 
@@ -382,13 +418,14 @@ def run(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> int:
 
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
+    problem = _problem_memo()
 
     if config.experiment == "full-report":
         names = [n for n in EXPERIMENTS if n != "full-report"]
         subcfgs = [replace(config, experiment=n) for n in names]
 
         def one(sub):
-            return _run_single(sub, jobs=1)
+            return _run_single(sub, 1, problem)
 
         if jobs > 1:
             with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -397,27 +434,28 @@ def run(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> int:
             outcomes = [one(sub) for sub in subcfgs]
         checks, values = {}, {}
         for name, outcome in zip(names, outcomes):
-            _write_outcome(out, name, config, outcome)
+            _write_outcome(out, outcome)
             checks.update({f"{name}.{k}": v for k, v in outcome.checks.items()})
             values.update({f"{name}.{k}": v for k, v in outcome.values.items()})
         _write_summary(out / "full-report_summary.json", config, checks, values)
         return 0 if all(checks.values()) else 1
 
-    outcome = _run_single(config, jobs=jobs)
-    _write_outcome(out, config.experiment, config, outcome)
+    outcome = _run_single(config, jobs, problem)
+    _write_outcome(out, outcome)
     _write_summary(out / f"{config.experiment}_summary.json", config,
                    outcome.checks, outcome.values)
     return 0 if all(outcome.checks.values()) else 1
 
 
-def _run_single(config: ExperimentConfig, jobs: int) -> Outcome:
-    runner = _RUNNERS[config.experiment]
+def _run_single(config: ExperimentConfig, jobs: int, problem) -> Outcome:
     if config.experiment == "carleman":
-        return runner(config, jobs=jobs)
-    return runner(config)
+        return run_carleman(config, jobs=jobs)
+    if config.experiment == "delta-sweep":
+        return run_delta_sweep(config)
+    return _SHARED_PROBLEM_RUNNERS[config.experiment](config, problem)
 
 
-def _write_outcome(out, name, config, outcome: Outcome):
+def _write_outcome(out, outcome: Outcome):
     for table, (context, columns, rows) in outcome.tables.items():
         _write_csv(out / f"{table}.csv", context, columns, rows)
 

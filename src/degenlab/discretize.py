@@ -126,10 +126,6 @@ class Mesh:
             if sel.size:
                 self.part_nodes[part] = sel
 
-    def interpolate(self, fn):
-        """Nodal values of a callable fn(points) -> values."""
-        return np.asarray(fn(self.points), dtype=float)
-
     def zero_field(self):
         return np.zeros(self.n_nodes)
 
@@ -336,19 +332,22 @@ def boundary_flux(ops: OperatorPair, mesh: Mesh, u, part: BoundaryPart,
     weighted equation with load ``f_proxy`` equals the boundary integral
     of the conormal derivative against the hat function of node b; nodal
     values follow after dividing by the lumped boundary mass.  On parts
-    with x_N = 1 the conormal and normal derivatives coincide.  A
-    one-sided second-order finite difference is available as an
-    independent cross-check (``method="fd"``).
+    with x_N = 1 the conormal and normal derivatives coincide.  ``u`` and
+    ``f_proxy`` may also be (n_nodes, m) blocks, one field per column;
+    the result is then (n_part, m).  A one-sided second-order finite
+    difference of a single vector is available as an independent
+    cross-check (``method="fd"``).
     """
     _flux_supported(mesh, part)
     u = np.asarray(u, dtype=float)
     ids = part_node_ids(mesh, part)
     if method == "variational":
-        r = ops.K_full @ u
+        # only the rows of the part enter the residual
+        r = ops.K_full[ids] @ u
         if f_proxy is not None:
-            r = r - ops.M_full @ np.asarray(f_proxy, dtype=float)
+            r = r - ops.M_full[ids] @ np.asarray(f_proxy, dtype=float)
         lump = np.asarray(edge_mass(mesh, part).sum(axis=1)).ravel()
-        return r[ids] / lump
+        return r / lump.reshape((-1,) + (1,) * (u.ndim - 1))
     if method != "fd":
         raise ParameterError(f"unknown flux method {method!r}")
     if part not in (BoundaryPart.OBSERVED, BoundaryPart.CUT):

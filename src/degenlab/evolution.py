@@ -183,19 +183,12 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
     grid = field.grid
     if field._mode_data is not None:
         spectrum, coeffs, _ = field._mode_data
-        cols = [boundary_flux(ops, mesh, spectrum.modes[:, k], part,
-                              f_proxy=spectrum.eigenvalues[k] * spectrum.modes[:, k])
-                for k in range(spectrum.count)]
-        mode_flux = np.stack(cols, axis=1)  # (n_part, k)
+        mode_flux = boundary_flux(ops, mesh, spectrum.modes, part,
+                                  f_proxy=spectrum.modes * spectrum.eigenvalues)
         flux = coeffs @ mode_flux.T
     else:
-        fvals = field.source_values()
-        dydt = _time_derivative(field.values, grid.dt)
-        rows = []
-        for j in range(grid.steps + 1):
-            rows.append(boundary_flux(ops, mesh, field.values[j], part,
-                                      f_proxy=fvals[j] - dydt[j]))
-        flux = np.stack(rows, axis=0)
+        proxy = field.source_values() - _time_derivative(field.values, grid.dt)
+        flux = boundary_flux(ops, mesh, field.values.T, part, f_proxy=proxy.T).T
     emat = edge_mass(mesh, part)
     per_time = np.einsum("tb,tb->t", flux, (emat @ flux.T).T)
     integral = float(np.trapezoid(per_time, grid.nodes))
@@ -209,9 +202,11 @@ def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
     solves the backward equation (d_t + div(A grad)) y = -g(T - t); its
     L2 energy is non-decreasing when g = 0.
     """
-    fvals = field.source_values()
+    source = None
+    if field.source is not None:
+        source = -field.source_values()[::-1].copy()
     return SpaceTimeField(field.mesh, field.grid, field.values[::-1].copy(),
-                          source=-fvals[::-1].copy(), direction="backward")
+                          source=source, direction="backward")
 
 
 def stability_ratio(field: SpaceTimeField, ops: OperatorPair) -> float:

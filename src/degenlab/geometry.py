@@ -85,18 +85,9 @@ class DomainSpec:
         object.__setattr__(self, "bound", sup_x + 1.0)
 
     @property
-    def extent(self) -> Box:
-        return Box((0.0,) * self.dimension, (1.0,) * self.dimension)
-
-    @property
     def xn_lower(self) -> float:
         """Lower bound of the degenerate coordinate (0 for full domains)."""
         return 0.0
-
-    def weight(self, points):
-        """Diffusion weight x_N**alpha evaluated at the given points."""
-        pts = np.atleast_2d(points)
-        return pts[:, -1] ** self.alpha
 
     def classify_boundary(self, points, tol=1e-12):
         """Assign each boundary point to exactly one BoundaryPart.
@@ -115,11 +106,6 @@ class DomainSpec:
         parts[on_top] = BoundaryPart.OBSERVED
         parts[on_bottom] = BoundaryPart.DEGENERATE
         return parts
-
-    def distance_to_observed(self, points):
-        """Euclidean distance to the observed boundary (the set x_N = 1)."""
-        pts = np.atleast_2d(points)
-        return 1.0 - pts[:, -1]
 
 
 @dataclass(frozen=True)
@@ -154,15 +140,8 @@ class TruncatedDomain:
         return Box(lo, (1.0,) * self.dimension)
 
     @property
-    def extent(self) -> Box:
-        return self.region
-
-    @property
     def xn_lower(self) -> float:
         return self.delta
-
-    def weight(self, points):
-        return self.parent.weight(points)
 
     def classify_boundary(self, points, tol=1e-12):
         """Like the parent's classification, with the cut edge x_N = delta
@@ -173,9 +152,6 @@ class TruncatedDomain:
         parts[np.abs(pts[:, -1] - 1.0) <= tol] = BoundaryPart.OBSERVED
         parts[np.abs(pts[:, -1] - self.delta) <= tol] = BoundaryPart.CUT
         return parts
-
-    def distance_to_observed(self, points):
-        return self.parent.distance_to_observed(points)
 
 
 def make_domain(kind: str, alpha: float, delta0: float = 0.25) -> DomainSpec:

@@ -23,49 +23,26 @@ from .spectral import Spectrum, expand
 _MODE_DEPTH_LIMIT = 60.0  # largest admissible lambda_K * T
 
 
-def clustered_times(T: float, steps: int, lam_max: float, ratio: float = 1.2):
-    """Time nodes refined near t = 0 by geometric growth of the step.
-
-    Mode fluxes decay like exp(-lambda t), so quadrature needs early-time
-    resolution; the first increment resolves the fastest mode and grows
-    by the given ratio until it reaches the uniform step T/steps.
-    """
-    cap = T / steps
-    dt = min(cap, 0.1 / max(lam_max, 1.0))
-    nodes = [0.0]
-    t = 0.0
-    while t < T:
-        t = min(t + dt, T)
-        nodes.append(t)
-        dt = min(dt * ratio, cap)
-    return np.array(nodes)
-
-
-def mode_flux_matrix(ops: OperatorPair, spectrum: Spectrum, part=BoundaryPart.OBSERVED):
-    """Boundary flux of every eigenvector, one column per mode."""
-    cols = [boundary_flux(ops, ops.mesh, spectrum.modes[:, k], part,
-                          f_proxy=spectrum.eigenvalues[k] * spectrum.modes[:, k])
-            for k in range(spectrum.count)]
-    return np.stack(cols, axis=1)
-
-
 def _flux_gram(ops: OperatorPair, spectrum: Spectrum, grid: TimeGrid, k: int):
+    """G_ij = (f_i, f_j)_edge * int_0^T exp(-(l_i + l_j) t) dt over the
+    first k modes, with the time integral in closed form."""
     lam = spectrum.eigenvalues[:k]
-    fm = mode_flux_matrix(ops, spectrum)[:, :k]
+    modes = spectrum.modes[:, :k]
+    fm = boundary_flux(ops, ops.mesh, modes, BoundaryPart.OBSERVED,
+                       f_proxy=modes * lam)
     emat = edge_mass(ops.mesh, BoundaryPart.OBSERVED)
     spatial = fm.T @ (emat @ fm)
-    tq = clustered_times(grid.T, grid.steps, float(lam[-1]))
-    decay = np.exp(-np.add.outer(lam, lam)[None, :, :] * tq[:, None, None])
-    time_factors = np.trapezoid(decay, tq, axis=0)
-    return spatial * time_factors
+    rate = np.add.outer(lam, lam)
+    return spatial * (-np.expm1(-rate * grid.T) / rate)
 
 
 def observability_ratio(y0, grid: TimeGrid, ops: OperatorPair,
                         spectrum: Spectrum) -> float:
     """||y0||^2 divided by the flux integral of the source-free evolution.
 
-    The evolution is spectral over the computed modes; the flux history
-    is integrated on the clustered time grid.  Scale-invariant in y0.
+    The evolution is spectral over the computed modes, so the flux
+    integral is the quadratic form of the flux Gram in the mode
+    coefficients.  Scale-invariant in y0.
     """
     y0 = np.asarray(y0, dtype=float)
     nsq = float(y0 @ (ops.M_full @ y0))

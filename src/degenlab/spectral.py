@@ -9,8 +9,6 @@ import scipy.sparse.linalg as spla
 from .discretize import OperatorPair
 from .errors import EigensolverError, ParameterError
 
-_DENSE_LIMIT = 2000
-
 
 class Spectrum:
     """Ascending eigenvalues with mass-orthonormal nodal eigenvectors.

@@ -68,6 +68,28 @@ def test_unknown_field_rejected(tmp_path):
     assert main(["spectrum", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("field, text", [
+    ("n", "n: 40.5"),
+    ("seed", "seed: true"),
+    ("steps", "steps: 16.0"),
+    ("modes", "modes: 3.7"),
+    ("samples", "samples: 2.5"),
+    ("alpha", "alpha: true"),
+    ("T", "T: '1.0'"),
+    ("grading", "grading: false"),
+    ("deltas", "deltas: 0.1"),
+    ("deltas", "deltas: [0.2, true]"),
+    ("s_grid", "s_grid: 3"),
+    ("s_grid", "s_grid: [1.0, '10']"),
+])
+def test_wrong_field_type_is_config_error(tmp_path, field, text):
+    cfg = write_config(tmp_path, f"experiment: spectrum\n{text}\n")
+    with pytest.raises(ConfigError, match=f"'{field}'"):
+        load_config(cfg)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.yaml")]) == 2
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.discretize import (
     assemble,
@@ -215,6 +217,31 @@ def test_flux_unsupported_parts():
         boundary_flux(ops, mesh, u, BoundaryPart.DEGENERATE)
     with pytest.raises(UnsupportedRegionError):
         boundary_flux(ops, mesh, u, BoundaryPart.LATERAL)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]),
+       delta=st.one_of(st.none(), st.floats(0.01, 0.24)),
+       n=st.integers(4, 24), grading=st.floats(1.0, 4.0),
+       alpha=st.floats(0.01, 0.99), m=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1))
+def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
+    d = make_domain(kind, alpha)
+    mesh = (build_mesh(d, n, grading) if delta is None
+            else build_mesh(truncate(d, delta), n))
+    ops = assemble(mesh)
+    gen = np.random.default_rng(seed)
+    u = gen.standard_normal((mesh.n_nodes, m))
+    f = gen.standard_normal((mesh.n_nodes, m))
+    parts = [BoundaryPart.OBSERVED] + ([] if delta is None else [BoundaryPart.CUT])
+    for part in parts:
+        for proxy in (None, f):
+            block = boundary_flux(ops, mesh, u, part, f_proxy=proxy)
+            cols = np.stack([boundary_flux(ops, mesh, u[:, c], part,
+                                           f_proxy=None if proxy is None else proxy[:, c])
+                             for c in range(m)], axis=1)
+            assert block.shape == cols.shape
+            assert np.max(np.abs(block - cols)) <= 1e-14 * np.max(np.abs(cols))
 
 
 def test_flux_eigenmode_against_series_oracle():

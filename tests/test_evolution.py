@@ -205,6 +205,7 @@ def test_time_reverse_convention(setup):
     field = solve_spectral(spec, spec.mode(1), None, grid)
     back = time_reverse(field)
     assert back.direction == "backward"
+    assert back.source is None
     e = energy_history(back, ops)
     assert np.all(np.diff(e) >= -1e-12 * e[-1])
     assert np.array_equal(back.values[0], field.values[-1])

@@ -132,8 +132,7 @@ def test_mode_count_bounds(interval_spec):
 
 
 def test_shift_invert_path_matches_dense():
-    # 2D operators exceed the dense cutoff; spot-check lambda_1 against a
-    # coarse dense solve plus the separability oracle
+    # spot-check lambda_1 of a 2D operator against the separability oracle
     d = make_domain("square", 0.5)
     ops = assemble(build_mesh(d, 48, 2.0))
     assert ops.K.shape[0] > 2000
