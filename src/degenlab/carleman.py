@@ -164,27 +164,21 @@ class _FieldData:
 
     def __init__(self, field: SpaceTimeField, ops: OperatorPair):
         _require_truncated(field)
-        self.field = field
-        self.ops = ops
         mesh = field.mesh
         grid = field.grid
         t = grid.nodes[1:-1]
         self.log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
-        self.gamma_minus_eta = None  # set by attach_weights
         self.y = field.values[1:-1]
-        with np.errstate(divide="ignore"):
-            self.log_y2 = 2.0 * np.log(np.abs(self.y))
         self.dy_dn = _grad_n(field.values, mesh)[1:-1]
         self.xn = mesh.xn
         self.log_xn = np.log(self.xn)
-        fvals = field.source_values()[1:-1]
-        self.fvals = fvals
-        with np.errstate(divide="ignore"):
-            self.log_f2 = 2.0 * np.log(np.abs(fvals))
         flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
-        self.flux = flux[1:-1]
         with np.errstate(divide="ignore"):
-            self.log_flux2 = 2.0 * np.log(np.abs(self.flux))
+            self.log_y2 = 2.0 * np.log(np.abs(self.y))
+            self.log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
+            # no source, no log array: the source budget is exp(-inf) = 0
+            self.log_f2 = (None if field.source is None
+                           else 2.0 * np.log(np.abs(field.source_values()[1:-1])))
         self.w_time = np.full(t.size, grid.dt)
         self.w_space = ops.lumped_full
         self.w_edge = np.asarray(
@@ -207,7 +201,7 @@ class _FieldData:
         log_ib = logsumexp(lt + self.log_flux2 - 2.0 * s * xi_edge + lw_edge)
         log_rhs_b = np.log(s) + log_ib
 
-        log_rhs_f = logsumexp(self.log_f2 - two_s_xi + lw)
+        log_rhs_f = -np.inf if self.log_f2 is None else logsumexp(self.log_f2 - two_s_xi + lw)
 
         if which == "eq410":
             bracket = self.dy_dn + s * (2.0 - alpha) \

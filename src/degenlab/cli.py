@@ -27,7 +27,8 @@ from . import carleman as carle
 from . import observability as obs
 from .discretize import assemble, build_mesh, hardy_check, norms, poincare_check
 from .errors import ParameterError
-from .evolution import TimeGrid, energy_history, solve_implicit, solve_spectral, time_reverse
+from .evolution import (TimeGrid, energy_history, form_per_time, solve_implicit,
+                        solve_spectral, time_reverse)
 from .geometry import make_domain, truncate
 from .rng import Lcg, random_admissible
 from .shape_design import delta_sweep
@@ -77,8 +78,8 @@ class ExperimentConfig:
             fail("steps", "must be at least 8")
         if self.modes < 1:
             fail("modes", "must be at least 1")
-        if any(d2 >= d1 for d1, d2 in zip(self.deltas, self.deltas[1:])):
-            fail("deltas", "must be strictly descending")
+        if not self.deltas or any(d2 >= d1 for d1, d2 in zip(self.deltas, self.deltas[1:])):
+            fail("deltas", "must be non-empty and strictly descending")
         if any(not (0.0 < d < 0.25) for d in self.deltas):
             fail("deltas", "entries must lie in (0, 0.25)")
         if self.s_grid and (self.s_grid[0] < 1.0
@@ -108,7 +109,7 @@ def _is_int(value):
 
 
 def _is_real(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return _is_int(value) or (isinstance(value, float) and bool(np.isfinite(value)))
 
 
 def _check_types(raw):
@@ -121,11 +122,11 @@ def _check_types(raw):
             fail(key, "must be an integer")
     for key in _REAL_KEYS:
         if key in raw and not _is_real(raw[key]):
-            fail(key, "must be a real number")
+            fail(key, "must be a finite real number")
     for key in _REAL_LIST_KEYS:
         if key in raw and not (isinstance(raw[key], list)
                                and all(_is_real(v) for v in raw[key])):
-            fail(key, "must be a list of real numbers")
+            fail(key, "must be a list of finite real numbers")
 
 
 def load_config(path, experiment=None):
@@ -291,8 +292,7 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     lam1 = spec.eigenvalues[0]
     mode_err = float(np.max(np.abs(expand(spec, fs.values[-1])[0]
                                    - np.exp(-lam1 * cfg.T))))
-    diff = fs.values - fi.values
-    gap = float(np.max(np.sqrt(np.einsum("tn,tn->t", diff, (ops.M_full @ diff.T).T))))
+    gap = float(np.max(np.sqrt(form_per_time(ops.M_full, fs.values - fi.values))))
     rows = [(grid.nodes[j], e_s[j], e_i[j]) for j in range(cfg.steps + 1)]
     return Outcome(
         tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"), rows)},

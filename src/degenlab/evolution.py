@@ -60,10 +60,10 @@ class SpaceTimeField:
         return self.values[0]
 
     def source_values(self):
-        """Source as a (steps+1, n_nodes) array (zeros when absent)."""
-        m, n = self.grid.steps + 1, self.mesh.n_nodes
+        """Source as a (steps+1, n_nodes) array, or None when absent."""
         if self.source is None:
-            return np.zeros((m, n))
+            return None
+        m, n = self.grid.steps + 1, self.mesh.n_nodes
         f = np.asarray(self.source, dtype=float)
         if f.shape == (n,):
             return np.broadcast_to(f, (m, n))
@@ -123,7 +123,7 @@ def solve_spectral(spectrum: Spectrum, y0, f, grid: TimeGrid) -> SpaceTimeField:
         coeffs[j + 1] = coeffs[j] * decay + loads[j] * w_old + loads[j + 1] * w_new
     values = coeffs @ spectrum.modes.T
     return SpaceTimeField(spectrum.ops.mesh, grid, values, source=f,
-                          mode_data=(spectrum, coeffs, loads))
+                          mode_data=(spectrum, coeffs))
 
 
 def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
@@ -149,18 +149,30 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
     ii = ops.interior
     y = y0[ii].copy()
     for j in range(grid.steps):
-        fmid = (1.0 - theta) * fvals[j, ii] + theta * fvals[j + 1, ii]
-        y = lu.solve(rhs_op @ y + dt * (ops.M @ fmid))
+        rhs = rhs_op @ y
+        if fvals is not None:
+            rhs += dt * (ops.M @ ((1.0 - theta) * fvals[j, ii] + theta * fvals[j + 1, ii]))
+        y = lu.solve(rhs)
         values[j + 1, ii] = y
     return field
+
+
+def form_per_time(A, values):
+    """v' A v for every row v of a (steps+1, n) block, by blocks of >= 16 rows: each row
+    sums as in one einsum over the whole block, with no transposed copy of the block."""
+    blocks = np.array_split(values, max(1, len(values) // 16))
+    return np.concatenate([np.einsum("tn,tn->t", b, (A @ b.T).T) for b in blocks])
+
+
+def space_time_norm(A, values, t):
+    """sqrt of the trapezoid time integral of v(t)' A v(t)."""
+    return float(np.sqrt(max(np.trapezoid(form_per_time(A, values), t), 0.0)))
 
 
 def energy_history(field: SpaceTimeField, ops: OperatorPair):
     """L2 norm of the field at every time node; non-increasing when the
     source vanishes (parabolic energy decay)."""
-    v = field.values
-    sq = np.einsum("tn,tn->t", v, (ops.M_full @ v.T).T)
-    return np.sqrt(np.maximum(sq, 0.0))
+    return np.sqrt(np.maximum(form_per_time(ops.M_full, field.values), 0.0))
 
 
 def _time_derivative(values, dt):
@@ -182,15 +194,16 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
     mesh = field.mesh
     grid = field.grid
     if field._mode_data is not None:
-        spectrum, coeffs, _ = field._mode_data
+        spectrum, coeffs = field._mode_data
         mode_flux = boundary_flux(ops, mesh, spectrum.modes, part,
                                   f_proxy=spectrum.modes * spectrum.eigenvalues)
         flux = coeffs @ mode_flux.T
     else:
-        proxy = field.source_values() - _time_derivative(field.values, grid.dt)
+        proxy = -_time_derivative(field.values, grid.dt)
+        if field.source is not None:
+            proxy += field.source_values()
         flux = boundary_flux(ops, mesh, field.values.T, part, f_proxy=proxy.T).T
-    emat = edge_mass(mesh, part)
-    per_time = np.einsum("tb,tb->t", flux, (emat @ flux.T).T)
+    per_time = form_per_time(edge_mass(mesh, part), flux)
     integral = float(np.trapezoid(per_time, grid.nodes))
     return flux, integral
 
@@ -202,9 +215,7 @@ def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
     solves the backward equation (d_t + div(A grad)) y = -g(T - t); its
     L2 energy is non-decreasing when g = 0.
     """
-    source = None
-    if field.source is not None:
-        source = -field.source_values()[::-1].copy()
+    source = None if field.source is None else -field.source_values()[::-1]
     return SpaceTimeField(field.mesh, field.grid, field.values[::-1].copy(),
                           source=source, direction="backward")
 
@@ -215,13 +226,9 @@ def stability_ratio(field: SpaceTimeField, ops: OperatorPair) -> float:
         [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / [ ||f||_{L2(Q)} + ||y0||_L2 ].
     """
     t = field.grid.nodes
-    v = field.values
     l2 = energy_history(field, ops)
-    h1sq = np.einsum("tn,tn->t", v, (ops.K_full @ v.T).T)
-    h1_qt = np.sqrt(max(np.trapezoid(h1sq, t), 0.0))
-    fvals = field.source_values()
-    fsq = np.einsum("tn,tn->t", fvals, (ops.M_full @ fvals.T).T)
-    f_qt = np.sqrt(max(np.trapezoid(fsq, t), 0.0))
+    h1_qt = space_time_norm(ops.K_full, field.values, t)
+    f_qt = 0.0 if field.source is None else space_time_norm(ops.M_full, field.source_values(), t)
     denom = f_qt + l2[0]
     if denom == 0.0:
         raise ParameterError("stability ratio undefined for zero data")

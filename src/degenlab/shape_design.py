@@ -13,11 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
+import scipy.sparse as sp
 
 from .discretize import Mesh, OperatorPair, assemble, build_mesh, edge_mass, restrict_mesh
 from .errors import ContractError, ParameterError, PreconditionError
-from .evolution import SpaceTimeField, TimeGrid, flux_history, solve_implicit, stability_ratio
+from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
+                        space_time_norm, stability_ratio)
 from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
@@ -55,9 +56,8 @@ def extend_by_zero(field: SpaceTimeField, full_mesh: Mesh) -> SpaceTimeField:
     values[:, emap] = field.values
     source = None
     if field.source is not None:
-        fv = field.source_values()
         source = np.zeros_like(values)
-        source[:, emap] = fv
+        source[:, emap] = field.source_values()
     return SpaceTimeField(full_mesh, field.grid, values, source=source,
                           direction=field.direction)
 
@@ -143,17 +143,18 @@ class ConvergenceReport:
     reference_self_error: float
 
 
-def _prolong(values, coarse: Mesh, fine: Mesh):
-    interp = RegularGridInterpolator(coarse.axes, values.reshape(coarse.shape),
-                                     method="linear", bounds_error=False,
-                                     fill_value=None)
-    return interp(fine.points)
-
-
-def _space_time_error(va, vb, ops: OperatorPair, tnodes):
-    diff = va - vb
-    sq = np.einsum("tn,tn->t", diff, (ops.M_full @ diff.T).T)
-    return float(np.sqrt(max(np.trapezoid(sq, tnodes), 0.0)))
+def prolongation(coarse: Mesh, fine: Mesh):
+    """Sparse (fine.n_nodes, coarse.n_nodes) piecewise (bi)linear interpolation:
+    the Kronecker product of one 1D linear interpolation per axis, in the
+    C-order node numbering; a fine node in [c_i, c_i+1) uses coarse cell i."""
+    op = sp.identity(1, format="csr")
+    for xc, xf in zip(coarse.axes, fine.axes):
+        i = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, xc.size - 2)
+        t = (xf - xc[i]) / (xc[i + 1] - xc[i])
+        ij = (np.tile(np.arange(xf.size), 2), np.concatenate([i, i + 1]))
+        axis_op = sp.csr_matrix((np.concatenate([1.0 - t, t]), ij), shape=(xf.size, xc.size))
+        op = sp.kron(op, axis_op, format="csr")
+    return op
 
 
 def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
@@ -179,45 +180,43 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
 
-    ref_mesh = build_mesh(domain, n_ref, grading=1.0)
-    ref_ops = assemble(ref_mesh)
-    y0_ref = _nodal_data(ref_mesh, y0, "y0")
-    y0_ref[ref_mesh.boundary] = 0.0
-    f_ref = _nodal_data(ref_mesh, f, "f")
-    ref_field = solve_implicit(ref_ops, y0_ref, f_ref, grid, theta=theta)
+    def full_solve(n):
+        mesh = build_mesh(domain, n, grading=1.0)
+        ops = assemble(mesh)
+        y0_full = _nodal_data(mesh, y0, "y0")
+        y0_full[mesh.boundary] = 0.0
+        return solve_implicit(ops, y0_full, _nodal_data(mesh, f, "f"), grid,
+                              theta=theta), ops
+
+    ref_field, ref_ops = full_solve(n_ref)
+    ref_mesh = ref_ops.mesh
     ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
     edge = edge_mass(ref_mesh, BoundaryPart.OBSERVED)
     tnodes = grid.nodes
 
     # self-convergence of the reference: full solve at sweep resolution
-    coarse_mesh = build_mesh(domain, n_sweep, grading=1.0)
-    coarse_ops = assemble(coarse_mesh)
-    y0_c = _nodal_data(coarse_mesh, y0, "y0")
-    y0_c[coarse_mesh.boundary] = 0.0
-    coarse_field = solve_implicit(coarse_ops, y0_c,
-                                  _nodal_data(coarse_mesh, f, "f"), grid, theta=theta)
-    coarse_on_ref = np.stack([_prolong(v, coarse_mesh, ref_mesh)
-                              for v in coarse_field.values])
-    self_err = _space_time_error(coarse_on_ref, ref_field.values, ref_ops, tnodes)
+    coarse_field, coarse_ops = full_solve(n_sweep)
+    coarse_mesh = coarse_ops.mesh
+    prolong = prolongation(coarse_mesh, ref_mesh)
+    self_err = space_time_norm(ref_ops.M_full,
+                               (prolong @ coarse_field.values.T).T - ref_field.values,
+                               tnodes)
 
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
         field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep, theta=theta)
-        extended = extend_by_zero(field, coarse_mesh)
-        on_ref = np.stack([_prolong(v, coarse_mesh, ref_mesh)
-                           for v in extended.values])
-        sol_errors.append(_space_time_error(on_ref, ref_field.values, ref_ops, tnodes))
-        dfin = on_ref[-1] - ref_field.values[-1]
-        fin_errors.append(float(np.sqrt(dfin @ (ref_ops.M_full @ dfin))))
+        # zero extension then prolongation: the columns of the slab nodes
+        extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
+        diff = (extend @ field.values.T).T - ref_field.values
+        sol_errors.append(space_time_norm(ref_ops.M_full, diff, tnodes))
+        fin_errors.append(float(np.sqrt(diff[-1] @ (ref_ops.M_full @ diff[-1]))))
         tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
         if domain.dimension == 1:
             flux_on_ref = tr_flux
         else:
             flux_on_ref = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                     for row in tr_flux])
-        dflux = flux_on_ref - ref_flux
-        q = np.einsum("tb,tb->t", dflux, (edge @ dflux.T).T)
-        flux_errors.append(float(np.sqrt(max(np.trapezoid(q, tnodes), 0.0))))
+        flux_errors.append(space_time_norm(edge, flux_on_ref - ref_flux, tnodes))
 
     rates = tuple(
         float(np.log(sol_errors[i] / sol_errors[i + 1])

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import degenlab
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main, run
 
 
@@ -81,6 +85,11 @@ def test_unknown_field_rejected(tmp_path):
     ("deltas", "deltas: [0.2, true]"),
     ("s_grid", "s_grid: 3"),
     ("s_grid", "s_grid: [1.0, '10']"),
+    ("T", "T: .inf"),
+    ("T", "T: .nan"),
+    ("grading", "grading: .inf"),
+    ("s_grid", "s_grid: [1.0, .inf]"),
+    ("deltas", "deltas: []"),
 ])
 def test_wrong_field_type_is_config_error(tmp_path, field, text):
     cfg = write_config(tmp_path, f"experiment: spectrum\n{text}\n")
@@ -88,6 +97,18 @@ def test_wrong_field_type_is_config_error(tmp_path, field, text):
         load_config(cfg)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_out_scipy_interpolate():
+    # scipy.interpolate costs about a third of a second at start-up and
+    # the laboratory needs none of it
+    src = str(Path(degenlab.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, degenlab.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "False"
 
 
 def test_missing_config_file(tmp_path):

@@ -1,19 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from degenlab.discretize import assemble, build_mesh
+from degenlab.carleman import CarlemanWeights, check_inequality
+from degenlab.discretize import assemble, build_mesh, edge_mass
 from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import (
     SpaceTimeField,
     TimeGrid,
     energy_history,
     flux_history,
+    form_per_time,
     solve_implicit,
     solve_spectral,
     stability_ratio,
     time_reverse,
 )
-from degenlab.geometry import BoundaryPart, collar, make_domain
+from degenlab.geometry import BoundaryPart, collar, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
@@ -220,3 +224,36 @@ def test_field_shape_contract(setup):
                        source=np.zeros(3))
     with pytest.raises(ContractError):
         f.source_values()
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 24),
+       form=st.sampled_from(["M_full", "K_full", "edge_mass"]),
+       rows=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
+def test_form_per_time_matches_one_shot_einsum(kind, n, form, rows, seed):
+    mesh = build_mesh(make_domain(kind, 0.5), n)
+    ops = assemble(mesh)
+    A = (edge_mass(mesh, BoundaryPart.OBSERVED) if form == "edge_mass"
+         else getattr(ops, form))
+    v = np.random.default_rng(seed).standard_normal((rows, A.shape[0]))
+    one_shot = np.einsum("tn,tn->t", v, (A @ v.T).T)
+    assert np.array_equal(form_per_time(A, v), one_shot)
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 64), ("square", 12)])
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+def test_absent_source_equals_zero_source(kind, n, theta):
+    ops = assemble(build_mesh(truncate(make_domain(kind, 0.5), 0.1), n))
+    grid = TimeGrid(1.0, 16)
+    y0 = random_admissible(ops.mesh, Lcg(5))
+    free, zero = (solve_implicit(ops, y0, f, grid, theta=theta)
+                  for f in (None, np.zeros(ops.mesh.n_nodes)))
+    assert free.source_values() is None
+    assert np.array_equal(free.values, zero.values)
+    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl, ops, BoundaryPart.OBSERVED)
+                                        for fl in (free, zero))
+    assert np.array_equal(flux_a, flux_b) and int_a == int_b
+    assert stability_ratio(free, ops) == stability_ratio(zero, ops)
+    w = CarlemanWeights(alpha=0.5, T=1.0, s=3.0)
+    assert (check_inequality(time_reverse(free), w, ops)
+            == check_inequality(time_reverse(zero), w, ops))

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from degenlab.discretize import assemble, build_mesh, restrict_mesh
 from degenlab.errors import ContractError, ParameterError, PreconditionError
@@ -10,6 +11,7 @@ from degenlab.shape_design import (
     extend_by_zero,
     extend_vector,
     isometry_report,
+    prolongation,
     solve_truncated,
     stability_sweep,
 )
@@ -173,3 +175,22 @@ def test_stability_sweep_drift():
                           [0.2, 0.1, 0.05], n=80)
     assert set(res["ratios"]) == {0.2, 0.1, 0.05}
     assert res["drift"] <= 0.2
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+@pytest.mark.parametrize("n", [4, 15, 40])
+def test_prolongation_is_tensor_linear_interpolation(kind, n):
+    d = make_domain(kind, 0.5)
+    coarse, fine = build_mesh(d, n, 1.0), build_mesh(d, 2 * n, 1.0)
+    P = prolongation(coarse, fine)
+    assert P.shape == (fine.n_nodes, coarse.n_nodes)
+
+    def bilinear(points):  # a + b x + c y + d x y; the interval has only x
+        x, y = points[:, 0], points[:, -1] if kind == "square" else 0.0
+        return 0.3 - 1.7 * x + 2.1 * y + 0.9 * x * y
+
+    assert np.allclose(P @ bilinear(coarse.points), bilinear(fine.points),
+                       rtol=0.0, atol=1e-14)
+    u = np.random.default_rng(n).standard_normal(coarse.n_nodes)
+    oracle = RegularGridInterpolator(coarse.axes, u.reshape(coarse.shape))(fine.points)
+    assert np.max(np.abs(P @ u - oracle)) <= 1e-14
