@@ -16,6 +16,17 @@ boundary term.  Every budget integral is accumulated in log space
 (log-sum-exp over quadrature samples): for moderate s the factor
 exp(-2 s xi) already underflows double precision, while ratios of the
 integrals stay perfectly representable.
+
+The weights depend on (t, x_N) only, so each field is reduced over x_1
+once, to the moments sum w y**2, sum w y d_N y and sum w (d_N y)**2 (and
+sum w f**2, and the squared flux on the observed edge) at every (t, x_N)
+row; a budget at one s is then a log-sum-exp over (t, x_N).  Each moment
+is taken of the field divided by its largest |entry| in the row, with
+the log of that scale squared kept beside it, so fields near 1e-200 do
+not underflow when squared.  The eq410 bracket norm is the quadratic
+A + 2 g B + g**2 C in its s-dependent coefficient g; where that sum has
+cancelled below 1e-8 of A + g**2 C, the bracket is summed directly over
+x_1 for those rows instead.
 """
 
 from __future__ import annotations
@@ -24,9 +35,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .discretize import OperatorPair, edge_mass, part_node_ids
+from .discretize import OperatorPair, edge_mass
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
 from .geometry import BoundaryPart, TruncatedDomain
@@ -159,8 +169,57 @@ class CarlemanBudget:
     holds: bool
 
 
+def _lse(a):
+    """log(sum(exp(a))) over every entry, shifted by the largest one."""
+    top = np.max(a)
+    if not np.isfinite(top):  # all -inf gives -inf; +inf and nan pass through
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
+
+
+def _row_scale(*arrays):
+    """Largest |entry| along axis 1 of the arrays together (1 where every
+    entry is zero), with the log of its square."""
+    scale = np.zeros(arrays[0].shape[:1] + arrays[0].shape[2:])
+    for a in arrays:
+        np.maximum(scale, a.max(axis=1), out=scale)
+        np.maximum(scale, -a.min(axis=1), out=scale)
+    scale[scale == 0.0] = 1.0
+    return scale, 2.0 * np.log(scale)
+
+
+def _sum_x1(u, w, v):
+    """sum over x_1 of u w v at every (t, x_N) for (t, x_1, x_N) arrays."""
+    return np.einsum("tin,in,tin->tn", u, w, v)
+
+
+def _log_moment(u, w):
+    """log of the sum over x_1 of w u**2 at every (t, x_N), u scaled per row."""
+    scale, log_scale2 = _row_scale(u)
+    u = u / scale[:, None, :]
+    with np.errstate(divide="ignore"):
+        return log_scale2 + np.log(_sum_x1(u, w, u))
+
+
+# Rounding in the moments is about eps (A + g**2 C); where the bracket
+# norm A + 2 g B + g**2 C falls below this fraction of A + g**2 C, that
+# is more than about 1e-8 of the result, so the bracket is summed directly.
+_CANCELLATION = 1e-8
+
+
 class _FieldData:
-    """Per-field quantities reused across parameter values s."""
+    """Per-field moments over x_1, reused across parameter values s.
+
+    Every weight depends on (t, x_N) only, so each budget integrand is
+    summed over x_1 once here.  With the lumped spatial weight w and one
+    scale m per (t, x_N) row (the largest |y| or |d_N y| over x_1):
+
+        C = sum w (y/m)**2,  B = sum w (y/m)(d_N y/m),  A = sum w (d_N y/m)**2,
+
+    F likewise for the source and, per t, the observed-edge flux moment;
+    log(m**2) is kept beside each, so squares of fields near 1e-200 never
+    underflow.  On the interval the x_1 axis has length 1.
+    """
 
     def __init__(self, field: SpaceTimeField, ops: OperatorPair):
         _require_truncated(field)
@@ -168,55 +227,76 @@ class _FieldData:
         grid = field.grid
         t = grid.nodes[1:-1]
         self.log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
-        self.y = field.values[1:-1]
-        self.dy_dn = _grad_n(field.values, mesh)[1:-1]
-        self.xn = mesh.xn
+        self.log_dt = np.log(grid.dt)
+        self.xn = mesh.axes[-1]
         self.log_xn = np.log(self.xn)
-        flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+        self.mesh = mesh
+        self.values = field.values  # read again only by the cancellation fallback
+        rows = (t.size, -1, self.xn.size)  # (t, x_1, x_N)
+        self.w = ops.lumped_full.reshape(rows[1:])
+
+        y = field.values[1:-1].reshape(rows)
+        dy = _grad_n(field.values[1:-1], mesh).reshape(rows)
+        self.scale, self.log_scale2 = _row_scale(y, dy)
+        ys = y / self.scale[:, None, :]
+        dy /= self.scale[:, None, :]
+        self.c = _sum_x1(ys, self.w, ys)
+        self.b = _sum_x1(ys, self.w, dy)
+        self.a = _sum_x1(dy, self.w, dy)
         with np.errstate(divide="ignore"):
-            self.log_y2 = 2.0 * np.log(np.abs(self.y))
-            self.log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
-            # no source, no log array: the source budget is exp(-inf) = 0
-            self.log_f2 = (None if field.source is None
-                           else 2.0 * np.log(np.abs(field.source_values()[1:-1])))
-        self.w_time = np.full(t.size, grid.dt)
-        self.w_space = ops.lumped_full
-        self.w_edge = np.asarray(
-            edge_mass(mesh, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
-        self.edge_xn = mesh.xn[part_node_ids(mesh, BoundaryPart.OBSERVED)]
+            self.log_y2 = self.log_scale2 + np.log(self.c)
+
+        flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+        w_edge = np.asarray(edge_mass(mesh, BoundaryPart.OBSERVED).sum(axis=1))
+        self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
+        # no source, no moment: the source budget is exp(-inf) = 0
+        self.log_f2 = (None if field.source is None
+                       else _log_moment(field.source_values()[1:-1].reshape(rows), self.w))
+
+    def _bracket_direct(self, ti, ni, g):
+        """sum over x_1 of w ((d_N y + g y)/m)**2 at the (ti, ni) rows."""
+        times, at = np.unique(ti, return_inverse=True)
+        vals = self.values[1 + times]
+        shape = (times.size, -1, self.xn.size)
+        y = vals.reshape(shape)[at, :, ni]
+        dy = _grad_n(vals, self.mesh).reshape(shape)[at, :, ni]
+        bracket = (dy + g[:, None] * y) / self.scale[ti, ni][:, None]
+        return np.sum(self.w[:, ni].T * bracket**2, axis=1)
 
     def budget(self, w: CarlemanWeights, which: str, c_boundary: float = 1.0):
         alpha = w.alpha
         s = w.s
-        gme = w.gamma - self.xn ** (2.0 - alpha)       # gamma - eta, per node
-        xi = np.exp(self.log_theta)[:, None] * gme[None, :]
-        two_s_xi = 2.0 * s * xi
-        lw = np.log(self.w_time)[:, None] + np.log(self.w_space)[None, :]
+        theta = np.exp(self.log_theta)
+        gme = w.gamma - self.xn ** (2.0 - alpha)       # gamma - eta, per x_N
+        two_s_xi = 2.0 * s * (theta[:, None] * gme[None, :])
         lt = self.log_theta[:, None]
 
-        # boundary term: on the observed edge gamma - eta = gamma - 1
-        edge_gme = w.gamma - self.edge_xn ** (2.0 - alpha)
-        xi_edge = np.exp(self.log_theta)[:, None] * edge_gme[None, :]
-        lw_edge = np.log(self.w_time)[:, None] + np.log(self.w_edge)[None, :]
-        log_ib = logsumexp(lt + self.log_flux2 - 2.0 * s * xi_edge + lw_edge)
+        # boundary term: the observed edge is the last x_N row, xi is
+        # constant along it
+        xi_edge = theta * (w.gamma - self.xn[-1] ** (2.0 - alpha))
+        log_ib = _lse(self.log_theta + self.log_flux2 - 2.0 * s * xi_edge + self.log_dt)
         log_rhs_b = np.log(s) + log_ib
 
-        log_rhs_f = -np.inf if self.log_f2 is None else logsumexp(self.log_f2 - two_s_xi + lw)
+        log_rhs_f = (-np.inf if self.log_f2 is None
+                     else _lse(self.log_f2 - two_s_xi + self.log_dt))
 
         if which == "eq410":
-            bracket = self.dy_dn + s * (2.0 - alpha) \
-                * np.exp(self.log_theta)[:, None] \
-                * (self.xn ** (1.0 - alpha))[None, :] * self.y
+            # sum w (d_N y + g y)**2 = m**2 (A + 2 g B + g**2 C)
+            g = s * (2.0 - alpha) * theta[:, None] * (self.xn ** (1.0 - alpha))[None, :]
+            b2 = self.a + 2.0 * g * self.b + g * g * self.c
+            ti, ni = np.nonzero(np.abs(b2) < _CANCELLATION * (self.a + g * g * self.c))
+            if ti.size:
+                b2[ti, ni] = self._bracket_direct(ti, ni, g[ti, ni])
             with np.errstate(divide="ignore"):
-                log_b2 = 2.0 * np.log(np.abs(bracket))
-            log_i1 = logsumexp(lt + alpha * self.log_xn[None, :]
-                               + log_b2 - two_s_xi + lw)
-            log_i2 = logsumexp(3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
-                               + self.log_y2 - two_s_xi + lw)
+                log_b2 = self.log_scale2 + np.log(b2)
+            log_i1 = _lse(lt + alpha * self.log_xn[None, :]
+                          + log_b2 - two_s_xi + self.log_dt)
+            log_i2 = _lse(3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
+                          + self.log_y2 - two_s_xi + self.log_dt)
             log_lhs = np.logaddexp(np.log(s) + log_i1, 3.0 * np.log(s) + log_i2)
         elif which == "eq51":
             log_i1 = -np.inf
-            log_lhs = np.log(s) + logsumexp(lt + self.log_y2 - two_s_xi + lw)
+            log_lhs = np.log(s) + _lse(lt + self.log_y2 - two_s_xi + self.log_dt)
         else:
             raise ParameterError(f"unknown inequality selector {which!r}")
 
@@ -280,28 +360,28 @@ def find_s0(fields, w_template: CarlemanWeights, ops: OperatorPair, s_grid,
             which: str = "eq410") -> S0Fit:
     """Smallest grid parameter from which the inequality stabilizes.
 
-    For every supplied field the needed boundary constant
-    (lhs - rhs_source)+ / rhs_boundary is evaluated on the whole grid;
-    s0 is the first grid point from which these are finite and
-    non-increasing for every field (so the inequality with the fitted
-    C = max needed constant over the region holds at every larger grid
-    value).  A failure marker is returned when no grid point qualifies.
+    ``fields`` may be any iterable; a generator streams them, since only
+    one field's data is held at a time.  For every field the needed
+    boundary constant (lhs - rhs_source)+ / rhs_boundary is evaluated on
+    the whole grid; s0 is the first grid point from which these are
+    finite and non-increasing for every field (so the inequality with the
+    fitted C = max needed constant over the region holds at every larger
+    grid value).  A failure marker is returned when no grid point
+    qualifies.
     """
     s_grid = [float(s) for s in s_grid]
     if not s_grid or any(b <= a for a, b in zip(s_grid, s_grid[1:])):
         raise ParameterError("s grid must be non-empty and ascending")
     if s_grid[0] < 1.0:
         raise ParameterError("s grid must start at or above 1")
-    fields = list(fields)
-    if not fields:
-        raise ParameterError("need at least one field to calibrate")
-
-    log_needed = np.empty((len(fields), len(s_grid)))
-    for i, field in enumerate(fields):
+    weights = [replace(w_template, s=s) for s in s_grid]
+    rows = []
+    for field in fields:
         data = _FieldData(field, ops)
-        for j, s in enumerate(s_grid):
-            w = replace(w_template, s=s)
-            log_needed[i, j] = data.budget(w, which).log_needed_c
+        rows.append([data.budget(w, which).log_needed_c for w in weights])
+    if not rows:
+        raise ParameterError("need at least one field to calibrate")
+    log_needed = np.array(rows)
 
     def tail_ok(j):
         tail = log_needed[:, j:]

@@ -4,11 +4,12 @@
 
 reads a YAML/JSON config, runs the requested pipeline and writes one CSV
 per result table plus a JSON summary of all check outcomes.  Exit codes:
-0 all checks pass, 1 a check failed, 2 invalid config, 3 numerical
-failure inside a module.  Outputs are byte-identical across reruns with
-the same config and seed: floats are printed with 17 significant digits,
-random vectors come from the documented linear congruential generator,
-and concurrent sub-experiments are written in a fixed order.
+0 all checks pass, 1 a check failed, 2 invalid config (or a parameter,
+contract or precondition error), 3 numerical failure inside a module.
+Outputs are byte-identical across reruns with the same config and seed:
+floats are printed with 17 significant digits, random vectors come from
+the documented linear congruential generator, and concurrent
+sub-experiments are written in a fixed order.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import yaml
 from . import carleman as carle
 from . import observability as obs
 from .discretize import assemble, build_mesh, hardy_check, norms, poincare_check
-from .errors import ParameterError
+from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import (TimeGrid, energy_history, form_per_time, solve_implicit,
                         solve_spectral, time_reverse)
 from .geometry import make_domain, truncate
@@ -109,7 +110,12 @@ def _is_int(value):
 
 
 def _is_real(value):
-    return _is_int(value) or (isinstance(value, float) and bool(np.isfinite(value)))
+    if _is_int(value):
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the double range
+            return False
+    return isinstance(value, float) and bool(np.isfinite(value))
 
 
 def _check_types(raw):
@@ -346,8 +352,8 @@ def run_carleman(cfg: ExperimentConfig, jobs: int = 1) -> Outcome:
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             fields = list(pool.map(make_field, data))
-    else:
-        fields = [make_field(y0) for y0 in data]
+    else:  # streamed: the fields are never all held at once
+        fields = (make_field(y0) for y0 in data)
 
     template = carle.CarlemanWeights(alpha=cfg.alpha, T=cfg.T, s=1.0)
     fit = carle.find_s0(fields, template, tops, cfg.s_values)
@@ -361,7 +367,8 @@ def run_carleman(cfg: ExperimentConfig, jobs: int = 1) -> Outcome:
     if fit.found:
         c = fit.c_boundary
         w0 = replace(template, s=fit.s0)
-        b51 = carle.check_inequality(fields[0], w0, tops, "eq51", c_boundary=max(c, 1.0))
+        b51 = carle.check_inequality(make_field(data[0]), w0, tops, "eq51",
+                                     c_boundary=max(c, 1.0))
         holds_beyond = b51.holds
     context = _context_line(
         cfg, delta=_fmt(delta),
@@ -500,6 +507,12 @@ def main(argv=None) -> int:
         return 2
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)
+        return 2
+    except ContractError as exc:
+        print(f"contract error: {exc}", file=sys.stderr)
+        return 2
+    except PreconditionError as exc:
+        print(f"precondition error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failure inside a module
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 
 Everything here is deliberately decoupled from the package internals:
 Bessel functions come from their power series, zeros from bisection,
-integrals from adaptive quadrature.  The degenerate Sturm-Liouville
+integrals from adaptive quadrature.  The exception is the per-node
+Carleman budget, which takes the field's boundary flux from the package
+and is the reference for the moment-based budgets.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -17,6 +19,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import logsumexp
 
 
 def bessel_j(nu, x):
@@ -121,3 +124,65 @@ def fit_tail_exponent(theta, values):
     a = np.vstack([lt[tail], np.ones(tail.sum())]).T
     slope, _ = np.linalg.lstsq(a, lv[tail], rcond=None)[0]
     return float(slope)
+
+
+def carleman_budget_per_node(field, ops, w, which):
+    """Log budgets of one Carleman inequality summed node by node.
+
+    Every integrand is formed per (t, node) in log space and reduced by
+    one log-sum-exp over all interior time levels and nodes.  Returns
+    the logs of the left side, the source and boundary terms, and the
+    needed boundary constant (lhs - rhs_source)+ / rhs_boundary.
+    """
+    from degenlab.discretize import edge_mass, part_node_ids
+    from degenlab.evolution import flux_history
+    from degenlab.geometry import BoundaryPart
+
+    mesh, grid = field.mesh, field.grid
+    alpha, s = w.alpha, w.s
+    t = grid.nodes[1:-1]
+    log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
+    theta = np.exp(log_theta)[:, None]
+    lt = log_theta[:, None]
+    y = field.values[1:-1]
+    v = field.values.reshape(field.values.shape[:-1] + mesh.shape)
+    dy_dn = np.gradient(v, mesh.axes[-1], axis=-1, edge_order=2).reshape(
+        field.values.shape)[1:-1]
+    xn = mesh.xn
+    log_xn = np.log(xn)
+    flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+    with np.errstate(divide="ignore"):
+        log_y2 = 2.0 * np.log(np.abs(y))
+        log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
+        log_f2 = (None if field.source is None
+                  else 2.0 * np.log(np.abs(field.source_values()[1:-1])))
+    lw = np.log(grid.dt) + np.log(ops.lumped_full)[None, :]
+    xi = theta * (w.gamma - xn ** (2.0 - alpha))[None, :]
+    two_s_xi = 2.0 * s * xi
+
+    w_edge = np.asarray(edge_mass(mesh, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
+    edge_xn = xn[part_node_ids(mesh, BoundaryPart.OBSERVED)]
+    xi_edge = theta * (w.gamma - edge_xn ** (2.0 - alpha))[None, :]
+    lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
+    log_rhs_b = np.log(s) + logsumexp(lt + log_flux2 - 2.0 * s * xi_edge + lw_edge)
+    log_rhs_f = -np.inf if log_f2 is None else logsumexp(log_f2 - two_s_xi + lw)
+
+    if which == "eq410":
+        bracket = dy_dn + s * (2.0 - alpha) * theta * (xn ** (1.0 - alpha))[None, :] * y
+        with np.errstate(divide="ignore"):
+            log_b2 = 2.0 * np.log(np.abs(bracket))
+        log_i1 = logsumexp(lt + alpha * log_xn[None, :] + log_b2 - two_s_xi + lw)
+        log_i2 = logsumexp(3.0 * lt + (2.0 - alpha) * log_xn[None, :]
+                           + log_y2 - two_s_xi + lw)
+        log_lhs = np.logaddexp(np.log(s) + log_i1, 3.0 * np.log(s) + log_i2)
+    else:
+        log_lhs = np.log(s) + logsumexp(lt + log_y2 - two_s_xi + lw)
+
+    if log_lhs <= log_rhs_f:
+        log_needed = -np.inf
+    elif log_rhs_f == -np.inf:
+        log_needed = log_lhs - log_rhs_b
+    else:
+        log_needed = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs)) - log_rhs_b
+    return {"log_lhs": float(log_lhs), "log_rhs_source": float(log_rhs_f),
+            "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from degenlab import carleman
 from degenlab.carleman import (
     CarlemanWeights,
     check_inequality,
@@ -16,7 +19,7 @@ from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import fit_tail_exponent
+from oracles import carleman_budget_per_node, fit_tail_exponent
 
 
 @pytest.fixture(scope="module")
@@ -253,3 +256,109 @@ def test_eq51_follows_eq410(slab):
     s_grid = list(np.geomspace(1.0, 200.0, 10))
     fit = find_s0(fields, w, ops, s_grid, which="eq51")
     assert fit.found and fit.s0 <= 200.0
+
+
+# Budgets are logs of magnitude up to about 1e5 at s = 200 (one ulp is
+# 1.5e-11 there), so the moment form may differ from the per-node sum by
+# a few ulps and no more.
+LOG_TOL = 1e-10
+LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
+
+
+def assert_matches_oracle(field, ops, w, which, budget=None):
+    if budget is None:
+        budget = check_inequality(field, w, ops, which)
+    ref = carleman_budget_per_node(field, ops, w, which)
+    for key in LOG_KEYS:
+        got, want = getattr(budget, key), ref[key]
+        if np.isinf(want):
+            assert got == want, key
+        else:
+            assert abs(got - want) <= LOG_TOL, (key, got, want)
+
+
+def test_budgets_match_oracle_on_mode_fields(slab):
+    # scaled to 1e-180, these fields have squares below the double range
+    # everywhere: the budgets rest on the per-row scaling of the moments
+    ops, spec = slab
+    grid = TimeGrid(1.0, 64)
+    for k in (1, 6):
+        mode = backward_mode_field(ops, spec, k, grid)
+        field = SpaceTimeField(ops.mesh, grid, 1e-180 * mode.values, direction="backward")
+        data = carleman._FieldData(field, ops)
+        for s in np.geomspace(1.0, 200.0, 7):
+            w = CarlemanWeights(alpha=0.5, T=1.0, s=float(s))
+            for which in ("eq410", "eq51"):
+                assert_matches_oracle(field, ops, w, which, data.budget(w, which))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 12),
+       delta=st.sampled_from([0.05, 0.1, 0.2]), steps=st.integers(8, 24),
+       alpha=st.floats(0.1, 0.9), s=st.floats(1.0, 200.0),
+       magnitude=st.floats(0.0, 150.0), decay=st.floats(0.0, 300.0),
+       with_source=st.booleans(), which=st.sampled_from(["eq410", "eq51"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s, magnitude,
+                                       decay, with_source, which, seed):
+    mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
+                      n * (4 if kind == "interval" else 1))
+    ops = assemble(mesh)
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(seed)
+    # amplitudes from 1 down to 1e-150 exp(-300 (1 - t)), about 1e-280 at
+    # t = 0: squared, most of these underflow unless scaled first
+    amp = 10.0 ** -magnitude * np.exp(-decay * (1.0 - grid.nodes))[:, None]
+    vals = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp
+    vals[:, mesh.boundary] = 0.0
+    source = rng.standard_normal(vals.shape) * amp if with_source else None
+    field = SpaceTimeField(mesh, grid, vals, source=source, direction="backward")
+    assert_matches_oracle(field, ops, CarlemanWeights(alpha=alpha, T=1.0, s=s), which)
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_cancelling_bracket_falls_back_to_direct_sum(kind, monkeypatch):
+    # y = phi(x_1) u(t, x_N) with d_N u = -g u at every other x_N node of a
+    # band, so the eq410 bracket d_N y + g y cancels there for every x_1
+    alpha, s = 0.5, 3.0
+    mesh = build_mesh(truncate(make_domain(kind, alpha), 0.1), 48 if kind == "interval" else 12)
+    ops = assemble(mesh)
+    grid = TimeGrid(1.0, 16)
+    xn = mesh.axes[-1]
+    t = grid.nodes
+    z = (xn - xn[0]) / (xn[-1] - xn[0])
+    u = np.outer(1.0 + t, np.sin(np.pi * z) * (1.0 + 2.0 * z))  # no flat node
+    w = CarlemanWeights(alpha=alpha, T=1.0, s=s)
+    theta = np.exp(-4.0 * (np.log(t[1:-1]) + np.log(1.0 - t[1:-1])))
+    g = s * (2.0 - alpha) * theta[:, None] * (xn ** (1.0 - alpha))[None, :]
+
+    def grad(v):
+        return np.gradient(v, xn, axis=-1, edge_order=2)
+
+    band = np.arange(2, xn.size - 2, 2)
+    for j in band:
+        rows = u[1:-1].copy()
+        rows[:, j] = 0.0
+        d0 = grad(rows)[:, j]
+        rows[:, j] = 1.0
+        b = grad(rows)[:, j] - d0
+        u[1:-1, j] = -d0 / (g[:, j] + b)  # d0 + b u = -g u
+    bracket = grad(u)[1:-1] + g * u[1:-1]
+    assert np.max(np.abs(bracket[:, band]) / np.abs(g * u[1:-1])[:, band]) < 1e-12
+
+    phi = np.sin(np.pi * mesh.axes[0]) if kind == "square" else np.ones(1)
+    vals = (u[:, None, :] * phi[None, :, None]).reshape(t.size, -1)
+    field = SpaceTimeField(mesh, grid, vals, direction="backward")
+
+    direct = set()
+    original = carleman._FieldData._bracket_direct
+
+    def spy(self, ti, ni, gsel):
+        direct.update(zip(ti.tolist(), ni.tolist()))
+        return original(self, ti, ni, gsel)
+
+    monkeypatch.setattr(carleman._FieldData, "_bracket_direct", spy)
+    assert_matches_oracle(field, ops, w, "eq410")
+    # every band entry went through the direct sum, and little else did
+    band_entries = {(i, int(j)) for i in range(t.size - 2) for j in band}
+    assert band_entries <= direct and len(direct) <= 2 * len(band_entries)

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import degenlab
+from degenlab import cli
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main, run
+from degenlab.errors import ContractError, PreconditionError
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -90,6 +92,12 @@ def test_unknown_field_rejected(tmp_path):
     ("grading", "grading: .inf"),
     ("s_grid", "s_grid: [1.0, .inf]"),
     ("deltas", "deltas: []"),
+    # integers beyond the double range
+    pytest.param("T", "T: " + "9" * 400, id="T-huge-int"),
+    pytest.param("alpha", "alpha: " + "9" * 400, id="alpha-huge-int"),
+    pytest.param("grading", "grading: " + "9" * 400, id="grading-huge-int"),
+    pytest.param("deltas", "deltas: [0.2, " + "9" * 400 + "]", id="deltas-huge-int"),
+    pytest.param("s_grid", "s_grid: [1.0, " + "9" * 400 + "]", id="s_grid-huge-int"),
 ])
 def test_wrong_field_type_is_config_error(tmp_path, field, text):
     cfg = write_config(tmp_path, f"experiment: spectrum\n{text}\n")
@@ -109,6 +117,20 @@ def test_cli_import_leaves_out_scipy_interpolate():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
     assert out.stdout.strip() == "False"
+
+
+@pytest.mark.parametrize("error, prefix", [
+    (ContractError, "contract error: "),
+    (PreconditionError, "precondition error: "),
+])
+def test_module_input_errors_exit_2(tmp_path, monkeypatch, capsys, error, prefix):
+    def runner(cfg, problem):
+        raise error("refused input")
+
+    monkeypatch.setitem(cli._SHARED_PROBLEM_RUNNERS, "spectrum", runner)
+    cfg = write_config(tmp_path, "experiment: spectrum\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(prefix + "refused input")
 
 
 def test_missing_config_file(tmp_path):
