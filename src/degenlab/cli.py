@@ -7,9 +7,9 @@ per result table plus a JSON summary of all check outcomes.  Exit codes:
 0 all checks pass, 1 a check failed, 2 invalid config (or a parameter,
 contract or precondition error), 3 numerical failure inside a module.
 Outputs are byte-identical across reruns with the same config and seed:
-floats are printed with 17 significant digits, random vectors come from
-the documented linear congruential generator, and concurrent
-sub-experiments are written in a fixed order.
+floats are printed with 17 significant digits and random vectors come
+from the documented linear congruential generator.  Experiments run in
+sequence; ``--jobs`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -17,9 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
+import typing
 from dataclasses import dataclass, field, replace
+from pathlib import Path
 
 import numpy as np
 import yaml
@@ -98,13 +98,6 @@ class ExperimentConfig:
         return tuple(np.geomspace(1.0, 200.0, 20))
 
 
-_KNOWN_KEYS = {"experiment", "domain", "alpha", "T", "n", "grading", "steps",
-               "modes", "deltas", "s_grid", "samples", "seed", "out"}
-_INT_KEYS = ("n", "steps", "modes", "samples", "seed")
-_REAL_KEYS = ("alpha", "T", "grading")
-_REAL_LIST_KEYS = ("deltas", "s_grid")
-
-
 def _is_int(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -118,48 +111,47 @@ def _is_real(value):
     return isinstance(value, float) and bool(np.isfinite(value))
 
 
+# the type check of a raw config value, by its ExperimentConfig annotation
+_TYPE_CHECKS = {
+    int: (_is_int, "must be an integer"),
+    float: (_is_real, "must be a finite real number"),
+    tuple: (lambda v: isinstance(v, list) and all(_is_real(x) for x in v),
+            "must be a list of finite real numbers"),
+    str: (lambda v: isinstance(v, str), "must be a string"),
+}
+_FIELD_TYPES = typing.get_type_hints(ExperimentConfig)
+
+
 def _check_types(raw):
     """Reject values of the wrong type before any range check sees them."""
-    def fail(name, msg):
-        raise ConfigError(f"config field '{name}': {msg}, got {raw[name]!r}")
-
-    for key in _INT_KEYS:
-        if key in raw and not _is_int(raw[key]):
-            fail(key, "must be an integer")
-    for key in _REAL_KEYS:
-        if key in raw and not _is_real(raw[key]):
-            fail(key, "must be a finite real number")
-    for key in _REAL_LIST_KEYS:
-        if key in raw and not (isinstance(raw[key], list)
-                               and all(_is_real(v) for v in raw[key])):
-            fail(key, "must be a list of finite real numbers")
+    for key, value in raw.items():
+        ok, msg = _TYPE_CHECKS[_FIELD_TYPES[key]]
+        if not ok(value):
+            raise ConfigError(f"config field '{key}': {msg}, got {value!r}")
 
 
 def load_config(path, experiment=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
         raise ConfigError("config file must contain a mapping")
-    unknown = set(raw) - _KNOWN_KEYS
+    unknown = set(raw) - set(_FIELD_TYPES)
     if unknown:
-        raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+        raise ConfigError(f"unknown config fields: {sorted(unknown, key=str)}")
     if experiment is not None:
         raw["experiment"] = experiment
     if "experiment" not in raw:
         raise ConfigError("config field 'experiment': missing")
     _check_types(raw)
-    for key in _REAL_LIST_KEYS:
-        if key in raw:
-            raw[key] = tuple(float(v) for v in raw[key])
-    try:
-        return ExperimentConfig(**raw)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    for key, value in raw.items():
+        if _FIELD_TYPES[key] is tuple:
+            raw[key] = tuple(float(v) for v in value)
+    return ExperimentConfig(**raw)
 
 
 def _fmt(value):
@@ -221,20 +213,23 @@ def _bump_factory(lo, hi):
 
 
 def _problem_memo():
-    """Memoised builder of (mesh, ops, spectrum) for the full domain of a
-    config with cfg.modes modes.  One memo serves one run, so the
-    experiments of a full report assemble and eigensolve the domain once."""
+    """Memoised builder of (mesh, ops, spectrum) with cfg.modes modes, for
+    the full domain of a config (graded mesh) or, given delta, for its slab
+    truncated at delta (uniform mesh).  One memo serves one run, so the
+    experiments of a full report assemble and eigensolve each domain once."""
     built = {}
-    lock = threading.Lock()
 
-    def problem(cfg: ExperimentConfig):
-        key = (cfg.domain, cfg.alpha, cfg.n, cfg.grading, cfg.modes)
-        with lock:
-            if key not in built:
-                mesh = build_mesh(make_domain(cfg.domain, cfg.alpha), cfg.n, cfg.grading)
-                ops = assemble(mesh)
-                built[key] = (mesh, ops, compute_spectrum(ops, cfg.modes))
-            return built[key]
+    def problem(cfg: ExperimentConfig, delta=None):
+        key = (cfg.domain, cfg.alpha, cfg.n, cfg.grading, cfg.modes, delta)
+        if key not in built:
+            domain = make_domain(cfg.domain, cfg.alpha)
+            if delta is None:
+                mesh = build_mesh(domain, cfg.n, cfg.grading)
+            else:
+                mesh = build_mesh(truncate(domain, delta), cfg.n)
+            ops = assemble(mesh)
+            built[key] = (mesh, ops, compute_spectrum(ops, cfg.modes))
+        return built[key]
 
     return problem
 
@@ -311,7 +306,7 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     )
 
 
-def run_delta_sweep(cfg: ExperimentConfig) -> Outcome:
+def run_delta_sweep(cfg: ExperimentConfig, problem) -> Outcome:
     domain = make_domain(cfg.domain, cfg.alpha)
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = _bump_factory(0.45, 0.95)
@@ -335,12 +330,9 @@ def run_delta_sweep(cfg: ExperimentConfig) -> Outcome:
     )
 
 
-def run_carleman(cfg: ExperimentConfig, jobs: int = 1) -> Outcome:
-    domain = make_domain(cfg.domain, cfg.alpha)
+def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     delta = cfg.deltas[0]
-    tmesh = build_mesh(truncate(domain, delta), cfg.n)
-    tops = assemble(tmesh)
-    spec = compute_spectrum(tops, cfg.modes)
+    tmesh, tops, spec = problem(cfg, delta)
     grid = TimeGrid(cfg.T, cfg.steps)
     rng = Lcg(cfg.seed)
 
@@ -349,14 +341,9 @@ def run_carleman(cfg: ExperimentConfig, jobs: int = 1) -> Outcome:
 
     data = [spec.modes[:, k] for k in range(cfg.modes)]
     data += [random_admissible(tmesh, rng) for _ in range(5)]
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            fields = list(pool.map(make_field, data))
-    else:  # streamed: the fields are never all held at once
-        fields = (make_field(y0) for y0 in data)
-
     template = carle.CarlemanWeights(alpha=cfg.alpha, T=cfg.T, s=1.0)
-    fit = carle.find_s0(fields, template, tops, cfg.s_values)
+    # streamed: the fields are never all held at once
+    fit = carle.find_s0((make_field(y0) for y0 in data), template, tops, cfg.s_values)
     rows = []
     for i, per_s in enumerate(fit.log_needed_c):
         for j, s in enumerate(fit.s_grid):
@@ -411,55 +398,33 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
     )
 
 
-_SHARED_PROBLEM_RUNNERS = {
+# every experiment but full-report, in EXPERIMENTS order
+_RUNNERS = {
     "spectrum": run_spectrum,
-    "hardy": run_hardy,
     "evolve": run_evolve,
+    "hardy": run_hardy,
+    "delta-sweep": run_delta_sweep,
+    "carleman": run_carleman,
     "observability": run_observability,
 }
 
 
-def run(config: ExperimentConfig, out_dir=None, jobs: int = 1) -> int:
-    """Execute the configured experiment; returns the process exit code."""
-    from pathlib import Path
-
+def run(config: ExperimentConfig, out_dir=None) -> int:
+    """Execute the configured experiment, or every experiment in turn for a
+    full report; returns the process exit code."""
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
     problem = _problem_memo()
-
-    if config.experiment == "full-report":
-        names = [n for n in EXPERIMENTS if n != "full-report"]
-        subcfgs = [replace(config, experiment=n) for n in names]
-
-        def one(sub):
-            return _run_single(sub, 1, problem)
-
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outcomes = list(pool.map(one, subcfgs))
-        else:
-            outcomes = [one(sub) for sub in subcfgs]
-        checks, values = {}, {}
-        for name, outcome in zip(names, outcomes):
-            _write_outcome(out, outcome)
-            checks.update({f"{name}.{k}": v for k, v in outcome.checks.items()})
-            values.update({f"{name}.{k}": v for k, v in outcome.values.items()})
-        _write_summary(out / "full-report_summary.json", config, checks, values)
-        return 0 if all(checks.values()) else 1
-
-    outcome = _run_single(config, jobs, problem)
-    _write_outcome(out, outcome)
-    _write_summary(out / f"{config.experiment}_summary.json", config,
-                   outcome.checks, outcome.values)
-    return 0 if all(outcome.checks.values()) else 1
-
-
-def _run_single(config: ExperimentConfig, jobs: int, problem) -> Outcome:
-    if config.experiment == "carleman":
-        return run_carleman(config, jobs=jobs)
-    if config.experiment == "delta-sweep":
-        return run_delta_sweep(config)
-    return _SHARED_PROBLEM_RUNNERS[config.experiment](config, problem)
+    report = config.experiment == "full-report"
+    checks, values = {}, {}
+    for name in _RUNNERS if report else [config.experiment]:
+        outcome = _RUNNERS[name](config, problem)
+        _write_outcome(out, outcome)
+        prefix = f"{name}." if report else ""
+        checks.update({prefix + k: v for k, v in outcome.checks.items()})
+        values.update({prefix + k: v for k, v in outcome.values.items()})
+    _write_summary(out / f"{config.experiment}_summary.json", config, checks, values)
+    return 0 if all(checks.values()) else 1
 
 
 def _write_outcome(out, outcome: Outcome):
@@ -493,7 +458,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="YAML/JSON config file")
     parser.add_argument("--out", default=None, help="output directory")
     parser.add_argument("--jobs", type=int, default=1,
-                        help="concurrent sub-experiments (results are ordered)")
+                        help="ignored; kept so that old command lines still run")
     args = parser.parse_args(argv)
     try:
         config = load_config(args.config, experiment=args.experiment)
@@ -501,7 +466,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
-        return run(config, out_dir=args.out, jobs=max(1, args.jobs))
+        return run(config, out_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -98,6 +98,9 @@ def test_unknown_field_rejected(tmp_path):
     pytest.param("grading", "grading: " + "9" * 400, id="grading-huge-int"),
     pytest.param("deltas", "deltas: [0.2, " + "9" * 400 + "]", id="deltas-huge-int"),
     pytest.param("s_grid", "s_grid: [1.0, " + "9" * 400 + "]", id="s_grid-huge-int"),
+    ("out", "out: 5"),
+    ("out", "out: null"),
+    ("out", "out: [a]"),
 ])
 def test_wrong_field_type_is_config_error(tmp_path, field, text):
     cfg = write_config(tmp_path, f"experiment: spectrum\n{text}\n")
@@ -105,6 +108,18 @@ def test_wrong_field_type_is_config_error(tmp_path, field, text):
         load_config(cfg)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe\x00bad",  # not UTF-8
+    b"experiment: spectrum\n1: 2\nfoo: 3\n",  # unknown keys of mixed types
+])
+def test_malformed_config_file_exit_2(tmp_path, content):
+    cfg = tmp_path / "config.yaml"
+    cfg.write_bytes(content)
+    with pytest.raises(ConfigError):
+        load_config(cfg)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_import_leaves_out_scipy_interpolate():
@@ -127,7 +142,7 @@ def test_module_input_errors_exit_2(tmp_path, monkeypatch, capsys, error, prefix
     def runner(cfg, problem):
         raise error("refused input")
 
-    monkeypatch.setitem(cli._SHARED_PROBLEM_RUNNERS, "spectrum", runner)
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
     cfg = write_config(tmp_path, "experiment: spectrum\n")
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(prefix + "refused input")
@@ -220,6 +235,37 @@ seed: 2
     for table in ("eigenvalues.csv", "hardy.csv", "energy.csv",
                   "delta_sweep.csv", "carleman_fit.csv", "observability.csv"):
         assert (out / table).exists()
+
+
+def test_full_report_matches_single_runs(tmp_path):
+    cfg = write_config(tmp_path, """
+experiment: full-report
+domain: interval
+alpha: 0.5
+n: 80
+steps: 32
+modes: 3
+deltas: [0.2, 0.1]
+s_grid: [1.0, 10.0]
+samples: 3
+seed: 4
+""")
+    report = tmp_path / "report"
+    assert main(["full-report", "--config", str(cfg), "--out", str(report)]) == 0
+    checks, values, csvs = {}, {}, set()
+    for name in cli._RUNNERS:
+        single = tmp_path / name
+        assert main([name, "--config", str(cfg), "--out", str(single)]) == 0
+        for f in single.glob("*.csv"):
+            csvs.add(f.name)
+            assert (report / f.name).read_bytes() == f.read_bytes()
+        summary = json.loads((single / f"{name}_summary.json").read_text())
+        checks.update({f"{name}.{k}": v for k, v in summary["checks"].items()})
+        values.update({f"{name}.{k}": v for k, v in summary["values"].items()})
+    assert {f.name for f in report.glob("*.csv")} == csvs
+    summary = json.loads((report / "full-report_summary.json").read_text())
+    assert summary["checks"] == checks
+    assert summary["values"] == values
 
 
 def test_full_report_jobs_identical(tmp_path):
