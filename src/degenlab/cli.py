@@ -5,7 +5,8 @@
 reads a YAML/JSON config, runs the requested pipeline and writes one CSV
 per result table plus a JSON summary of all check outcomes.  Exit codes:
 0 all checks pass, 1 a check failed, 2 invalid config (or a parameter,
-contract or precondition error), 3 numerical failure inside a module.
+contract or precondition error), 3 numerical failure inside a module
+(any other exception is a defect and propagates).
 Outputs are byte-identical across reruns with the same config and seed:
 floats are printed with 17 significant digits and random vectors come
 from the documented linear congruential generator.  Experiments run in
@@ -27,7 +28,8 @@ import yaml
 from . import carleman as carle
 from . import observability as obs
 from .discretize import assemble, build_mesh, hardy_check, norms, poincare_check
-from .errors import ContractError, ParameterError, PreconditionError
+from .errors import (ContractError, ConventionError, DegenerateObservationError,
+                     EigensolverError, ParameterError, PreconditionError)
 from .evolution import (TimeGrid, energy_history, form_per_time, solve_implicit,
                         solve_spectral, time_reverse)
 from .geometry import make_domain, truncate
@@ -479,7 +481,8 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition error: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # numerical failure inside a module
+    except (EigensolverError, DegenerateObservationError, ConventionError,
+            np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

@@ -174,6 +174,10 @@ def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
 class OperatorPair:
     """Weighted stiffness and mass matrices on a mesh.
 
+    Both are tensor products of the 1D (stiffness, mass) pairs kept on the
+    instance: ``xn`` on the degenerate axis and ``x1`` on the x_1 axis,
+    K_full = kx (x) mn + mx (x) kn and M_full = mx (x) mn.  The interval
+    is the case of a single x_1 node of unit mass and no stiffness.
     K_full / M_full act on all nodes (no boundary conditions) and are used
     for flux recovery; K / M are the interior blocks after eliminating the
     homogeneous Dirichlet rows and columns on the whole boundary.
@@ -182,19 +186,13 @@ class OperatorPair:
     def __init__(self, mesh: Mesh):
         self.mesh = mesh
         self.alpha = mesh.domain.alpha
-        axes = mesh.axes
-        if mesh.domain.dimension == 1:
-            k_full = stiffness_1d(axes[0], self.alpha)
-            m_full = mass_1d(axes[0], 0.0)
-        else:
-            kx = stiffness_1d(axes[0], 0.0)
-            mx = mass_1d(axes[0], 0.0)
-            kn = stiffness_1d(axes[1], self.alpha)
-            mn = mass_1d(axes[1], 0.0)
-            k_full = sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")
-            m_full = sp.kron(mx, mn, format="csr")
-        self.K_full = k_full.tocsr()
-        self.M_full = m_full.tocsr()
+        *x1_axis, xn_axis = mesh.axes
+        self.x1 = ((stiffness_1d(x1_axis[0], 0.0), mass_1d(x1_axis[0], 0.0)) if x1_axis
+                   else (sp.csr_matrix((1, 1)), sp.identity(1, format="csr")))
+        self.xn = (stiffness_1d(xn_axis, self.alpha), mass_1d(xn_axis, 0.0))
+        (kx, mx), (kn, mn) = self.x1, self.xn
+        self.K_full = sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")
+        self.M_full = sp.kron(mx, mn, format="csr")
         self.lumped_full = np.asarray(self.M_full.sum(axis=1)).ravel()
         self.interior = mesh.interior
         self.K = self.K_full[self.interior][:, self.interior].tocsc()
@@ -206,18 +204,13 @@ class OperatorPair:
         int x_N**p (d_N u)(d_N v)  ('xn_stiffness'); cached."""
         key = (kind, float(p))
         if key not in self._form_cache:
-            axes = self.mesh.axes
             if kind == "mass":
-                last = mass_1d(axes[-1], p)
+                last = mass_1d(self.mesh.axes[-1], p)
             elif kind == "xn_stiffness":
-                last = stiffness_1d(axes[-1], p)
+                last = self.xn[0] if p == self.alpha else stiffness_1d(self.mesh.axes[-1], p)
             else:
                 raise ParameterError(f"unknown form kind {kind!r}")
-            if self.mesh.domain.dimension == 1:
-                mat = last
-            else:
-                mat = sp.kron(mass_1d(axes[0], 0.0), last, format="csr")
-            self._form_cache[key] = mat.tocsr()
+            self._form_cache[key] = sp.kron(self.x1[1], last, format="csr")
         return self._form_cache[key]
 
 

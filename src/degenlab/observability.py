@@ -107,18 +107,12 @@ def estimate_constant(grid: TimeGrid, ops: OperatorPair, spectrum: Spectrum,
     # the Gram of an SPD observation problem stays positive until its true
     # smallest eigenvalue sinks below roundoff, so non-positivity is the
     # meaningful singularity test
-    if evals[0] <= 1e-300:
-        return ObservabilityReport(
-            alpha=ops.alpha, T=grid.T, delta=delta, n_cells=n_cells,
-            steps=grid.steps, requested_modes=k_modes, subspace_dim=k_eff,
-            ratios=ratios, c_obs=None, singular=True,
-            null_direction=tuple(evecs[:, 0]),
-        )
+    singular = bool(evals[0] <= 1e-300)
     return ObservabilityReport(
         alpha=ops.alpha, T=grid.T, delta=delta, n_cells=n_cells,
         steps=grid.steps, requested_modes=k_modes, subspace_dim=k_eff,
-        ratios=ratios, c_obs=float(1.0 / evals[0]), singular=False,
-        null_direction=None,
+        ratios=ratios, c_obs=None if singular else float(1.0 / evals[0]),
+        singular=singular, null_direction=tuple(evecs[:, 0]) if singular else None,
     )
 
 

@@ -2,9 +2,11 @@
 
 Everything here is deliberately decoupled from the package internals:
 Bessel functions come from their power series, zeros from bisection,
-integrals from adaptive quadrature.  The exception is the per-node
+integrals from adaptive quadrature.  The exceptions are the per-node
 Carleman budget, which takes the field's boundary flux from the package
-and is the reference for the moment-based budgets.  The degenerate Sturm-Liouville
+and is the reference for the moment-based budgets, and the theta scheme
+by one sparse LU of the assembled interior operator, the reference for
+the x_1-diagonalised solver.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -18,6 +20,7 @@ zero of J_nu.
 import math
 
 import numpy as np
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.special import logsumexp
 
@@ -186,3 +189,26 @@ def carleman_budget_per_node(field, ops, w, which):
         log_needed = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs)) - log_rhs_b
     return {"log_lhs": float(log_lhs), "log_rhs_source": float(log_rhs_f),
             "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}
+
+
+def theta_scheme_lu(ops, y0, f, grid, theta):
+    """Nodal values of the theta scheme
+    (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f, stepped with one
+    sparse LU of the interior operator M + theta dt K."""
+    from degenlab.evolution import SpaceTimeField
+
+    dt = grid.dt
+    lu = spla.splu((ops.M + theta * dt * ops.K).tocsc())
+    rhs_op = (ops.M - (1.0 - theta) * dt * ops.K).tocsr()
+    values = np.zeros((grid.steps + 1, ops.mesh.n_nodes))
+    values[0] = y0
+    fvals = SpaceTimeField(ops.mesh, grid, values, source=f).source_values()
+    ii = ops.interior
+    y = values[0, ii].copy()
+    for j in range(grid.steps):
+        rhs = rhs_op @ y
+        if fvals is not None:
+            rhs += dt * (ops.M @ ((1.0 - theta) * fvals[j, ii] + theta * fvals[j + 1, ii]))
+        y = lu.solve(rhs)
+        values[j + 1, ii] = y
+    return values

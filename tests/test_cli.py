@@ -9,7 +9,7 @@ import pytest
 import degenlab
 from degenlab import cli
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main, run
-from degenlab.errors import ContractError, PreconditionError
+from degenlab.errors import ContractError, EigensolverError, PreconditionError
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -146,6 +146,27 @@ def test_module_input_errors_exit_2(tmp_path, monkeypatch, capsys, error, prefix
     cfg = write_config(tmp_path, "experiment: spectrum\n")
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert capsys.readouterr().err.startswith(prefix + "refused input")
+
+
+def test_numerical_failure_exit_3(tmp_path, monkeypatch, capsys):
+    def runner(cfg, problem):
+        raise EigensolverError("no convergence")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+    cfg = write_config(tmp_path, "experiment: spectrum\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: EigensolverError")
+
+
+def test_program_error_propagates(tmp_path, monkeypatch):
+    # a defect in the program is a traceback, not a numerical failure
+    def runner(cfg, problem):
+        raise TypeError("bug")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+    cfg = write_config(tmp_path, "experiment: spectrum\n")
+    with pytest.raises(TypeError, match="bug"):
+        main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")])
 
 
 def test_missing_config_file(tmp_path):

@@ -176,6 +176,15 @@ def test_hardy_holds_random_and_modes(kind, n, alpha):
         assert hardy_check(ops, mesh, spec.mode(k))["holds"]
 
 
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), alpha=st.floats(0.05, 0.95),
+       n=st.integers(4, 48), grading=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
+def test_hardy_bound_holds_on_random_vectors(kind, alpha, n, grading, seed):
+    mesh = build_mesh(make_domain(kind, alpha), n, grading)
+    res = hardy_check(assemble(mesh), mesh, random_admissible(mesh, Lcg(seed)))
+    assert res["holds"], res
+
+
 def test_hardy_zero_vector_error():
     d = make_domain("interval", 0.5)
     mesh = build_mesh(d, 32)

@@ -21,7 +21,7 @@ from degenlab.geometry import BoundaryPart, collar, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import heat_flux_integral
+from oracles import heat_flux_integral, theta_scheme_lu
 
 # frozen from the closed-form oracle: int_0^1 (pi cos(pi))^2 e^{-2 pi^2 t} dt
 HEAT_FLUX_INTEGRAL = 0.499999998662356
@@ -280,3 +280,40 @@ def test_absent_source_equals_zero_source(kind, n, theta):
     w = CarlemanWeights(alpha=0.5, T=1.0, s=3.0)
     assert (check_inequality(time_reverse(free), w, ops)
             == check_inequality(time_reverse(zero), w, ops))
+
+
+def _theta_case(kind, n, grading, theta, source, seed, steps=16):
+    """solve_implicit and the sparse-LU oracle on one problem: a slab when
+    grading is None, else the full domain on a graded mesh."""
+    d = make_domain(kind, 0.5)
+    mesh = build_mesh(truncate(d, 0.2), n) if grading is None else build_mesh(d, n, grading)
+    ops = assemble(mesh)
+    rng = np.random.default_rng(seed)
+    y0 = rng.standard_normal(mesh.n_nodes)
+    y0[mesh.boundary] = 0.0
+    f = {"none": None, "nodal": rng.standard_normal(mesh.n_nodes),
+         "per-time": rng.standard_normal((steps + 1, mesh.n_nodes))}[source]
+    grid = TimeGrid(1.0, steps)
+    return (solve_implicit(ops, y0, f, grid, theta=theta).values,
+            theta_scheme_lu(ops, y0, f, grid, theta))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 32),
+       grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
+       source=st.sampled_from(["none", "nodal", "per-time"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_implicit_matches_lu_oracle(kind, n, grading, theta, source, seed):
+    # the interval is one x_1 mode with eigenvalue 0: the LU scheme to the bit
+    values, oracle = _theta_case(kind, n, grading, theta, source, seed)
+    if kind == "interval":
+        assert np.array_equal(values, oracle)
+    else:
+        assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_implicit_graded_xn_is_direct():
+    # x_N is solved directly, not in a weighted eigenbasis, which loses
+    # accuracy on strongly graded meshes
+    values, oracle = _theta_case("interval", 1024, 4.0, 0.5, "none", 1, steps=128)
+    assert np.array_equal(values, oracle)

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
 from degenlab.discretize import assemble, build_mesh, restrict_mesh
 from degenlab.errors import ContractError, ParameterError, PreconditionError
 from degenlab.evolution import TimeGrid, energy_history, solve_spectral
 from degenlab.geometry import make_domain, truncate
+from degenlab.rng import Lcg, random_admissible
 from degenlab.shape_design import (
     delta_sweep,
     extend_by_zero,
@@ -194,3 +197,18 @@ def test_prolongation_is_tensor_linear_interpolation(kind, n):
     u = np.random.default_rng(n).standard_normal(coarse.n_nodes)
     oracle = RegularGridInterpolator(coarse.axes, u.reshape(coarse.shape))(fine.points)
     assert np.max(np.abs(P @ u - oracle)) <= 1e-14
+
+
+@settings(max_examples=50, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(8, 64),
+       rung=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
+    # delta is a node j/n of the uniform full mesh below the domain's delta0 = 1/4
+    full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
+    j = 1 + int(rung * ((n - 1) // 4))
+    tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
+    u = random_admissible(tr_mesh, Lcg(seed))
+    rep = isometry_report(u, assemble(tr_mesh), assemble(full_mesh))
+    for norm in ("l2", "lumped"):
+        assert abs(rep[f"{norm}_extended"] - rep[f"{norm}_truncated"]) \
+            <= 1e-14 * rep[f"{norm}_truncated"]
