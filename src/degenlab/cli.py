@@ -30,7 +30,7 @@ from . import observability as obs
 from .discretize import assemble, build_mesh, hardy_check, norms, poincare_check
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
-from .evolution import (TimeGrid, energy_history, form_per_time, solve_implicit,
+from .evolution import (TimeGrid, energy_history, form_of_difference, solve_implicit,
                         solve_spectral, time_reverse)
 from .geometry import make_domain, truncate
 from .rng import Lcg, random_admissible
@@ -293,9 +293,11 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     e_s = energy_history(fs, ops)
     e_i = energy_history(fi, ops)
     lam1 = spec.eigenvalues[0]
-    mode_err = float(np.max(np.abs(expand(spec, fs.values[-1])[0]
+    # the spectral field stays in coefficient space: only its last row and
+    # one block of rows at a time are built as nodal values
+    mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0]
                                    - np.exp(-lam1 * cfg.T))))
-    gap = float(np.max(np.sqrt(form_per_time(ops.M_full, fs.values - fi.values))))
+    gap = float(np.max(np.sqrt(form_of_difference(ops.M_full, fs.rows, fi.values))))
     rows = [(grid.nodes[j], e_s[j], e_i[j]) for j in range(cfg.steps + 1)]
     return Outcome(
         tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"), rows)},

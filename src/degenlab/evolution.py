@@ -6,6 +6,12 @@ exponential formula, and a theta scheme, stepping in the eigenbasis of
 the x_1 pair with one tridiagonal x_N solve per mode, provides an
 independent cross-validation path.  Backward problems are handled by
 reversing time with :func:`time_reverse` rather than by a second solver.
+
+A spectral field stays in coefficient space: it holds the K mode
+coefficients per time node, and its nodal values are built only when a
+consumer reads them.  Its energy is the quadratic form of the mode Gram
+``Phi' M Phi`` in the coefficients, and reversing it in time reverses
+the coefficient rows.
 """
 
 from __future__ import annotations
@@ -45,18 +51,48 @@ class TimeGrid:
 
 
 class SpaceTimeField:
-    """Nodal values y(x, t_j) for every time node, zero on the boundary."""
+    """Nodal values y(x, t_j) for every time node, zero on the boundary.
+
+    A coefficient field (``values=None``, ``mode_data=(spectrum, coeffs)``
+    with one coefficient row per time node) builds its nodal values on
+    first read and caches them.  A backward coefficient field builds them
+    as the time reversal of the forward product, the same bits as
+    reversing the nodal forward field.
+    """
 
     def __init__(self, mesh, grid, values, source=None, direction="forward",
                  mode_data=None):
         self.mesh = mesh
         self.grid = grid
-        self.values = values
+        self._values = values
         self.source = source
         self.direction = direction
         self._mode_data = mode_data
-        if values.shape != (grid.steps + 1, mesh.n_nodes):
+        if values is not None:
+            shape = values.shape
+        else:
+            spectrum, coeffs = mode_data
+            shape = (coeffs.shape[0], spectrum.modes.shape[0])
+        if shape != (grid.steps + 1, mesh.n_nodes):
             raise ContractError("field shape does not match grid and mesh")
+
+    @property
+    def values(self):
+        if self._values is None:
+            spectrum, coeffs = self._mode_data
+            if self.direction == "backward":
+                self._values = (coeffs[::-1] @ spectrum.modes.T)[::-1]
+            else:
+                self._values = coeffs @ spectrum.modes.T
+        return self._values
+
+    def rows(self, index):
+        """Nodal values at the time rows ``index``; a coefficient field
+        builds only those rows, from its coefficient rows ``index``."""
+        if self._values is not None or self._mode_data is None:
+            return self.values[index]
+        spectrum, coeffs = self._mode_data
+        return coeffs[index] @ spectrum.modes.T
 
     @property
     def y0(self):
@@ -107,15 +143,14 @@ def solve_spectral(spectrum: Spectrum, y0, f, grid: TimeGrid) -> SpaceTimeField:
     w_old = grid.dt * _phi2(mu)
     m = grid.steps + 1
     coeffs = np.empty((m, spectrum.count))
-    field = SpaceTimeField(spectrum.ops.mesh, grid, np.empty((m, spectrum.ops.mesh.n_nodes)),
-                           source=f, mode_data=(spectrum, coeffs))
+    field = SpaceTimeField(spectrum.ops.mesh, grid, None, source=f,
+                           mode_data=(spectrum, coeffs))
     fvals = field.source_values()
     loads = (np.zeros((m, spectrum.count)) if fvals is None
              else np.array([expand(spectrum, row) for row in fvals]))
     coeffs[0] = expand(spectrum, np.asarray(y0, dtype=float))
     for j in range(grid.steps):
         coeffs[j + 1] = coeffs[j] * decay + loads[j] * w_old + loads[j + 1] * w_new
-    np.matmul(coeffs, spectrum.modes.T, out=field.values)
     return field
 
 
@@ -164,22 +199,47 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
     return field
 
 
+def _row_blocks(m):
+    """Slices of m time rows in blocks of >= 16 rows (one block below 32)."""
+    return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), max(1, m // 16))]
+
+
+def _form(A, v):
+    return np.einsum("tn,tn->t", v, (A @ v.T).T)
+
+
 def form_per_time(A, values):
     """v' A v for every row v of a (steps+1, n) block, by blocks of >= 16 rows: each row
     sums as in one einsum over the whole block, with no transposed copy of the block."""
-    blocks = np.array_split(values, max(1, len(values) // 16))
-    return np.concatenate([np.einsum("tn,tn->t", b, (A @ b.T).T) for b in blocks])
+    return np.concatenate([_form(A, values[b]) for b in _row_blocks(len(values))])
+
+
+def form_of_difference(A, rows, ref):
+    """form_per_time(A, V - ref) for the (steps+1, n) block V whose rows b are
+    rows(b), with the difference formed one block of rows at a time."""
+    return np.concatenate([_form(A, rows(b) - ref[b]) for b in _row_blocks(len(ref))])
+
+
+def time_norm(per_time, t):
+    """sqrt of the trapezoid time integral of a per-time form."""
+    return float(np.sqrt(max(np.trapezoid(per_time, t), 0.0)))
 
 
 def space_time_norm(A, values, t):
     """sqrt of the trapezoid time integral of v(t)' A v(t)."""
-    return float(np.sqrt(max(np.trapezoid(form_per_time(A, values), t), 0.0)))
+    return time_norm(form_per_time(A, values), t)
 
 
 def energy_history(field: SpaceTimeField, ops: OperatorPair):
     """L2 norm of the field at every time node; non-increasing when the
-    source vanishes (parabolic energy decay)."""
-    return np.sqrt(np.maximum(form_per_time(ops.M_full, field.values), 0.0))
+    source vanishes (parabolic energy decay).  A coefficient field gives
+    sqrt(c(t)' G c(t)) with the mode Gram G = Phi' M Phi of its spectrum."""
+    if field._mode_data is not None:
+        spectrum, coeffs = field._mode_data
+        per_time = np.einsum("tk,tk->t", coeffs, coeffs @ spectrum.mass_gram)
+    else:
+        per_time = form_per_time(ops.M_full, field.values)
+    return np.sqrt(np.maximum(per_time, 0.0))
 
 
 def _time_derivative(values, dt):
@@ -194,13 +254,15 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
     """Normal derivative on a boundary part at every time node, plus the
     space-time integral of its square over part x (0, T).
 
-    Fields produced by the spectral solver reuse the exact per-mode
+    Forward fields of the spectral solver reuse the exact per-mode
     fluxes; other fields fall back to variational recovery with a
     finite-differenced time derivative as the load proxy.
     """
     mesh = field.mesh
     grid = field.grid
-    if field._mode_data is not None:
+    # backward coefficient fields stay on the recovery below: the pinned Carleman
+    # budgets come from it until the backward-flux fix (ROADMAP item 1)
+    if field._mode_data is not None and field.direction == "forward":
         spectrum, coeffs = field._mode_data
         mode_flux = boundary_flux(ops, mesh, spectrum.modes, part,
                                   f_proxy=spectrum.modes * spectrum.eigenvalues)
@@ -220,9 +282,14 @@ def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
 
     If y solves the forward equation with source g, the reversed field
     solves the backward equation (d_t + div(A grad)) y = -g(T - t); its
-    L2 energy is non-decreasing when g = 0.
+    L2 energy is non-decreasing when g = 0.  A coefficient field stays one,
+    with its coefficient rows reversed.
     """
     source = None if field.source is None else -field.source_values()[::-1]
+    if field._mode_data is not None:
+        spectrum, coeffs = field._mode_data
+        return SpaceTimeField(field.mesh, field.grid, None, source=source,
+                              direction="backward", mode_data=(spectrum, coeffs[::-1]))
     return SpaceTimeField(field.mesh, field.grid, field.values[::-1].copy(),
                           source=source, direction="backward")
 

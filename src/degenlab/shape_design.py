@@ -17,8 +17,8 @@ import scipy.sparse as sp
 
 from .discretize import Mesh, OperatorPair, assemble, build_mesh, edge_mass, restrict_mesh
 from .errors import ContractError, ParameterError, PreconditionError
-from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
-                        space_time_norm, stability_ratio)
+from .evolution import (SpaceTimeField, TimeGrid, flux_history, form_of_difference,
+                        solve_implicit, space_time_norm, stability_ratio, time_norm)
 from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
@@ -198,18 +198,23 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
     coarse_field, coarse_ops = full_solve(n_sweep)
     coarse_mesh = coarse_ops.mesh
     prolong = prolongation(coarse_mesh, ref_mesh)
-    self_err = space_time_norm(ref_ops.M_full,
-                               (prolong @ coarse_field.values.T).T - ref_field.values,
-                               tnodes)
+
+    def error_per_time(op, values):
+        """v'Mv at every time of v = op @ values(t) - reference(t), formed
+        by blocks of rows, so no full-size difference is ever held."""
+        return form_of_difference(ref_ops.M_full, lambda b: (op @ values[b].T).T,
+                                  ref_field.values)
+
+    self_err = time_norm(error_per_time(prolong, coarse_field.values), tnodes)
 
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
         field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep, theta=theta)
         # zero extension then prolongation: the columns of the slab nodes
         extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
-        diff = (extend @ field.values.T).T - ref_field.values
-        sol_errors.append(space_time_norm(ref_ops.M_full, diff, tnodes))
-        fin_errors.append(float(np.sqrt(diff[-1] @ (ref_ops.M_full @ diff[-1]))))
+        sol_errors.append(time_norm(error_per_time(extend, field.values), tnodes))
+        last = extend @ field.values[-1] - ref_field.values[-1]
+        fin_errors.append(float(np.sqrt(last @ (ref_ops.M_full @ last))))
         tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
         if domain.dimension == 1:
             flux_on_ref = tr_flux

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
@@ -30,6 +32,12 @@ class Spectrum:
     def mode(self, k):
         """k-th eigenvector (1-based, matching lambda_k), full nodal."""
         return self.modes[:, k - 1]
+
+    @cached_property
+    def mass_gram(self):
+        """Phi' M Phi over the computed modes: the identity up to the
+        M-orthonormality residual, built once per spectrum."""
+        return self.modes.T @ (self.ops.M_full @ self.modes)
 
 
 def _lexicographic_tiebreak(vals, vecs):

@@ -6,7 +6,8 @@ integrals from adaptive quadrature.  The exceptions are the per-node
 Carleman budget, which takes the field's boundary flux from the package
 and is the reference for the moment-based budgets, and the theta scheme
 by one sparse LU of the assembled interior operator, the reference for
-the x_1-diagonalised solver.  The degenerate Sturm-Liouville
+the x_1-diagonalised solver.  The LCG recurrence stepped one value at a
+time is the reference for the jump-ahead draws.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -212,3 +213,15 @@ def theta_scheme_lu(ops, y0, f, grid, theta):
         y = lu.solve(rhs)
         values[j + 1, ii] = y
     return values
+
+
+def lcg_uniform(rng, n):
+    """n uniforms of the documented LCG recurrence, one scalar step per value:
+    state <- (A state + C) mod 2**64, value (state >> 11) * 2**-53.  Advances
+    rng.state as the generator does."""
+    a, c = 6364136223846793005, 1442695040888963407
+    out = np.empty(n)
+    for i in range(n):
+        rng.state = (a * rng.state + c) % 2**64
+        out[i] = (rng.state >> 11) * 2.0**-53
+    return out

@@ -317,3 +317,50 @@ def test_implicit_graded_xn_is_direct():
     # accuracy on strongly graded meshes
     values, oracle = _theta_case("interval", 1024, 4.0, 0.5, "none", 1, steps=128)
     assert np.array_equal(values, oracle)
+
+
+@pytest.fixture(scope="module", params=["interval", "square"])
+def slab(request):
+    mesh = build_mesh(truncate(make_domain(request.param, 0.5), 0.2),
+                      64 if request.param == "interval" else 16)
+    ops = assemble(mesh)
+    return ops, compute_spectrum(ops, 6)
+
+
+def _coefficient_field(ops, spec, with_source):
+    rng = Lcg(3)
+    y0 = random_admissible(ops.mesh, rng)
+    f = random_admissible(ops.mesh, rng) if with_source else None
+    return solve_spectral(spec, y0, f, TimeGrid(1.0, 32))
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_coefficient_energy_matches_nodal_form(slab, with_source):
+    ops, spec = slab
+    field = _coefficient_field(ops, spec, with_source)
+    for f in (field, time_reverse(field)):
+        nodal = SpaceTimeField(f.mesh, f.grid, f.values, source=f.source,
+                               direction=f.direction)
+        e_coef, e_nodal = energy_history(f, ops), energy_history(nodal, ops)
+        assert np.max(np.abs(e_coef - e_nodal)) <= 1e-13 * np.max(e_nodal)
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_coefficient_time_reverse_is_reversed_values(slab, with_source):
+    ops, spec = slab
+    field = _coefficient_field(ops, spec, with_source)
+    back = time_reverse(field)
+    assert back.direction == "backward"
+    assert np.array_equal(back.values, field.values[::-1])
+
+
+@pytest.mark.parametrize("with_source", [False, True])
+def test_reversed_coefficient_flux_is_nodal_recovery(slab, with_source):
+    # backward coefficient fields keep the variational recovery of their values
+    ops, spec = slab
+    back = time_reverse(_coefficient_field(ops, spec, with_source))
+    nodal = SpaceTimeField(back.mesh, back.grid, back.values.copy(), source=back.source,
+                           direction="backward")
+    (flux_c, int_c), (flux_n, int_n) = (flux_history(f, ops, BoundaryPart.OBSERVED)
+                                        for f in (back, nodal))
+    assert np.array_equal(flux_c, flux_n) and int_c == int_n

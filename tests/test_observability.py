@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ConventionError, DegenerateObservationError, ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_reverse
-from degenlab.geometry import make_domain
+from degenlab.geometry import make_domain, truncate
 from degenlab.observability import estimate_constant, observability_ratio, window_bound_check
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
@@ -164,5 +166,31 @@ def test_window_bound_rejects_forward_fields(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(1.0, 64)
     forward = solve_spectral(spec, spec.mode(1), None, grid)
+    with pytest.raises(ConventionError):
+        window_bound_check(forward, ops)
+
+
+def test_window_bound_builds_no_nodal_field():
+    # the backward spectral field stays in coefficient space through the check
+    ops = assemble(build_mesh(make_domain("square", 0.5), 120, 2.0))
+    spec = compute_spectrum(ops, 10)
+    grid = TimeGrid(1.0, 128)
+    y0 = random_admissible(ops.mesh, Lcg(4))
+    tracemalloc.start()
+    try:
+        res = window_bound_check(time_reverse(solve_spectral(spec, y0, None, grid)), ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res["holds"]
+    assert peak < (grid.steps + 1) * ops.mesh.n_nodes * 8
+
+
+def test_window_bound_rejects_forward_fields_square():
+    # the interval case is test_window_bound_rejects_forward_fields
+    ops = assemble(build_mesh(truncate(make_domain("square", 0.5), 0.2), 16))
+    spec = compute_spectrum(ops, 6)
+    forward = solve_spectral(spec, random_admissible(ops.mesh, Lcg(8)), None,
+                             TimeGrid(1.0, 32))
     with pytest.raises(ConventionError):
         window_bound_check(forward, ops)
