@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -53,7 +54,7 @@ class CarlemanWeights:
     alpha: float
     T: float
     s: float
-    gamma: float = 2.0
+    gamma: ClassVar[float] = 2.0
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
@@ -156,8 +157,6 @@ class CarlemanBudget:
 
     s: float
     which: str
-    lhs_gradient: float
-    lhs_zero_order: float
     rhs_source: float
     rhs_boundary: float
     log_lhs: float
@@ -247,7 +246,7 @@ class _FieldData:
             self.log_y2 = self.log_scale2 + np.log(self.c)
 
         flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
-        w_edge = np.asarray(edge_mass(mesh, BoundaryPart.OBSERVED).sum(axis=1))
+        w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1))
         self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
         # no source, no moment: the source budget is exp(-inf) = 0
         self.log_f2 = (None if field.source is None
@@ -295,7 +294,6 @@ class _FieldData:
                           + self.log_y2 - two_s_xi + self.log_dt)
             log_lhs = np.logaddexp(np.log(s) + log_i1, 3.0 * np.log(s) + log_i2)
         elif which == "eq51":
-            log_i1 = -np.inf
             log_lhs = np.log(s) + _lse(lt + self.log_y2 - two_s_xi + self.log_dt)
         else:
             raise ParameterError(f"unknown inequality selector {which!r}")
@@ -310,16 +308,9 @@ class _FieldData:
             log_needed = log_excess - log_rhs_b
         log_rhs = np.logaddexp(log_rhs_f, np.log(c_boundary) + log_rhs_b)
         with np.errstate(over="ignore"):
-            lhs_grad = 0.0 if log_i1 == -np.inf else float(np.exp(np.log(s) + log_i1))
-            if which == "eq410":
-                lhs_zero = float(np.exp(3.0 * np.log(s) + log_i2))
-            else:
-                lhs_zero = float(np.exp(log_lhs))
             return CarlemanBudget(
                 s=s,
                 which=which,
-                lhs_gradient=lhs_grad,
-                lhs_zero_order=lhs_zero,
                 rhs_source=float(np.exp(log_rhs_f)),
                 rhs_boundary=float(np.exp(log_rhs_b)),
                 log_lhs=float(log_lhs),
@@ -410,8 +401,10 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
     derivatives of z are discrete (central in time, 3-point in space,
     mass-lumped recovery for the divergence), the xi factors closed
     forms.  The identity holds for z transformed from a solution of the
-    backward equation with source f; the returned norm decays to zero
-    under simultaneous space-time refinement at first order or better.
+    backward equation with source f, given per time node as a
+    (steps+1, n_nodes) array (None for no source); the returned norm
+    decays to zero under simultaneous space-time refinement at first
+    order or better.
     """
     _require_truncated(z_field)
     mesh = z_field.mesh
@@ -437,14 +430,11 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
 
     if f is None:
         fvals = np.zeros_like(zmid)
-    elif callable(f):
-        fvals = np.broadcast_to(np.asarray(f(mesh.points), dtype=float), zmid.shape)
     else:
         fvals = np.asarray(f, dtype=float)
-        if fvals.shape == (grid.steps + 1, mesh.n_nodes):
-            fvals = fvals[1:-1]
-        if fvals.shape != zmid.shape:
+        if fvals.shape != (grid.steps + 1, mesh.n_nodes):
             raise ContractError("source shape does not match the field")
+        fvals = fvals[1:-1]
     xi = theta * gme
     resid = np.exp(-s * xi) * fvals - p1 - p2
 

@@ -27,7 +27,7 @@ import yaml
 
 from . import carleman as carle
 from . import observability as obs
-from .discretize import assemble, build_mesh, hardy_check, norms, poincare_check
+from .discretize import assemble, build_mesh, hardy_check, poincare_check
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import (TimeGrid, energy_history, form_of_difference, solve_implicit,
@@ -264,13 +264,13 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
     all_hold = True
     poincare_max = 0.0
     for k in range(n_eigs):
-        res = hardy_check(ops, mesh, spec.modes[:, k])
+        res = hardy_check(ops, spec.modes[:, k])
         poincare_max = max(poincare_max, poincare_check(ops, spec.modes[:, k])["ratio"])
         rows.append(("eigenvector", k + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
     for i in range(cfg.samples):
         u = random_admissible(mesh, rng)
-        res = hardy_check(ops, mesh, u)
+        res = hardy_check(ops, u)
         rows.append(("random", i + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
     lam1 = float(spec.eigenvalues[0])

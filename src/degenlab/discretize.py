@@ -14,6 +14,8 @@ Node numbering is C-order over the tensor grid: for N = 2 the node
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -92,10 +94,9 @@ def mass_1d(nodes, p=0.0):
 class Mesh:
     """Tensor-product mesh with the degenerate coordinate on the last axis."""
 
-    def __init__(self, domain, axes, grading=1.0):
+    def __init__(self, domain, axes):
         self.domain = domain
         self.axes = tuple(np.asarray(ax, dtype=float) for ax in axes)
-        self.grading = float(grading)
         if len(self.axes) != domain.dimension:
             raise ContractError("axis count does not match domain dimension")
         for ax in self.axes:
@@ -152,7 +153,7 @@ def build_mesh(domain, n, grading=None):
     xn_axis[0], xn_axis[-1] = lo, 1.0
     axes = [np.linspace(0.0, 1.0, n + 1) for _ in range(domain.dimension - 1)]
     axes.append(xn_axis)
-    return Mesh(domain, axes, grading)
+    return Mesh(domain, axes)
 
 
 def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
@@ -168,7 +169,7 @@ def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
     axes = list(full_mesh.axes[:-1]) + [ax[j0:].copy()]
     axes[-1][0] = delta
     dom = TruncatedDomain(full_mesh.domain, delta)
-    return Mesh(dom, axes, grading=full_mesh.grading)
+    return Mesh(dom, axes)
 
 
 class OperatorPair:
@@ -197,33 +198,21 @@ class OperatorPair:
         self.interior = mesh.interior
         self.K = self.K_full[self.interior][:, self.interior].tocsc()
         self.M = self.M_full[self.interior][:, self.interior].tocsc()
-        self._form_cache = {}
 
-    def quadratic_form(self, kind: str, p: float):
-        """Full-node matrix of  int x_N**p u v  ('mass') or
-        int x_N**p (d_N u)(d_N v)  ('xn_stiffness'); cached."""
-        key = (kind, float(p))
-        if key not in self._form_cache:
-            if kind == "mass":
-                last = mass_1d(self.mesh.axes[-1], p)
-            elif kind == "xn_stiffness":
-                last = self.xn[0] if p == self.alpha else stiffness_1d(self.mesh.axes[-1], p)
-            else:
-                raise ParameterError(f"unknown form kind {kind!r}")
-            self._form_cache[key] = sp.kron(self.x1[1], last, format="csr")
-        return self._form_cache[key]
+    @cached_property
+    def hardy_mass(self):
+        """Full-node matrix of  int x_N**(alpha-2) u v."""
+        return sp.kron(self.x1[1], mass_1d(self.mesh.axes[-1], self.alpha - 2.0), format="csr")
+
+    @cached_property
+    def xn_energy(self):
+        """Full-node matrix of  int x_N**alpha (d_N u)(d_N v), the x_N part of K_full."""
+        return sp.kron(self.x1[1], self.xn[0], format="csr")
 
 
-def assemble(mesh: Mesh, alpha=None) -> OperatorPair:
-    """Assemble the weighted operator pair for the mesh.
-
-    alpha is taken from the mesh domain; passing a different value is a
-    contract violation (the weight is part of the geometry description).
-    """
-    if alpha is not None and alpha != mesh.domain.alpha:
-        raise ContractError(
-            f"alpha={alpha} does not match the domain exponent {mesh.domain.alpha}"
-        )
+def assemble(mesh: Mesh) -> OperatorPair:
+    """Assemble the weighted operator pair for the mesh; the exponent
+    alpha is taken from the mesh domain."""
     return OperatorPair(mesh)
 
 
@@ -238,7 +227,7 @@ def _check_admissible(mesh, u):
     return u
 
 
-def norms(ops: OperatorPair, mesh: Mesh, u):
+def norms(ops: OperatorPair, u):
     """Weighted norms of an admissible nodal vector.
 
     Returns
@@ -248,10 +237,10 @@ def norms(ops: OperatorPair, mesh: Mesh, u):
         h1w       : sqrt(u' K u), the weighted energy norm,
         hardy_lhs : int x_N**(alpha-2) u**2 dx, exact for the interpolant.
     """
-    u = _check_admissible(mesh, u)
+    u = _check_admissible(ops.mesh, u)
     l2sq = float(u @ (ops.M_full @ u))
     h1sq = float(u @ (ops.K_full @ u))
-    hardy = float(u @ (ops.quadratic_form("mass", ops.alpha - 2.0) @ u))
+    hardy = float(u @ (ops.hardy_mass @ u))
     return {
         "l2": np.sqrt(max(l2sq, 0.0)),
         "h1w": np.sqrt(max(h1sq, 0.0)),
@@ -259,21 +248,26 @@ def norms(ops: OperatorPair, mesh: Mesh, u):
     }
 
 
-def hardy_check(ops: OperatorPair, mesh: Mesh, u, tol=0.02):
+# relative slack of the discrete Hardy check against its continuous bound
+_HARDY_TOL = 0.02
+
+
+def hardy_check(ops: OperatorPair, u):
     """Ratio of the singular-weight integral to the x_N part of the energy.
 
     The bound 4/(1-alpha)**2 comes from the one-dimensional weighted
     Hardy inequality; the denominator uses only the x_N-derivative part
-    of the energy, which is the full energy when N = 1.
+    of the energy, which is the full energy when N = 1.  ``holds`` allows
+    a relative slack of 2% over the bound.
     """
-    u = _check_admissible(mesh, u)
-    denom = float(u @ (ops.quadratic_form("xn_stiffness", ops.alpha) @ u))
+    u = _check_admissible(ops.mesh, u)
+    denom = float(u @ (ops.xn_energy @ u))
     if denom == 0.0:
         raise ParameterError("Hardy ratio undefined for u = 0")
-    lhs = float(u @ (ops.quadratic_form("mass", ops.alpha - 2.0) @ u))
+    lhs = float(u @ (ops.hardy_mass @ u))
     bound = 4.0 / (1.0 - ops.alpha) ** 2
     ratio = lhs / denom
-    return {"ratio": ratio, "bound": bound, "holds": ratio <= bound * (1.0 + tol)}
+    return {"ratio": ratio, "bound": bound, "holds": ratio <= bound * (1.0 + _HARDY_TOL)}
 
 
 def poincare_check(ops: OperatorPair, u):
@@ -293,70 +287,41 @@ def part_node_ids(mesh: Mesh, part: BoundaryPart):
     return ids
 
 
-def _flux_supported(mesh, part):
+def edge_mass(ops: OperatorPair, part: BoundaryPart):
+    """Mass matrix of a horizontal boundary part, ordered like its node ids.
+
+    Both horizontal parts (observed and cut) are copies of the x_1 axis,
+    so this is the x_1 mass factor ``ops.x1[1]``; on the interval the part
+    is a single point with the counting measure and the factor is [[1]].
+    """
     if part is BoundaryPart.DEGENERATE:
         raise UnsupportedRegionError("flux on the degenerate boundary is undefined")
     if part is BoundaryPart.LATERAL:
         # lateral sides touch the degenerate corner on full domains and
         # split into two disconnected pieces; not an observation region
         raise UnsupportedRegionError("flux is only recovered on horizontal parts")
+    part_node_ids(ops.mesh, part)  # raises when the mesh lacks the part
+    return ops.x1[1]
 
 
-def edge_mass(mesh: Mesh, part: BoundaryPart):
-    """Mass matrix of the boundary part, ordered like its node ids.
+def boundary_flux(ops: OperatorPair, u, part: BoundaryPart, f_proxy=None):
+    """Outward normal derivative of u on a horizontal boundary part, by
+    variational recovery.
 
-    For N = 1 the part is a single point and the boundary measure is the
-    counting measure, so the matrix is [[1]].
+    The residual functional r(b) = (K_full u - M_full f_proxy)(b), for
+    ``u`` solving the weighted equation with load ``f_proxy``, equals the
+    boundary integral of the conormal derivative against the hat function
+    of node b; nodal values follow after dividing by the lumped edge mass.
+    On horizontal parts away from the degeneracy the conormal and normal
+    derivatives coincide.  ``u`` and ``f_proxy`` may also be
+    (n_nodes, m) blocks, one field per column; the result is then
+    (n_part, m).
     """
-    _flux_supported(mesh, part)
-    ids = part_node_ids(mesh, part)
-    if mesh.domain.dimension == 1:
-        return sp.identity(ids.size, format="csr")
-    return mass_1d(mesh.axes[0], 0.0)
-
-
-def boundary_flux(ops: OperatorPair, mesh: Mesh, u, part: BoundaryPart,
-                  f_proxy=None, method="variational"):
-    """Outward normal derivative of u on a boundary part away from the
-    degeneracy.
-
-    The variational recovery evaluates the residual functional
-    r(b) = (K_full u - M_full f_proxy)(b), which for ``u`` solving the
-    weighted equation with load ``f_proxy`` equals the boundary integral
-    of the conormal derivative against the hat function of node b; nodal
-    values follow after dividing by the lumped boundary mass.  On parts
-    with x_N = 1 the conormal and normal derivatives coincide.  ``u`` and
-    ``f_proxy`` may also be (n_nodes, m) blocks, one field per column;
-    the result is then (n_part, m).  A one-sided second-order finite
-    difference of a single vector is available as an independent
-    cross-check (``method="fd"``).
-    """
-    _flux_supported(mesh, part)
+    lump = np.asarray(edge_mass(ops, part).sum(axis=1)).ravel()  # rejects other parts
     u = np.asarray(u, dtype=float)
-    ids = part_node_ids(mesh, part)
-    if method == "variational":
-        # only the rows of the part enter the residual
-        r = ops.K_full[ids] @ u
-        if f_proxy is not None:
-            r = r - ops.M_full[ids] @ np.asarray(f_proxy, dtype=float)
-        lump = np.asarray(edge_mass(mesh, part).sum(axis=1)).ravel()
-        return r / lump.reshape((-1,) + (1,) * (u.ndim - 1))
-    if method != "fd":
-        raise ParameterError(f"unknown flux method {method!r}")
-    if part not in (BoundaryPart.OBSERVED, BoundaryPart.CUT):
-        raise UnsupportedRegionError("finite-difference flux needs a horizontal part")
-    vals = u.reshape(mesh.shape)
-    ax = mesh.axes[-1]
-    if part is BoundaryPart.OBSERVED:
-        x0, x1, x2 = ax[-1], ax[-2], ax[-3]
-        f0, f1, f2 = vals[..., -1], vals[..., -2], vals[..., -3]
-        sign = 1.0
-    else:
-        x0, x1, x2 = ax[0], ax[1], ax[2]
-        f0, f1, f2 = vals[..., 0], vals[..., 1], vals[..., 2]
-        sign = -1.0
-    h1, h2 = x1 - x0, x2 - x0
-    d = (f0 * (-(h1 + h2) / (h1 * h2))
-         + f1 * (h2 / (h1 * (h2 - h1)))
-         + f2 * (-h1 / (h2 * (h2 - h1))))
-    return sign * np.atleast_1d(d).ravel()
+    ids = part_node_ids(ops.mesh, part)
+    # only the rows of the part enter the residual
+    r = ops.K_full[ids] @ u
+    if f_proxy is not None:
+        r = r - ops.M_full[ids] @ np.asarray(f_proxy, dtype=float)
+    return r / lump.reshape((-1,) + (1,) * (u.ndim - 1))

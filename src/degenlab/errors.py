@@ -36,7 +36,3 @@ class ConventionError(ValueError):
 
 class EigensolverError(RuntimeError):
     """The iterative eigensolver failed to converge."""
-
-    def __init__(self, message, iterations=None):
-        super().__init__(message)
-        self.iterations = iterations

@@ -55,9 +55,9 @@ class SpaceTimeField:
 
     A coefficient field (``values=None``, ``mode_data=(spectrum, coeffs)``
     with one coefficient row per time node) builds its nodal values on
-    first read and caches them.  A backward coefficient field builds them
-    as the time reversal of the forward product, the same bits as
-    reversing the nodal forward field.
+    first read, as ``coeffs @ spectrum.modes.T`` in either time direction,
+    and caches them.  Each nodal row depends only on its coefficient row,
+    so a reversed field's values are the forward values reversed.
     """
 
     def __init__(self, mesh, grid, values, source=None, direction="forward",
@@ -80,17 +80,14 @@ class SpaceTimeField:
     def values(self):
         if self._values is None:
             spectrum, coeffs = self._mode_data
-            if self.direction == "backward":
-                self._values = (coeffs[::-1] @ spectrum.modes.T)[::-1]
-            else:
-                self._values = coeffs @ spectrum.modes.T
+            self._values = coeffs @ spectrum.modes.T
         return self._values
 
     def rows(self, index):
         """Nodal values at the time rows ``index``; a coefficient field
         builds only those rows, from its coefficient rows ``index``."""
-        if self._values is not None or self._mode_data is None:
-            return self.values[index]
+        if self._values is not None:
+            return self._values[index]
         spectrum, coeffs = self._mode_data
         return coeffs[index] @ spectrum.modes.T
 
@@ -254,25 +251,22 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
     """Normal derivative on a boundary part at every time node, plus the
     space-time integral of its square over part x (0, T).
 
-    Forward fields of the spectral solver reuse the exact per-mode
-    fluxes; other fields fall back to variational recovery with a
+    Forward fields of the spectral solver combine the per-mode fluxes of
+    their spectrum; other fields fall back to variational recovery with a
     finite-differenced time derivative as the load proxy.
     """
-    mesh = field.mesh
     grid = field.grid
     # backward coefficient fields stay on the recovery below: the pinned Carleman
     # budgets come from it until the backward-flux fix (ROADMAP item 1)
     if field._mode_data is not None and field.direction == "forward":
         spectrum, coeffs = field._mode_data
-        mode_flux = boundary_flux(ops, mesh, spectrum.modes, part,
-                                  f_proxy=spectrum.modes * spectrum.eigenvalues)
-        flux = coeffs @ mode_flux.T
+        flux = coeffs @ spectrum.mode_flux(part).T
     else:
         proxy = -_time_derivative(field.values, grid.dt)
         if field.source is not None:
             proxy += field.source_values()
-        flux = boundary_flux(ops, mesh, field.values.T, part, f_proxy=proxy.T).T
-    per_time = form_per_time(edge_mass(mesh, part), flux)
+        flux = boundary_flux(ops, field.values.T, part, f_proxy=proxy.T).T
+    per_time = form_per_time(edge_mass(ops, part), flux)
     integral = float(np.trapezoid(per_time, grid.nodes))
     return flux, integral
 

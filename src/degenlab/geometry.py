@@ -89,7 +89,7 @@ class DomainSpec:
         """Lower bound of the degenerate coordinate (0 for full domains)."""
         return 0.0
 
-    def classify_boundary(self, points, tol=1e-12):
+    def classify_boundary(self, points):
         """Assign each boundary point to exactly one BoundaryPart.
 
         The observed part is where (A nu) . e_N > 0: at x_N = 1 the weight
@@ -98,14 +98,7 @@ class DomainSpec:
         Corners of the square go to the degenerate / observed edges, in
         that priority order.
         """
-        pts = np.atleast_2d(points)
-        parts = np.empty(pts.shape[0], dtype=object)
-        on_bottom = np.abs(pts[:, -1] - 0.0) <= tol
-        on_top = np.abs(pts[:, -1] - 1.0) <= tol
-        parts[:] = BoundaryPart.LATERAL
-        parts[on_top] = BoundaryPart.OBSERVED
-        parts[on_bottom] = BoundaryPart.DEGENERATE
-        return parts
+        return _classify(points, self.xn_lower, BoundaryPart.DEGENERATE)
 
 
 @dataclass(frozen=True)
@@ -143,15 +136,20 @@ class TruncatedDomain:
     def xn_lower(self) -> float:
         return self.delta
 
-    def classify_boundary(self, points, tol=1e-12):
+    def classify_boundary(self, points):
         """Like the parent's classification, with the cut edge x_N = delta
         replacing the degenerate one."""
-        pts = np.atleast_2d(points)
-        parts = np.empty(pts.shape[0], dtype=object)
-        parts[:] = BoundaryPart.LATERAL
-        parts[np.abs(pts[:, -1] - 1.0) <= tol] = BoundaryPart.OBSERVED
-        parts[np.abs(pts[:, -1] - self.delta) <= tol] = BoundaryPart.CUT
-        return parts
+        return _classify(points, self.delta, BoundaryPart.CUT)
+
+
+def _classify(points, xn_lower, lower_part):
+    """Lateral by default, observed at x_N = 1 and ``lower_part`` at
+    x_N = xn_lower, the lower edge taking the corners it shares."""
+    pts = np.atleast_2d(points)
+    parts = np.full(pts.shape[0], BoundaryPart.LATERAL, dtype=object)
+    parts[np.abs(pts[:, -1] - 1.0) <= 1e-12] = BoundaryPart.OBSERVED
+    parts[np.abs(pts[:, -1] - xn_lower) <= 1e-12] = lower_part
+    return parts
 
 
 def make_domain(kind: str, alpha: float, delta0: float = 0.25) -> DomainSpec:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import OperatorPair, boundary_flux, edge_mass
+from .discretize import OperatorPair, edge_mass
 from .errors import ConventionError, DegenerateObservationError, ParameterError
 from .evolution import SpaceTimeField, TimeGrid, energy_history
 from .geometry import BoundaryPart
@@ -27,10 +27,8 @@ def _flux_gram(ops: OperatorPair, spectrum: Spectrum, grid: TimeGrid, k: int):
     """G_ij = (f_i, f_j)_edge * int_0^T exp(-(l_i + l_j) t) dt over the
     first k modes, with the time integral in closed form."""
     lam = spectrum.eigenvalues[:k]
-    modes = spectrum.modes[:, :k]
-    fm = boundary_flux(ops, ops.mesh, modes, BoundaryPart.OBSERVED,
-                       f_proxy=modes * lam)
-    emat = edge_mass(ops.mesh, BoundaryPart.OBSERVED)
+    fm = spectrum.mode_flux(BoundaryPart.OBSERVED)[:, :k]
+    emat = edge_mass(ops, BoundaryPart.OBSERVED)
     spatial = fm.T @ (emat @ fm)
     rate = np.add.outer(lam, lam)
     return spatial * (-np.expm1(-rate * grid.T) / rate)
@@ -67,17 +65,11 @@ class ObservabilityReport:
     poison the Gram conditioning).
     """
 
-    alpha: float
-    T: float
-    delta: float
-    n_cells: int
-    steps: int
     requested_modes: int
     subspace_dim: int
     ratios: tuple
     c_obs: float | None
     singular: bool
-    null_direction: tuple | None
 
 
 def estimate_constant(grid: TimeGrid, ops: OperatorPair, spectrum: Spectrum,
@@ -100,19 +92,17 @@ def estimate_constant(grid: TimeGrid, ops: OperatorPair, spectrum: Spectrum,
     k_eff = min(k_eff, k_modes)
     gram = _flux_gram(ops, spectrum, grid, k_eff)
     ratios = tuple(1.0 / gram[m, m] for m in range(k_eff))
-    evals, evecs = la.eigh(gram)
-    mesh = ops.mesh
-    delta = float(mesh.domain.xn_lower)
-    n_cells = mesh.shape[-1] - 1
+    # eigh, not eigvalsh: LAPACK takes another route without eigenvectors,
+    # which may move the last bits of c_obs
+    evals, _ = la.eigh(gram)
     # the Gram of an SPD observation problem stays positive until its true
     # smallest eigenvalue sinks below roundoff, so non-positivity is the
     # meaningful singularity test
     singular = bool(evals[0] <= 1e-300)
     return ObservabilityReport(
-        alpha=ops.alpha, T=grid.T, delta=delta, n_cells=n_cells,
-        steps=grid.steps, requested_modes=k_modes, subspace_dim=k_eff,
+        requested_modes=k_modes, subspace_dim=k_eff,
         ratios=ratios, c_obs=None if singular else float(1.0 / evals[0]),
-        singular=singular, null_direction=tuple(evecs[:, 0]) if singular else None,
+        singular=singular,
     )
 
 

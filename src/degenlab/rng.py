@@ -16,8 +16,11 @@ Nucl. Soc. 71, 1994): the k-th state is ``A**k * state + C_k`` with
 ``C_k = C (A**(k-1) + ... + A + 1)``, all mod 2**64.  The tables of
 ``A**k`` and ``C_k`` for k = 1..n are built by doubling in uint64
 arrays, whose arithmetic wraps mod 2**64, so the values and the final
-state are bit-identical to the recurrence.
+state are bit-identical to the recurrence.  They depend only on n, so
+each length's tables are built once and shared, read-only.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -26,9 +29,11 @@ LCG_C = 1442695040888963407
 _MASK64 = (1 << 64) - 1
 
 
+@lru_cache(maxsize=16)
 def _jump_tables(n):
     """A**k and C_k mod 2**64 for k = 1..n, by doubling: the states k + m
-    follow from the first k by s_{k+m} = A**k s_m + C_k."""
+    follow from the first k by s_{k+m} = A**k s_m + C_k.  Cached per n;
+    the arrays are read-only."""
     a_pow = np.empty(n, dtype=np.uint64)
     c_sum = np.empty(n, dtype=np.uint64)
     a_pow[0], c_sum[0] = LCG_A, LCG_C
@@ -39,6 +44,8 @@ def _jump_tables(n):
         a_pow[m:m + k] = a_pow[:k] * a_pow[m - 1:m]
         c_sum[m:m + k] = a_pow[:k] * c_sum[m - 1:m] + c_sum[:k]
         m += k
+    a_pow.flags.writeable = False
+    c_sum.flags.writeable = False
     return a_pow, c_sum
 
 

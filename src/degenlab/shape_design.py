@@ -79,6 +79,10 @@ def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
     }
 
 
+# every truncated and reference solve uses the second-order midpoint rule
+_THETA = 0.5
+
+
 def _nodal_data(mesh: Mesh, data, name):
     if data is None:
         return None
@@ -105,8 +109,7 @@ def _check_support(y0_full, full_mesh: Mesh, delta: float):
         )
 
 
-def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid,
-                    n: int, theta: float = 0.5):
+def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid, n: int):
     """Uniformly parabolic solve on the slab {x_N > delta}.
 
     y0 is a callable or a nodal vector on the uniform full-domain mesh
@@ -125,7 +128,7 @@ def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid,
     y0_tr = y0_full[emap].copy()
     y0_tr[tr_mesh.boundary] = 0.0
     f_tr = _nodal_data(tr_mesh, f, "f")
-    field = solve_implicit(tr_ops, y0_tr, f_tr, grid, theta=theta)
+    field = solve_implicit(tr_ops, y0_tr, f_tr, grid, theta=_THETA)
     return field, tr_ops
 
 
@@ -157,8 +160,8 @@ def prolongation(coarse: Mesh, fine: Mesh):
     return op
 
 
-def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
-                theta: float = 0.5) -> ConvergenceReport:
+def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
+                n_ref: int) -> ConvergenceReport:
     """Convergence experiment: truncated solves at half the reference
     resolution, zero-extended and compared against the full-domain solve.
 
@@ -186,12 +189,12 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
         y0_full = _nodal_data(mesh, y0, "y0")
         y0_full[mesh.boundary] = 0.0
         return solve_implicit(ops, y0_full, _nodal_data(mesh, f, "f"), grid,
-                              theta=theta), ops
+                              theta=_THETA), ops
 
     ref_field, ref_ops = full_solve(n_ref)
     ref_mesh = ref_ops.mesh
     ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
-    edge = edge_mass(ref_mesh, BoundaryPart.OBSERVED)
+    edge = edge_mass(ref_ops, BoundaryPart.OBSERVED)
     tnodes = grid.nodes
 
     # self-convergence of the reference: full solve at sweep resolution
@@ -209,7 +212,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
 
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
-        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep, theta=theta)
+        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep)
         # zero extension then prolongation: the columns of the slab nodes
         extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
         sol_errors.append(time_norm(error_per_time(extend, field.values), tnodes))
@@ -235,19 +238,18 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n_ref: int,
         final_time_errors=tuple(fin_errors),
         flux_errors=tuple(flux_errors),
         solution_rates=rates,
-        reference=f"full domain, uniform mesh n={n_ref}, theta={theta}",
+        reference=f"full domain, uniform mesh n={n_ref}, theta={_THETA}",
         reference_self_error=self_err,
     )
 
 
-def stability_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n: int,
-                    theta: float = 0.5):
+def stability_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n: int):
     """Measured a-priori stability ratios of the truncated solves across a
     delta ladder; their spread probes the uniformity of the estimate's
     constant in delta."""
     ratios = {}
     for d in deltas:
-        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n, theta=theta)
+        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n)
         ratios[float(d)] = stability_ratio(field, tr_ops)
     vals = np.array(list(ratios.values()))
     drift = float((vals.max() - vals.min()) / vals.min())

@@ -6,8 +6,10 @@ integrals from adaptive quadrature.  The exceptions are the per-node
 Carleman budget, which takes the field's boundary flux from the package
 and is the reference for the moment-based budgets, and the theta scheme
 by one sparse LU of the assembled interior operator, the reference for
-the x_1-diagonalised solver.  The LCG recurrence stepped one value at a
-time is the reference for the jump-ahead draws.  The degenerate Sturm-Liouville
+the x_1-diagonalised solver.  The one-sided finite-difference normal
+derivative is the cross-check of the variational flux recovery.  The LCG
+recurrence stepped one value at a time is the reference for the
+jump-ahead draws.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -164,7 +166,7 @@ def carleman_budget_per_node(field, ops, w, which):
     xi = theta * (w.gamma - xn ** (2.0 - alpha))[None, :]
     two_s_xi = 2.0 * s * xi
 
-    w_edge = np.asarray(edge_mass(mesh, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
+    w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
     edge_xn = xn[part_node_ids(mesh, BoundaryPart.OBSERVED)]
     xi_edge = theta * (w.gamma - edge_xn ** (2.0 - alpha))[None, :]
     lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
@@ -225,3 +227,28 @@ def lcg_uniform(rng, n):
         rng.state = (a * rng.state + c) % 2**64
         out[i] = (rng.state >> 11) * 2.0**-53
     return out
+
+
+def fd_flux(mesh, u, part):
+    """Outward normal derivative of a nodal vector on the observed or cut
+    edge, by the one-sided second-order difference over the first three
+    x_N nodes from that edge; one value per edge node."""
+    from degenlab.geometry import BoundaryPart
+
+    vals = np.asarray(u, dtype=float).reshape(mesh.shape)
+    ax = mesh.axes[-1]
+    if part is BoundaryPart.OBSERVED:
+        x0, x1, x2 = ax[-1], ax[-2], ax[-3]
+        f0, f1, f2 = vals[..., -1], vals[..., -2], vals[..., -3]
+        sign = 1.0
+    elif part is BoundaryPart.CUT:
+        x0, x1, x2 = ax[0], ax[1], ax[2]
+        f0, f1, f2 = vals[..., 0], vals[..., 1], vals[..., 2]
+        sign = -1.0
+    else:
+        raise ValueError("finite-difference flux needs a horizontal part")
+    h1, h2 = x1 - x0, x2 - x0
+    d = (f0 * (-(h1 + h2) / (h1 * h2))
+         + f1 * (h2 / (h1 * (h2 - h1)))
+         + f2 * (-h1 / (h2 * (h2 - h1))))
+    return sign * np.atleast_1d(d).ravel()

@@ -8,6 +8,7 @@ from degenlab.discretize import (
     assemble,
     boundary_flux,
     build_mesh,
+    edge_mass,
     hardy_check,
     mass_1d,
     norms,
@@ -20,7 +21,7 @@ from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import degenerate_eigenfunction, hardy_ratio_quartic
+from oracles import degenerate_eigenfunction, fd_flux, hardy_ratio_quartic
 
 # frozen from the quadrature oracle (= 16/105 / (22/105))
 HARDY_QUARTIC_RATIO = 0.7272727272727273
@@ -121,11 +122,11 @@ def test_norms_contract():
     d = make_domain("interval", 0.5)
     mesh = build_mesh(d, 32)
     ops = assemble(mesh)
-    res = norms(ops, mesh, mesh.zero_field())
+    res = norms(ops, mesh.zero_field())
     assert res["l2"] == 0.0 and res["h1w"] == 0.0 and res["hardy_lhs"] == 0.0
     bad = np.ones(mesh.n_nodes)
     with pytest.raises(ContractError):
-        norms(ops, mesh, bad)
+        norms(ops, bad)
 
 
 def test_norms_against_spectrum():
@@ -133,7 +134,7 @@ def test_norms_against_spectrum():
     mesh = build_mesh(d, 256)
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 3)
-    res = norms(ops, mesh, spec.mode(1))
+    res = norms(ops, spec.mode(1))
     assert res["h1w"] ** 2 == pytest.approx(spec.eigenvalues[0], rel=1e-10)
     assert res["l2"] == pytest.approx(1.0, rel=1e-10)
 
@@ -146,7 +147,7 @@ def test_hardy_quartic_oracle():
     x = mesh.points[:, 0]
     u = x * (1.0 - x)
     u[mesh.boundary] = 0.0
-    res = hardy_check(ops, mesh, u)
+    res = hardy_check(ops, u)
     assert res["ratio"] == pytest.approx(HARDY_QUARTIC_RATIO, rel=2e-3)
     assert res["holds"]
 
@@ -157,7 +158,7 @@ def test_hardy_bound_formula(alpha, bound):
     mesh = build_mesh(d, 64)
     ops = assemble(mesh)
     u = random_admissible(mesh, Lcg(7))
-    res = hardy_check(ops, mesh, u)
+    res = hardy_check(ops, u)
     assert res["bound"] == pytest.approx(bound, rel=1e-14)
 
 
@@ -169,11 +170,11 @@ def test_hardy_holds_random_and_modes(kind, n, alpha):
     ops = assemble(mesh)
     rng = Lcg(42)
     for _ in range(30):
-        res = hardy_check(ops, mesh, random_admissible(mesh, rng))
+        res = hardy_check(ops, random_admissible(mesh, rng))
         assert res["holds"], res
     spec = compute_spectrum(ops, 5)
     for k in range(1, 6):
-        assert hardy_check(ops, mesh, spec.mode(k))["holds"]
+        assert hardy_check(ops, spec.mode(k))["holds"]
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,7 +182,7 @@ def test_hardy_holds_random_and_modes(kind, n, alpha):
        n=st.integers(4, 48), grading=st.floats(1.0, 4.0), seed=st.integers(0, 2**32 - 1))
 def test_hardy_bound_holds_on_random_vectors(kind, alpha, n, grading, seed):
     mesh = build_mesh(make_domain(kind, alpha), n, grading)
-    res = hardy_check(assemble(mesh), mesh, random_admissible(mesh, Lcg(seed)))
+    res = hardy_check(assemble(mesh), random_admissible(mesh, Lcg(seed)))
     assert res["holds"], res
 
 
@@ -190,7 +191,7 @@ def test_hardy_zero_vector_error():
     mesh = build_mesh(d, 32)
     ops = assemble(mesh)
     with pytest.raises(ParameterError):
-        hardy_check(ops, mesh, mesh.zero_field())
+        hardy_check(ops, mesh.zero_field())
 
 
 def test_poincare_sharpness():
@@ -212,9 +213,9 @@ def test_flux_linear_field():
     mesh = build_mesh(d, 512, 1.0)
     ops = assemble(mesh)
     u = mesh.points[:, 0].copy()  # ignoring boundary conditions on purpose
-    flux = boundary_flux(ops, mesh, u, BoundaryPart.OBSERVED)
+    flux = boundary_flux(ops, u, BoundaryPart.OBSERVED)
     assert flux[0] == pytest.approx(1.0, abs=3.0 / 512)
-    assert boundary_flux(ops, mesh, mesh.zero_field(), BoundaryPart.OBSERVED)[0] == 0.0
+    assert boundary_flux(ops, mesh.zero_field(), BoundaryPart.OBSERVED)[0] == 0.0
 
 
 def test_flux_unsupported_parts():
@@ -223,9 +224,9 @@ def test_flux_unsupported_parts():
     ops = assemble(mesh)
     u = mesh.zero_field()
     with pytest.raises(UnsupportedRegionError):
-        boundary_flux(ops, mesh, u, BoundaryPart.DEGENERATE)
+        boundary_flux(ops, u, BoundaryPart.DEGENERATE)
     with pytest.raises(UnsupportedRegionError):
-        boundary_flux(ops, mesh, u, BoundaryPart.LATERAL)
+        boundary_flux(ops, u, BoundaryPart.LATERAL)
 
 
 @settings(max_examples=40, deadline=None)
@@ -244,9 +245,12 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
     f = gen.standard_normal((mesh.n_nodes, m))
     parts = [BoundaryPart.OBSERVED] + ([] if delta is None else [BoundaryPart.CUT])
     for part in parts:
+        # both horizontal parts carry the x_1 mass factor, [[1]] on the interval
+        want = mass_1d(mesh.axes[0]).toarray() if kind == "square" else [[1.0]]
+        assert np.array_equal(edge_mass(ops, part).toarray(), want)
         for proxy in (None, f):
-            block = boundary_flux(ops, mesh, u, part, f_proxy=proxy)
-            cols = np.stack([boundary_flux(ops, mesh, u[:, c], part,
+            block = boundary_flux(ops, u, part, f_proxy=proxy)
+            cols = np.stack([boundary_flux(ops, u[:, c], part,
                                            f_proxy=None if proxy is None else proxy[:, c])
                              for c in range(m)], axis=1)
             assert block.shape == cols.shape
@@ -263,7 +267,7 @@ def test_flux_eigenmode_against_series_oracle():
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 1)
     phi = spec.mode(1)
-    flux = boundary_flux(ops, mesh, phi, BoundaryPart.OBSERVED,
+    flux = boundary_flux(ops, phi, BoundaryPart.OBSERVED,
                          f_proxy=spec.eigenvalues[0] * phi)
     # sign convention of the solver may flip the mode
     assert abs(flux[0]) == pytest.approx(abs(du1), rel=5e-3)
@@ -277,9 +281,9 @@ def test_variational_vs_fd_flux_converges():
         ops = assemble(mesh)
         spec = compute_spectrum(ops, 1)
         phi = spec.mode(1)
-        fv = boundary_flux(ops, mesh, phi, BoundaryPart.OBSERVED,
+        fv = boundary_flux(ops, phi, BoundaryPart.OBSERVED,
                            f_proxy=spec.eigenvalues[0] * phi)
-        fd = boundary_flux(ops, mesh, phi, BoundaryPart.OBSERVED, method="fd")
+        fd = fd_flux(mesh, phi, BoundaryPart.OBSERVED)
         gaps.append(abs(fv[0] - fd[0]))
     # the two recoveries agree to at least first order in h
     assert gaps[1] < gaps[0]

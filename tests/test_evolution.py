@@ -256,7 +256,7 @@ def test_field_shape_contract(setup):
 def test_form_per_time_matches_one_shot_einsum(kind, n, form, rows, seed):
     mesh = build_mesh(make_domain(kind, 0.5), n)
     ops = assemble(mesh)
-    A = (edge_mass(mesh, BoundaryPart.OBSERVED) if form == "edge_mass"
+    A = (edge_mass(ops, BoundaryPart.OBSERVED) if form == "edge_mass"
          else getattr(ops, form))
     v = np.random.default_rng(seed).standard_normal((rows, A.shape[0]))
     one_shot = np.einsum("tn,tn->t", v, (A @ v.T).T)

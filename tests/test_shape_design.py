@@ -106,7 +106,7 @@ def test_truncated_eigenmode_decays_at_truncated_rate():
     tr_ops = assemble(tr_mesh)
     spec = compute_spectrum(tr_ops, 1)
     y0_full = extend_vector(spec.mode(1), tr_mesh, full_mesh)
-    field, ops2 = solve_truncated(d, 0.1, y0_full, None, grid, n, theta=0.5)
+    field, ops2 = solve_truncated(d, 0.1, y0_full, None, grid, n)
     e = energy_history(field, ops2)
     lam1 = spec.eigenvalues[0]
     # pure exponential decay at the truncated operator's first eigenvalue,

@@ -106,7 +106,7 @@ def test_parseval_identities(interval_spec):
     rng = Lcg(5)
     c = rng.symmetric(spec.count)
     u = reconstruct(spec, c)
-    res = norms(ops, ops.mesh, u)
+    res = norms(ops, u)
     assert np.sum(c**2) == pytest.approx(res["l2"] ** 2, rel=1e-8)
     assert np.sum(c**2 * spec.eigenvalues) == pytest.approx(res["h1w"] ** 2, rel=1e-6)
 
