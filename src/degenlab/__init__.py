@@ -8,6 +8,7 @@ from .discretize import (
     boundary_flux,
     build_mesh,
     edge_mass,
+    flux_stencil,
     hardy_check,
     mass_1d,
     norms,

@@ -27,6 +27,20 @@ not underflow when squared.  The eq410 bracket norm is the quadratic
 A + 2 g B + g**2 C in its s-dependent coefficient g; where that sum has
 cancelled below 1e-8 of A + g**2 C, the bracket is summed directly over
 x_1 for those rows instead.
+
+The budgets of one field are evaluated as one sweep over the s grid.
+Every integrand is base(t, x_N) - 2 s xi(t, x_N) with an s-free base
+(for I1 plus log b2, the bracket at that s), so xi and the bases are
+formed once per sweep.  Each log-sum-exp skips the entries more than 708
+below its largest one: exp(-708) is about 3e-308, so together they add
+less than (count) * 3e-308 to a sum of at least 1, below one ulp of it,
+and exp is several times slower on arguments that underflow.  Whole time
+rows are skipped the same way.  Since xi = Theta(t) (gamma - eta) and
+gamma - eta >= min(gamma - eta) > 0, every entry of row t is at most
+max_x base(t) - 2 s Theta(t) min(gamma - eta) (with log max_x b2 added
+for I1).  The actual maximum of the row with the largest such bound is a
+lower bound on the top, and a row whose bound lies 708 below it holds no
+entry the sum keeps.
 """
 
 from __future__ import annotations
@@ -168,12 +182,38 @@ class CarlemanBudget:
     holds: bool
 
 
+# exp(-708) is about 3e-308, just above the smallest normal double; a
+# shifted exponent below this adds nothing a double sum of >= 1 can hold
+_FLOOR = -708.0
+
+
 def _lse(a):
-    """log(sum(exp(a))) over every entry, shifted by the largest one."""
+    """log(sum(exp(a))) over every entry, shifted by the largest one.
+
+    Shifted entries below _FLOOR are skipped: together they add less than
+    a.size * exp(-708) to a sum of at least 1, far below one ulp of it,
+    and exp is several times slower on arguments that underflow.
+    """
     top = np.max(a)
     if not np.isfinite(top):  # all -inf gives -inf; +inf and nan pass through
         return float(top)
-    return float(top + np.log(np.sum(np.exp(a - top))))
+    kept = a[a >= top + _FLOOR]
+    return float(top + np.log(np.sum(np.exp(kept - top))))
+
+
+def _lse_rows(bound, rows):
+    """_lse over a (t, x_N) array formed a band of time rows at a time.
+
+    rows(sl) gives the array on the rows sl and bound[t] is at least
+    every entry of row t.  One actual row maximum is a lower bound on
+    the top, so a row whose bound lies below it plus _FLOOR holds only
+    entries _lse skips; only the band from the first to the last other
+    row is formed.  A nan bound keeps its row.
+    """
+    k = int(np.argmax(bound))
+    top = np.max(rows(slice(k, k + 1)))
+    live = np.flatnonzero(~(bound < top + _FLOOR))
+    return _lse(rows(slice(live[0], live[-1] + 1)))
 
 
 def _row_scale(*arrays):
@@ -240,7 +280,7 @@ class _FieldData:
         ys = y / self.scale[:, None, :]
         dy /= self.scale[:, None, :]
         self.c = _sum_x1(ys, self.w, ys)
-        self.b = _sum_x1(ys, self.w, dy)
+        self.two_b = 2.0 * _sum_x1(ys, self.w, dy)  # 2 B: doubling is exact
         self.a = _sum_x1(dy, self.w, dy)
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
@@ -262,65 +302,116 @@ class _FieldData:
         bracket = (dy + g[:, None] * y) / self.scale[ti, ni][:, None]
         return np.sum(self.w[:, ni].T * bracket**2, axis=1)
 
-    def budget(self, w: CarlemanWeights, which: str, c_boundary: float = 1.0):
-        alpha = w.alpha
-        s = w.s
-        theta = np.exp(self.log_theta)
-        gme = w.gamma - self.xn ** (2.0 - alpha)       # gamma - eta, per x_N
-        two_s_xi = 2.0 * s * (theta[:, None] * gme[None, :])
-        lt = self.log_theta[:, None]
+    def _bracket(self, g, work):
+        """The eq410 bracket norm sum w ((d_N y + g y)/m)**2 = A + 2 g B + g**2 C
+        at every (t, x_N) row, in work[0]; where it has cancelled, the
+        direct sum over x_1 replaces it.  work is three (t, x_N) arrays."""
+        b2, ggc, limit = work
+        np.multiply(g, g, out=ggc)
+        ggc *= self.c
+        np.multiply(g, self.two_b, out=b2)
+        b2 += self.a
+        b2 += ggc
+        np.add(self.a, ggc, out=limit)
+        limit *= _CANCELLATION
+        cancelled = np.abs(b2, out=ggc) < limit
+        if cancelled.any():
+            ti, ni = np.nonzero(cancelled)
+            b2[ti, ni] = self._bracket_direct(ti, ni, g[ti, ni])
+        return b2
 
+    def sweep(self, weights, which: str, c_boundary: float = 1.0):
+        """Budgets at every weight of ``weights``, which share one alpha.
+
+        Theta, xi = Theta (gamma - eta), the bracket coefficient g / s and
+        the base log terms of every integral do not depend on s and are
+        formed once; at each s only the bracket b2 (on every row) and the
+        live time rows of each log-sum-exp are.  A budget integrand is
+        base - 2 s xi, so row t is bounded by its base maximum less
+        2 s Theta(t) min(gamma - eta), with log(max b2) added for I1.
+        """
+        if which not in ("eq410", "eq51"):
+            raise ParameterError(f"unknown inequality selector {which!r}")
+        alpha = weights[0].alpha
+        theta = np.exp(self.log_theta)
+        gme = CarlemanWeights.gamma - self.xn ** (2.0 - alpha)  # gamma - eta, per x_N
+        xi = theta[:, None] * gme[None, :]
+        xi_min = theta * gme.min()
         # boundary term: the observed edge is the last x_N row, xi is
         # constant along it
-        xi_edge = theta * (w.gamma - self.xn[-1] ** (2.0 - alpha))
-        log_ib = _lse(self.log_theta + self.log_flux2 - 2.0 * s * xi_edge + self.log_dt)
-        log_rhs_b = np.log(s) + log_ib
-
-        log_rhs_f = (-np.inf if self.log_f2 is None
-                     else _lse(self.log_f2 - two_s_xi + self.log_dt))
-
+        xi_edge = theta * gme[-1]
+        base_b = self.log_theta + self.log_flux2 + self.log_dt
+        lt = self.log_theta[:, None]
+        bases = {}  # the s-free log terms of the integrals over (t, x_N)
+        if self.log_f2 is not None:
+            bases["f"] = self.log_f2 + self.log_dt
         if which == "eq410":
-            # sum w (d_N y + g y)**2 = m**2 (A + 2 g B + g**2 C)
-            g = s * (2.0 - alpha) * theta[:, None] * (self.xn ** (1.0 - alpha))[None, :]
-            b2 = self.a + 2.0 * g * self.b + g * g * self.c
-            ti, ni = np.nonzero(np.abs(b2) < _CANCELLATION * (self.a + g * g * self.c))
-            if ti.size:
-                b2[ti, ni] = self._bracket_direct(ti, ni, g[ti, ni])
-            with np.errstate(divide="ignore"):
-                log_b2 = self.log_scale2 + np.log(b2)
-            log_i1 = _lse(lt + alpha * self.log_xn[None, :]
-                          + log_b2 - two_s_xi + self.log_dt)
-            log_i2 = _lse(3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
-                          + self.log_y2 - two_s_xi + self.log_dt)
-            log_lhs = np.logaddexp(np.log(s) + log_i1, 3.0 * np.log(s) + log_i2)
-        elif which == "eq51":
-            log_lhs = np.log(s) + _lse(lt + self.log_y2 - two_s_xi + self.log_dt)
+            g_per_s = (2.0 - alpha) * theta[:, None] * (self.xn ** (1.0 - alpha))[None, :]
+            # g and the bracket's three work arrays, reused at every s
+            work = np.empty((4,) + g_per_s.shape)
+            bases["i1"] = lt + alpha * self.log_xn[None, :] + self.log_scale2 + self.log_dt
+            bases["i2"] = (3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
+                           + self.log_y2 + self.log_dt)
         else:
-            raise ParameterError(f"unknown inequality selector {which!r}")
+            bases["eq51"] = lt + self.log_y2 + self.log_dt
+        rowmax = {name: base.max(axis=1) for name, base in bases.items()}
 
-        # constant needed on the boundary term: (lhs - rhs_f)+ / rhs_b
-        if log_lhs <= log_rhs_f:
-            log_needed = -np.inf
-        elif log_rhs_f == -np.inf:
-            log_needed = log_lhs - log_rhs_b
-        else:
-            log_excess = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs))
-            log_needed = log_excess - log_rhs_b
-        log_rhs = np.logaddexp(log_rhs_f, np.log(c_boundary) + log_rhs_b)
-        with np.errstate(over="ignore"):
-            return CarlemanBudget(
-                s=s,
-                which=which,
-                rhs_source=float(np.exp(log_rhs_f)),
-                rhs_boundary=float(np.exp(log_rhs_b)),
-                log_lhs=float(log_lhs),
-                log_rhs_source=float(log_rhs_f),
-                log_rhs_boundary=float(log_rhs_b),
-                needed_c=float(np.exp(log_needed)),
-                log_needed_c=float(log_needed),
-                c_boundary=c_boundary,
-                holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
-            )
+        budgets = []
+        for w in weights:
+            s = w.s
+            two_s = 2.0 * s
+
+            def decayed(name, b2=None):
+                """log of the integral with the s-free terms bases[name] (and b2)"""
+                base = bases[name]
+                bound = rowmax[name] - two_s * xi_min
+                if b2 is None:
+                    return _lse_rows(bound, lambda sl: base[sl] - two_s * xi[sl])
+                with np.errstate(divide="ignore"):
+                    return _lse_rows(bound + np.log(b2.max(axis=1)),
+                                     lambda sl: base[sl] + np.log(b2[sl]) - two_s * xi[sl])
+
+            log_rhs_b = np.log(s) + _lse(base_b - two_s * xi_edge)
+            log_rhs_f = decayed("f") if "f" in bases else -np.inf
+            if which == "eq410":
+                b2 = self._bracket(np.multiply(s, g_per_s, out=work[0]), work[1:])
+                log_lhs = np.logaddexp(np.log(s) + decayed("i1", b2),
+                                       3.0 * np.log(s) + decayed("i2"))
+            else:
+                log_lhs = np.log(s) + decayed("eq51")
+            budgets.append(_budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary))
+        return budgets
+
+    def budget(self, w: CarlemanWeights, which: str, c_boundary: float = 1.0):
+        """The budget at one weight: a sweep of length one."""
+        return self.sweep([w], which, c_boundary)[0]
+
+
+def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
+    """The budget record from the logs of its three integrals."""
+    # constant needed on the boundary term: (lhs - rhs_f)+ / rhs_b
+    if log_lhs <= log_rhs_f:
+        log_needed = -np.inf
+    elif log_rhs_f == -np.inf:
+        log_needed = log_lhs - log_rhs_b
+    else:
+        log_excess = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs))
+        log_needed = log_excess - log_rhs_b
+    log_rhs = np.logaddexp(log_rhs_f, np.log(c_boundary) + log_rhs_b)
+    with np.errstate(over="ignore"):
+        return CarlemanBudget(
+            s=s,
+            which=which,
+            rhs_source=float(np.exp(log_rhs_f)),
+            rhs_boundary=float(np.exp(log_rhs_b)),
+            log_lhs=float(log_lhs),
+            log_rhs_source=float(log_rhs_f),
+            log_rhs_boundary=float(log_rhs_b),
+            needed_c=float(np.exp(log_needed)),
+            log_needed_c=float(log_needed),
+            c_boundary=c_boundary,
+            holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
+        )
 
 
 def check_inequality(field: SpaceTimeField, w: CarlemanWeights,
@@ -368,8 +459,7 @@ def find_s0(fields, w_template: CarlemanWeights, ops: OperatorPair, s_grid,
     weights = [replace(w_template, s=s) for s in s_grid]
     rows = []
     for field in fields:
-        data = _FieldData(field, ops)
-        rows.append([data.budget(w, which).log_needed_c for w in weights])
+        rows.append([b.log_needed_c for b in _FieldData(field, ops).sweep(weights, which)])
     if not rows:
         raise ParameterError("need at least one field to calibrate")
     log_needed = np.array(rows)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import typing
 from dataclasses import dataclass, field, replace
@@ -132,10 +133,26 @@ def _check_types(raw):
             raise ConfigError(f"config field '{key}': {msg}, got {value!r}")
 
 
+class _ConfigLoader(yaml.SafeLoader):
+    """SafeLoader that also reads numbers with an exponent as floats.
+
+    YAML 1.1 makes a float of a plain scalar only with a dot and a signed
+    exponent, so ``1e-1`` or ``2.5e3``, valid JSON numbers, would load as
+    strings.  The resolver is added to this subclass alone; quoted
+    scalars stay strings.
+    """
+
+
+_ConfigLoader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9][0-9_]*(?:\.[0-9_]*)?|\.[0-9_]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path, experiment=None):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_ConfigLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
     if raw is None:

@@ -198,6 +198,7 @@ class OperatorPair:
         self.interior = mesh.interior
         self.K = self.K_full[self.interior][:, self.interior].tocsc()
         self.M = self.M_full[self.interior][:, self.interior].tocsc()
+        self._flux_rows = {}  # boundary part -> _flux_rows(self, part)
 
     @cached_property
     def hardy_mass(self):
@@ -304,6 +305,26 @@ def edge_mass(ops: OperatorPair, part: BoundaryPart):
     return ops.x1[1]
 
 
+def _flux_rows(ops: OperatorPair, part: BoundaryPart):
+    """(stencil node ids, the part's rows of K_full and of M_full on those
+    columns), built once per part and kept on the operator pair."""
+    if part not in ops._flux_rows:
+        edge_mass(ops, part)  # rejects the parts without a flux
+        ids = part_node_ids(ops.mesh, part)
+        k, m = ops.K_full[ids], ops.M_full[ids]
+        cols = np.union1d(k.indices, m.indices)
+        cols.flags.writeable = False
+        ops._flux_rows[part] = (cols, k[:, cols], m[:, cols])
+    return ops._flux_rows[part]
+
+
+def flux_stencil(ops: OperatorPair, part: BoundaryPart):
+    """Ids of the nodes whose values enter the flux on a horizontal part:
+    the columns that the part's rows of K_full and M_full touch, which are
+    the part and its neighbouring x_N layer.  Sorted ascending, read-only."""
+    return _flux_rows(ops, part)[0]
+
+
 def boundary_flux(ops: OperatorPair, u, part: BoundaryPart, f_proxy=None):
     """Outward normal derivative of u on a horizontal boundary part, by
     variational recovery.
@@ -313,15 +334,19 @@ def boundary_flux(ops: OperatorPair, u, part: BoundaryPart, f_proxy=None):
     boundary integral of the conormal derivative against the hat function
     of node b; nodal values follow after dividing by the lumped edge mass.
     On horizontal parts away from the degeneracy the conormal and normal
-    derivatives coincide.  ``u`` and ``f_proxy`` may also be
-    (n_nodes, m) blocks, one field per column; the result is then
-    (n_part, m).
+    derivatives coincide.  Only the rows of the part enter the residual,
+    and they touch only the nodes ``flux_stencil(ops, part)``: ``u`` and
+    ``f_proxy`` hold the values at those nodes, in that order.  They may
+    also be (n_stencil, m) blocks, one field per column; the result is
+    then (n_part, m).
     """
-    lump = np.asarray(edge_mass(ops, part).sum(axis=1)).ravel()  # rejects other parts
+    cols, k_rows, m_rows = _flux_rows(ops, part)
+    lump = np.asarray(edge_mass(ops, part).sum(axis=1)).ravel()
     u = np.asarray(u, dtype=float)
-    ids = part_node_ids(ops.mesh, part)
-    # only the rows of the part enter the residual
-    r = ops.K_full[ids] @ u
+    if u.shape[:1] != cols.shape:
+        raise ContractError(f"expected values at the {cols.size} flux stencil nodes, "
+                            f"got shape {u.shape}")
+    r = k_rows @ u
     if f_proxy is not None:
-        r = r - ops.M_full[ids] @ np.asarray(f_proxy, dtype=float)
+        r = r - m_rows @ np.asarray(f_proxy, dtype=float)
     return r / lump.reshape((-1,) + (1,) * (u.ndim - 1))

@@ -23,7 +23,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, edge_mass
+from .discretize import OperatorPair, boundary_flux, edge_mass, flux_stencil
 from .errors import ContractError, ParameterError
 from .spectral import Spectrum, expand
 
@@ -262,10 +262,12 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
         spectrum, coeffs = field._mode_data
         flux = coeffs @ spectrum.mode_flux(part).T
     else:
-        proxy = -_time_derivative(field.values, grid.dt)
+        cols = flux_stencil(ops, part)
+        values = field.values[:, cols]
+        proxy = -_time_derivative(values, grid.dt)
         if field.source is not None:
-            proxy += field.source_values()
-        flux = boundary_flux(ops, field.values.T, part, f_proxy=proxy.T).T
+            proxy += field.source_values()[:, cols]
+        flux = boundary_flux(ops, values.T, part, f_proxy=proxy.T).T
     per_time = form_per_time(edge_mass(ops, part), flux)
     integral = float(np.trapezoid(per_time, grid.nodes))
     return flux, integral

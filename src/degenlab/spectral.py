@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux
+from .discretize import OperatorPair, boundary_flux, flux_stencil
 from .errors import EigensolverError, ParameterError
 
 
@@ -45,8 +45,8 @@ class Spectrum:
         (n_part, count), recovered with the load lambda_k phi_k; built once
         per part and read-only."""
         if part not in self._mode_flux:
-            flux = boundary_flux(self.ops, self.modes, part,
-                                 f_proxy=self.modes * self.eigenvalues)
+            modes = self.modes[flux_stencil(self.ops, part)]
+            flux = boundary_flux(self.ops, modes, part, f_proxy=modes * self.eigenvalues)
             flux.flags.writeable = False
             self._mode_flux[part] = flux
         return self._mode_flux[part]

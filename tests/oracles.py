@@ -9,7 +9,8 @@ by one sparse LU of the assembled interior operator, the reference for
 the x_1-diagonalised solver.  The one-sided finite-difference normal
 derivative is the cross-check of the variational flux recovery.  The LCG
 recurrence stepped one value at a time is the reference for the
-jump-ahead draws.  The degenerate Sturm-Liouville
+jump-ahead draws.  The log-sum-exp that exponentiates every entry is the
+reference for the one that skips underflowed terms.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -130,6 +131,15 @@ def fit_tail_exponent(theta, values):
     a = np.vstack([lt[tail], np.ones(tail.sum())]).T
     slope, _ = np.linalg.lstsq(a, lv[tail], rcond=None)[0]
     return float(slope)
+
+
+def lse_exp_all(a):
+    """log(sum(exp(a))) with every entry exponentiated after the shift by
+    the largest one; the reference for the floored log-sum-exp."""
+    top = np.max(a)
+    if not np.isfinite(top):  # all -inf gives -inf; +inf and nan pass through
+        return float(top)
+    return float(top + np.log(np.sum(np.exp(a - top))))
 
 
 def carleman_budget_per_node(field, ops, w, which):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from degenlab import carleman
 from degenlab.carleman import (
@@ -19,7 +20,7 @@ from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import carleman_budget_per_node, fit_tail_exponent
+from oracles import carleman_budget_per_node, fit_tail_exponent, lse_exp_all
 
 
 @pytest.fixture(scope="module")
@@ -292,14 +293,54 @@ def test_budgets_match_oracle_on_mode_fields(slab):
                 assert_matches_oracle(field, ops, w, which, data.budget(w, which))
 
 
+@given(shape=hnp.array_shapes(max_dims=2, max_side=40), top=st.floats(-3000.0, 3000.0),
+       spread=st.floats(1.0, 3000.0), special=st.sampled_from([-np.inf, np.inf, np.nan]),
+       special_share=st.sampled_from([0.0, 0.05, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_floored_lse_matches_exp_all(shape, top, spread, special, special_share, seed):
+    # entries spread up to 3000 below the top, so many shifted ones fall
+    # below the floor, and a share of them -inf, +inf or nan (all, at 1.0)
+    rng = np.random.default_rng(seed)
+    a = top - spread * rng.random(shape)
+    a[rng.random(shape) < special_share] = special
+    got, want = carleman._lse(a), lse_exp_all(a)
+    if np.isnan(want):
+        assert np.isnan(got)
+    elif np.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(np.max(a)))
+
+
+@given(rows=st.integers(1, 24), cols=st.integers(1, 24), s=st.floats(1.0, 200.0),
+       dead_share=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_live_rows_lse_matches_exp_all(rows, cols, s, dead_share, seed):
+    # rows(sl) = base - 2 s Theta(t) (gamma - eta) with the row bound of a
+    # sweep; Theta spans 1 to 1e4 as the time rows do, some rows are -inf
+    rng = np.random.default_rng(seed)
+    base = rng.uniform(-200.0, 50.0, (rows, cols))
+    base[rng.random(rows) < dead_share] = -np.inf
+    theta = np.geomspace(1.0, 1e4, rows)[rng.permutation(rows)]
+    gme = np.linspace(2.0, 1.0, cols)
+    xi = theta[:, None] * gme[None, :]
+    bound = base.max(axis=1) - 2.0 * s * theta * gme.min()
+    got = carleman._lse_rows(bound, lambda sl: base[sl] - 2.0 * s * xi[sl])
+    want = lse_exp_all(base - 2.0 * s * xi)
+    if np.isinf(want):
+        assert got == want
+    else:
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 12),
        delta=st.sampled_from([0.05, 0.1, 0.2]), steps=st.integers(8, 24),
-       alpha=st.floats(0.1, 0.9), s=st.floats(1.0, 200.0),
+       alpha=st.floats(0.1, 0.9),
+       s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
+                         unique=True).map(sorted),
        magnitude=st.floats(0.0, 150.0), decay=st.floats(0.0, 300.0),
        with_source=st.booleans(), which=st.sampled_from(["eq410", "eq51"]),
        seed=st.integers(0, 2**32 - 1))
-def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s, magnitude,
+def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s_values, magnitude,
                                        decay, with_source, which, seed):
     mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
                       n * (4 if kind == "interval" else 1))
@@ -313,7 +354,12 @@ def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s, magnitud
     vals[:, mesh.boundary] = 0.0
     source = rng.standard_normal(vals.shape) * amp if with_source else None
     field = SpaceTimeField(mesh, grid, vals, source=source, direction="backward")
-    assert_matches_oracle(field, ops, CarlemanWeights(alpha=alpha, T=1.0, s=s), which)
+    # one sweep over the drawn s values, every budget against the oracle
+    weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
+    budgets = carleman._FieldData(field, ops).sweep(weights, which)
+    assert [b.s for b in budgets] == s_values
+    for w, budget in zip(weights, budgets):
+        assert_matches_oracle(field, ops, w, which, budget)
 
 
 @pytest.mark.parametrize("kind", ["interval", "square"])

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
+import yaml
 
 import degenlab
 from degenlab import cli
@@ -108,6 +109,33 @@ def test_wrong_field_type_is_config_error(tmp_path, field, text):
         load_config(cfg)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name, text", [
+    ("config.yaml", "T: 1e-1\nalpha: 5E-1\ndeltas: [2e-1, 5e-2]\ns_grid: [1e0, 2.5e1]\n"),
+    ("config.json", '{"T": 1e-1, "alpha": 5E-1, "deltas": [2e-1, 5e-2], "s_grid": [1e0, 2.5e1]}'),
+])
+def test_exponent_floats_are_numbers(tmp_path, name, text):
+    # YAML 1.1 alone reads 1e-1 (no dot) and 2.5e1 (unsigned exponent) as strings
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
+    config = load_config(cfg, "spectrum")
+    assert (config.T, config.alpha) == (0.1, 0.5)
+    assert config.deltas == (0.2, 0.05) and config.s_grid == (1.0, 25.0)
+    assert yaml.safe_load(text)["T"] == "1e-1"  # the shared SafeLoader is left as it is
+
+
+@pytest.mark.parametrize("name, text", [
+    ("config.yaml", 'T: "1e-1"\n'),
+    ("config.yaml", "T: '1e-1'\n"),
+    ("config.json", '{"T": "1e-1"}'),
+])
+def test_quoted_exponent_float_is_config_error(tmp_path, name, text):
+    cfg = tmp_path / name
+    cfg.write_text(text, encoding="utf-8")
+    with pytest.raises(ConfigError, match="'T'"):
+        load_config(cfg, "spectrum")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
 @pytest.mark.parametrize("content", [

@@ -9,9 +9,11 @@ from degenlab.discretize import (
     boundary_flux,
     build_mesh,
     edge_mass,
+    flux_stencil,
     hardy_check,
     mass_1d,
     norms,
+    part_node_ids,
     poincare_check,
     restrict_mesh,
     stiffness_1d,
@@ -213,9 +215,12 @@ def test_flux_linear_field():
     mesh = build_mesh(d, 512, 1.0)
     ops = assemble(mesh)
     u = mesh.points[:, 0].copy()  # ignoring boundary conditions on purpose
-    flux = boundary_flux(ops, u, BoundaryPart.OBSERVED)
+    nodes = flux_stencil(ops, BoundaryPart.OBSERVED)
+    flux = boundary_flux(ops, u[nodes], BoundaryPart.OBSERVED)
     assert flux[0] == pytest.approx(1.0, abs=3.0 / 512)
-    assert boundary_flux(ops, mesh.zero_field(), BoundaryPart.OBSERVED)[0] == 0.0
+    assert boundary_flux(ops, mesh.zero_field()[nodes], BoundaryPart.OBSERVED)[0] == 0.0
+    with pytest.raises(ContractError, match="flux stencil"):
+        boundary_flux(ops, u, BoundaryPart.OBSERVED)  # every node, not the stencil
 
 
 def test_flux_unsupported_parts():
@@ -223,10 +228,11 @@ def test_flux_unsupported_parts():
     mesh = build_mesh(d, 8)
     ops = assemble(mesh)
     u = mesh.zero_field()
-    with pytest.raises(UnsupportedRegionError):
-        boundary_flux(ops, u, BoundaryPart.DEGENERATE)
-    with pytest.raises(UnsupportedRegionError):
-        boundary_flux(ops, u, BoundaryPart.LATERAL)
+    for part in (BoundaryPart.DEGENERATE, BoundaryPart.LATERAL):
+        with pytest.raises(UnsupportedRegionError):
+            boundary_flux(ops, u, part)
+        with pytest.raises(UnsupportedRegionError):
+            flux_stencil(ops, part)
 
 
 @settings(max_examples=40, deadline=None)
@@ -248,9 +254,17 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
         # both horizontal parts carry the x_1 mass factor, [[1]] on the interval
         want = mass_1d(mesh.axes[0]).toarray() if kind == "square" else [[1.0]]
         assert np.array_equal(edge_mass(ops, part).toarray(), want)
-        for proxy in (None, f):
-            block = boundary_flux(ops, u, part, f_proxy=proxy)
-            cols = np.stack([boundary_flux(ops, u[:, c], part,
+        # the stencil is the part and its neighbouring x_N layer, and the
+        # flux from it is the residual of the part's full rows, bit for bit
+        nodes = flux_stencil(ops, part)
+        ids = part_node_ids(mesh, part)
+        assert nodes.size == 2 * ids.size
+        lump = np.asarray(edge_mass(ops, part).sum(axis=1))
+        full_rows = (ops.K_full[ids] @ u - ops.M_full[ids] @ f) / lump
+        assert np.array_equal(boundary_flux(ops, u[nodes], part, f_proxy=f[nodes]), full_rows)
+        for proxy in (None, f[nodes]):
+            block = boundary_flux(ops, u[nodes], part, f_proxy=proxy)
+            cols = np.stack([boundary_flux(ops, u[nodes, c], part,
                                            f_proxy=None if proxy is None else proxy[:, c])
                              for c in range(m)], axis=1)
             assert block.shape == cols.shape
@@ -266,7 +280,7 @@ def test_flux_eigenmode_against_series_oracle():
     mesh = build_mesh(d, 1024, 2.0)
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 1)
-    phi = spec.mode(1)
+    phi = spec.mode(1)[flux_stencil(ops, BoundaryPart.OBSERVED)]
     flux = boundary_flux(ops, phi, BoundaryPart.OBSERVED,
                          f_proxy=spec.eigenvalues[0] * phi)
     # sign convention of the solver may flip the mode
@@ -281,8 +295,9 @@ def test_variational_vs_fd_flux_converges():
         ops = assemble(mesh)
         spec = compute_spectrum(ops, 1)
         phi = spec.mode(1)
-        fv = boundary_flux(ops, phi, BoundaryPart.OBSERVED,
-                           f_proxy=spec.eigenvalues[0] * phi)
+        nodes = flux_stencil(ops, BoundaryPart.OBSERVED)
+        fv = boundary_flux(ops, phi[nodes], BoundaryPart.OBSERVED,
+                           f_proxy=spec.eigenvalues[0] * phi[nodes])
         fd = fd_flux(mesh, phi, BoundaryPart.OBSERVED)
         gaps.append(abs(fv[0] - fd[0]))
     # the two recoveries agree to at least first order in h
