@@ -21,12 +21,19 @@ The weights depend on (t, x_N) only, so each field is reduced over x_1
 once, to the moments sum w y**2, sum w y d_N y and sum w (d_N y)**2 (and
 sum w f**2, and the squared flux on the observed edge) at every (t, x_N)
 row; a budget at one s is then a log-sum-exp over (t, x_N).  Each moment
-is taken of the field divided by its largest |entry| in the row, with
-the log of that scale squared kept beside it, so fields near 1e-200 do
-not underflow when squared.  The eq410 bracket norm is the quadratic
+is taken of the field divided by a scale, with the log of that scale
+squared kept beside it, so fields near 1e-200 do not underflow when
+squared.  A nodal field is scaled by its largest |entry| in the row.  A
+coefficient field y = Phi c of K modes is scaled per time row by its
+largest |c_k| and never builds its nodal values: on each x_N layer n the
+triangular QR factor R_n of sqrt(w_n) [Phi_n, D_N Phi_n] (built once per
+spectrum) gives the three moments as dot products of R_n[:, :K] c and
+R_n[:, K:] c, which is one matrix product over all layers.  R_n has
+min(n_x1, 2K) rows, so on the interval (one x_1 node) it is a single row
+and the work matches the nodal sums.  The eq410 bracket norm is the quadratic
 A + 2 g B + g**2 C in its s-dependent coefficient g; where that sum has
 cancelled below 1e-8 of A + g**2 C, the bracket is summed directly over
-x_1 for those rows instead.
+x_1 for those rows instead, from the nodal values of those time rows only.
 
 The budgets of one field are evaluated as one sweep over the s grid.
 Every integrand is base(t, x_N) - 2 s xi(t, x_N) with an s-free base
@@ -153,14 +160,6 @@ def transform(field: SpaceTimeField, w: CarlemanWeights) -> SpaceTimeField:
     return SpaceTimeField(field.mesh, field.grid, z, direction=field.direction)
 
 
-def _grad_n(values, mesh):
-    """Nodal derivative along the degenerate axis (3-point stencils)."""
-    ax = mesh.axes[-1]
-    v = values.reshape(values.shape[:-1] + mesh.shape)
-    g = np.gradient(v, ax, axis=-1, edge_order=2)
-    return g.reshape(values.shape)
-
-
 @dataclass
 class CarlemanBudget:
     """One evaluation of an inequality budget at a fixed parameter s.
@@ -246,18 +245,58 @@ def _log_moment(u, w):
 _CANCELLATION = 1e-8
 
 
+def _nodal_moments(values, mesh, w):
+    """Scale m per (t, x_N) row (the largest |y| or |d_N y| over x_1) and
+    the moments C, 2 B, A of nodal values y, a (t, node) array."""
+    rows = (values.shape[0], -1, mesh.shape[-1])  # (t, x_1, x_N)
+    y = values.reshape(rows)
+    dy = mesh.grad_n(values).reshape(rows)
+    scale, _ = _row_scale(y, dy)
+    ys = y / scale[:, None, :]
+    dy /= scale[:, None, :]
+    # 2 B: doubling is exact
+    return scale, _sum_x1(ys, w, ys), 2.0 * _sum_x1(ys, w, dy), _sum_x1(dy, w, dy)
+
+
+def _mode_moments(spectrum, coeffs):
+    """Scale m per time row (the largest |c_k|) and the moments C, 2 B, A
+    of coefficient rows c, from the spectrum's per-layer factors (see
+    _FieldData); each of u and v is one matrix product over all layers."""
+    scale = np.abs(coeffs).max(axis=1)
+    scale[scale == 0.0] = 1.0
+    unit = coeffs / scale[:, None]
+    u, v = (unit @ part for part in spectrum.moment_factor)
+    shape = (coeffs.shape[0], spectrum.ops.mesh.shape[-1], -1)  # (t, x_N, r)
+    u, v = u.reshape(shape), v.reshape(shape)
+    c = np.einsum("tnr,tnr->tn", u, u)
+    return (np.broadcast_to(scale[:, None], c.shape), c,
+            2.0 * np.einsum("tnr,tnr->tn", u, v), np.einsum("tnr,tnr->tn", v, v))
+
+
 class _FieldData:
     """Per-field moments over x_1, reused across parameter values s.
 
     Every weight depends on (t, x_N) only, so each budget integrand is
-    summed over x_1 once here.  With the lumped spatial weight w and one
-    scale m per (t, x_N) row (the largest |y| or |d_N y| over x_1):
+    summed over x_1 once here.  With the lumped spatial weight w and a
+    scale m of the field:
 
         C = sum w (y/m)**2,  B = sum w (y/m)(d_N y/m),  A = sum w (d_N y/m)**2,
 
     F likewise for the source and, per t, the observed-edge flux moment;
     log(m**2) is kept beside each, so squares of fields near 1e-200 never
-    underflow.  On the interval the x_1 axis has length 1.
+    underflow.
+
+    A coefficient field y = Phi c never builds its nodal values.  Its
+    scale is one m per time row, the largest |c_k|, and its moments come
+    from the triangular factor R_n of sqrt(w_n) [Phi_n, D_N Phi_n] on each
+    x_N layer n (``Spectrum.moment_factor``): R_n' R_n is the layer's
+    weighted Gram of the modes and their x_N derivatives, so with
+    u = R_n[:, :K] c/m and v = R_n[:, K:] c/m, C = u.u, B = u.v, A = v.v.
+    R_n has min(n_x1, 2K) rows: on the interval the x_1 axis has one node,
+    R_n is the 1 x 2K row sqrt(w_n) [Phi_n, D_N Phi_n] itself and u, v are
+    the scaled nodal values and derivatives, so the interval costs what
+    the nodal path does.  A nodal field keeps one scale per (t, x_N) row,
+    the largest |y| or |d_N y| over x_1, and sums over x_1 directly.
     """
 
     def __init__(self, field: SpaceTimeField, ops: OperatorPair):
@@ -269,19 +308,17 @@ class _FieldData:
         self.log_dt = np.log(grid.dt)
         self.xn = mesh.axes[-1]
         self.log_xn = np.log(self.xn)
-        self.mesh = mesh
-        self.values = field.values  # read again only by the cancellation fallback
+        self.field = field  # read again only by the cancellation fallback
         rows = (t.size, -1, self.xn.size)  # (t, x_1, x_N)
         self.w = ops.lumped_full.reshape(rows[1:])
 
-        y = field.values[1:-1].reshape(rows)
-        dy = _grad_n(field.values[1:-1], mesh).reshape(rows)
-        self.scale, self.log_scale2 = _row_scale(y, dy)
-        ys = y / self.scale[:, None, :]
-        dy /= self.scale[:, None, :]
-        self.c = _sum_x1(ys, self.w, ys)
-        self.two_b = 2.0 * _sum_x1(ys, self.w, dy)  # 2 B: doubling is exact
-        self.a = _sum_x1(dy, self.w, dy)
+        if field._mode_data is not None:
+            spectrum, coeffs = field._mode_data
+            moments = _mode_moments(spectrum, coeffs[1:-1])
+        else:
+            moments = _nodal_moments(field.values[1:-1], mesh, self.w)
+        self.scale, self.c, self.two_b, self.a = moments
+        self.log_scale2 = 2.0 * np.log(self.scale)
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
 
@@ -295,10 +332,10 @@ class _FieldData:
     def _bracket_direct(self, ti, ni, g):
         """sum over x_1 of w ((d_N y + g y)/m)**2 at the (ti, ni) rows."""
         times, at = np.unique(ti, return_inverse=True)
-        vals = self.values[1 + times]
+        vals = self.field.rows(1 + times)
         shape = (times.size, -1, self.xn.size)
         y = vals.reshape(shape)[at, :, ni]
-        dy = _grad_n(vals, self.mesh).reshape(shape)[at, :, ni]
+        dy = self.field.mesh.grad_n(vals).reshape(shape)[at, :, ni]
         bracket = (dy + g[:, None] * y) / self.scale[ti, ni][:, None]
         return np.sum(self.w[:, ni].T * bracket**2, axis=1)
 
@@ -506,7 +543,7 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
     z = z_field.values
     zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
     zmid = z[1:-1]
-    dz_dn = _grad_n(zmid, mesh)
+    dz_dn = mesh.grad_n(zmid)
     div_adz = -(ops.K_full @ zmid.T).T / ops.lumped_full[None, :]
     xn = mesh.xn
     theta = w.theta(t)[:, None]

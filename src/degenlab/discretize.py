@@ -130,6 +130,13 @@ class Mesh:
     def zero_field(self):
         return np.zeros(self.n_nodes)
 
+    def grad_n(self, values):
+        """Nodal derivative along the degenerate axis (3-point stencils) of
+        an array whose last axis runs over the nodes."""
+        v = values.reshape(values.shape[:-1] + self.shape)
+        g = np.gradient(v, self.axes[-1], axis=-1, edge_order=2)
+        return g.reshape(values.shape)
+
 
 def build_mesh(domain, n, grading=None):
     """Tensor mesh with n cells per axis.

@@ -40,6 +40,29 @@ class Spectrum:
         M-orthonormality residual, built once per spectrum."""
         return self.modes.T @ (self.ops.M_full @ self.modes)
 
+    @cached_property
+    def moment_factor(self):
+        """Per x_N layer n, the triangular factor R_n of the QR decomposition
+        of sqrt(w_n) [Phi_n, D_N Phi_n], with w the lumped mass and Phi_n the
+        modes on the x_1 nodes of layer n, so that
+        R_n' R_n = [Phi_n, D_N Phi_n]' diag(w_n) [Phi_n, D_N Phi_n].
+        Returned as the pair (Phi part, D_N Phi part) of (count, n_layers * r)
+        matrices, r = min(n_x1, 2 count), so that ``c @ part`` is R_n c on
+        every layer at once for a batch of coefficient rows c; built once
+        per spectrum and read-only."""
+        mesh = self.ops.mesh
+        k = self.count
+        layer = (k, -1, mesh.shape[-1])  # (mode, x_1, x_N)
+        nodal = self.modes.T
+        sqrt_w = np.sqrt(self.ops.lumped_full).reshape(layer[1:])
+        stacked = np.concatenate([nodal.reshape(layer), mesh.grad_n(nodal).reshape(layer)])
+        r = np.linalg.qr((stacked * sqrt_w).transpose(2, 1, 0), mode="r")  # (x_N, r, 2 count)
+        parts = tuple(np.ascontiguousarray(r[:, :, half].transpose(2, 0, 1)).reshape(k, -1)
+                      for half in (slice(None, k), slice(k, None)))
+        for part in parts:
+            part.flags.writeable = False
+        return parts
+
     def mode_flux(self, part):
         """Normal derivative of every mode on a horizontal boundary part,
         (n_part, count), recovered with the load lambda_k phi_k; built once

@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_reverse
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
-from degenlab.spectral import compute_spectrum
+from degenlab.spectral import Spectrum, compute_spectrum
 
 from oracles import carleman_budget_per_node, fit_tail_exponent, lse_exp_all
 
@@ -208,6 +210,8 @@ def test_find_s0_eigen_suite_monotone(slab):
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 12))
     fit = find_s0(fields, w, ops, s_grid)
+    # coefficient fields: the budgets never build their nodal values
+    assert all(field._values is None for field in fields)
     assert fit.found and fit.s0 <= 200.0
     assert fit.c_boundary > 0.0
     ln = np.array(fit.log_needed_c)
@@ -269,8 +273,11 @@ LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
 def assert_matches_oracle(field, ops, w, which, budget=None):
     if budget is None:
         budget = check_inequality(field, w, ops, which)
-    ref = carleman_budget_per_node(field, ops, w, which)
-    for key in LOG_KEYS:
+    assert_logs_match(budget, carleman_budget_per_node(field, ops, w, which))
+
+
+def assert_logs_match(budget, ref, keys=LOG_KEYS):
+    for key in keys:
         got, want = getattr(budget, key), ref[key]
         if np.isinf(want):
             assert got == want, key
@@ -362,8 +369,58 @@ def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s_values, m
         assert_matches_oracle(field, ops, w, which, budget)
 
 
-@pytest.mark.parametrize("kind", ["interval", "square"])
-def test_cancelling_bracket_falls_back_to_direct_sum(kind, monkeypatch):
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 12),
+       delta=st.sampled_from([0.05, 0.1, 0.2]), steps=st.integers(8, 24),
+       alpha=st.floats(0.1, 0.9), modes=st.integers(1, 6),
+       s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
+                         unique=True).map(sorted),
+       magnitude=st.floats(0.0, 280.0), decay=st.floats(0.0, 1.0),
+       zero_share=st.sampled_from([0.0, 0.2]), with_source=st.booleans(),
+       which=st.sampled_from(["eq410", "eq51"]),
+       direction=st.sampled_from(["forward", "backward"]), seed=st.integers(0, 2**32 - 1))
+def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, modes,
+                                                   s_values, magnitude, decay, zero_share,
+                                                   with_source, which, direction, seed):
+    # the twin of the nodal property for coefficient fields, whose moments
+    # come from the spectrum's per-layer factors and never from nodal values
+    mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
+                      n * (4 if kind == "interval" else 1))
+    ops = assemble(mesh)
+    spec = compute_spectrum(ops, modes)
+    grid = TimeGrid(1.0, steps)
+    rng = np.random.default_rng(seed)
+    # coefficient rows of size 10**-magnitude at t = T, falling towards
+    # 1e-280 at t = 0 (all of it at decay 1), some of them zero: below
+    # about 1e-154, squares underflow unless the rows are scaled first
+    exponent = magnitude + (280.0 - magnitude) * decay * (1.0 - grid.nodes)
+    amp = 10.0 ** -exponent[:, None]
+    coeffs = rng.standard_normal((steps + 1, modes)) * amp
+    coeffs[rng.random(steps + 1) < zero_share] = 0.0
+    source = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp if with_source else None
+    field = SpaceTimeField(mesh, grid, None, source=source, direction=direction,
+                           mode_data=(spec, coeffs))
+    weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
+    budgets = carleman._FieldData(field, ops).sweep(weights, which)
+    assert field._values is None
+    nodal = SpaceTimeField(mesh, grid, field.values, source=source, direction=direction)
+    nodal_budgets = carleman._FieldData(nodal, ops).sweep(weights, which)
+    # a forward coefficient field takes its flux from the mode fluxes, a
+    # nodal one recovers it with a time difference: only the backward
+    # copy shares the boundary term
+    keys = LOG_KEYS if direction == "backward" else ("log_lhs", "log_rhs_source")
+    for w, budget, nodal_budget in zip(weights, budgets, nodal_budgets):
+        assert_matches_oracle(field, ops, w, which, budget)
+        assert_logs_match(budget, asdict(nodal_budget), keys)
+
+
+@pytest.mark.parametrize("kind, coefficients", [
+    pytest.param("interval", False, id="interval"),
+    pytest.param("square", False, id="square"),
+    pytest.param("interval", True, id="interval-coefficients"),
+    pytest.param("square", True, id="square-coefficients"),
+])
+def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeypatch):
     # y = phi(x_1) u(t, x_N) with d_N u = -g u at every other x_N node of a
     # band, so the eq410 bracket d_N y + g y cancels there for every x_1
     alpha, s = 0.5, 3.0
@@ -394,7 +451,15 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, monkeypatch):
 
     phi = np.sin(np.pi * mesh.axes[0]) if kind == "square" else np.ones(1)
     vals = (u[:, None, :] * phi[None, :, None]).reshape(t.size, -1)
-    field = SpaceTimeField(mesh, grid, vals, direction="backward")
+    if coefficients:
+        # the time rows as modes and the identity as coefficients: the
+        # same interior values, with moments from the modes' per-layer factors
+        spec = Spectrum(ops, np.ones(t.size), vals[:, ops.interior].T)
+        field = SpaceTimeField(mesh, grid, None, direction="backward",
+                               mode_data=(spec, np.eye(t.size)))
+        assert np.array_equal(field.rows(slice(None))[:, ops.interior], vals[:, ops.interior])
+    else:
+        field = SpaceTimeField(mesh, grid, vals, direction="backward")
 
     direct = set()
     original = carleman._FieldData._bracket_direct

@@ -63,6 +63,31 @@ seed: 11
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
 
 
+def test_square_carleman_rerun_byte_identical(tmp_path):
+    # the square moments run through matrix products and QR factors
+    # (BLAS and LAPACK): a rerun still writes the same bytes
+    cfg = write_config(tmp_path, """
+experiment: carleman
+domain: square
+alpha: 0.5
+n: 24
+steps: 32
+modes: 6
+deltas: [0.125]
+s_grid: [1.0, 10.0, 100.0]
+seed: 7
+""")
+    outs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert main(["carleman", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append(out)
+    names = sorted(f.name for f in outs[0].iterdir())
+    assert names == sorted(f.name for f in outs[1].iterdir()) and len(names) == 3
+    for fname in names:
+        assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
+
+
 def test_invalid_alpha_is_config_error(tmp_path):
     cfg = write_config(tmp_path, "experiment: spectrum\nalpha: 1.5\n")
     assert main(["spectrum", "--config", str(cfg)]) == 2
