@@ -25,6 +25,7 @@ from .evolution import (
     solve_implicit,
     solve_spectral,
     stability_ratio,
+    theta_rows,
     time_reverse,
 )
 from .shape_design import (
@@ -39,6 +40,7 @@ from .shape_design import (
 from .carleman import (
     CarlemanBudget,
     CarlemanWeights,
+    FieldData,
     S0Fit,
     check_inequality,
     eval_weights,

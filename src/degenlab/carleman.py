@@ -261,7 +261,7 @@ def _nodal_moments(values, mesh, w):
 def _mode_moments(spectrum, coeffs):
     """Scale m per time row (the largest |c_k|) and the moments C, 2 B, A
     of coefficient rows c, from the spectrum's per-layer factors (see
-    _FieldData); each of u and v is one matrix product over all layers."""
+    FieldData); each of u and v is one matrix product over all layers."""
     scale = np.abs(coeffs).max(axis=1)
     scale[scale == 0.0] = 1.0
     unit = coeffs / scale[:, None]
@@ -269,11 +269,11 @@ def _mode_moments(spectrum, coeffs):
     shape = (coeffs.shape[0], spectrum.ops.mesh.shape[-1], -1)  # (t, x_N, r)
     u, v = u.reshape(shape), v.reshape(shape)
     c = np.einsum("tnr,tnr->tn", u, u)
-    return (np.broadcast_to(scale[:, None], c.shape), c,
+    return (scale[:, None], c,
             2.0 * np.einsum("tnr,tnr->tn", u, v), np.einsum("tnr,tnr->tn", v, v))
 
 
-class _FieldData:
+class FieldData:
     """Per-field moments over x_1, reused across parameter values s.
 
     Every weight depends on (t, x_N) only, so each budget integrand is
@@ -336,7 +336,8 @@ class _FieldData:
         shape = (times.size, -1, self.xn.size)
         y = vals.reshape(shape)[at, :, ni]
         dy = self.field.mesh.grad_n(vals).reshape(shape)[at, :, ni]
-        bracket = (dy + g[:, None] * y) / self.scale[ti, ni][:, None]
+        scale = np.broadcast_to(self.scale, self.c.shape)[ti, ni]  # (t, 1) for mode fields
+        bracket = (dy + g[:, None] * y) / scale[:, None]
         return np.sum(self.w[:, ni].T * bracket**2, axis=1)
 
     def _bracket(self, g, work):
@@ -461,7 +462,7 @@ def check_inequality(field: SpaceTimeField, w: CarlemanWeights,
     zero-order term s II Theta y**2 exp(-2 s xi).  ``holds`` compares
     against rhs_source + c_boundary * rhs_boundary.
     """
-    return _FieldData(field, ops).budget(w, which, c_boundary)
+    return FieldData(field, ops).budget(w, which, c_boundary)
 
 
 @dataclass(frozen=True)
@@ -475,18 +476,16 @@ class S0Fit:
     log_needed_c: tuple  # per field, per s
 
 
-def find_s0(fields, w_template: CarlemanWeights, ops: OperatorPair, s_grid,
-            which: str = "eq410") -> S0Fit:
+def find_s0(fields, w_template: CarlemanWeights, s_grid, which: str = "eq410") -> S0Fit:
     """Smallest grid parameter from which the inequality stabilizes.
 
-    ``fields`` may be any iterable; a generator streams them, since only
-    one field's data is held at a time.  For every field the needed
-    boundary constant (lhs - rhs_source)+ / rhs_boundary is evaluated on
-    the whole grid; s0 is the first grid point from which these are
-    finite and non-increasing for every field (so the inequality with the
-    fitted C = max needed constant over the region holds at every larger
-    grid value).  A failure marker is returned when no grid point
-    qualifies.
+    ``fields`` is any iterable of FieldData; a generator streams them, since
+    only one field's data is held at a time.  For every field the needed
+    boundary constant (lhs - rhs_source)+ / rhs_boundary is evaluated on the
+    whole grid; s0 is the first grid point from which these are finite and
+    non-increasing for every field (so the inequality with the fitted C =
+    max needed constant over the region holds at every larger grid value).
+    A failure marker is returned when no grid point qualifies.
     """
     s_grid = [float(s) for s in s_grid]
     if not s_grid or any(b <= a for a, b in zip(s_grid, s_grid[1:])):
@@ -495,8 +494,9 @@ def find_s0(fields, w_template: CarlemanWeights, ops: OperatorPair, s_grid,
         raise ParameterError("s grid must start at or above 1")
     weights = [replace(w_template, s=s) for s in s_grid]
     rows = []
-    for field in fields:
-        rows.append([b.log_needed_c for b in _FieldData(field, ops).sweep(weights, which)])
+    for data in fields:
+        rows.append([b.log_needed_c for b in data.sweep(weights, which)])
+        del data  # freed before a generator builds the next one
     if not rows:
         raise ParameterError("need at least one field to calibrate")
     log_needed = np.array(rows)

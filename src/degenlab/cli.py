@@ -16,6 +16,7 @@ sequence; ``--jobs`` is accepted and ignored.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import re
 import sys
@@ -31,8 +32,7 @@ from . import observability as obs
 from .discretize import assemble, build_mesh, hardy_check, poincare_check
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
-from .evolution import (TimeGrid, energy_history, form_of_difference, solve_implicit,
-                        solve_spectral, time_reverse)
+from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
 from .geometry import make_domain, truncate
 from .rng import Lcg, random_admissible
 from .shape_design import delta_sweep
@@ -306,15 +306,16 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
-    fi = solve_implicit(ops, y0, None, grid, theta=1.0)
     e_s = energy_history(fs, ops)
-    e_i = energy_history(fi, ops)
-    lam1 = spec.eigenvalues[0]
-    # the spectral field stays in coefficient space: only its last row and
-    # one block of rows at a time are built as nodal values
+    # theta rows are folded as they come: no nodal field of either solver is held
+    e2_i, gap2 = np.empty((2, cfg.steps + 1))
+    for j, row in enumerate(theta_rows(ops, y0, None, grid, theta=1.0)):
+        diff = fs.rows(j) - row
+        e2_i[j], gap2[j] = row @ (ops.M_full @ row), diff @ (ops.M_full @ diff)
+    e_i = np.sqrt(np.maximum(e2_i, 0.0))
     mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0]
-                                   - np.exp(-lam1 * cfg.T))))
-    gap = float(np.max(np.sqrt(form_of_difference(ops.M_full, fs.rows, fi.values))))
+                                   - np.exp(-spec.eigenvalues[0] * cfg.T))))
+    gap = float(np.max(np.sqrt(gap2)))
     rows = [(grid.nodes[j], e_s[j], e_i[j]) for j in range(cfg.steps + 1)]
     return Outcome(
         tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"), rows)},
@@ -356,15 +357,14 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     tmesh, tops, spec = problem(cfg, delta)
     grid = TimeGrid(cfg.T, cfg.steps)
     rng = Lcg(cfg.seed)
-
-    def make_field(y0):
-        return time_reverse(solve_spectral(spec, y0, None, grid))
-
     data = [spec.modes[:, k] for k in range(cfg.modes)]
     data += [random_admissible(tmesh, rng) for _ in range(5)]
     template = carle.CarlemanWeights(alpha=cfg.alpha, T=cfg.T, s=1.0)
-    # streamed: the fields are never all held at once
-    fit = carle.find_s0((make_field(y0) for y0 in data), template, tops, cfg.s_values)
+    # streamed, never all held at once; the first field's data serves the eq51 check
+    fields = (carle.FieldData(time_reverse(solve_spectral(spec, y0, None, grid)), tops)
+              for y0 in data)
+    first = next(fields)
+    fit = carle.find_s0(itertools.chain([first], fields), template, cfg.s_values)
     rows = []
     for i, per_s in enumerate(fit.log_needed_c):
         for j, s in enumerate(fit.s_grid):
@@ -373,11 +373,8 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
                  fit.c_boundary if fit.found else float("nan"))]
     holds_beyond = True
     if fit.found:
-        c = fit.c_boundary
         w0 = replace(template, s=fit.s0)
-        b51 = carle.check_inequality(make_field(data[0]), w0, tops, "eq51",
-                                     c_boundary=max(c, 1.0))
-        holds_beyond = b51.holds
+        holds_beyond = first.budget(w0, "eq51", c_boundary=max(fit.c_boundary, 1.0)).holds
     context = _context_line(
         cfg, delta=_fmt(delta),
         s=f"{_fmt(cfg.s_values[0])}..{_fmt(cfg.s_values[-1])}")

@@ -199,13 +199,16 @@ class OperatorPair:
                    else (sp.csr_matrix((1, 1)), sp.identity(1, format="csr")))
         self.xn = (stiffness_1d(xn_axis, self.alpha), mass_1d(xn_axis, 0.0))
         (kx, mx), (kn, mn) = self.x1, self.xn
-        self.K_full = sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")
+        # copied: a sparse sum keeps arrays sized for both operands' entries
+        self.K_full = (sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")).copy()
         self.M_full = sp.kron(mx, mn, format="csr")
         self.lumped_full = np.asarray(self.M_full.sum(axis=1)).ravel()
         self.interior = mesh.interior
-        self.K = self.K_full[self.interior][:, self.interior].tocsc()
-        self.M = self.M_full[self.interior][:, self.interior].tocsc()
         self._flux_rows = {}  # boundary part -> _flux_rows(self, part)
+
+    # built on first use: the theta scheme and the flux recovery never read them
+    K = cached_property(lambda self: self.K_full[self.interior][:, self.interior].tocsc())
+    M = cached_property(lambda self: self.M_full[self.interior][:, self.interior].tocsc())
 
     @cached_property
     def hardy_mass(self):

@@ -4,8 +4,11 @@ Two solvers share one convention (forward from an initial datum): the
 spectral Galerkin solver evolves each mode coefficient by the explicit
 exponential formula, and a theta scheme, stepping in the eigenbasis of
 the x_1 pair with one tridiagonal x_N solve per mode, provides an
-independent cross-validation path.  Backward problems are handled by
-reversing time with :func:`time_reverse` rather than by a second solver.
+independent cross-validation path.  The theta scheme yields one nodal row
+per time node (:func:`theta_rows`); the CLI's evolve folds each row as it
+comes, so its memory is independent of the step count, and
+:func:`solve_implicit` stacks the rows into a field.  Backward problems
+reverse time with :func:`time_reverse`.
 
 A spectral field stays in coefficient space: it holds the K mode
 coefficients per time node, and its nodal values are built only when a
@@ -106,15 +109,20 @@ class SpaceTimeField:
 
     def source_values(self):
         """Source as a (steps+1, n_nodes) array, or None when absent."""
-        if self.source is None:
-            return None
-        m, n = self.grid.steps + 1, self.mesh.n_nodes
-        f = np.asarray(self.source, dtype=float)
-        if f.shape == (n,):
-            return np.broadcast_to(f, (m, n))
-        if f.shape == (m, n):
-            return f
-        raise ContractError("source must be nodal, constant or per time node")
+        return _source_rows(self.source, self.grid, self.mesh)
+
+
+def _source_rows(source, grid, mesh):
+    """A nodal or per-time-node source as a (steps+1, n_nodes) array, or None."""
+    if source is None:
+        return None
+    m, n = grid.steps + 1, mesh.n_nodes
+    f = np.asarray(source, dtype=float)
+    if f.shape == (n,):
+        return np.broadcast_to(f, (m, n))
+    if f.shape == (m, n):
+        return f
+    raise ContractError("source must be nodal, constant or per time node")
 
 
 def _phi1(mu):
@@ -164,9 +172,10 @@ def solve_spectral(spectrum: Spectrum, y0, f, grid: TimeGrid) -> SpaceTimeField:
 _TINY = np.finfo(float).tiny
 
 
-def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
-                   theta: float = 1.0) -> SpaceTimeField:
-    """Theta scheme (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f.
+def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
+    """Theta scheme (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f,
+    yielded as one new nodal row per time node, from y0 on; only the current
+    row is held, so a consumer that folds each row keeps O(n_nodes) memory.
 
     Unconditionally stable for theta in [0.5, 1]; theta = 1 is backward
     Euler, theta = 0.5 the second-order midpoint rule.  Steps run in the
@@ -189,17 +198,18 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
     mass = sp.kron(eye, mn, format="csr")
     stiff = sp.kron(sp.diags(lam), mn, format="csr") + sp.kron(eye, kn, format="csr")
     lu = spla.splu((mass + theta * dt * stiff).tocsc())
-    rhs_op = mass - (1.0 - theta) * dt * stiff
-    values = np.zeros((grid.steps + 1, mesh.n_nodes))
-    values[0] = y0
-    field = SpaceTimeField(mesh, grid, values, source=f)
-    fvals = field.source_values()
+    # copied: a sparse sum keeps arrays sized for both operands' entries
+    rhs_op = (mass - (1.0 - theta) * dt * stiff).copy()
+    del stiff  # the frame, and all it holds, lives until the last row is read
+    fvals = _source_rows(f, grid, mesh)
     shape = (rows.size, cols.size)
 
     def coords(v):
         return (to_modes @ v[ops.interior].reshape(shape)).ravel()
 
-    z = coords(values[0])
+    row = np.array(y0, dtype=float)
+    yield row
+    z = coords(row)
     for j in range(grid.steps):
         rhs = rhs_op @ z
         if fvals is not None:
@@ -207,29 +217,26 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
         z = lu.solve(rhs)
         # decayed coefficients reach the subnormal range, where vecs @ z is slow
         z[np.abs(z) < _TINY] = 0.0
-        values[j + 1, ops.interior] = (vecs @ z.reshape(shape)).ravel()
-    return field
+        row = np.zeros(mesh.n_nodes)
+        row[ops.interior] = (vecs @ z.reshape(shape)).ravel()
+        yield row
 
 
-def _row_blocks(m):
-    """Slices of m time rows in blocks of >= 16 rows (one block below 32)."""
-    return [slice(b[0], b[-1] + 1) for b in np.array_split(np.arange(m), max(1, m // 16))]
-
-
-def _form(A, v):
-    return np.einsum("tn,tn->t", v, (A @ v.T).T)
+def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
+                   theta: float = 1.0) -> SpaceTimeField:
+    """The rows of :func:`theta_rows` as one (steps+1, n_nodes) field."""
+    values = np.empty((grid.steps + 1, ops.mesh.n_nodes))
+    for j, row in enumerate(theta_rows(ops, y0, f, grid, theta)):
+        values[j] = row
+    return SpaceTimeField(ops.mesh, grid, values, source=f)
 
 
 def form_per_time(A, values):
-    """v' A v for every row v of a (steps+1, n) block, by blocks of >= 16 rows: each row
-    sums as in one einsum over the whole block, with no transposed copy of the block."""
-    return np.concatenate([_form(A, values[b]) for b in _row_blocks(len(values))])
-
-
-def form_of_difference(A, rows, ref):
-    """form_per_time(A, V - ref) for the (steps+1, n) block V whose rows b are
-    rows(b), with the difference formed one block of rows at a time."""
-    return np.concatenate([_form(A, rows(b) - ref[b]) for b in _row_blocks(len(ref))])
+    """v' A v for every row v of a (steps+1, n) block, by blocks of >= 16 rows (one
+    block below 32): each row sums as in one einsum over the whole block, with no
+    transposed copy of the block."""
+    return np.concatenate([np.einsum("tn,tn->t", v, (A @ v.T).T)
+                           for v in np.array_split(values, max(1, len(values) // 16))])
 
 
 def time_norm(per_time, t):

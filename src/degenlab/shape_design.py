@@ -17,8 +17,8 @@ import scipy.sparse as sp
 
 from .discretize import Mesh, OperatorPair, assemble, build_mesh, edge_mass, restrict_mesh
 from .errors import ContractError, ParameterError, PreconditionError
-from .evolution import (SpaceTimeField, TimeGrid, flux_history, form_of_difference,
-                        solve_implicit, space_time_norm, stability_ratio, time_norm)
+from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
+                        space_time_norm, stability_ratio, time_norm)
 from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
@@ -183,48 +183,43 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
 
-    def full_solve(n):
-        mesh = build_mesh(domain, n, grading=1.0)
+    def full_solve(mesh):
         ops = assemble(mesh)
         y0_full = _nodal_data(mesh, y0, "y0")
         y0_full[mesh.boundary] = 0.0
         return solve_implicit(ops, y0_full, _nodal_data(mesh, f, "f"), grid,
                               theta=_THETA), ops
 
-    ref_field, ref_ops = full_solve(n_ref)
-    ref_mesh = ref_ops.mesh
+    ref_mesh, coarse_mesh = (build_mesh(domain, n, grading=1.0) for n in (n_ref, n_sweep))
+    ref_field, ref_ops = full_solve(ref_mesh)
     ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
     edge = edge_mass(ref_ops, BoundaryPart.OBSERVED)
+    prolong = prolongation(coarse_mesh, ref_mesh)
     tnodes = grid.nodes
 
+    def error_per_time(op, field):
+        """v'Mv at every time of v = op @ field(t) - reference(t), one time
+        row at a time, so no full-size difference is ever held."""
+        diffs = (op @ row - ref_row for row, ref_row in zip(field.values, ref_field.values))
+        return np.array([v @ (ref_ops.M_full @ v) for v in diffs])
+
     # self-convergence of the reference: full solve at sweep resolution
-    coarse_field, coarse_ops = full_solve(n_sweep)
-    coarse_mesh = coarse_ops.mesh
-    prolong = prolongation(coarse_mesh, ref_mesh)
+    self_err = time_norm(error_per_time(prolong, full_solve(coarse_mesh)[0]), tnodes)
 
-    def error_per_time(op, values):
-        """v'Mv at every time of v = op @ values(t) - reference(t), formed
-        by blocks of rows, so no full-size difference is ever held."""
-        return form_of_difference(ref_ops.M_full, lambda b: (op @ values[b].T).T,
-                                  ref_field.values)
-
-    self_err = time_norm(error_per_time(prolong, coarse_field.values), tnodes)
-
+    # one slab field at a time, each freed before the next slab is solved
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
         field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep)
         # zero extension then prolongation: the columns of the slab nodes
-        extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
-        sol_errors.append(time_norm(error_per_time(extend, field.values), tnodes))
-        last = extend @ field.values[-1] - ref_field.values[-1]
-        fin_errors.append(float(np.sqrt(last @ (ref_ops.M_full @ last))))
+        per_time = error_per_time(prolong[:, extension_map(tr_ops.mesh, coarse_mesh)], field)
+        sol_errors.append(time_norm(per_time, tnodes))
+        fin_errors.append(float(np.sqrt(per_time[-1])))
         tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
-        if domain.dimension == 1:
-            flux_on_ref = tr_flux
-        else:
-            flux_on_ref = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
-                                    for row in tr_flux])
-        flux_errors.append(space_time_norm(edge, flux_on_ref - ref_flux, tnodes))
+        del field
+        if domain.dimension == 2:  # from the coarse x_1 nodes to the reference's
+            tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
+                                for row in tr_flux])
+        flux_errors.append(space_time_norm(edge, tr_flux - ref_flux, tnodes))
 
     rates = tuple(
         float(np.log(sol_errors[i] / sol_errors[i + 1])

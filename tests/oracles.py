@@ -3,14 +3,16 @@
 Everything here is deliberately decoupled from the package internals:
 Bessel functions come from their power series, zeros from bisection,
 integrals from adaptive quadrature.  The exceptions are the per-node
-Carleman budget, which takes the field's boundary flux from the package
-and is the reference for the moment-based budgets, and the theta scheme
-by one sparse LU of the assembled interior operator, the reference for
-the x_1-diagonalised solver.  The one-sided finite-difference normal
-derivative is the cross-check of the variational flux recovery.  The LCG
-recurrence stepped one value at a time is the reference for the
-jump-ahead draws.  The log-sum-exp that exponentiates every entry is the
-reference for the one that skips underflowed terms.  The degenerate Sturm-Liouville
+Carleman budgets, in log space and in linear arithmetic, which take the
+field's boundary flux from the package and are the reference for the
+moment-based budgets; the theta scheme by one sparse LU of the assembled
+interior operator, the reference for the x_1-diagonalised solver; and the
+delta sweep over whole (steps+1, n_nodes) fields, the reference for the
+streamed sweep.  The one-sided finite-difference normal derivative is the
+cross-check of the variational flux recovery.  The LCG recurrence stepped
+one value at a time is the reference for the jump-ahead draws.  The
+log-sum-exp that exponentiates every entry is the reference for the one
+that skips underflowed terms.  The degenerate Sturm-Liouville
 problem -(x**a u')' = lam u on (0, 1) with Dirichlet ends has
 eigenfunctions
 
@@ -204,6 +206,40 @@ def carleman_budget_per_node(field, ops, w, which):
             "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}
 
 
+def carleman_budget_linear(field, ops, w, which):
+    """The three Carleman budget integrals of one field summed node by node
+    in linear arithmetic: the left side, the source term and the boundary
+    term (s times its integral), over the interior time levels.  Only for
+    s and T where exp(-2 s xi) stays within the double range."""
+    from degenlab.discretize import edge_mass
+    from degenlab.evolution import flux_history
+    from degenlab.geometry import BoundaryPart
+
+    mesh, grid = field.mesh, field.grid
+    alpha, s = w.alpha, w.s
+    t = grid.nodes[1:-1]
+    theta = (1.0 / (t * (grid.T - t)) ** 4)[:, None]
+    y = field.values[1:-1]
+    dy = np.gradient(y.reshape((t.size,) + mesh.shape), mesh.axes[-1], axis=-1,
+                     edge_order=2).reshape(y.shape)
+    xn = mesh.xn[None, :]
+    decay = np.exp(-2.0 * s * theta * (w.gamma - xn ** (2.0 - alpha)))
+    lw = grid.dt * ops.lumped_full[None, :]
+    if which == "eq410":
+        g = s * (2.0 - alpha) * theta * xn ** (1.0 - alpha)
+        lhs = (s * np.sum(lw * theta * xn**alpha * (dy + g * y) ** 2 * decay)
+               + s**3 * np.sum(lw * theta**3 * xn ** (2.0 - alpha) * y**2 * decay))
+    else:
+        lhs = s * np.sum(lw * theta * y**2 * decay)
+    source = 0.0 if field.source is None else np.sum(
+        lw * field.source_values()[1:-1] ** 2 * decay)
+    flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+    w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
+    edge_decay = np.exp(-2.0 * s * theta[:, 0] * (w.gamma - 1.0))  # x_N = 1 on the edge
+    boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
+    return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
+
+
 def theta_scheme_lu(ops, y0, f, grid, theta):
     """Nodal values of the theta scheme
     (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f, stepped with one
@@ -262,3 +298,52 @@ def fd_flux(mesh, u, part):
          + f1 * (h2 / (h1 * (h2 - h1)))
          + f2 * (-h1 / (h2 * (h2 - h1))))
     return sign * np.atleast_1d(d).ravel()
+
+
+def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
+    """Errors of the delta sweep from whole fields: the reference solve at
+    n_ref, the full-domain and slab solves at n_ref/2, each held as a
+    (steps+1, n_nodes) field, prolonged as a block and compared at once.
+    Returns the solution, final-time and flux errors per delta and the
+    reference's self-convergence error."""
+    from degenlab.discretize import assemble, build_mesh, edge_mass
+    from degenlab.evolution import (flux_history, form_per_time, solve_implicit,
+                                    space_time_norm, time_norm)
+    from degenlab.geometry import BoundaryPart
+    from degenlab.shape_design import extension_map, prolongation, solve_truncated
+
+    n_sweep = n_ref // 2
+
+    def full_solve(n):
+        mesh = build_mesh(domain, n, grading=1.0)
+        ops = assemble(mesh)
+        y0_full = y0(mesh.points)
+        y0_full[mesh.boundary] = 0.0
+        source = None if f is None else f(mesh.points)
+        return solve_implicit(ops, y0_full, source, grid, theta=0.5), ops
+
+    ref_field, ref_ops = full_solve(n_ref)
+    ref_mesh, t = ref_ops.mesh, grid.nodes
+    ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
+    edge = edge_mass(ref_ops, BoundaryPart.OBSERVED)
+    coarse_field, coarse_ops = full_solve(n_sweep)
+    coarse_mesh = coarse_ops.mesh
+    prolong = prolongation(coarse_mesh, ref_mesh)
+
+    def error_per_time(op, values):
+        return form_per_time(ref_ops.M_full, (op @ values.T).T - ref_field.values)
+
+    out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
+           "solution_errors": [], "final_time_errors": [], "flux_errors": []}
+    for d in deltas:
+        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep)
+        extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
+        per_time = error_per_time(extend, field.values)
+        out["solution_errors"].append(time_norm(per_time, t))
+        out["final_time_errors"].append(float(np.sqrt(per_time[-1])))
+        tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
+        if domain.dimension == 2:
+            tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
+                                for row in tr_flux])
+        out["flux_errors"].append(space_time_norm(edge, tr_flux - ref_flux, t))
+    return out

@@ -189,7 +189,7 @@ def test_criterion_8_uniform_constants():
         fields += [dl.time_reverse(dl.solve_spectral(
             tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
         w = dl.CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-        fit = dl.find_s0(fields, w, tops, s_grid)
+        fit = dl.find_s0((dl.FieldData(f, tops) for f in fields), w, s_grid)
         assert fit.found
         c_fit.append(fit.c_boundary)
         c_obs.append(dl.estimate_constant(grid, tops, tspec, 10).c_obs)
@@ -215,7 +215,7 @@ def test_criterion_9_carleman_inequality():
         tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
     w = dl.CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 20))
-    fit = dl.find_s0(fields, w, tops, s_grid)
+    fit = dl.find_s0((dl.FieldData(f, tops) for f in fields), w, s_grid)
     assert fit.found and fit.s0 <= 200.0
     from dataclasses import replace
     start = s_grid.index(fit.s0)

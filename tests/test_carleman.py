@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 from degenlab import carleman
 from degenlab.carleman import (
     CarlemanWeights,
+    FieldData,
     check_inequality,
     eval_weights,
     find_s0,
@@ -22,7 +23,8 @@ from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import Spectrum, compute_spectrum
 
-from oracles import carleman_budget_per_node, fit_tail_exponent, lse_exp_all
+from oracles import (carleman_budget_linear, carleman_budget_per_node, fit_tail_exponent,
+                     lse_exp_all)
 
 
 @pytest.fixture(scope="module")
@@ -199,7 +201,7 @@ def test_find_s0_zero_field(slab):
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    fit = find_s0([zero], w, ops, [1.0, 10.0, 100.0])
+    fit = find_s0([FieldData(zero, ops)], w, [1.0, 10.0, 100.0])
     assert fit.found and fit.s0 == 1.0
 
 
@@ -209,7 +211,7 @@ def test_find_s0_eigen_suite_monotone(slab):
     fields = [backward_mode_field(ops, spec, k, grid) for k in range(1, 5)]
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 12))
-    fit = find_s0(fields, w, ops, s_grid)
+    fit = find_s0((FieldData(f, ops) for f in fields), w, s_grid)
     # coefficient fields: the budgets never build their nodal values
     assert all(field._values is None for field in fields)
     assert fit.found and fit.s0 <= 200.0
@@ -236,7 +238,7 @@ def test_find_s0_failure_marker(slab):
     vals[:, inner] = 1.0
     field = SpaceTimeField(mesh, grid, vals)
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    fit = find_s0([field], w, ops, [1.0])
+    fit = find_s0([FieldData(field, ops)], w, [1.0])
     assert not fit.found and fit.s0 is None
 
 
@@ -244,13 +246,13 @@ def test_find_s0_validation(slab):
     ops, _ = slab
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     with pytest.raises(ParameterError):
-        find_s0([], w, ops, [1.0, 2.0])
+        find_s0([], w, [1.0, 2.0])
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
     with pytest.raises(ParameterError):
-        find_s0([zero], w, ops, [0.5, 2.0])
+        find_s0([FieldData(zero, ops)], w, [0.5, 2.0])
     with pytest.raises(ParameterError):
-        find_s0([zero], w, ops, [2.0, 1.0])
+        find_s0([FieldData(zero, ops)], w, [2.0, 1.0])
 
 
 def test_eq51_follows_eq410(slab):
@@ -259,7 +261,7 @@ def test_eq51_follows_eq410(slab):
     fields = [backward_mode_field(ops, spec, k, grid) for k in (1, 2)]
     w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 10))
-    fit = find_s0(fields, w, ops, s_grid, which="eq51")
+    fit = find_s0((FieldData(f, ops) for f in fields), w, s_grid, which="eq51")
     assert fit.found and fit.s0 <= 200.0
 
 
@@ -293,11 +295,34 @@ def test_budgets_match_oracle_on_mode_fields(slab):
     for k in (1, 6):
         mode = backward_mode_field(ops, spec, k, grid)
         field = SpaceTimeField(ops.mesh, grid, 1e-180 * mode.values, direction="backward")
-        data = carleman._FieldData(field, ops)
+        data = FieldData(field, ops)
         for s in np.geomspace(1.0, 200.0, 7):
             w = CarlemanWeights(alpha=0.5, T=1.0, s=float(s))
             for which in ("eq410", "eq51"):
                 assert_matches_oracle(field, ops, w, which, data.budget(w, which))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 16),
+       delta=st.sampled_from([0.1, 0.2]), T=st.floats(1.5, 4.0), steps=st.integers(8, 24),
+       s=st.floats(1.0, 3.0), which=st.sampled_from(["eq410", "eq51"]),
+       with_source=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_source, seed):
+    # at s <= 3 and T >= 1.5, exp(-2 s xi) >= exp(-120) in the time interior,
+    # so the budgets can be summed directly; the field is arbitrary nodal data
+    mesh = build_mesh(truncate(make_domain(kind, 0.5), delta), n)
+    ops, grid = assemble(mesh), TimeGrid(T, steps)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((steps + 1, mesh.n_nodes))
+    values[:, mesh.boundary] = 0.0
+    source = rng.standard_normal(values.shape) if with_source else None
+    field = SpaceTimeField(mesh, grid, values, source=source, direction="backward")
+    w = CarlemanWeights(alpha=0.5, T=T, s=s)
+    budget = check_inequality(field, w, ops, which)
+    linear = carleman_budget_linear(field, ops, w, which)
+    assert np.exp(budget.log_lhs) == pytest.approx(linear["lhs"], rel=1e-12)
+    assert budget.rhs_source == pytest.approx(linear["rhs_source"], rel=1e-12)
+    assert budget.rhs_boundary == pytest.approx(linear["rhs_boundary"], rel=1e-12)
 
 
 @given(shape=hnp.array_shapes(max_dims=2, max_side=40), top=st.floats(-3000.0, 3000.0),
@@ -363,7 +388,7 @@ def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s_values, m
     field = SpaceTimeField(mesh, grid, vals, source=source, direction="backward")
     # one sweep over the drawn s values, every budget against the oracle
     weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
-    budgets = carleman._FieldData(field, ops).sweep(weights, which)
+    budgets = FieldData(field, ops).sweep(weights, which)
     assert [b.s for b in budgets] == s_values
     for w, budget in zip(weights, budgets):
         assert_matches_oracle(field, ops, w, which, budget)
@@ -401,10 +426,10 @@ def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, steps, alpha,
     field = SpaceTimeField(mesh, grid, None, source=source, direction=direction,
                            mode_data=(spec, coeffs))
     weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
-    budgets = carleman._FieldData(field, ops).sweep(weights, which)
+    budgets = FieldData(field, ops).sweep(weights, which)
     assert field._values is None
     nodal = SpaceTimeField(mesh, grid, field.values, source=source, direction=direction)
-    nodal_budgets = carleman._FieldData(nodal, ops).sweep(weights, which)
+    nodal_budgets = FieldData(nodal, ops).sweep(weights, which)
     # a forward coefficient field takes its flux from the mode fluxes, a
     # nodal one recovers it with a time difference: only the backward
     # copy shares the boundary term
@@ -462,13 +487,13 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
         field = SpaceTimeField(mesh, grid, vals, direction="backward")
 
     direct = set()
-    original = carleman._FieldData._bracket_direct
+    original = carleman.FieldData._bracket_direct
 
     def spy(self, ti, ni, gsel):
         direct.update(zip(ti.tolist(), ni.tolist()))
         return original(self, ti, ni, gsel)
 
-    monkeypatch.setattr(carleman._FieldData, "_bracket_direct", spy)
+    monkeypatch.setattr(carleman.FieldData, "_bracket_direct", spy)
     assert_matches_oracle(field, ops, w, "eq410")
     # every band entry went through the direct sum, and little else did
     band_entries = {(i, int(j)) for i in range(t.size - 2) for j in band}

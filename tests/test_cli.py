@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -362,3 +363,18 @@ seed: 2
                  "--jobs", "4"]) == 0
     for f in sorted(out1.iterdir()):
         assert (out2 / f.name).read_bytes() == f.read_bytes()
+
+
+def test_evolve_holds_no_nodal_field():
+    # square n=120, 128 steps: one (steps+1, n_nodes) field is 15.1 MB
+    cfg = ExperimentConfig(experiment="evolve", domain="square", n=120, steps=128)
+    problem = cli._problem_memo()
+    _, ops, _ = problem(cfg)  # the eigensolve is not the experiment's to count
+    tracemalloc.start()
+    try:
+        outcome = cli.run_evolve(cfg, problem)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(outcome.checks.values())
+    assert peak < (cfg.steps + 1) * ops.mesh.n_nodes * 8

@@ -15,6 +15,7 @@ from degenlab.evolution import (
     solve_implicit,
     solve_spectral,
     stability_ratio,
+    theta_rows,
     time_reverse,
 )
 from degenlab.geometry import BoundaryPart, collar, make_domain, truncate
@@ -282,18 +283,22 @@ def test_absent_source_equals_zero_source(kind, n, theta):
             == check_inequality(time_reverse(zero), w, ops))
 
 
-def _theta_case(kind, n, grading, theta, source, seed, steps=16):
-    """solve_implicit and the sparse-LU oracle on one problem: a slab when
-    grading is None, else the full domain on a graded mesh."""
+def _theta_problem(kind, n, grading, source, seed, steps=16):
+    """(ops, y0, f, grid) of one theta-scheme problem: a slab when grading
+    is None, else the full domain on a graded mesh."""
     d = make_domain(kind, 0.5)
     mesh = build_mesh(truncate(d, 0.2), n) if grading is None else build_mesh(d, n, grading)
-    ops = assemble(mesh)
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal(mesh.n_nodes)
     y0[mesh.boundary] = 0.0
     f = {"none": None, "nodal": rng.standard_normal(mesh.n_nodes),
          "per-time": rng.standard_normal((steps + 1, mesh.n_nodes))}[source]
-    grid = TimeGrid(1.0, steps)
+    return assemble(mesh), y0, f, TimeGrid(1.0, steps)
+
+
+def _theta_case(kind, n, grading, theta, source, seed, steps=16):
+    """solve_implicit and the sparse-LU oracle on one problem."""
+    ops, y0, f, grid = _theta_problem(kind, n, grading, source, seed, steps)
     return (solve_implicit(ops, y0, f, grid, theta=theta).values,
             theta_scheme_lu(ops, y0, f, grid, theta))
 
@@ -310,6 +315,19 @@ def test_implicit_matches_lu_oracle(kind, n, grading, theta, source, seed):
         assert np.array_equal(values, oracle)
     else:
         assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 24),
+       grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
+       source=st.sampled_from(["none", "nodal", "per-time"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_theta_rows_stack_to_solve_implicit(kind, n, grading, theta, source, seed):
+    ops, y0, f, grid = _theta_problem(kind, n, grading, source, seed)
+    rows = list(theta_rows(ops, y0, f, grid, theta))
+    # every row is a new array, so a consumer may keep the rows it is given
+    assert len({id(row) for row in rows}) == len(rows) == grid.steps + 1
+    assert np.array_equal(np.stack(rows), solve_implicit(ops, y0, f, grid, theta=theta).values)
 
 
 def test_implicit_graded_xn_is_direct():

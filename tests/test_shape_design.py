@@ -20,6 +20,8 @@ from degenlab.shape_design import (
 )
 from degenlab.spectral import compute_spectrum
 
+from oracles import delta_sweep_blockwise
+
 
 def smooth_bump(lo, hi):
     span = hi - lo
@@ -146,6 +148,24 @@ def test_delta_sweep_wide_margin_domain():
     rep = delta_sweep(d, smooth_bump(0.55, 0.95), None, grid,
                       [0.4, 0.2], n_ref=80)
     assert rep.solution_errors[1] <= rep.solution_errors[0]
+
+
+def _sine_source(points):
+    return np.sin(np.pi * np.atleast_2d(points)[:, -1])
+
+
+@pytest.mark.parametrize("kind, n_ref", [("interval", 80), ("square", 40)])
+@pytest.mark.parametrize("source", [None, _sine_source])
+def test_row_wise_sweep_matches_blockwise_oracle(kind, n_ref, source):
+    d = make_domain(kind, 0.5)
+    grid = TimeGrid(1.0, 32)
+    bump, deltas = smooth_bump(0.45, 0.95), [0.2, 0.1, 0.05]
+    rep = delta_sweep(d, bump, source, grid, deltas, n_ref=n_ref)
+    oracle = delta_sweep_blockwise(d, bump, source, grid, deltas, n_ref)
+    for name in ("solution_errors", "final_time_errors", "flux_errors"):
+        assert np.allclose(getattr(rep, name), oracle[name], rtol=1e-12, atol=0.0)
+    assert rep.reference_self_error == pytest.approx(oracle["self_error"], rel=1e-12)
+    assert min(rep.flux_errors) > 0.0
 
 
 def test_delta_sweep_zero_data():
