@@ -7,9 +7,9 @@ per result table plus a JSON summary of all check outcomes.  Exit codes:
 0 all checks pass, 1 a check failed, 2 invalid config (or a parameter,
 contract or precondition error), 3 numerical failure inside a module
 (any other exception is a defect and propagates).
-Outputs are byte-identical across reruns with the same config and seed:
-floats are printed with 17 significant digits and random vectors come
-from the documented linear congruential generator.  Experiments run in
+Outputs are byte-identical across reruns with the same config, seed and
+BLAS thread count: floats are printed with 17 significant digits and
+random vectors come from the documented linear congruential generator.  Experiments run in
 sequence; ``--jobs`` is accepted and ignored.
 """
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
+import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError, UnsupportedRegionError
@@ -179,6 +180,12 @@ def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
     return Mesh(dom, axes)
 
 
+def _tensor_stiffness(x1, xn):
+    """kx (x) mn + mx (x) kn of the 1D pairs x1 = (kx, mx) and xn = (kn, mn), CSR."""
+    (kx, mx), (kn, mn) = x1, xn
+    return sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")
+
+
 class OperatorPair:
     """Weighted stiffness and mass matrices on a mesh.
 
@@ -188,7 +195,10 @@ class OperatorPair:
     is the case of a single x_1 node of unit mass and no stiffness.
     K_full / M_full act on all nodes (no boundary conditions) and are used
     for flux recovery; K / M are the interior blocks after eliminating the
-    homogeneous Dirichlet rows and columns on the whole boundary.
+    homogeneous Dirichlet rows and columns on the whole boundary, built as
+    the same products of the interior blocks of the 1D pairs.  Only the 1D
+    pairs are built here: every other operator is built on first read, so
+    an eigensolve holds the interior pair and its factorization alone.
     """
 
     def __init__(self, mesh: Mesh):
@@ -198,17 +208,33 @@ class OperatorPair:
         self.x1 = ((stiffness_1d(x1_axis[0], 0.0), mass_1d(x1_axis[0], 0.0)) if x1_axis
                    else (sp.csr_matrix((1, 1)), sp.identity(1, format="csr")))
         self.xn = (stiffness_1d(xn_axis, self.alpha), mass_1d(xn_axis, 0.0))
-        (kx, mx), (kn, mn) = self.x1, self.xn
-        # copied: a sparse sum keeps arrays sized for both operands' entries
-        self.K_full = (sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")).copy()
-        self.M_full = sp.kron(mx, mn, format="csr")
-        self.lumped_full = np.asarray(self.M_full.sum(axis=1)).ravel()
         self.interior = mesh.interior
         self._flux_rows = {}  # boundary part -> _flux_rows(self, part)
 
-    # built on first use: the theta scheme and the flux recovery never read them
-    K = cached_property(lambda self: self.K_full[self.interior][:, self.interior].tocsc())
-    M = cached_property(lambda self: self.M_full[self.interior][:, self.interior].tocsc())
+    # copied: a sparse sum keeps arrays sized for both operands' entries
+    K_full = cached_property(lambda self: _tensor_stiffness(self.x1, self.xn).copy())
+    M_full = cached_property(lambda self: sp.kron(self.x1[1], self.xn[1], format="csr"))
+    # the row sums of M_full itself: a product of 1D row sums rounds differently
+    lumped_full = cached_property(lambda self: np.asarray(self.M_full.sum(axis=1)).ravel())
+    K = cached_property(lambda self: _tensor_stiffness(*self.interior_1d).tocsc())
+    M = cached_property(lambda self: sp.kron(self.interior_1d[0][1], self.interior_1d[1][1],
+                                             format="csr").tocsc())
+
+    @cached_property
+    def interior_1d(self):
+        """(x1, xn): the 1D pairs on their interior nodes, all but the two ends
+        of each axis; the interval's single x_1 node is interior.  The interior
+        node ids are the tensor grid of the two axes' interior nodes."""
+        x1 = self.x1 if len(self.mesh.axes) == 1 else tuple(a[1:-1, 1:-1] for a in self.x1)
+        return x1, tuple(a[1:-1, 1:-1] for a in self.xn)
+
+    @cached_property
+    def x1_eigh(self):
+        """(lam, vecs): the M-orthonormal eigenpairs of the interior x_1 pair,
+        by a dense solve; one mode, lam = 0, on the interval.  Read-only."""
+        lam, vecs = la.eigh(*(a.toarray() for a in self.interior_1d[0]))
+        lam.flags.writeable = vecs.flags.writeable = False
+        return lam, vecs
 
     @cached_property
     def hardy_mass(self):

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -179,22 +178,21 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
 
     Unconditionally stable for theta in [0.5, 1]; theta = 1 is backward
     Euler, theta = 0.5 the second-order midpoint rule.  Steps run in the
-    M-orthonormal eigenbasis of the x_1 pair (one mode, lam = 0, on the
-    interval), where M + c K has one tridiagonal x_N block per x_1 mode.
+    M-orthonormal eigenbasis of the interior x_1 pair, ``ops.x1_eigh``
+    (one mode, lam = 0, on the interval), where M + c K has one tridiagonal
+    block of the interior x_N pair per x_1 mode; the eigenbasis is computed
+    once per operator pair, and no 2D operator is built or factored.
     x_N stays nodal: its weighted eigenbasis loses accuracy on graded meshes.
     """
     if not (0.5 <= theta <= 1.0):
         raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
     mesh = ops.mesh
     dt = grid.dt
-    # the interior is a tensor grid: x_1 rows (one on the interval) by x_N columns
-    rows, cols = (np.unique(i) for i in np.divmod(ops.interior, mesh.shape[-1]))
-    kx, mx = (a[rows][:, rows].toarray() for a in ops.x1)
-    kn, mn = (a[cols][:, cols] for a in ops.xn)
-    lam, vecs = la.eigh(kx, mx)
-    to_modes = vecs.T @ mx
+    (_, mx), (kn, mn) = ops.interior_1d
+    lam, vecs = ops.x1_eigh
+    to_modes = vecs.T @ mx.toarray()
     # M and K in the x_1 eigenbasis: one tridiagonal x_N block per x_1 mode
-    eye = sp.identity(rows.size)
+    eye = sp.identity(lam.size)
     mass = sp.kron(eye, mn, format="csr")
     stiff = sp.kron(sp.diags(lam), mn, format="csr") + sp.kron(eye, kn, format="csr")
     lu = spla.splu((mass + theta * dt * stiff).tocsc())
@@ -202,7 +200,7 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
     rhs_op = (mass - (1.0 - theta) * dt * stiff).copy()
     del stiff  # the frame, and all it holds, lives until the last row is read
     fvals = _source_rows(f, grid, mesh)
-    shape = (rows.size, cols.size)
+    shape = (lam.size, mn.shape[0])  # the interior tensor grid: x_1 rows by x_N columns
 
     def coords(v):
         return (to_modes @ v[ops.interior].reshape(shape)).ravel()

@@ -10,6 +10,7 @@ norm is preserved to rounding.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +168,9 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
 
     Uniform meshes are used throughout so that every delta is a node
     coordinate of both resolutions and extension stays exact injection;
-    deltas must be multiples of 2/n_ref, strictly descending.
+    deltas must be multiples of 2/n_ref, strictly descending.  A sweep
+    whose reference and coarse fields together exceed the machine's
+    physical memory is refused before anything is assembled.
     """
     deltas = [float(d) for d in deltas]
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
@@ -182,6 +185,14 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
             )
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
+    # the reference field and one coarse or slab field are held at once
+    ref_mib, coarse_mib = ((grid.steps + 1) * (n + 1) ** domain.dimension * 8 / 2**20
+                           for n in (n_ref, n_sweep))
+    memory_mib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+    if ref_mib + coarse_mib > memory_mib:
+        raise ParameterError(
+            f"delta sweep needs a {ref_mib:.0f} MiB reference field and a {coarse_mib:.0f} MiB "
+            f"coarse field, more than the {memory_mib:.0f} MiB of physical memory")
 
     def full_solve(mesh):
         ops = assemble(mesh)

@@ -75,42 +75,6 @@ class Spectrum:
         return self._mode_flux[part]
 
 
-def _lexicographic_tiebreak(vals, vecs):
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    # exact ties: order by lexicographic comparison of the vectors
-    i = 0
-    while i < vals.size - 1:
-        j = i
-        while j + 1 < vals.size and vals[j + 1] == vals[i]:
-            j += 1
-        if j > i:
-            block = vecs[:, i:j + 1]
-            sub = sorted(range(block.shape[1]), key=lambda c: tuple(block[:, c]))
-            vecs[:, i:j + 1] = block[:, sub]
-        i = j + 1
-    return vals, vecs
-
-
-def _reorthogonalize_clusters(vals, vecs, M):
-    """M-orthonormalize within clusters of eigenvalues equal to 1e-9 relative."""
-    i = 0
-    while i < vals.size:
-        j = i
-        while j + 1 < vals.size and abs(vals[j + 1] - vals[i]) <= 1e-9 * max(1.0, abs(vals[i])):
-            j += 1
-        if j > i:
-            for c in range(i, j + 1):
-                v = vecs[:, c]
-                for b in range(i, c):
-                    v = v - (vecs[:, b] @ (M @ v)) * vecs[:, b]
-                nrm = np.sqrt(v @ (M @ v))
-                vecs[:, c] = v / nrm
-        i = j + 1
-    return vecs
-
-
 def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     """First k eigenpairs of  K phi = lambda M phi  on interior DOFs.
 
@@ -127,8 +91,7 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     if k <= n - 2:
         v0 = np.ones(n) / np.sqrt(n)
         try:
-            vals, vecs = spla.eigsh(ops.K.tocsc(), k=k, M=ops.M.tocsc(),
-                                    sigma=0.0, which="LM", v0=v0)
+            vals, vecs = spla.eigsh(ops.K, k=k, M=ops.M, sigma=0.0, which="LM", v0=v0)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(
                 f"eigensolver stalled with {len(exc.eigenvalues)} of {k} pairs") from exc
@@ -140,8 +103,6 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
         ms = scale[:, None] * ops.M.toarray() * scale[None, :]
         vals, vecs = la.eigh(ks, ms, subset_by_index=[0, k - 1])
         vecs = scale[:, None] * vecs
-    vals, vecs = _lexicographic_tiebreak(vals, vecs)
-    vecs = _reorthogonalize_clusters(vals, vecs, ops.M)
     # one Rayleigh-quotient pass: the quotient of a computed vector is a
     # more accurate eigenvalue than the raw solver output
     num = np.einsum("ij,ij->j", vecs, ops.K @ vecs)

@@ -8,8 +8,10 @@ field's boundary flux from the package and are the reference for the
 moment-based budgets; the theta scheme by one sparse LU of the assembled
 interior operator, the reference for the x_1-diagonalised solver; and the
 delta sweep over whole (steps+1, n_nodes) fields, the reference for the
-streamed sweep.  The one-sided finite-difference normal derivative is the
-cross-check of the variational flux recovery.  The LCG recurrence stepped
+streamed sweep; and the interior rows and columns sliced out of the
+full-node operators, the reference for the interior operators built
+from the 1D factors.  The one-sided finite-difference normal derivative
+is the cross-check of the variational flux recovery.  The LCG recurrence stepped
 one value at a time is the reference for the jump-ahead draws.  The
 log-sum-exp that exponentiates every entry is the reference for the one
 that skips underflowed terms.  The degenerate Sturm-Liouville
@@ -238,6 +240,13 @@ def carleman_budget_linear(field, ops, w, which):
     edge_decay = np.exp(-2.0 * s * theta[:, 0] * (w.gamma - 1.0))  # x_N = 1 on the edge
     boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
     return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
+
+
+def interior_blocks(ops):
+    """(K, M): the interior rows and columns of ops.K_full and ops.M_full,
+    sliced out of the full-node operators, in CSC."""
+    ii = ops.interior
+    return tuple(A[ii][:, ii].tocsc() for A in (ops.K_full, ops.M_full))
 
 
 def theta_scheme_lu(ops, y0, f, grid, theta):

@@ -239,6 +239,26 @@ deltas: [0.21, 0.07]
     assert main(["delta-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_oversized_delta_sweep_refused_before_assembly(tmp_path, capsys):
+    # 129 time rows of (100001**2 + 50001**2) nodes: about 12 TiB of fields
+    cfg = write_config(tmp_path, """
+experiment: delta-sweep
+domain: square
+n: 100000
+steps: 128
+""")
+    tracemalloc.start()
+    try:
+        code = main(["delta-sweep", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "9842116 MiB reference field" in err and "2460578 MiB coarse field" in err
+    assert peak < 2**20
+
+
 def test_carleman_and_observability_runs(tmp_path):
     cfg = write_config(tmp_path, """
 experiment: carleman

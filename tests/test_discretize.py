@@ -23,7 +23,7 @@ from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import degenerate_eigenfunction, fd_flux, hardy_ratio_quartic
+from oracles import degenerate_eigenfunction, fd_flux, hardy_ratio_quartic, interior_blocks
 
 # frozen from the quadrature oracle (= 16/105 / (22/105))
 HARDY_QUARTIC_RATIO = 0.7272727272727273
@@ -118,6 +118,21 @@ def test_operator_symmetry_and_spd():
             assert asym <= 1e-14 * abs(A).max()
         np.linalg.cholesky(ops.K.toarray())
         np.linalg.cholesky(ops.M.toarray())
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 40),
+       alpha=st.floats(0.05, 0.95), grading=st.floats(1.0, 4.0),
+       delta=st.one_of(st.none(), st.floats(0.01, 0.24)))
+def test_interior_operators_are_interior_blocks(kind, n, alpha, grading, delta):
+    # delta None: the full domain on a graded mesh; else its slab above delta
+    d = make_domain(kind, alpha)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
+    ops = assemble(mesh)
+    for built, sliced in zip((ops.K, ops.M), interior_blocks(ops)):
+        assert built.format == "csc"
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built, attr), getattr(sliced, attr))
 
 
 def test_norms_contract():

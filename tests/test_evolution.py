@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,6 +329,16 @@ def test_theta_rows_stack_to_solve_implicit(kind, n, grading, theta, source, see
     # every row is a new array, so a consumer may keep the rows it is given
     assert len({id(row) for row in rows}) == len(rows) == grid.steps + 1
     assert np.array_equal(np.stack(rows), solve_implicit(ops, y0, f, grid, theta=theta).values)
+
+
+def test_theta_rows_share_one_x1_eigendecomposition(monkeypatch):
+    calls = []
+    eigh = scipy.linalg.eigh
+    monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
+    ops, y0, f, grid = _theta_problem("square", 8, None, "none", 1)
+    first, second = (np.stack(list(theta_rows(ops, y0, f, grid))) for _ in range(2))
+    assert len(calls) == 1
+    assert np.array_equal(first, second)
 
 
 def test_implicit_graded_xn_is_direct():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.discretize import assemble, build_mesh, norms
 from degenlab.errors import ParameterError
-from degenlab.geometry import make_domain
+from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum, expand, rayleigh, reconstruct
 
@@ -140,3 +142,27 @@ def test_shift_invert_path_matches_dense():
     mu1 = degenerate_eigenvalue(0.5, 1)
     assert spec.eigenvalues[0] == pytest.approx(np.pi**2 + mu1, rel=2e-2)
     assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 16),
+       alpha=st.floats(0.05, 0.95), grading=st.floats(1.0, 4.0),
+       delta=st.one_of(st.none(), st.floats(0.01, 0.24)), k=st.integers(1, 40))
+def test_spectrum_ascending_and_mass_orthonormal(kind, n, alpha, grading, delta, k):
+    # delta None: the full domain on a graded mesh; else its slab above delta.
+    # k runs up to the DOF count, so the dense path is drawn too
+    d = make_domain(kind, alpha)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
+    ops = assemble(mesh)
+    spec = compute_spectrum(ops, min(k, ops.K.shape[0]))
+    assert np.all(np.diff(spec.eigenvalues) >= 0.0)
+    phi = spec.modes[ops.interior]
+    assert np.max(np.abs(phi.T @ (ops.M @ phi) - np.eye(spec.count))) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_spectrum_builds_no_full_node_operator(kind):
+    # the eigensolve holds the interior pair and its factorization alone
+    ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
+    compute_spectrum(ops, 3)
+    assert not {"K_full", "M_full", "lumped_full"} & set(vars(ops))
