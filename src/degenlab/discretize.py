@@ -14,6 +14,8 @@ Node numbering is C-order over the tensor grid: for N = 2 the node
 
 from __future__ import annotations
 
+import math
+import os
 from functools import cached_property
 
 import numpy as np
@@ -92,6 +94,29 @@ def mass_1d(nodes, p=0.0):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
+def physical_memory_mib():
+    """The machine's physical memory, in MiB."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+
+
+def _check_size(shape):
+    """The node count of a tensor mesh of this shape, refusing the mesh
+    before any per-node array exists when its estimated memory exceeds the
+    machine's physical memory.  Per node, the mesh holds N float64
+    coordinates and two int64 node ids, (N + 2) * 8 bytes, and the interior
+    K and M each hold 3**N nonzeros per row at 12 bytes (a float64 value and
+    an int32 index): 248 bytes per node on the square, 96 on the interval."""
+    n_nodes = math.prod(shape)
+    dim = len(shape)
+    need_mib = n_nodes * ((dim + 2) * 8 + 2 * 3**dim * 12) / 2**20
+    memory_mib = physical_memory_mib()
+    if need_mib > memory_mib:
+        raise ParameterError(
+            f"a mesh of {n_nodes} nodes needs about {need_mib:.0f} MiB for its arrays and "
+            f"interior operators, more than the {memory_mib:.0f} MiB of physical memory")
+    return n_nodes
+
+
 class Mesh:
     """Tensor-product mesh with the degenerate coordinate on the last axis."""
 
@@ -108,25 +133,27 @@ class Mesh:
                 f"first x_N node must equal the domain lower bound {domain.xn_lower}"
             )
         self.shape = tuple(ax.size for ax in self.axes)
-        self.n_nodes = int(np.prod(self.shape))
+        self.n_nodes = _check_size(self.shape)
         grids = np.meshgrid(*self.axes, indexing="ij")
         self.points = np.stack([g.ravel() for g in grids], axis=1)
         self.xn = self.points[:, -1]
         self._classify()
 
     def _classify(self):
-        idx = np.unravel_index(np.arange(self.n_nodes), self.shape)
-        on_face = np.zeros(self.n_nodes, dtype=bool)
-        for d, ind in enumerate(idx):
-            on_face |= (ind == 0) | (ind == self.shape[d] - 1)
-        self.boundary = np.flatnonzero(on_face)
-        self.interior = np.flatnonzero(~on_face)
-        labels = self.domain.classify_boundary(self.points[self.boundary])
-        self.part_nodes = {}
-        for part in BoundaryPart:
-            sel = self.boundary[labels == part]
-            if sel.size:
-                self.part_nodes[part] = sel
+        """Boundary, interior and parts, read off the C-order node ids: the
+        first x_N layer is the domain's lower part and the last one is
+        observed, both with their corners; the rest of the first and last
+        x_1 columns is lateral."""
+        ids = np.arange(self.n_nodes).reshape(self.shape)
+        inner = tuple(slice(1, -1) for _ in self.shape)
+        self.interior = ids[inner].ravel()
+        on_face = np.ones(self.shape, dtype=bool)
+        on_face[inner] = False
+        self.boundary = ids[on_face]
+        self.part_nodes = {self.domain.lower_part: ids[..., 0].ravel(),
+                           BoundaryPart.OBSERVED: ids[..., -1].ravel()}
+        if len(self.shape) == 2:
+            self.part_nodes[BoundaryPart.LATERAL] = ids[[0, -1], 1:-1].ravel()
 
     def zero_field(self):
         return np.zeros(self.n_nodes)
@@ -155,6 +182,7 @@ def build_mesh(domain, n, grading=None):
         raise ParameterError(f"grading must be >= 1, got {grading}")
     if truncated and grading != 1.0:
         raise ParameterError("truncated domains use uniform meshes (grading 1)")
+    _check_size((n + 1,) * domain.dimension)  # before the axes are built
     j = np.arange(n + 1) / n
     lo = domain.xn_lower
     xn_axis = lo + (j**grading) * (1.0 - lo)
@@ -193,10 +221,10 @@ class OperatorPair:
     instance: ``xn`` on the degenerate axis and ``x1`` on the x_1 axis,
     K_full = kx (x) mn + mx (x) kn and M_full = mx (x) mn.  The interval
     is the case of a single x_1 node of unit mass and no stiffness.
-    K_full / M_full act on all nodes (no boundary conditions) and are used
-    for flux recovery; K / M are the interior blocks after eliminating the
-    homogeneous Dirichlet rows and columns on the whole boundary, built as
-    the same products of the interior blocks of the 1D pairs.  Only the 1D
+    K_full / M_full act on all nodes (no boundary conditions); K / M are
+    the interior blocks after eliminating the homogeneous Dirichlet rows
+    and columns on the whole boundary, built as the same products of the
+    interior blocks of the 1D pairs.  Only the 1D
     pairs are built here: every other operator is built on first read, so
     an eigensolve holds the interior pair and its factorization alone.
     """
@@ -343,11 +371,15 @@ def edge_mass(ops: OperatorPair, part: BoundaryPart):
 
 def _flux_rows(ops: OperatorPair, part: BoundaryPart):
     """(stencil node ids, the part's rows of K_full and of M_full on those
-    columns), built once per part and kept on the operator pair."""
+    columns), built once per part and kept on the operator pair.  The part
+    is one x_N layer, and the rows of a product A (x) B on the layer are
+    A (x) B[layer], so they come from the 1D factors alone."""
     if part not in ops._flux_rows:
         edge_mass(ops, part)  # rejects the parts without a flux
-        ids = part_node_ids(ops.mesh, part)
-        k, m = ops.K_full[ids], ops.M_full[ids]
+        layer = 0 if part is BoundaryPart.CUT else -1
+        kn, mn = ops.xn
+        k = _tensor_stiffness(ops.x1, (kn[layer], mn[layer]))
+        m = sp.kron(ops.x1[1], mn[layer], format="csr")
         cols = np.union1d(k.indices, m.indices)
         cols.flags.writeable = False
         ops._flux_rows[part] = (cols, k[:, cols], m[:, cols])

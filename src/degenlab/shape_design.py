@@ -10,13 +10,13 @@ norm is preserved to rounding.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import Mesh, OperatorPair, assemble, build_mesh, edge_mass, restrict_mesh
+from .discretize import (Mesh, OperatorPair, assemble, build_mesh, edge_mass,
+                         physical_memory_mib, restrict_mesh)
 from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
                         space_time_norm, stability_ratio, time_norm)
@@ -24,23 +24,23 @@ from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
 def extension_map(tr_mesh: Mesh, full_mesh: Mesh):
-    """Full-mesh node id of every truncated-mesh node.
+    """Full-mesh node id of every truncated-mesh node: the slab is the last
+    x_N layers of the full mesh, so these are those layers of its C-order
+    node ids.
 
     Requires the truncated axes to be exact subsets of the full axes
     (the truncation-compatibility built by restrict_mesh).
     """
     if not isinstance(tr_mesh.domain, TruncatedDomain):
         raise ContractError("first mesh must live on a truncated domain")
-    offsets = []
-    for ax_t, ax_f in zip(tr_mesh.axes, full_mesh.axes):
-        pos = np.searchsorted(ax_f, ax_t[0])
-        hi = pos + ax_t.size
-        if hi > ax_f.size or not np.allclose(ax_f[pos:hi], ax_t, rtol=0.0, atol=1e-12):
-            raise ContractError("truncated mesh nodes are not a subset of the full mesh")
-        offsets.append(pos)
-    grids = np.meshgrid(*[off + np.arange(ax.size)
-                          for off, ax in zip(offsets, tr_mesh.axes)], indexing="ij")
-    return np.ravel_multi_index([g.ravel() for g in grids], full_mesh.shape)
+    n_slab = tr_mesh.shape[-1]
+    subset = (tr_mesh.shape[:-1] == full_mesh.shape[:-1] and n_slab <= full_mesh.shape[-1]
+              and all(np.allclose(ax_f[ax_f.size - ax_t.size:], ax_t, rtol=0.0, atol=1e-12)
+                      for ax_t, ax_f in zip(tr_mesh.axes, full_mesh.axes)))
+    if not subset:
+        raise ContractError("truncated mesh nodes are not a subset of the full mesh")
+    ids = np.arange(full_mesh.n_nodes).reshape(full_mesh.shape)
+    return ids[..., -n_slab:].ravel()
 
 
 def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
@@ -188,7 +188,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
     # the reference field and one coarse or slab field are held at once
     ref_mib, coarse_mib = ((grid.steps + 1) * (n + 1) ** domain.dimension * 8 / 2**20
                            for n in (n_ref, n_sweep))
-    memory_mib = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
+    memory_mib = physical_memory_mib()
     if ref_mib + coarse_mib > memory_mib:
         raise ParameterError(
             f"delta sweep needs a {ref_mib:.0f} MiB reference field and a {coarse_mib:.0f} MiB "

@@ -10,7 +10,10 @@ interior operator, the reference for the x_1-diagonalised solver; and the
 delta sweep over whole (steps+1, n_nodes) fields, the reference for the
 streamed sweep; and the interior rows and columns sliced out of the
 full-node operators, the reference for the interior operators built
-from the 1D factors.  The one-sided finite-difference normal derivative
+from the 1D factors.  The boundary parts classified by node
+coordinates, and the slab's node ids found by a meshgrid of its axis
+offsets, are the references for the parts and the extension map read
+off the node index array.  The one-sided finite-difference normal derivative
 is the cross-check of the variational flux recovery.  The LCG recurrence stepped
 one value at a time is the reference for the jump-ahead draws.  The
 log-sum-exp that exponentiates every entry is the reference for the one
@@ -247,6 +250,42 @@ def interior_blocks(ops):
     sliced out of the full-node operators, in CSC."""
     ii = ops.interior
     return tuple(A[ii][:, ii].tocsc() for A in (ops.K_full, ops.M_full))
+
+
+def classify_by_coordinates(mesh):
+    """(boundary, interior, parts) of a mesh from its node coordinates
+    against a 1e-12 tolerance.  A node is on the boundary when any
+    coordinate sits at an end of its axis (x_N's lower end is the domain's
+    xn_lower); a boundary node is lateral by default, observed at x_N = 1
+    and on the lower part (DEGENERATE, or CUT on a slab) at x_N =
+    xn_lower, the lower and observed edges taking the corners."""
+    from degenlab.geometry import BoundaryPart, TruncatedDomain
+
+    pts = mesh.points
+    lower = (0.0,) * (pts.shape[1] - 1) + (mesh.domain.xn_lower,)
+    at_lower = np.abs(pts - np.array(lower)) <= 1e-12
+    at_upper = np.abs(pts - 1.0) <= 1e-12
+    on_face = np.any(at_lower | at_upper, axis=1)
+    boundary = np.flatnonzero(on_face)
+    labels = np.full(boundary.size, BoundaryPart.LATERAL, dtype=object)
+    labels[at_upper[boundary, -1]] = BoundaryPart.OBSERVED
+    lower_part = (BoundaryPart.CUT if isinstance(mesh.domain, TruncatedDomain)
+                  else BoundaryPart.DEGENERATE)
+    labels[at_lower[boundary, -1]] = lower_part
+    parts = {part: boundary[labels == part] for part in BoundaryPart
+             if np.any(labels == part)}
+    return boundary, np.flatnonzero(~on_face), parts
+
+
+def extension_map_meshgrid(tr_mesh, full_mesh):
+    """Full-mesh node id of every slab node: the slab's first node on each
+    full axis, found by searchsorted, then a meshgrid of the offset axis
+    ranges raveled into the full mesh's C order."""
+    offsets = [np.searchsorted(ax_f, ax_t[0] - 1e-12)
+               for ax_t, ax_f in zip(tr_mesh.axes, full_mesh.axes)]
+    grids = np.meshgrid(*[off + np.arange(ax.size)
+                          for off, ax in zip(offsets, tr_mesh.axes)], indexing="ij")
+    return np.ravel_multi_index([g.ravel() for g in grids], full_mesh.shape)
 
 
 def theta_scheme_lu(ops, y0, f, grid, theta):

@@ -259,6 +259,26 @@ steps: 128
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("experiment", ["spectrum", "evolve", "hardy", "carleman",
+                                        "observability", "full-report"])
+def test_oversized_mesh_refused_before_assembly(tmp_path, capsys, experiment):
+    # 100001**2 nodes at 248 bytes each: about 2.3 TiB of mesh arrays and operators
+    cfg = write_config(tmp_path, """
+domain: square
+n: 100000
+""")
+    tracemalloc.start()
+    try:
+        code = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "a mesh of 10000200001 nodes needs about 2365160 MiB" in err
+    assert peak < 2**20
+
+
 def test_carleman_and_observability_runs(tmp_path):
     cfg = write_config(tmp_path, """
 experiment: carleman

@@ -1,31 +1,38 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from degenlab.errors import ParameterError
-from degenlab.geometry import BoundaryPart, collar, make_domain, truncate
+from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.discretize import build_mesh, restrict_mesh
+
+from oracles import classify_by_coordinates
 
 
 def test_interval_boundary_partition():
-    d = make_domain("interval", 0.5)
-    parts = d.classify_boundary(np.array([[0.0], [1.0]]))
-    assert parts[0] is BoundaryPart.DEGENERATE
-    assert parts[1] is BoundaryPart.OBSERVED
-    assert d.bound == 2.0
+    mesh = build_mesh(make_domain("interval", 0.5), 8)
+    parts = mesh.part_nodes
+    assert set(parts) == {BoundaryPart.DEGENERATE, BoundaryPart.OBSERVED}
+    assert mesh.points[parts[BoundaryPart.DEGENERATE], 0].tolist() == [0.0]
+    assert mesh.points[parts[BoundaryPart.OBSERVED], 0].tolist() == [1.0]
 
 
 def test_square_boundary_partition():
-    d = make_domain("square", 0.5)
-    pts = np.array([[0.3, 1.0],   # top edge: weighted normal points up
-                    [0.3, 0.0],   # bottom: weight vanishes
-                    [0.0, 0.5],   # left side: normal orthogonal to e_N
-                    [1.0, 0.5]])
-    parts = d.classify_boundary(pts)
-    assert parts[0] is BoundaryPart.OBSERVED
-    assert parts[1] is BoundaryPart.DEGENERATE
-    assert parts[2] is BoundaryPart.LATERAL
-    assert parts[3] is BoundaryPart.LATERAL
-    assert d.bound == pytest.approx(np.sqrt(2.0) + 1.0)
+    mesh = build_mesh(make_domain("square", 0.5), 8)
+    parts = {part: mesh.points[ids] for part, ids in mesh.part_nodes.items()}
+    assert set(parts) == {BoundaryPart.DEGENERATE, BoundaryPart.OBSERVED, BoundaryPart.LATERAL}
+    # top edge, corners included: the weighted normal points up
+    assert np.all(parts[BoundaryPart.OBSERVED][:, 1] == 1.0)
+    assert np.array_equal(parts[BoundaryPart.OBSERVED][:, 0], mesh.axes[0])
+    # bottom edge, corners included: the weight vanishes
+    assert np.all(parts[BoundaryPart.DEGENERATE][:, 1] == 0.0)
+    assert np.array_equal(parts[BoundaryPart.DEGENERATE][:, 0], mesh.axes[0])
+    # left and right sides between them: the normal is orthogonal to e_N
+    lateral = parts[BoundaryPart.LATERAL]
+    assert np.all((lateral[:, 0] == 0.0) | (lateral[:, 0] == 1.0))
+    assert np.all((lateral[:, 1] > 0.0) & (lateral[:, 1] < 1.0))
+    assert lateral.shape[0] == 2 * (mesh.shape[1] - 2)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 0.0, -0.1, 1.5])
@@ -37,41 +44,11 @@ def test_alpha_range_is_open(alpha):
 def test_truncate_region_and_errors():
     d = make_domain("square", 0.5)
     t = truncate(d, 0.1)
-    assert t.region.lo == (0.0, 0.1)
-    assert t.region.hi == (1.0, 1.0)
+    assert t.xn_lower == 0.1 and t.dimension == 2 and t.alpha == 0.5
     with pytest.raises(ParameterError):
         truncate(make_domain("interval", 0.5), 0.3)
     with pytest.raises(ParameterError):
         truncate(d, 0.0)
-
-
-def test_truncation_nesting():
-    d = make_domain("square", 0.5)
-    for d1, d2 in [(0.2, 0.1), (0.1, 0.05), (0.24, 0.01)]:
-        inner, outer = truncate(d, d1).region, truncate(d, d2).region
-        # region(d1) is inside region(d2), and contains {x_N > 2 d1}
-        pts = np.random.default_rng(0).uniform(size=(200, 2))
-        in1 = inner.contains(pts)
-        in2 = outer.contains(pts)
-        assert np.all(~in1 | in2)
-        deep = pts[pts[:, 1] > 2 * d1]
-        assert np.all(inner.contains(deep))
-
-
-def test_collar():
-    d2 = make_domain("square", 0.5)
-    c = collar(d2, 0.1)
-    assert c.lo == (0.0, 0.9) and c.hi == (1.0, 1.0)
-    d1 = make_domain("interval", 0.5)
-    c1 = collar(d1, 0.05)
-    assert c1.lo == (0.95,)
-    # the collar sits inside the truncated region at the same margin
-    pts = np.random.default_rng(1).uniform(size=(200, 2))
-    inside_collar = collar(d2, 0.2).contains(pts)
-    inside_slab = truncate(d2, 0.2).region.contains(pts)
-    assert np.all(~inside_collar | inside_slab)
-    with pytest.raises(ParameterError):
-        collar(d1, 0.25)
 
 
 def test_discrete_partition_covers_boundary_once():
@@ -80,6 +57,21 @@ def test_discrete_partition_covers_boundary_once():
     counted = np.concatenate(list(mesh.part_nodes.values()))
     assert np.array_equal(np.sort(counted), mesh.boundary)
     assert len(counted) == len(set(counted))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 40),
+       grading=st.floats(1.0, 4.0), delta=st.one_of(st.none(), st.floats(0.01, 0.24)))
+def test_parts_by_index_match_coordinate_classifier(kind, n, grading, delta):
+    # delta None: the full domain on a graded mesh; else its slab above delta
+    d = make_domain(kind, 0.5)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
+    boundary, interior, parts = classify_by_coordinates(mesh)
+    assert np.array_equal(mesh.boundary, boundary)
+    assert np.array_equal(mesh.interior, interior)
+    assert set(mesh.part_nodes) == set(parts)
+    for part, ids in parts.items():
+        assert np.array_equal(mesh.part_nodes[part], ids)
 
 
 def test_observed_part_independent_of_delta():

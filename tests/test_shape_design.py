@@ -13,6 +13,7 @@ from degenlab.shape_design import (
     delta_sweep,
     extend_by_zero,
     extend_vector,
+    extension_map,
     isometry_report,
     prolongation,
     solve_truncated,
@@ -20,7 +21,7 @@ from degenlab.shape_design import (
 )
 from degenlab.spectral import compute_spectrum
 
-from oracles import delta_sweep_blockwise
+from oracles import delta_sweep_blockwise, extension_map_meshgrid
 
 
 def smooth_bump(lo, hi):
@@ -232,3 +233,16 @@ def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
     for norm in ("l2", "lumped"):
         assert abs(rep[f"{norm}_extended"] - rep[f"{norm}_truncated"]) \
             <= 1e-14 * rep[f"{norm}_truncated"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(5, 40),
+       rung=st.floats(0.0, 1.0, exclude_max=True))
+def test_extension_map_matches_meshgrid_oracle(kind, n, rung):
+    # the slab's node ids are the last x_N layers of the full mesh's index
+    # array; delta is a node j/n below delta0 = 1/4, so n starts at 5
+    full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
+    j = 1 + int(rung * ((n - 1) // 4))
+    tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
+    assert np.array_equal(extension_map(tr_mesh, full_mesh),
+                          extension_map_meshgrid(tr_mesh, full_mesh))

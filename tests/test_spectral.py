@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 
 from degenlab.discretize import assemble, build_mesh, norms
 from degenlab.errors import ParameterError
-from degenlab.geometry import make_domain, truncate
+from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
+from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum, expand, rayleigh, reconstruct
 
@@ -166,3 +167,15 @@ def test_spectrum_builds_no_full_node_operator(kind):
     ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
     compute_spectrum(ops, 3)
     assert not {"K_full", "M_full", "lumped_full"} & set(vars(ops))
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_flux_builds_no_full_node_operator(kind):
+    # the flux rows of a horizontal part come from the 1D factors
+    ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
+    spec = compute_spectrum(ops, 3)
+    spec.mode_flux(BoundaryPart.OBSERVED)
+    grid = TimeGrid(1.0, 8)
+    values = np.outer(np.exp(-grid.nodes), spec.mode(1))
+    flux_history(SpaceTimeField(ops.mesh, grid, values), ops, BoundaryPart.OBSERVED)
+    assert not {"K_full", "M_full"} & set(vars(ops))
