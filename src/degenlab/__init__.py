@@ -15,8 +15,9 @@ from .discretize import (
     poincare_check,
     restrict_mesh,
     stiffness_1d,
+    tensor_form,
 )
-from .spectral import Spectrum, compute_spectrum, expand, rayleigh, reconstruct
+from .spectral import Spectrum, compute_spectrum, expand, reconstruct
 from .evolution import (
     SpaceTimeField,
     TimeGrid,

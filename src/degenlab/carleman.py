@@ -58,7 +58,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .discretize import OperatorPair, edge_mass
+from .discretize import OperatorPair, _tensor_stiffness, edge_mass
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
 from .geometry import BoundaryPart, TruncatedDomain
@@ -544,7 +544,7 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
     zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
     zmid = z[1:-1]
     dz_dn = mesh.grad_n(zmid)
-    div_adz = -(ops.K_full @ zmid.T).T / ops.lumped_full[None, :]
+    div_adz = -(_tensor_stiffness(ops.x1, ops.xn) @ zmid.T).T / ops.lumped_full[None, :]
     xn = mesh.xn
     theta = w.theta(t)[:, None]
     theta_dt = w.theta_dt(t)[:, None]

@@ -29,7 +29,7 @@ import yaml
 
 from . import carleman as carle
 from . import observability as obs
-from .discretize import assemble, build_mesh, hardy_check, poincare_check
+from .discretize import assemble, build_mesh, hardy_check, poincare_check, tensor_form
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
@@ -310,8 +310,7 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     # theta rows are folded as they come: no nodal field of either solver is held
     e2_i, gap2 = np.empty((2, cfg.steps + 1))
     for j, row in enumerate(theta_rows(ops, y0, None, grid, theta=1.0)):
-        diff = fs.rows(j) - row
-        e2_i[j], gap2[j] = row @ (ops.M_full @ row), diff @ (ops.M_full @ diff)
+        e2_i[j], gap2[j] = tensor_form(np.stack([row, fs.rows(j) - row]), ops.x1[1], ops.xn[1])
     e_i = np.sqrt(np.maximum(e2_i, 0.0))
     mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0]
                                    - np.exp(-spec.eigenvalues[0] * cfg.T))))

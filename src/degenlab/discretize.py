@@ -155,9 +155,6 @@ class Mesh:
         if len(self.shape) == 2:
             self.part_nodes[BoundaryPart.LATERAL] = ids[[0, -1], 1:-1].ravel()
 
-    def zero_field(self):
-        return np.zeros(self.n_nodes)
-
     def grad_n(self, values):
         """Nodal derivative along the degenerate axis (3-point stencils) of
         an array whose last axis runs over the nodes."""
@@ -218,15 +215,15 @@ class OperatorPair:
     """Weighted stiffness and mass matrices on a mesh.
 
     Both are tensor products of the 1D (stiffness, mass) pairs kept on the
-    instance: ``xn`` on the degenerate axis and ``x1`` on the x_1 axis,
-    K_full = kx (x) mn + mx (x) kn and M_full = mx (x) mn.  The interval
-    is the case of a single x_1 node of unit mass and no stiffness.
-    K_full / M_full act on all nodes (no boundary conditions); K / M are
-    the interior blocks after eliminating the homogeneous Dirichlet rows
-    and columns on the whole boundary, built as the same products of the
-    interior blocks of the 1D pairs.  Only the 1D
-    pairs are built here: every other operator is built on first read, so
-    an eigensolve holds the interior pair and its factorization alone.
+    instance: ``xn`` on the degenerate axis and ``x1`` on the x_1 axis, the
+    full-node stiffness kx (x) mn + mx (x) kn and M_full = mx (x) mn, and
+    :func:`tensor_form` takes their quadratic forms from the factors.  The
+    interval is the case of a single x_1 node of unit mass and no stiffness.
+    K / M are the interior blocks after eliminating the homogeneous
+    Dirichlet rows and columns on the whole boundary, built as the same
+    products of the interior blocks of the 1D pairs.  Only the 1D pairs are
+    built here: every other operator is built on first read, so an
+    eigensolve holds the interior pair and its factorization alone.
     """
 
     def __init__(self, mesh: Mesh):
@@ -239,14 +236,14 @@ class OperatorPair:
         self.interior = mesh.interior
         self._flux_rows = {}  # boundary part -> _flux_rows(self, part)
 
-    # copied: a sparse sum keeps arrays sized for both operands' entries
-    K_full = cached_property(lambda self: _tensor_stiffness(self.x1, self.xn).copy())
     M_full = cached_property(lambda self: sp.kron(self.x1[1], self.xn[1], format="csr"))
     # the row sums of M_full itself: a product of 1D row sums rounds differently
     lumped_full = cached_property(lambda self: np.asarray(self.M_full.sum(axis=1)).ravel())
     K = cached_property(lambda self: _tensor_stiffness(*self.interior_1d).tocsc())
     M = cached_property(lambda self: sp.kron(self.interior_1d[0][1], self.interior_1d[1][1],
                                              format="csr").tocsc())
+    # the x_N factor of the Hardy form  int x_N**(alpha-2) u v
+    hardy_xn = cached_property(lambda self: mass_1d(self.mesh.axes[-1], self.alpha - 2.0))
 
     @cached_property
     def interior_1d(self):
@@ -264,15 +261,32 @@ class OperatorPair:
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
 
-    @cached_property
-    def hardy_mass(self):
-        """Full-node matrix of  int x_N**(alpha-2) u v."""
-        return sp.kron(self.x1[1], mass_1d(self.mesh.axes[-1], self.alpha - 2.0), format="csr")
 
-    @cached_property
-    def xn_energy(self):
-        """Full-node matrix of  int x_N**alpha (d_N u)(d_N v), the x_N part of K_full."""
-        return sp.kron(self.x1[1], self.xn[0], format="csr")
+def tensor_form(values, a1, an=None):
+    """v'(a1 (x) an)v for every leading row v of ``values``, from the
+    symmetric 1D factors a1 on the x_1 axis and an on the x_N axis of the
+    C-order tensor grid.  With ``an`` None the form is v' a1 v, for fields
+    on the x_1 axis alone such as fluxes on a horizontal edge.
+
+    Each row, as an (n_1, n_N) array V, gives the sum of the entries of
+    (a1 V) * (V an): only the 1D factors are applied, and rows go through
+    in blocks of about 2**16 values, so no temporary is larger than one
+    block.  A single vector gives a float.
+    """
+    values = np.asarray(values, dtype=float)
+    n1 = a1.shape[0]
+    nn = values.shape[-1] // n1
+    rows = values.reshape(-1, n1, nn)
+    step = max(1, 2**16 // values.shape[-1])
+    out = np.empty(len(rows))
+    for lo in range(0, len(rows), step):
+        v = rows[lo:lo + step]
+        b = len(v)
+        left = (a1 @ v.transpose(1, 0, 2).reshape(n1, -1)).reshape(n1, b, nn)
+        by_xn = v.reshape(-1, nn).T
+        right = (by_xn if an is None else an @ by_xn).reshape(nn, b, n1)  # (V an)'
+        out[lo:lo + b] = np.einsum("ibj,jbi->b", left, right)
+    return out if values.ndim > 1 else float(out[0])
 
 
 def assemble(mesh: Mesh) -> OperatorPair:
@@ -303,9 +317,10 @@ def norms(ops: OperatorPair, u):
         hardy_lhs : int x_N**(alpha-2) u**2 dx, exact for the interpolant.
     """
     u = _check_admissible(ops.mesh, u)
-    l2sq = float(u @ (ops.M_full @ u))
-    h1sq = float(u @ (ops.K_full @ u))
-    hardy = float(u @ (ops.hardy_mass @ u))
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
+    l2sq = tensor_form(u, mx, mn)
+    h1sq = tensor_form(u, kx, mn) + tensor_form(u, mx, kn)
+    hardy = tensor_form(u, mx, ops.hardy_xn)
     return {
         "l2": np.sqrt(max(l2sq, 0.0)),
         "h1w": np.sqrt(max(h1sq, 0.0)),
@@ -326,23 +341,25 @@ def hardy_check(ops: OperatorPair, u):
     a relative slack of 2% over the bound.
     """
     u = _check_admissible(ops.mesh, u)
-    denom = float(u @ (ops.xn_energy @ u))
+    mx = ops.x1[1]
+    denom = tensor_form(u, mx, ops.xn[0])
     if denom == 0.0:
         raise ParameterError("Hardy ratio undefined for u = 0")
-    lhs = float(u @ (ops.hardy_mass @ u))
+    lhs = tensor_form(u, mx, ops.hardy_xn)
     bound = 4.0 / (1.0 - ops.alpha) ** 2
     ratio = lhs / denom
     return {"ratio": ratio, "bound": bound, "holds": ratio <= bound * (1.0 + _HARDY_TOL)}
 
 
 def poincare_check(ops: OperatorPair, u):
-    """l2**2 / h1w**2; its supremum over admissible u is 1/lambda_1."""
+    """l2**2 / h1w**2, the inverse of the Rayleigh quotient u'Ku / u'Mu; its
+    supremum over admissible u is 1/lambda_1."""
     u = _check_admissible(ops.mesh, u)
-    h1sq = float(u @ (ops.K_full @ u))
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
+    h1sq = tensor_form(u, kx, mn) + tensor_form(u, mx, kn)
     if h1sq == 0.0:
         raise ParameterError("Poincare ratio undefined for u = 0")
-    l2sq = float(u @ (ops.M_full @ u))
-    return {"ratio": l2sq / h1sq}
+    return {"ratio": tensor_form(u, mx, mn) / h1sq}
 
 
 def part_node_ids(mesh: Mesh, part: BoundaryPart):
@@ -370,10 +387,10 @@ def edge_mass(ops: OperatorPair, part: BoundaryPart):
 
 
 def _flux_rows(ops: OperatorPair, part: BoundaryPart):
-    """(stencil node ids, the part's rows of K_full and of M_full on those
-    columns), built once per part and kept on the operator pair.  The part
-    is one x_N layer, and the rows of a product A (x) B on the layer are
-    A (x) B[layer], so they come from the 1D factors alone."""
+    """(stencil node ids, the part's rows of the full-node stiffness and of
+    M_full on those columns), built once per part and kept on the operator
+    pair.  The part is one x_N layer, and the rows of a product A (x) B on
+    the layer are A (x) B[layer], so they come from the 1D factors alone."""
     if part not in ops._flux_rows:
         edge_mass(ops, part)  # rejects the parts without a flux
         layer = 0 if part is BoundaryPart.CUT else -1
@@ -388,8 +405,9 @@ def _flux_rows(ops: OperatorPair, part: BoundaryPart):
 
 def flux_stencil(ops: OperatorPair, part: BoundaryPart):
     """Ids of the nodes whose values enter the flux on a horizontal part:
-    the columns that the part's rows of K_full and M_full touch, which are
-    the part and its neighbouring x_N layer.  Sorted ascending, read-only."""
+    the columns that the part's rows of the full-node stiffness and M_full
+    touch, which are the part and its neighbouring x_N layer.  Sorted
+    ascending, read-only."""
     return _flux_rows(ops, part)[0]
 
 
@@ -397,16 +415,16 @@ def boundary_flux(ops: OperatorPair, u, part: BoundaryPart, f_proxy=None):
     """Outward normal derivative of u on a horizontal boundary part, by
     variational recovery.
 
-    The residual functional r(b) = (K_full u - M_full f_proxy)(b), for
-    ``u`` solving the weighted equation with load ``f_proxy``, equals the
-    boundary integral of the conormal derivative against the hat function
-    of node b; nodal values follow after dividing by the lumped edge mass.
-    On horizontal parts away from the degeneracy the conormal and normal
-    derivatives coincide.  Only the rows of the part enter the residual,
-    and they touch only the nodes ``flux_stencil(ops, part)``: ``u`` and
-    ``f_proxy`` hold the values at those nodes, in that order.  They may
-    also be (n_stencil, m) blocks, one field per column; the result is
-    then (n_part, m).
+    The residual functional r(b) = (K u - M f_proxy)(b) of the full-node
+    stiffness K and mass M, for ``u`` solving the weighted equation with
+    load ``f_proxy``, equals the boundary integral of the conormal
+    derivative against the hat function of node b; nodal values follow
+    after dividing by the lumped edge mass.  On horizontal parts away from
+    the degeneracy the conormal and normal derivatives coincide.  Only the
+    rows of the part enter the residual, and they touch only the nodes
+    ``flux_stencil(ops, part)``: ``u`` and ``f_proxy`` hold the values at
+    those nodes, in that order.  They may also be (n_stencil, m) blocks,
+    one field per column; the result is then (n_part, m).
     """
     cols, k_rows, m_rows = _flux_rows(ops, part)
     lump = np.asarray(edge_mass(ops, part).sum(axis=1)).ravel()

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, edge_mass, flux_stencil
+from .discretize import OperatorPair, boundary_flux, edge_mass, flux_stencil, tensor_form
 from .errors import ContractError, ParameterError
 from .spectral import Spectrum, expand
 
@@ -101,10 +101,6 @@ class SpaceTimeField:
             return self._values[:, cols]
         spectrum, coeffs = self._mode_data
         return coeffs @ spectrum.modes[cols].T
-
-    @property
-    def y0(self):
-        return self.values[0]
 
     def source_values(self):
         """Source as a (steps+1, n_nodes) array, or None when absent."""
@@ -229,22 +225,9 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
     return SpaceTimeField(ops.mesh, grid, values, source=f)
 
 
-def form_per_time(A, values):
-    """v' A v for every row v of a (steps+1, n) block, by blocks of >= 16 rows (one
-    block below 32): each row sums as in one einsum over the whole block, with no
-    transposed copy of the block."""
-    return np.concatenate([np.einsum("tn,tn->t", v, (A @ v.T).T)
-                           for v in np.array_split(values, max(1, len(values) // 16))])
-
-
 def time_norm(per_time, t):
     """sqrt of the trapezoid time integral of a per-time form."""
     return float(np.sqrt(max(np.trapezoid(per_time, t), 0.0)))
-
-
-def space_time_norm(A, values, t):
-    """sqrt of the trapezoid time integral of v(t)' A v(t)."""
-    return time_norm(form_per_time(A, values), t)
 
 
 def energy_history(field: SpaceTimeField, ops: OperatorPair):
@@ -255,7 +238,7 @@ def energy_history(field: SpaceTimeField, ops: OperatorPair):
         spectrum, coeffs = field._mode_data
         per_time = np.einsum("tk,tk->t", coeffs, coeffs @ spectrum.mass_gram)
     else:
-        per_time = form_per_time(ops.M_full, field.values)
+        per_time = tensor_form(field.values, ops.x1[1], ops.xn[1])
     return np.sqrt(np.maximum(per_time, 0.0))
 
 
@@ -288,7 +271,7 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
         if field.source is not None:
             proxy += field.source_values()[:, cols]
         flux = boundary_flux(ops, values.T, part, f_proxy=proxy.T).T
-    per_time = form_per_time(edge_mass(ops, part), flux)
+    per_time = tensor_form(flux, edge_mass(ops, part))
     integral = float(np.trapezoid(per_time, grid.nodes))
     return flux, integral
 
@@ -316,9 +299,11 @@ def stability_ratio(field: SpaceTimeField, ops: OperatorPair) -> float:
         [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / [ ||f||_{L2(Q)} + ||y0||_L2 ].
     """
     t = field.grid.nodes
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
     l2 = energy_history(field, ops)
-    h1_qt = space_time_norm(ops.K_full, field.values, t)
-    f_qt = 0.0 if field.source is None else space_time_norm(ops.M_full, field.source_values(), t)
+    h1_qt = time_norm(tensor_form(field.values, kx, mn) + tensor_form(field.values, mx, kn), t)
+    f_qt = 0.0 if field.source is None else time_norm(
+        tensor_form(field.source_values(), mx, mn), t)
     denom = f_qt + l2[0]
     if denom == 0.0:
         raise ParameterError("stability ratio undefined for zero data")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import OperatorPair, edge_mass
+from .discretize import OperatorPair, edge_mass, tensor_form
 from .errors import ConventionError, DegenerateObservationError, ParameterError
 from .evolution import SpaceTimeField, TimeGrid, energy_history
 from .geometry import BoundaryPart
@@ -43,7 +43,7 @@ def observability_ratio(y0, grid: TimeGrid, ops: OperatorPair,
     coefficients.  Scale-invariant in y0.
     """
     y0 = np.asarray(y0, dtype=float)
-    nsq = float(y0 @ (ops.M_full @ y0))
+    nsq = tensor_form(y0, ops.x1[1], ops.xn[1])
     if nsq == 0.0:
         raise ParameterError("observability ratio undefined for y0 = 0")
     coeffs = expand(spectrum, y0)

@@ -16,10 +16,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .discretize import (Mesh, OperatorPair, assemble, build_mesh, edge_mass,
-                         physical_memory_mib, restrict_mesh)
+                         physical_memory_mib, restrict_mesh, tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
-                        space_time_norm, stability_ratio, time_norm)
+                        stability_ratio, time_norm)
 from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
@@ -73,8 +73,8 @@ def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
     u_tr = np.asarray(u_tr, dtype=float)
     u_ext = extend_vector(u_tr, tr_ops.mesh, full_ops.mesh)
     return {
-        "l2_truncated": float(np.sqrt(u_tr @ (tr_ops.M_full @ u_tr))),
-        "l2_extended": float(np.sqrt(u_ext @ (full_ops.M_full @ u_ext))),
+        "l2_truncated": float(np.sqrt(tensor_form(u_tr, tr_ops.x1[1], tr_ops.xn[1]))),
+        "l2_extended": float(np.sqrt(tensor_form(u_ext, full_ops.x1[1], full_ops.xn[1]))),
         "lumped_truncated": float(np.sqrt(np.sum(tr_ops.lumped_full * u_tr**2))),
         "lumped_extended": float(np.sqrt(np.sum(full_ops.lumped_full * u_ext**2))),
     }
@@ -212,7 +212,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
         """v'Mv at every time of v = op @ field(t) - reference(t), one time
         row at a time, so no full-size difference is ever held."""
         diffs = (op @ row - ref_row for row, ref_row in zip(field.values, ref_field.values))
-        return np.array([v @ (ref_ops.M_full @ v) for v in diffs])
+        return np.array([tensor_form(v, ref_ops.x1[1], ref_ops.xn[1]) for v in diffs])
 
     # self-convergence of the reference: full solve at sweep resolution
     self_err = time_norm(error_per_time(prolong, full_solve(coarse_mesh)[0]), tnodes)
@@ -230,7 +230,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
         if domain.dimension == 2:  # from the coarse x_1 nodes to the reference's
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                 for row in tr_flux])
-        flux_errors.append(space_time_norm(edge, tr_flux - ref_flux, tnodes))
+        flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, edge), tnodes))
 
     rates = tuple(
         float(np.log(sol_errors[i] / sol_errors[i + 1])

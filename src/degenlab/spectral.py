@@ -116,15 +116,6 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     return Spectrum(ops, vals, vecs)
 
 
-def rayleigh(ops: OperatorPair, u) -> float:
-    """u'Ku / u'Mu for an admissible nodal vector; always >= lambda_1."""
-    u = np.asarray(u, dtype=float)
-    msq = float(u @ (ops.M_full @ u))
-    if msq == 0.0:
-        raise ParameterError("Rayleigh quotient undefined for u = 0")
-    return float(u @ (ops.K_full @ u)) / msq
-
-
 def expand(spectrum: Spectrum, u):
     """L2 coefficients of u against the computed modes: c_i = phi_i' M u."""
     u = np.asarray(u, dtype=float)

@@ -10,7 +10,9 @@ interior operator, the reference for the x_1-diagonalised solver; and the
 delta sweep over whole (steps+1, n_nodes) fields, the reference for the
 streamed sweep; and the interior rows and columns sliced out of the
 full-node operators, the reference for the interior operators built
-from the 1D factors.  The boundary parts classified by node
+from the 1D factors.  The full-node operators are Kronecker products of
+the 1D factors, built whole; their quadratic forms are the reference for
+the forms applied factor by factor.  The boundary parts classified by node
 coordinates, and the slab's node ids found by a meshgrid of its axis
 offsets, are the references for the parts and the extension map read
 off the node index array.  The one-sided finite-difference normal derivative
@@ -31,6 +33,7 @@ zero of J_nu.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.special import logsumexp
@@ -245,11 +248,26 @@ def carleman_budget_linear(field, ops, w, which):
     return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
 
 
+def full_stiffness(ops):
+    """The full-node stiffness kx (x) mn + mx (x) kn of the 1D pairs, CSR."""
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
+    return sp.kron(kx, mn, format="csr") + sp.kron(mx, kn, format="csr")
+
+
+def kron_form(values, a1, an=None):
+    """v'Av for every leading row v of values, with A = a1 (x) an built
+    whole by a sparse Kronecker product (A = a1 when an is None)."""
+    A = sp.csr_matrix(a1) if an is None else sp.kron(a1, an, format="csr")
+    v = np.atleast_2d(values)
+    out = np.einsum("tn,tn->t", v, (A @ v.T).T)
+    return out if np.ndim(values) > 1 else float(out[0])
+
+
 def interior_blocks(ops):
-    """(K, M): the interior rows and columns of ops.K_full and ops.M_full,
-    sliced out of the full-node operators, in CSC."""
+    """(K, M): the interior rows and columns of the full-node stiffness and
+    of ops.M_full, sliced out of the full-node operators, in CSC."""
     ii = ops.interior
-    return tuple(A[ii][:, ii].tocsc() for A in (ops.K_full, ops.M_full))
+    return tuple(A[ii][:, ii].tocsc() for A in (full_stiffness(ops), ops.M_full))
 
 
 def classify_by_coordinates(mesh):
@@ -355,8 +373,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     Returns the solution, final-time and flux errors per delta and the
     reference's self-convergence error."""
     from degenlab.discretize import assemble, build_mesh, edge_mass
-    from degenlab.evolution import (flux_history, form_per_time, solve_implicit,
-                                    space_time_norm, time_norm)
+    from degenlab.evolution import flux_history, solve_implicit, time_norm
     from degenlab.geometry import BoundaryPart
     from degenlab.shape_design import extension_map, prolongation, solve_truncated
 
@@ -379,7 +396,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     prolong = prolongation(coarse_mesh, ref_mesh)
 
     def error_per_time(op, values):
-        return form_per_time(ref_ops.M_full, (op @ values.T).T - ref_field.values)
+        return kron_form((op @ values.T).T - ref_field.values, ref_ops.x1[1], ref_ops.xn[1])
 
     out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
            "solution_errors": [], "final_time_errors": [], "flux_errors": []}
@@ -393,5 +410,5 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
         if domain.dimension == 2:
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                 for row in tr_flux])
-        out["flux_errors"].append(space_time_norm(edge, tr_flux - ref_flux, t))
+        out["flux_errors"].append(time_norm(kron_form(tr_flux - ref_flux, edge), t))
     return out

@@ -11,6 +11,7 @@ import yaml
 import degenlab
 from degenlab import cli
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main, run
+from degenlab.discretize import OperatorPair
 from degenlab.errors import ContractError, EigensolverError, PreconditionError
 
 
@@ -418,3 +419,25 @@ def test_evolve_holds_no_nodal_field():
         tracemalloc.stop()
     assert all(outcome.checks.values())
     assert peak < (cfg.steps + 1) * ops.mesh.n_nodes * 8
+
+
+@pytest.mark.parametrize("domain", ["interval", "square"])
+@pytest.mark.parametrize("experiment", ["hardy", "delta-sweep"])
+def test_forms_build_no_full_node_operator(tmp_path, monkeypatch, experiment, domain):
+    # the Hardy, Poincare and sweep-error forms apply the 1D factors, so
+    # neither experiment builds M_full, the last full-node operator
+    built = []
+    getter = OperatorPair.M_full.func
+    monkeypatch.setattr(OperatorPair, "M_full",
+                        property(lambda ops: built.append(ops.mesh.shape) or getter(ops)))
+    cfg = write_config(tmp_path, f"""
+experiment: {experiment}
+domain: {domain}
+n: 40
+steps: 16
+modes: 3
+samples: 5
+deltas: [0.2, 0.1, 0.05]
+""")
+    assert main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+    assert built == []

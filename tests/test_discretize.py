@@ -17,13 +17,15 @@ from degenlab.discretize import (
     poincare_check,
     restrict_mesh,
     stiffness_1d,
+    tensor_form,
 )
 from degenlab.errors import ContractError, ParameterError, UnsupportedRegionError
 from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import degenerate_eigenfunction, fd_flux, hardy_ratio_quartic, interior_blocks
+from oracles import (degenerate_eigenfunction, fd_flux, full_stiffness, hardy_ratio_quartic,
+                     interior_blocks, kron_form)
 
 # frozen from the quadrature oracle (= 16/105 / (22/105))
 HARDY_QUARTIC_RATIO = 0.7272727272727273
@@ -135,11 +137,34 @@ def test_interior_operators_are_interior_blocks(kind, n, alpha, grading, delta):
             assert np.array_equal(getattr(built, attr), getattr(sliced, attr))
 
 
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 32),
+       grading=st.floats(1.0, 4.0), delta=st.one_of(st.none(), st.floats(0.01, 0.24)),
+       form=st.sampled_from(["mass", "stiffness", "xn_energy", "hardy", "edge_mass"]),
+       rows=st.one_of(st.none(), st.integers(1, 200)), seed=st.integers(0, 2**32 - 1))
+def test_tensor_form_matches_kron_oracle(kind, n, grading, delta, form, rows, seed):
+    # delta None: the full domain on a graded mesh; else its slab above delta.
+    # rows None: a single vector, else a block of rows
+    d = make_domain(kind, 0.5)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
+    ops = assemble(mesh)
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
+    edge = edge_mass(ops, BoundaryPart.OBSERVED)
+    terms = {"mass": [(mx, mn)], "stiffness": [(kx, mn), (mx, kn)], "xn_energy": [(mx, kn)],
+             "hardy": [(mx, ops.hardy_xn)], "edge_mass": [(edge,)]}
+    size = mx.shape[0] if form == "edge_mass" else mesh.n_nodes
+    v = np.random.default_rng(seed).standard_normal(size if rows is None else (rows, size))
+    got = sum(tensor_form(v, *term) for term in terms[form])
+    want = sum(kron_form(v, *term) for term in terms[form])
+    assert np.shape(got) == np.shape(want) == (() if rows is None else (rows,))
+    assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.abs(want))
+
+
 def test_norms_contract():
     d = make_domain("interval", 0.5)
     mesh = build_mesh(d, 32)
     ops = assemble(mesh)
-    res = norms(ops, mesh.zero_field())
+    res = norms(ops, np.zeros(mesh.n_nodes))
     assert res["l2"] == 0.0 and res["h1w"] == 0.0 and res["hardy_lhs"] == 0.0
     bad = np.ones(mesh.n_nodes)
     with pytest.raises(ContractError):
@@ -208,7 +233,7 @@ def test_hardy_zero_vector_error():
     mesh = build_mesh(d, 32)
     ops = assemble(mesh)
     with pytest.raises(ParameterError):
-        hardy_check(ops, mesh.zero_field())
+        hardy_check(ops, np.zeros(mesh.n_nodes))
 
 
 def test_poincare_sharpness():
@@ -233,7 +258,7 @@ def test_flux_linear_field():
     nodes = flux_stencil(ops, BoundaryPart.OBSERVED)
     flux = boundary_flux(ops, u[nodes], BoundaryPart.OBSERVED)
     assert flux[0] == pytest.approx(1.0, abs=3.0 / 512)
-    assert boundary_flux(ops, mesh.zero_field()[nodes], BoundaryPart.OBSERVED)[0] == 0.0
+    assert boundary_flux(ops, np.zeros(nodes.size), BoundaryPart.OBSERVED)[0] == 0.0
     with pytest.raises(ContractError, match="flux stencil"):
         boundary_flux(ops, u, BoundaryPart.OBSERVED)  # every node, not the stencil
 
@@ -242,7 +267,7 @@ def test_flux_unsupported_parts():
     d = make_domain("square", 0.5)
     mesh = build_mesh(d, 8)
     ops = assemble(mesh)
-    u = mesh.zero_field()
+    u = np.zeros(mesh.n_nodes)
     for part in (BoundaryPart.DEGENERATE, BoundaryPart.LATERAL):
         with pytest.raises(UnsupportedRegionError):
             boundary_flux(ops, u, part)
@@ -275,7 +300,7 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
         ids = part_node_ids(mesh, part)
         assert nodes.size == 2 * ids.size
         lump = np.asarray(edge_mass(ops, part).sum(axis=1))
-        full_rows = (ops.K_full[ids] @ u - ops.M_full[ids] @ f) / lump
+        full_rows = (full_stiffness(ops)[ids] @ u - ops.M_full[ids] @ f) / lump
         assert np.array_equal(boundary_flux(ops, u[nodes], part, f_proxy=f[nodes]), full_rows)
         for proxy in (None, f[nodes]):
             block = boundary_flux(ops, u[nodes], part, f_proxy=proxy)

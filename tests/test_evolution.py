@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from degenlab.carleman import CarlemanWeights, check_inequality
-from degenlab.discretize import assemble, build_mesh, edge_mass
+from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import (
     SpaceTimeField,
     TimeGrid,
     energy_history,
     flux_history,
-    form_per_time,
     solve_implicit,
     solve_spectral,
     stability_ratio,
@@ -53,7 +52,6 @@ def test_spectral_mode_decay_exact(setup):
     field = solve_spectral(spec, spec.mode(1), None, grid)
     exact = np.exp(-lam1 * grid.nodes)[:, None] * spec.mode(1)[None, :]
     assert np.max(np.abs(field.values - exact)) <= 1e-10
-    assert np.array_equal(field.values[0], field.y0)
 
 
 def test_spectral_constant_load(setup):
@@ -248,20 +246,6 @@ def test_field_shape_contract(setup):
                        source=np.zeros(3))
     with pytest.raises(ContractError):
         f.source_values()
-
-
-@settings(max_examples=60, deadline=None)
-@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 24),
-       form=st.sampled_from(["M_full", "K_full", "edge_mass"]),
-       rows=st.integers(1, 200), seed=st.integers(0, 2**32 - 1))
-def test_form_per_time_matches_one_shot_einsum(kind, n, form, rows, seed):
-    mesh = build_mesh(make_domain(kind, 0.5), n)
-    ops = assemble(mesh)
-    A = (edge_mass(ops, BoundaryPart.OBSERVED) if form == "edge_mass"
-         else getattr(ops, form))
-    v = np.random.default_rng(seed).standard_normal((rows, A.shape[0]))
-    one_shot = np.einsum("tn,tn->t", v, (A @ v.T).T)
-    assert np.array_equal(form_per_time(A, v), one_shot)
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 64), ("square", 12)])

