@@ -7,7 +7,6 @@ from .discretize import (
     assemble,
     boundary_flux,
     build_mesh,
-    edge_mass,
     flux_stencil,
     hardy_check,
     mass_1d,

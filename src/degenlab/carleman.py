@@ -17,6 +17,10 @@ boundary term.  Every budget integral is accumulated in log space
 exp(-2 s xi) already underflows double precision, while ratios of the
 integrals stay perfectly representable.
 
+The family is the field's own: alpha is the exponent of its domain and T
+the horizon of its time grid (``CarlemanWeights.of``), so s is the only
+Carleman parameter of every entry point.
+
 The weights depend on (t, x_N) only, so each field is reduced over x_1
 once, to the moments sum w y**2, sum w y d_N y and sum w (d_N y)**2 (and
 sum w f**2, and the squared flux on the observed edge) at every (t, x_N)
@@ -53,20 +57,21 @@ entry the sum keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
 
-from .discretize import OperatorPair, _tensor_stiffness, edge_mass
+from .discretize import OperatorPair, _tensor_stiffness
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
-from .geometry import BoundaryPart, TruncatedDomain
+from .geometry import TruncatedDomain
 
 
 @dataclass(frozen=True)
 class CarlemanWeights:
-    """Weight family for a fixed exponent, horizon and parameter s.
+    """Weight family of a fixed exponent alpha and horizon T: its formulas
+    as functions of t and of x_N.
 
     gamma = sup_Omega x_N**(2-alpha) + 1 = 2 on the unit geometries, so
     gamma - eta >= 1 and xi > 0 on (0, T) x Omega.
@@ -74,7 +79,6 @@ class CarlemanWeights:
 
     alpha: float
     T: float
-    s: float
     gamma: ClassVar[float] = 2.0
 
     def __post_init__(self):
@@ -82,40 +86,43 @@ class CarlemanWeights:
             raise ParameterError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.T <= 0.0:
             raise ParameterError(f"horizon must be positive, got {self.T}")
-        if self.s <= 0.0:
-            raise ParameterError(f"s must be positive, got {self.s}")
+
+    @classmethod
+    def of(cls, field: SpaceTimeField):
+        """The family of the field's exponent and time horizon."""
+        return cls(field.mesh.domain.alpha, field.grid.T)
+
+    def log_theta(self, t):
+        """log Theta(t) = -4 (log t + log(T - t)); +inf at t in {0, T}."""
+        with np.errstate(divide="ignore"):
+            return -4.0 * (np.log(t) + np.log(self.T - t))
 
     def theta(self, t):
-        t = np.asarray(t, dtype=float)
-        u = t * (self.T - t)
-        with np.errstate(divide="ignore"):
-            return np.where(u > 0.0, 1.0 / u**4, np.inf)
+        """Theta(t) = 1 / [t (T - t)]**4, with the limit +inf at t in {0, T}."""
+        with np.errstate(over="ignore"):
+            return np.exp(self.log_theta(t))
 
     def theta_dt(self, t):
-        t = np.asarray(t, dtype=float)
         u = t * (self.T - t)
         return -4.0 * (self.T - 2.0 * t) / u**5
 
     def theta_dtt(self, t):
-        t = np.asarray(t, dtype=float)
         u = t * (self.T - t)
         return 8.0 / u**5 + 20.0 * (self.T - 2.0 * t) ** 2 / u**6
 
-    def eta(self, points):
-        pts = np.atleast_2d(points)
-        return pts[:, -1] ** (2.0 - self.alpha)
+    def gamma_minus_eta(self, xn):
+        """gamma - eta(x_N), so that xi = Theta(t) (gamma - eta)."""
+        return self.gamma - xn ** (2.0 - self.alpha)
 
-    def xi(self, t, points):
-        return np.multiply.outer(self.theta(t), self.gamma - self.eta(points))
+    def eta_slope(self, xn, factor=1.0):
+        """d eta / d x_N = (2 - alpha) x_N**(1 - alpha), times ``factor``
+        (multiplied in that order): -d_N xi is the slope times Theta."""
+        return (2.0 - self.alpha) * factor * xn ** (1.0 - self.alpha)
 
-    def xi_dt(self, t, points):
-        return np.multiply.outer(self.theta_dt(t), self.gamma - self.eta(points))
 
-    def grad_xi_n(self, t, points):
-        """e_N component of grad xi (the other components vanish)."""
-        pts = np.atleast_2d(points)
-        return np.multiply.outer(self.theta(t),
-                                 -(2.0 - self.alpha) * pts[:, -1] ** (1.0 - self.alpha))
+def _check_s(s):
+    if not s > 0.0:
+        raise ParameterError(f"s must be positive, got {s}")
 
 
 def eval_weights(w: CarlemanWeights, t, points):
@@ -124,18 +131,18 @@ def eval_weights(w: CarlemanWeights, t, points):
     t = float(t)
     if not (0.0 <= t <= w.T):
         raise ParameterError(f"t={t} outside [0, {w.T}]")
+    xn = np.atleast_2d(points)[:, -1]
     theta = float(w.theta(t))
     if not math.isfinite(theta):
-        pts = np.atleast_2d(points)
-        inf = np.full(pts.shape[0], np.inf)
-        grad = np.where(pts[:, -1] > 0.0, -np.inf, 0.0)
+        inf = np.full(xn.size, np.inf)
+        grad = np.where(xn > 0.0, -np.inf, 0.0)
         return {"theta": np.inf, "xi": inf, "grad_xi": grad, "xi_t": inf}
-    tarr = np.array([t])
+    gme = w.gamma_minus_eta(xn)
     return {
         "theta": theta,
-        "xi": w.xi(tarr, points)[0],
-        "grad_xi": w.grad_xi_n(tarr, points)[0],
-        "xi_t": w.xi_dt(tarr, points)[0],
+        "xi": theta * gme,
+        "grad_xi": -w.eta_slope(xn, theta),
+        "xi_t": float(w.theta_dt(t)) * gme,
     }
 
 
@@ -145,37 +152,30 @@ def _require_truncated(field: SpaceTimeField):
                             "parabolic) domain")
 
 
-def transform(field: SpaceTimeField, w: CarlemanWeights) -> SpaceTimeField:
-    """z = exp(-s xi) y, with z = 0 at t = 0 and t = T by the limit
-    convention.  For large s the interior factor underflows to zero in
-    linear arithmetic; budget computations therefore work in log space
-    and never materialize z."""
+def transform(field: SpaceTimeField, s: float) -> SpaceTimeField:
+    """z = exp(-s xi) y with the field's own weight, and z = 0 at t = 0 and
+    t = T by the limit convention.  For large s the interior factor
+    underflows to zero in linear arithmetic; budget computations therefore
+    work in log space and never materialize z."""
     _require_truncated(field)
-    if abs(field.grid.T - w.T) > 1e-12:
-        raise ContractError("weight horizon does not match the field grid")
-    t = field.grid.nodes
+    _check_s(s)
+    w = CarlemanWeights.of(field)
+    xi = w.theta(field.grid.nodes[1:-1])[:, None] * w.gamma_minus_eta(field.mesh.xn)[None, :]
     z = np.zeros_like(field.values)
-    xi = w.xi(t[1:-1], field.mesh.points)
-    z[1:-1] = np.exp(-w.s * xi) * field.values[1:-1]
+    z[1:-1] = np.exp(-s * xi) * field.values[1:-1]
     return SpaceTimeField(field.mesh, field.grid, z, direction=field.direction)
 
 
 @dataclass
 class CarlemanBudget:
-    """One evaluation of an inequality budget at a fixed parameter s.
-
-    Linear-scale values may underflow to zero for large s; the log
-    fields are always meaningful and all comparisons use them.
-    """
+    """One evaluation of an inequality budget at a fixed parameter s, as the
+    logs of its integrals: the integrals themselves underflow for moderate s."""
 
     s: float
     which: str
-    rhs_source: float
-    rhs_boundary: float
     log_lhs: float
     log_rhs_source: float
     log_rhs_boundary: float
-    needed_c: float
     log_needed_c: float
     c_boundary: float
     holds: bool
@@ -304,7 +304,8 @@ class FieldData:
         mesh = field.mesh
         grid = field.grid
         t = grid.nodes[1:-1]
-        self.log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
+        self.weights = CarlemanWeights.of(field)
+        self.log_theta = self.weights.log_theta(t)
         self.log_dt = np.log(grid.dt)
         self.xn = mesh.axes[-1]
         self.log_xn = np.log(self.xn)
@@ -322,8 +323,8 @@ class FieldData:
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
 
-        flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
-        w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1))
+        flux, _ = flux_history(field, ops)
+        w_edge = np.asarray(ops.x1[1].sum(axis=1))
         self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
         # no source, no moment: the source budget is exp(-inf) = 0
         self.log_f2 = (None if field.source is None
@@ -358,8 +359,9 @@ class FieldData:
             b2[ti, ni] = self._bracket_direct(ti, ni, g[ti, ni])
         return b2
 
-    def sweep(self, weights, which: str, c_boundary: float = 1.0):
-        """Budgets at every weight of ``weights``, which share one alpha.
+    def sweep(self, s_values, which: str, c_boundary: float = 1.0):
+        """Budgets at every parameter of ``s_values``, with the field's own
+        weight family.
 
         Theta, xi = Theta (gamma - eta), the bracket coefficient g / s and
         the base log terms of every integral do not depend on s and are
@@ -370,9 +372,10 @@ class FieldData:
         """
         if which not in ("eq410", "eq51"):
             raise ParameterError(f"unknown inequality selector {which!r}")
-        alpha = weights[0].alpha
+        w = self.weights
+        alpha = w.alpha
         theta = np.exp(self.log_theta)
-        gme = CarlemanWeights.gamma - self.xn ** (2.0 - alpha)  # gamma - eta, per x_N
+        gme = w.gamma_minus_eta(self.xn)
         xi = theta[:, None] * gme[None, :]
         xi_min = theta * gme.min()
         # boundary term: the observed edge is the last x_N row, xi is
@@ -384,7 +387,7 @@ class FieldData:
         if self.log_f2 is not None:
             bases["f"] = self.log_f2 + self.log_dt
         if which == "eq410":
-            g_per_s = (2.0 - alpha) * theta[:, None] * (self.xn ** (1.0 - alpha))[None, :]
+            g_per_s = w.eta_slope(self.xn, theta[:, None])  # -d_N xi
             # g and the bracket's three work arrays, reused at every s
             work = np.empty((4,) + g_per_s.shape)
             bases["i1"] = lt + alpha * self.log_xn[None, :] + self.log_scale2 + self.log_dt
@@ -395,8 +398,8 @@ class FieldData:
         rowmax = {name: base.max(axis=1) for name, base in bases.items()}
 
         budgets = []
-        for w in weights:
-            s = w.s
+        for s in s_values:
+            _check_s(s)
             two_s = 2.0 * s
 
             def decayed(name, b2=None):
@@ -420,9 +423,9 @@ class FieldData:
             budgets.append(_budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary))
         return budgets
 
-    def budget(self, w: CarlemanWeights, which: str, c_boundary: float = 1.0):
-        """The budget at one weight: a sweep of length one."""
-        return self.sweep([w], which, c_boundary)[0]
+    def budget(self, s: float, which: str, c_boundary: float = 1.0):
+        """The budget at one parameter s: a sweep of length one."""
+        return self.sweep([s], which, c_boundary)[0]
 
 
 def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
@@ -436,33 +439,29 @@ def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
         log_excess = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs))
         log_needed = log_excess - log_rhs_b
     log_rhs = np.logaddexp(log_rhs_f, np.log(c_boundary) + log_rhs_b)
-    with np.errstate(over="ignore"):
-        return CarlemanBudget(
-            s=s,
-            which=which,
-            rhs_source=float(np.exp(log_rhs_f)),
-            rhs_boundary=float(np.exp(log_rhs_b)),
-            log_lhs=float(log_lhs),
-            log_rhs_source=float(log_rhs_f),
-            log_rhs_boundary=float(log_rhs_b),
-            needed_c=float(np.exp(log_needed)),
-            log_needed_c=float(log_needed),
-            c_boundary=c_boundary,
-            holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
-        )
+    return CarlemanBudget(
+        s=s,
+        which=which,
+        log_lhs=float(log_lhs),
+        log_rhs_source=float(log_rhs_f),
+        log_rhs_boundary=float(log_rhs_b),
+        log_needed_c=float(log_needed),
+        c_boundary=c_boundary,
+        holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
+    )
 
 
-def check_inequality(field: SpaceTimeField, w: CarlemanWeights,
-                     ops: OperatorPair, which: str = "eq410",
-                     c_boundary: float = 1.0) -> CarlemanBudget:
-    """Evaluate one inequality budget for a backward-convention solution.
+def check_inequality(field: SpaceTimeField, s: float, ops: OperatorPair,
+                     which: str = "eq410", c_boundary: float = 1.0) -> CarlemanBudget:
+    """Evaluate one inequality budget at parameter s for a backward-convention
+    solution, with the field's own weight family.
 
     which = "eq410" uses the weighted gradient and zero-order terms of
     the transformed variable on the left; "eq51" uses the single
     zero-order term s II Theta y**2 exp(-2 s xi).  ``holds`` compares
     against rhs_source + c_boundary * rhs_boundary.
     """
-    return FieldData(field, ops).budget(w, which, c_boundary)
+    return FieldData(field, ops).budget(s, which, c_boundary)
 
 
 @dataclass(frozen=True)
@@ -476,7 +475,7 @@ class S0Fit:
     log_needed_c: tuple  # per field, per s
 
 
-def find_s0(fields, w_template: CarlemanWeights, s_grid, which: str = "eq410") -> S0Fit:
+def find_s0(fields, s_grid, which: str = "eq410") -> S0Fit:
     """Smallest grid parameter from which the inequality stabilizes.
 
     ``fields`` is any iterable of FieldData; a generator streams them, since
@@ -492,10 +491,9 @@ def find_s0(fields, w_template: CarlemanWeights, s_grid, which: str = "eq410") -
         raise ParameterError("s grid must be non-empty and ascending")
     if s_grid[0] < 1.0:
         raise ParameterError("s grid must start at or above 1")
-    weights = [replace(w_template, s=s) for s in s_grid]
     rows = []
     for data in fields:
-        rows.append([b.log_needed_c for b in data.sweep(weights, which)])
+        rows.append([b.log_needed_c for b in data.sweep(s_grid, which)])
         del data  # freed before a generator builds the next one
     if not rows:
         raise ParameterError("need at least one field to calibrate")
@@ -519,9 +517,9 @@ def find_s0(fields, w_template: CarlemanWeights, s_grid, which: str = "eq410") -
                  log_needed_c=tuple(map(tuple, log_needed)))
 
 
-def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
-               ops: OperatorPair) -> float:
-    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes.
+def p_residual(z_field: SpaceTimeField, f, s: float, ops: OperatorPair) -> float:
+    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, with
+    the field's own weight family.
 
     P1 z = z_t + 2 s (A grad z . grad xi) + s z div(A grad xi) and
     P2 z = div(A grad z) + s z xi_t + s**2 z (A grad xi . grad xi); the
@@ -534,11 +532,11 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
     order or better.
     """
     _require_truncated(z_field)
+    _check_s(s)
     mesh = z_field.mesh
     grid = z_field.grid
-    if abs(grid.T - w.T) > 1e-12:
-        raise ContractError("weight horizon does not match the field grid")
-    alpha, s = w.alpha, w.s
+    w = CarlemanWeights.of(z_field)
+    alpha = w.alpha
     t = grid.nodes[1:-1]
     z = z_field.values
     zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
@@ -548,7 +546,7 @@ def p_residual(z_field: SpaceTimeField, f, w: CarlemanWeights,
     xn = mesh.xn
     theta = w.theta(t)[:, None]
     theta_dt = w.theta_dt(t)[:, None]
-    gme = (w.gamma - xn ** (2.0 - alpha))[None, :]
+    gme = w.gamma_minus_eta(xn)[None, :]
 
     p1 = zt - 2.0 * s * (2.0 - alpha) * theta * xn[None, :] * dz_dn \
         - s * (2.0 - alpha) * theta * zmid

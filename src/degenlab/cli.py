@@ -21,7 +21,7 @@ import json
 import re
 import sys
 import typing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +29,8 @@ import yaml
 
 from . import carleman as carle
 from . import observability as obs
-from .discretize import assemble, build_mesh, hardy_check, poincare_check, tensor_form
+from .discretize import (_check_size, assemble, build_mesh, hardy_check, physical_memory_mib,
+                         poincare_check, tensor_form)
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
@@ -358,12 +359,11 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     rng = Lcg(cfg.seed)
     data = [spec.modes[:, k] for k in range(cfg.modes)]
     data += [random_admissible(tmesh, rng) for _ in range(5)]
-    template = carle.CarlemanWeights(alpha=cfg.alpha, T=cfg.T, s=1.0)
     # streamed, never all held at once; the first field's data serves the eq51 check
     fields = (carle.FieldData(time_reverse(solve_spectral(spec, y0, None, grid)), tops)
               for y0 in data)
     first = next(fields)
-    fit = carle.find_s0(itertools.chain([first], fields), template, cfg.s_values)
+    fit = carle.find_s0(itertools.chain([first], fields), cfg.s_values)
     rows = []
     for i, per_s in enumerate(fit.log_needed_c):
         for j, s in enumerate(fit.s_grid):
@@ -372,8 +372,7 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
                  fit.c_boundary if fit.found else float("nan"))]
     holds_beyond = True
     if fit.found:
-        w0 = replace(template, s=fit.s0)
-        holds_beyond = first.budget(w0, "eq51", c_boundary=max(fit.c_boundary, 1.0)).holds
+        holds_beyond = first.budget(fit.s0, "eq51", c_boundary=max(fit.c_boundary, 1.0)).holds
     context = _context_line(
         cfg, delta=_fmt(delta),
         s=f"{_fmt(cfg.s_values[0])}..{_fmt(cfg.s_values[-1])}")
@@ -390,7 +389,7 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
 def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
     mesh, ops, spec = problem(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
-    report = obs.estimate_constant(grid, ops, spec, cfg.modes)
+    report = obs.estimate_constant(grid, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]
     rng = Lcg(cfg.seed)
     window_ok = True
@@ -399,7 +398,7 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
         back = time_reverse(solve_spectral(spec, y0, None, grid))
         window_ok &= obs.window_bound_check(back, ops)["holds"]
     rough = random_admissible(mesh, rng)
-    rough_ratio = obs.observability_ratio(rough, grid, ops, spec)
+    rough_ratio = obs.observability_ratio(rough, grid, spec)
     checks = {
         "c_obs_finite": (not report.singular) and report.c_obs is not None,
         "c_obs_dominates": (not report.singular)
@@ -413,6 +412,33 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
         values={"c_obs": report.c_obs, "subspace_dim": report.subspace_dim,
                 "rough_data_ratio": rough_ratio, "singular": report.singular},
     )
+
+
+def _check_time_arrays(cfg: ExperimentConfig, experiments):
+    """Refuse a run whose arrays with one row per time node exceed physical
+    memory in some experiment, before any of them exists; a mesh too large
+    is refused first, with its own message.  The bound per time node
+    (tracemalloc measured 45-85% of it over 512 to 8192 steps) covers, for
+    evolve, K coefficients, loads and energy products, four energy columns
+    and a table row with its CSV line (no nodal field); for observability,
+    one window field's coefficients, loads and products; for carleman, per
+    x_N node, two moment factor products of min(n_x1, 2K) entries and about
+    20 moment, weight and work arrays of its field and the first, and four
+    copies of the 2 n_x1 flux stencil values.  delta-sweep checks its nodal
+    fields itself."""
+    k, n_x1 = cfg.modes, 1 if cfg.domain == "interval" else cfg.n + 1
+    per_node = {"evolve": 8 * (3 * k + 4) + 400, "observability": 8 * (3 * k + 8),
+                "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}
+    name = max(experiments, key=lambda e: per_node.get(e, 0))
+    if name not in per_node:
+        return
+    _check_size((cfg.n + 1,) * (1 if cfg.domain == "interval" else 2))
+    need_mib = (cfg.steps + 1) * per_node[name] / 2**20
+    memory_mib = physical_memory_mib()
+    if need_mib > memory_mib:
+        raise ParameterError(
+            f"{name} with {cfg.steps} time steps needs about {need_mib:.0f} MiB of arrays "
+            f"with one row per time node, more than the {memory_mib:.0f} MiB of physical memory")
 
 
 # every experiment but full-report, in EXPERIMENTS order
@@ -429,12 +455,14 @@ _RUNNERS = {
 def run(config: ExperimentConfig, out_dir=None) -> int:
     """Execute the configured experiment, or every experiment in turn for a
     full report; returns the process exit code."""
+    report = config.experiment == "full-report"
+    experiments = list(_RUNNERS) if report else [config.experiment]
+    _check_time_arrays(config, experiments)
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
     problem = _problem_memo()
-    report = config.experiment == "full-report"
     checks, values = {}, {}
-    for name in _RUNNERS if report else [config.experiment]:
+    for name in experiments:
         outcome = _RUNNERS[name](config, problem)
         _write_outcome(out, outcome)
         prefix = f"{name}." if report else ""

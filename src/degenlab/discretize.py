@@ -22,7 +22,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse as sp
 
-from .errors import ContractError, ParameterError, UnsupportedRegionError
+from .errors import ContractError, ParameterError
 from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
 
 
@@ -234,7 +234,6 @@ class OperatorPair:
                    else (sp.csr_matrix((1, 1)), sp.identity(1, format="csr")))
         self.xn = (stiffness_1d(xn_axis, self.alpha), mass_1d(xn_axis, 0.0))
         self.interior = mesh.interior
-        self._flux_rows = {}  # boundary part -> _flux_rows(self, part)
 
     M_full = cached_property(lambda self: sp.kron(self.x1[1], self.xn[1], format="csr"))
     # the row sums of M_full itself: a product of 1D row sums rounds differently
@@ -260,6 +259,19 @@ class OperatorPair:
         lam, vecs = la.eigh(*(a.toarray() for a in self.interior_1d[0]))
         lam.flags.writeable = vecs.flags.writeable = False
         return lam, vecs
+
+    @cached_property
+    def flux_rows(self):
+        """(stencil node ids, the observed edge's rows of the full-node
+        stiffness and of M_full on those columns).  The edge is the last x_N
+        layer, and the rows of a product A (x) B on the layer are
+        A (x) B[layer], so they come from the 1D factors alone."""
+        kn, mn = self.xn
+        k = _tensor_stiffness(self.x1, (kn[-1], mn[-1]))
+        m = sp.kron(self.x1[1], mn[-1], format="csr")
+        cols = np.union1d(k.indices, m.indices)
+        cols.flags.writeable = False
+        return cols, k[:, cols], m[:, cols]
 
 
 def tensor_form(values, a1, an=None):
@@ -362,72 +374,33 @@ def poincare_check(ops: OperatorPair, u):
     return {"ratio": tensor_form(u, mx, mn) / h1sq}
 
 
-def part_node_ids(mesh: Mesh, part: BoundaryPart):
-    ids = mesh.part_nodes.get(part)
-    if ids is None:
-        raise ParameterError(f"mesh has no boundary part {part.value!r}")
-    return ids
-
-
-def edge_mass(ops: OperatorPair, part: BoundaryPart):
-    """Mass matrix of a horizontal boundary part, ordered like its node ids.
-
-    Both horizontal parts (observed and cut) are copies of the x_1 axis,
-    so this is the x_1 mass factor ``ops.x1[1]``; on the interval the part
-    is a single point with the counting measure and the factor is [[1]].
-    """
-    if part is BoundaryPart.DEGENERATE:
-        raise UnsupportedRegionError("flux on the degenerate boundary is undefined")
-    if part is BoundaryPart.LATERAL:
-        # lateral sides touch the degenerate corner on full domains and
-        # split into two disconnected pieces; not an observation region
-        raise UnsupportedRegionError("flux is only recovered on horizontal parts")
-    part_node_ids(ops.mesh, part)  # raises when the mesh lacks the part
-    return ops.x1[1]
-
-
-def _flux_rows(ops: OperatorPair, part: BoundaryPart):
-    """(stencil node ids, the part's rows of the full-node stiffness and of
-    M_full on those columns), built once per part and kept on the operator
-    pair.  The part is one x_N layer, and the rows of a product A (x) B on
-    the layer are A (x) B[layer], so they come from the 1D factors alone."""
-    if part not in ops._flux_rows:
-        edge_mass(ops, part)  # rejects the parts without a flux
-        layer = 0 if part is BoundaryPart.CUT else -1
-        kn, mn = ops.xn
-        k = _tensor_stiffness(ops.x1, (kn[layer], mn[layer]))
-        m = sp.kron(ops.x1[1], mn[layer], format="csr")
-        cols = np.union1d(k.indices, m.indices)
-        cols.flags.writeable = False
-        ops._flux_rows[part] = (cols, k[:, cols], m[:, cols])
-    return ops._flux_rows[part]
-
-
-def flux_stencil(ops: OperatorPair, part: BoundaryPart):
-    """Ids of the nodes whose values enter the flux on a horizontal part:
-    the columns that the part's rows of the full-node stiffness and M_full
-    touch, which are the part and its neighbouring x_N layer.  Sorted
+def flux_stencil(ops: OperatorPair):
+    """Ids of the nodes whose values enter the flux on the observed edge:
+    the columns that the edge's rows of the full-node stiffness and M_full
+    touch, which are the edge and its neighbouring x_N layer.  Sorted
     ascending, read-only."""
-    return _flux_rows(ops, part)[0]
+    return ops.flux_rows[0]
 
 
-def boundary_flux(ops: OperatorPair, u, part: BoundaryPart, f_proxy=None):
-    """Outward normal derivative of u on a horizontal boundary part, by
+def boundary_flux(ops: OperatorPair, u, f_proxy=None):
+    """Outward normal derivative of u on the observed edge x_N = 1, by
     variational recovery.
 
     The residual functional r(b) = (K u - M f_proxy)(b) of the full-node
     stiffness K and mass M, for ``u`` solving the weighted equation with
     load ``f_proxy``, equals the boundary integral of the conormal
     derivative against the hat function of node b; nodal values follow
-    after dividing by the lumped edge mass.  On horizontal parts away from
-    the degeneracy the conormal and normal derivatives coincide.  Only the
-    rows of the part enter the residual, and they touch only the nodes
-    ``flux_stencil(ops, part)``: ``u`` and ``f_proxy`` hold the values at
-    those nodes, in that order.  They may also be (n_stencil, m) blocks,
-    one field per column; the result is then (n_part, m).
+    after dividing by the lumped edge mass, the row sums of the x_1 mass
+    factor ``ops.x1[1]`` (the counting measure [[1]] on the interval, whose
+    edge is a single point).  Away from the degeneracy the conormal and
+    normal derivatives coincide.  Only the rows of the edge enter the
+    residual, and they touch only the nodes ``flux_stencil(ops)``: ``u``
+    and ``f_proxy`` hold the values at those nodes, in that order.  They may
+    also be (n_stencil, m) blocks, one field per column; the result is then
+    (n_edge, m).
     """
-    cols, k_rows, m_rows = _flux_rows(ops, part)
-    lump = np.asarray(edge_mass(ops, part).sum(axis=1)).ravel()
+    cols, k_rows, m_rows = ops.flux_rows
+    lump = np.asarray(ops.x1[1].sum(axis=1)).ravel()
     u = np.asarray(u, dtype=float)
     if u.shape[:1] != cols.shape:
         raise ContractError(f"expected values at the {cols.size} flux stencil nodes, "

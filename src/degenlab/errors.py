@@ -10,11 +10,6 @@ class ContractError(ValueError):
     nested, nonzero boundary values, mismatched shapes, ...)."""
 
 
-class UnsupportedRegionError(ValueError):
-    """A boundary part touches the degenerate set where the requested
-    quantity is not defined."""
-
-
 class PreconditionError(ValueError):
     """A mathematical admissibility condition fails (e.g. initial datum
     supported too close to the degenerate boundary)."""

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, edge_mass, flux_stencil, tensor_form
+from .discretize import OperatorPair, boundary_flux, flux_stencil, tensor_form
 from .errors import ContractError, ParameterError
 from .spectral import Spectrum, expand
 
@@ -250,9 +250,9 @@ def _time_derivative(values, dt):
     return dv
 
 
-def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
-    """Normal derivative on a boundary part at every time node, plus the
-    space-time integral of its square over part x (0, T).
+def flux_history(field: SpaceTimeField, ops: OperatorPair):
+    """Normal derivative on the observed edge at every time node, plus the
+    space-time integral of its square over the edge x (0, T).
 
     Forward fields of the spectral solver combine the per-mode fluxes of
     their spectrum; other fields fall back to variational recovery with a
@@ -263,15 +263,15 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair, part):
     # budgets come from it until the backward-flux fix (ROADMAP item 1)
     if field._mode_data is not None and field.direction == "forward":
         spectrum, coeffs = field._mode_data
-        flux = coeffs @ spectrum.mode_flux(part).T
+        flux = coeffs @ spectrum.mode_flux.T
     else:
-        cols = flux_stencil(ops, part)
+        cols = flux_stencil(ops)
         values = field.columns(cols)
         proxy = -_time_derivative(values, grid.dt)
         if field.source is not None:
             proxy += field.source_values()[:, cols]
-        flux = boundary_flux(ops, values.T, part, f_proxy=proxy.T).T
-    per_time = tensor_form(flux, edge_mass(ops, part))
+        flux = boundary_flux(ops, values.T, f_proxy=proxy.T).T
+    per_time = tensor_form(flux, ops.x1[1])
     integral = float(np.trapezoid(per_time, grid.nodes))
     return flux, integral
 

@@ -14,28 +14,26 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import OperatorPair, edge_mass, tensor_form
+from .discretize import OperatorPair, tensor_form
 from .errors import ConventionError, DegenerateObservationError, ParameterError
 from .evolution import SpaceTimeField, TimeGrid, energy_history
-from .geometry import BoundaryPart
 from .spectral import Spectrum, expand
 
 _MODE_DEPTH_LIMIT = 60.0  # largest admissible lambda_K * T
 
 
-def _flux_gram(ops: OperatorPair, spectrum: Spectrum, grid: TimeGrid, k: int):
+def _flux_gram(spectrum: Spectrum, grid: TimeGrid, k: int):
     """G_ij = (f_i, f_j)_edge * int_0^T exp(-(l_i + l_j) t) dt over the
-    first k modes, with the time integral in closed form."""
+    first k modes, with the time integral in closed form; the edge mass is
+    the x_1 mass factor of the spectrum's operator pair."""
     lam = spectrum.eigenvalues[:k]
-    fm = spectrum.mode_flux(BoundaryPart.OBSERVED)[:, :k]
-    emat = edge_mass(ops, BoundaryPart.OBSERVED)
-    spatial = fm.T @ (emat @ fm)
+    fm = spectrum.mode_flux[:, :k]
+    spatial = fm.T @ (spectrum.ops.x1[1] @ fm)
     rate = np.add.outer(lam, lam)
     return spatial * (-np.expm1(-rate * grid.T) / rate)
 
 
-def observability_ratio(y0, grid: TimeGrid, ops: OperatorPair,
-                        spectrum: Spectrum) -> float:
+def observability_ratio(y0, grid: TimeGrid, spectrum: Spectrum) -> float:
     """||y0||^2 divided by the flux integral of the source-free evolution.
 
     The evolution is spectral over the computed modes, so the flux
@@ -43,11 +41,11 @@ def observability_ratio(y0, grid: TimeGrid, ops: OperatorPair,
     coefficients.  Scale-invariant in y0.
     """
     y0 = np.asarray(y0, dtype=float)
-    nsq = tensor_form(y0, ops.x1[1], ops.xn[1])
+    nsq = tensor_form(y0, spectrum.ops.x1[1], spectrum.ops.xn[1])
     if nsq == 0.0:
         raise ParameterError("observability ratio undefined for y0 = 0")
     coeffs = expand(spectrum, y0)
-    gram = _flux_gram(ops, spectrum, grid, spectrum.count)
+    gram = _flux_gram(spectrum, grid, spectrum.count)
     flux_int = float(coeffs @ (gram @ coeffs))
     if flux_int < 1e-300:
         raise DegenerateObservationError(
@@ -72,8 +70,7 @@ class ObservabilityReport:
     singular: bool
 
 
-def estimate_constant(grid: TimeGrid, ops: OperatorPair, spectrum: Spectrum,
-                      k_modes: int) -> ObservabilityReport:
+def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> ObservabilityReport:
     """Worst energy/flux ratio over the first k eigenmodes.
 
     The supremum over the subspace equals the largest generalized
@@ -90,7 +87,7 @@ def estimate_constant(grid: TimeGrid, ops: OperatorPair, spectrum: Spectrum,
         )
     k_eff = int(np.searchsorted(lam * grid.T, _MODE_DEPTH_LIMIT, side="right"))
     k_eff = min(k_eff, k_modes)
-    gram = _flux_gram(ops, spectrum, grid, k_eff)
+    gram = _flux_gram(spectrum, grid, k_eff)
     ratios = tuple(1.0 / gram[m, m] for m in range(k_eff))
     # eigh, not eigvalsh: LAPACK takes another route without eigenvectors,
     # which may move the last bits of c_obs

@@ -15,12 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import (Mesh, OperatorPair, assemble, build_mesh, edge_mass,
-                         physical_memory_mib, restrict_mesh, tensor_form)
+from .discretize import (Mesh, OperatorPair, assemble, build_mesh, physical_memory_mib,
+                         restrict_mesh, tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
                         stability_ratio, time_norm)
-from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
+from .geometry import DomainSpec, TruncatedDomain
 
 
 def extension_map(tr_mesh: Mesh, full_mesh: Mesh):
@@ -203,8 +203,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
 
     ref_mesh, coarse_mesh = (build_mesh(domain, n, grading=1.0) for n in (n_ref, n_sweep))
     ref_field, ref_ops = full_solve(ref_mesh)
-    ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
-    edge = edge_mass(ref_ops, BoundaryPart.OBSERVED)
+    ref_flux, _ = flux_history(ref_field, ref_ops)
     prolong = prolongation(coarse_mesh, ref_mesh)
     tnodes = grid.nodes
 
@@ -225,12 +224,12 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
         per_time = error_per_time(prolong[:, extension_map(tr_ops.mesh, coarse_mesh)], field)
         sol_errors.append(time_norm(per_time, tnodes))
         fin_errors.append(float(np.sqrt(per_time[-1])))
-        tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
+        tr_flux, _ = flux_history(field, tr_ops)
         del field
         if domain.dimension == 2:  # from the coarse x_1 nodes to the reference's
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                 for row in tr_flux])
-        flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, edge), tnodes))
+        flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, ref_ops.x1[1]), tnodes))
 
     rates = tuple(
         float(np.log(sol_errors[i] / sol_errors[i + 1])

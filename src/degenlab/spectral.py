@@ -28,7 +28,6 @@ class Spectrum:
         self.modes = np.zeros((n_full, self.eigenvalues.size))
         self.modes[ops.interior, :] = modes_interior
         self.count = self.eigenvalues.size
-        self._mode_flux = {}
 
     def mode(self, k):
         """k-th eigenvector (1-based, matching lambda_k), full nodal."""
@@ -63,16 +62,15 @@ class Spectrum:
             part.flags.writeable = False
         return parts
 
-    def mode_flux(self, part):
-        """Normal derivative of every mode on a horizontal boundary part,
-        (n_part, count), recovered with the load lambda_k phi_k; built once
-        per part and read-only."""
-        if part not in self._mode_flux:
-            modes = self.modes[flux_stencil(self.ops, part)]
-            flux = boundary_flux(self.ops, modes, part, f_proxy=modes * self.eigenvalues)
-            flux.flags.writeable = False
-            self._mode_flux[part] = flux
-        return self._mode_flux[part]
+    @cached_property
+    def mode_flux(self):
+        """Normal derivative of every mode on the observed edge,
+        (n_edge, count), recovered with the load lambda_k phi_k; built once
+        per spectrum and read-only."""
+        modes = self.modes[flux_stencil(self.ops)]
+        flux = boundary_flux(self.ops, modes, f_proxy=modes * self.eigenvalues)
+        flux.flags.writeable = False
+        return flux
 
 
 def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:

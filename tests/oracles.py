@@ -152,20 +152,20 @@ def lse_exp_all(a):
     return float(top + np.log(np.sum(np.exp(a - top))))
 
 
-def carleman_budget_per_node(field, ops, w, which):
-    """Log budgets of one Carleman inequality summed node by node.
+def carleman_budget_per_node(field, ops, s, which):
+    """Log budgets of one Carleman inequality summed node by node, with the
+    weight of the field's exponent alpha and horizon T.
 
     Every integrand is formed per (t, node) in log space and reduced by
     one log-sum-exp over all interior time levels and nodes.  Returns
     the logs of the left side, the source and boundary terms, and the
     needed boundary constant (lhs - rhs_source)+ / rhs_boundary.
     """
-    from degenlab.discretize import edge_mass, part_node_ids
     from degenlab.evolution import flux_history
     from degenlab.geometry import BoundaryPart
 
     mesh, grid = field.mesh, field.grid
-    alpha, s = w.alpha, w.s
+    alpha, gamma = mesh.domain.alpha, 2.0
     t = grid.nodes[1:-1]
     log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
     theta = np.exp(log_theta)[:, None]
@@ -176,19 +176,19 @@ def carleman_budget_per_node(field, ops, w, which):
         field.values.shape)[1:-1]
     xn = mesh.xn
     log_xn = np.log(xn)
-    flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+    flux, _ = flux_history(field, ops)
     with np.errstate(divide="ignore"):
         log_y2 = 2.0 * np.log(np.abs(y))
         log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
         log_f2 = (None if field.source is None
                   else 2.0 * np.log(np.abs(field.source_values()[1:-1])))
     lw = np.log(grid.dt) + np.log(ops.lumped_full)[None, :]
-    xi = theta * (w.gamma - xn ** (2.0 - alpha))[None, :]
+    xi = theta * (gamma - xn ** (2.0 - alpha))[None, :]
     two_s_xi = 2.0 * s * xi
 
-    w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
-    edge_xn = xn[part_node_ids(mesh, BoundaryPart.OBSERVED)]
-    xi_edge = theta * (w.gamma - edge_xn ** (2.0 - alpha))[None, :]
+    w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
+    edge_xn = xn[mesh.part_nodes[BoundaryPart.OBSERVED]]
+    xi_edge = theta * (gamma - edge_xn ** (2.0 - alpha))[None, :]
     lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
     log_rhs_b = np.log(s) + logsumexp(lt + log_flux2 - 2.0 * s * xi_edge + lw_edge)
     log_rhs_f = -np.inf if log_f2 is None else logsumexp(log_f2 - two_s_xi + lw)
@@ -214,24 +214,23 @@ def carleman_budget_per_node(field, ops, w, which):
             "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}
 
 
-def carleman_budget_linear(field, ops, w, which):
+def carleman_budget_linear(field, ops, s, which):
     """The three Carleman budget integrals of one field summed node by node
-    in linear arithmetic: the left side, the source term and the boundary
-    term (s times its integral), over the interior time levels.  Only for
-    s and T where exp(-2 s xi) stays within the double range."""
-    from degenlab.discretize import edge_mass
+    in linear arithmetic, with the weight of the field's exponent alpha and
+    horizon T: the left side, the source term and the boundary term (s
+    times its integral), over the interior time levels.  Only for s and T
+    where exp(-2 s xi) stays within the double range."""
     from degenlab.evolution import flux_history
-    from degenlab.geometry import BoundaryPart
 
     mesh, grid = field.mesh, field.grid
-    alpha, s = w.alpha, w.s
+    alpha, gamma = mesh.domain.alpha, 2.0
     t = grid.nodes[1:-1]
     theta = (1.0 / (t * (grid.T - t)) ** 4)[:, None]
     y = field.values[1:-1]
     dy = np.gradient(y.reshape((t.size,) + mesh.shape), mesh.axes[-1], axis=-1,
                      edge_order=2).reshape(y.shape)
     xn = mesh.xn[None, :]
-    decay = np.exp(-2.0 * s * theta * (w.gamma - xn ** (2.0 - alpha)))
+    decay = np.exp(-2.0 * s * theta * (gamma - xn ** (2.0 - alpha)))
     lw = grid.dt * ops.lumped_full[None, :]
     if which == "eq410":
         g = s * (2.0 - alpha) * theta * xn ** (1.0 - alpha)
@@ -241,9 +240,9 @@ def carleman_budget_linear(field, ops, w, which):
         lhs = s * np.sum(lw * theta * y**2 * decay)
     source = 0.0 if field.source is None else np.sum(
         lw * field.source_values()[1:-1] ** 2 * decay)
-    flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
-    w_edge = np.asarray(edge_mass(ops, BoundaryPart.OBSERVED).sum(axis=1)).ravel()
-    edge_decay = np.exp(-2.0 * s * theta[:, 0] * (w.gamma - 1.0))  # x_N = 1 on the edge
+    flux, _ = flux_history(field, ops)
+    w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
+    edge_decay = np.exp(-2.0 * s * theta[:, 0] * (gamma - 1.0))  # x_N = 1 on the edge
     boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
     return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
 
@@ -341,29 +340,19 @@ def lcg_uniform(rng, n):
     return out
 
 
-def fd_flux(mesh, u, part):
-    """Outward normal derivative of a nodal vector on the observed or cut
-    edge, by the one-sided second-order difference over the first three
-    x_N nodes from that edge; one value per edge node."""
-    from degenlab.geometry import BoundaryPart
-
+def fd_flux(mesh, u):
+    """Outward normal derivative of a nodal vector on the observed edge
+    x_N = 1, by the one-sided second-order difference over the last three
+    x_N nodes; one value per edge node."""
     vals = np.asarray(u, dtype=float).reshape(mesh.shape)
     ax = mesh.axes[-1]
-    if part is BoundaryPart.OBSERVED:
-        x0, x1, x2 = ax[-1], ax[-2], ax[-3]
-        f0, f1, f2 = vals[..., -1], vals[..., -2], vals[..., -3]
-        sign = 1.0
-    elif part is BoundaryPart.CUT:
-        x0, x1, x2 = ax[0], ax[1], ax[2]
-        f0, f1, f2 = vals[..., 0], vals[..., 1], vals[..., 2]
-        sign = -1.0
-    else:
-        raise ValueError("finite-difference flux needs a horizontal part")
+    x0, x1, x2 = ax[-1], ax[-2], ax[-3]
+    f0, f1, f2 = vals[..., -1], vals[..., -2], vals[..., -3]
     h1, h2 = x1 - x0, x2 - x0
     d = (f0 * (-(h1 + h2) / (h1 * h2))
          + f1 * (h2 / (h1 * (h2 - h1)))
          + f2 * (-h1 / (h2 * (h2 - h1))))
-    return sign * np.atleast_1d(d).ravel()
+    return np.atleast_1d(d).ravel()
 
 
 def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
@@ -372,9 +361,8 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     (steps+1, n_nodes) field, prolonged as a block and compared at once.
     Returns the solution, final-time and flux errors per delta and the
     reference's self-convergence error."""
-    from degenlab.discretize import assemble, build_mesh, edge_mass
+    from degenlab.discretize import assemble, build_mesh
     from degenlab.evolution import flux_history, solve_implicit, time_norm
-    from degenlab.geometry import BoundaryPart
     from degenlab.shape_design import extension_map, prolongation, solve_truncated
 
     n_sweep = n_ref // 2
@@ -389,8 +377,8 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
 
     ref_field, ref_ops = full_solve(n_ref)
     ref_mesh, t = ref_ops.mesh, grid.nodes
-    ref_flux, _ = flux_history(ref_field, ref_ops, BoundaryPart.OBSERVED)
-    edge = edge_mass(ref_ops, BoundaryPart.OBSERVED)
+    ref_flux, _ = flux_history(ref_field, ref_ops)
+    edge = ref_ops.x1[1]
     coarse_field, coarse_ops = full_solve(n_sweep)
     coarse_mesh = coarse_ops.mesh
     prolong = prolongation(coarse_mesh, ref_mesh)
@@ -406,7 +394,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
         per_time = error_per_time(extend, field.values)
         out["solution_errors"].append(time_norm(per_time, t))
         out["final_time_errors"].append(float(np.sqrt(per_time[-1])))
-        tr_flux, _ = flux_history(field, tr_ops, BoundaryPart.OBSERVED)
+        tr_flux, _ = flux_history(field, tr_ops)
         if domain.dimension == 2:
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                 for row in tr_flux])

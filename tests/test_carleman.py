@@ -41,7 +41,7 @@ def backward_mode_field(ops, spec, k, grid):
 
 
 def test_weight_values():
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
+    w = CarlemanWeights(alpha=0.5, T=1.0)
     assert w.gamma == 2.0
     res = eval_weights(w, 0.5, np.array([[0.3]]))
     assert res["theta"] == pytest.approx(256.0, rel=1e-14)
@@ -50,23 +50,23 @@ def test_weight_values():
     with pytest.raises(ParameterError):
         eval_weights(w, 1.5, np.array([[0.3]]))
     with pytest.raises(ParameterError):
-        CarlemanWeights(alpha=0.5, T=1.0, s=0.0)
+        CarlemanWeights(alpha=0.5, T=0.0)
 
 
 def test_weight_symmetry_and_minimum():
     for T in (1.0, 2.0):
-        w = CarlemanWeights(alpha=0.5, T=T, s=1.0)
+        w = CarlemanWeights(alpha=0.5, T=T)
         t = np.linspace(0.1, T - 0.1, 33)
         assert np.allclose(w.theta(t), w.theta(T - t), rtol=1e-12)
         assert w.theta(T / 2.0) == pytest.approx(256.0 / T**8, rel=1e-14)
     # doubling the horizon rescales the midpoint weight by 2**8
-    w1 = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    w2 = CarlemanWeights(alpha=0.5, T=2.0, s=1.0)
+    w1 = CarlemanWeights(alpha=0.5, T=1.0)
+    w2 = CarlemanWeights(alpha=0.5, T=2.0)
     assert w1.theta(0.5) / w2.theta(1.0) == pytest.approx(2.0**8, rel=1e-14)
 
 
 def test_weight_growth_exponents():
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
+    w = CarlemanWeights(alpha=0.5, T=1.0)
     t = np.linspace(1e-3, 1.0 - 1e-3, 4001)
     theta = w.theta(t)
     p1 = fit_tail_exponent(theta, w.theta_dt(t))
@@ -81,13 +81,13 @@ def test_transform_endpoints_and_zero(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=2.0)
-    assert np.all(transform(zero, w).values == 0.0)
+    assert np.all(transform(zero, 2.0).values == 0.0)
     field = backward_mode_field(ops, spec, 1, grid)
-    z = transform(field, w)
+    z = transform(field, 2.0)
     assert np.all(z.values[0] == 0.0) and np.all(z.values[-1] == 0.0)
-    with pytest.raises(ContractError):
-        transform(field, CarlemanWeights(alpha=0.5, T=2.0, s=2.0))
+    for s in (0.0, -1.0):
+        with pytest.raises(ParameterError):
+            transform(field, s)
 
 
 def test_transform_needs_truncated_domain():
@@ -96,7 +96,7 @@ def test_transform_needs_truncated_domain():
     grid = TimeGrid(1.0, 8)
     field = SpaceTimeField(ops.mesh, grid, np.zeros((9, ops.mesh.n_nodes)))
     with pytest.raises(ContractError):
-        transform(field, CarlemanWeights(alpha=0.5, T=1.0, s=1.0))
+        transform(field, 1.0)
 
 
 def _manufactured(alpha, delta, T, n, steps):
@@ -124,12 +124,11 @@ def test_residual_identity_refinement_order(s):
     # run where the weight scale Theta_min = 256/T^8 is O(0.1), so the
     # transformed variable is resolvable on desk meshes
     T = 2.5
-    w = CarlemanWeights(alpha=0.5, T=T, s=s)
     res = []
     for n, steps in [(32, 32), (64, 64), (128, 128)]:
         ops, field, f, _ = _manufactured(0.5, 0.1, T, n, steps)
-        z = transform(field, w)
-        res.append(p_residual(z, f, w, ops))
+        z = transform(field, s)
+        res.append(p_residual(z, f, s, ops))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.0 for o in orders), (res, orders)
 
@@ -138,27 +137,26 @@ def test_residual_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    assert p_residual(transform(zero, w), None, w, ops) == 0.0
+    assert p_residual(transform(zero, 1.0), None, 1.0, ops) == 0.0
 
 
 def test_budget_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    b = check_inequality(zero, w, ops, "eq410")
+    b = check_inequality(zero, 1.0, ops, "eq410")
     assert b.holds
     assert b.log_lhs == -np.inf and b.log_rhs_boundary == -np.inf
+    with pytest.raises(ParameterError):
+        check_inequality(zero, 0.0, ops, "eq410")
 
 
 def test_budget_deterministic(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
     field = backward_mode_field(ops, spec, 1, grid)
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=3.0)
-    b1 = check_inequality(field, w, ops, "eq410")
-    b2 = check_inequality(field, w, ops, "eq410")
+    b1 = check_inequality(field, 3.0, ops, "eq410")
+    b2 = check_inequality(field, 3.0, ops, "eq410")
     assert b1.log_lhs == b2.log_lhs
     assert b1.log_rhs_boundary == b2.log_rhs_boundary
 
@@ -173,9 +171,8 @@ def test_budget_time_symmetry(slab):
     vals = prof[:, None] * phi[None, :]
     field = SpaceTimeField(ops.mesh, grid, vals)
     flipped = SpaceTimeField(ops.mesh, grid, vals[::-1].copy())
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=2.0)
-    b1 = check_inequality(field, w, ops, "eq410")
-    b2 = check_inequality(flipped, w, ops, "eq410")
+    b1 = check_inequality(field, 2.0, ops, "eq410")
+    b2 = check_inequality(flipped, 2.0, ops, "eq410")
     assert b1.log_lhs == pytest.approx(b2.log_lhs, abs=1e-10)
     assert b1.log_rhs_boundary == pytest.approx(b2.log_rhs_boundary, abs=1e-10)
 
@@ -190,9 +187,8 @@ def test_budget_endpoint_slabs_negligible(slab):
     masked_vals[1] = 0.0
     masked_vals[-2] = 0.0
     masked = SpaceTimeField(ops.mesh, grid, masked_vals)
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    b1 = check_inequality(field, w, ops, "eq410")
-    b2 = check_inequality(masked, w, ops, "eq410")
+    b1 = check_inequality(field, 1.0, ops, "eq410")
+    b2 = check_inequality(masked, 1.0, ops, "eq410")
     assert abs(np.expm1(b1.log_lhs - b2.log_lhs)) < 1e-12
 
 
@@ -200,8 +196,7 @@ def test_find_s0_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    fit = find_s0([FieldData(zero, ops)], w, [1.0, 10.0, 100.0])
+    fit = find_s0([FieldData(zero, ops)], [1.0, 10.0, 100.0])
     assert fit.found and fit.s0 == 1.0
 
 
@@ -209,9 +204,8 @@ def test_find_s0_eigen_suite_monotone(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
     fields = [backward_mode_field(ops, spec, k, grid) for k in range(1, 5)]
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 12))
-    fit = find_s0((FieldData(f, ops) for f in fields), w, s_grid)
+    fit = find_s0((FieldData(f, ops) for f in fields), s_grid)
     # coefficient fields: the budgets never build their nodal values
     assert all(field._values is None for field in fields)
     assert fit.found and fit.s0 <= 200.0
@@ -220,11 +214,9 @@ def test_find_s0_eigen_suite_monotone(slab):
     start = s_grid.index(fit.s0)
     assert np.all(np.diff(ln[:, start:], axis=1) <= 1e-9)
     # with the fitted constant, the inequality holds at every point >= s0
-    from dataclasses import replace
     for j in range(start, len(s_grid)):
-        wj = replace(w, s=s_grid[j])
         for field in fields:
-            b = check_inequality(field, wj, ops, "eq410", c_boundary=fit.c_boundary)
+            b = check_inequality(field, s_grid[j], ops, "eq410", c_boundary=fit.c_boundary)
             assert b.holds
 
 
@@ -237,31 +229,28 @@ def test_find_s0_failure_marker(slab):
     inner = (mesh.xn > 0.3) & (mesh.xn < 0.6)
     vals[:, inner] = 1.0
     field = SpaceTimeField(mesh, grid, vals)
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
-    fit = find_s0([FieldData(field, ops)], w, [1.0])
+    fit = find_s0([FieldData(field, ops)], [1.0])
     assert not fit.found and fit.s0 is None
 
 
 def test_find_s0_validation(slab):
     ops, _ = slab
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     with pytest.raises(ParameterError):
-        find_s0([], w, [1.0, 2.0])
+        find_s0([], [1.0, 2.0])
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
     with pytest.raises(ParameterError):
-        find_s0([FieldData(zero, ops)], w, [0.5, 2.0])
+        find_s0([FieldData(zero, ops)], [0.5, 2.0])
     with pytest.raises(ParameterError):
-        find_s0([FieldData(zero, ops)], w, [2.0, 1.0])
+        find_s0([FieldData(zero, ops)], [2.0, 1.0])
 
 
 def test_eq51_follows_eq410(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
     fields = [backward_mode_field(ops, spec, k, grid) for k in (1, 2)]
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=1.0)
     s_grid = list(np.geomspace(1.0, 200.0, 10))
-    fit = find_s0((FieldData(f, ops) for f in fields), w, s_grid, which="eq51")
+    fit = find_s0((FieldData(f, ops) for f in fields), s_grid, which="eq51")
     assert fit.found and fit.s0 <= 200.0
 
 
@@ -272,10 +261,10 @@ LOG_TOL = 1e-10
 LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
 
 
-def assert_matches_oracle(field, ops, w, which, budget=None):
+def assert_matches_oracle(field, ops, s, which, budget=None):
     if budget is None:
-        budget = check_inequality(field, w, ops, which)
-    assert_logs_match(budget, carleman_budget_per_node(field, ops, w, which))
+        budget = check_inequality(field, s, ops, which)
+    assert_logs_match(budget, carleman_budget_per_node(field, ops, s, which))
 
 
 def assert_logs_match(budget, ref, keys=LOG_KEYS):
@@ -296,10 +285,9 @@ def test_budgets_match_oracle_on_mode_fields(slab):
         mode = backward_mode_field(ops, spec, k, grid)
         field = SpaceTimeField(ops.mesh, grid, 1e-180 * mode.values, direction="backward")
         data = FieldData(field, ops)
-        for s in np.geomspace(1.0, 200.0, 7):
-            w = CarlemanWeights(alpha=0.5, T=1.0, s=float(s))
+        for s in map(float, np.geomspace(1.0, 200.0, 7)):
             for which in ("eq410", "eq51"):
-                assert_matches_oracle(field, ops, w, which, data.budget(w, which))
+                assert_matches_oracle(field, ops, s, which, data.budget(s, which))
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,12 +305,11 @@ def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_
     values[:, mesh.boundary] = 0.0
     source = rng.standard_normal(values.shape) if with_source else None
     field = SpaceTimeField(mesh, grid, values, source=source, direction="backward")
-    w = CarlemanWeights(alpha=0.5, T=T, s=s)
-    budget = check_inequality(field, w, ops, which)
-    linear = carleman_budget_linear(field, ops, w, which)
+    budget = check_inequality(field, s, ops, which)
+    linear = carleman_budget_linear(field, ops, s, which)
     assert np.exp(budget.log_lhs) == pytest.approx(linear["lhs"], rel=1e-12)
-    assert budget.rhs_source == pytest.approx(linear["rhs_source"], rel=1e-12)
-    assert budget.rhs_boundary == pytest.approx(linear["rhs_boundary"], rel=1e-12)
+    assert np.exp(budget.log_rhs_source) == pytest.approx(linear["rhs_source"], rel=1e-12)
+    assert np.exp(budget.log_rhs_boundary) == pytest.approx(linear["rhs_boundary"], rel=1e-12)
 
 
 @given(shape=hnp.array_shapes(max_dims=2, max_side=40), top=st.floats(-3000.0, 3000.0),
@@ -365,46 +352,45 @@ def test_live_rows_lse_matches_exp_all(rows, cols, s, dead_share, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 12),
-       delta=st.sampled_from([0.05, 0.1, 0.2]), steps=st.integers(8, 24),
-       alpha=st.floats(0.1, 0.9),
+       delta=st.sampled_from([0.05, 0.1, 0.2]), T=st.floats(1.0, 4.0),
+       steps=st.integers(8, 24), alpha=st.floats(0.1, 0.9),
        s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
                          unique=True).map(sorted),
        magnitude=st.floats(0.0, 150.0), decay=st.floats(0.0, 300.0),
        with_source=st.booleans(), which=st.sampled_from(["eq410", "eq51"]),
        seed=st.integers(0, 2**32 - 1))
-def test_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, s_values, magnitude,
+def test_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, s_values, magnitude,
                                        decay, with_source, which, seed):
     mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
                       n * (4 if kind == "interval" else 1))
     ops = assemble(mesh)
-    grid = TimeGrid(1.0, steps)
+    grid = TimeGrid(T, steps)
     rng = np.random.default_rng(seed)
-    # amplitudes from 1 down to 1e-150 exp(-300 (1 - t)), about 1e-280 at
+    # amplitudes from 1 down to 1e-150 exp(-300 (1 - t/T)), about 1e-280 at
     # t = 0: squared, most of these underflow unless scaled first
-    amp = 10.0 ** -magnitude * np.exp(-decay * (1.0 - grid.nodes))[:, None]
+    amp = 10.0 ** -magnitude * np.exp(-decay * (1.0 - grid.nodes / T))[:, None]
     vals = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp
     vals[:, mesh.boundary] = 0.0
     source = rng.standard_normal(vals.shape) * amp if with_source else None
     field = SpaceTimeField(mesh, grid, vals, source=source, direction="backward")
     # one sweep over the drawn s values, every budget against the oracle
-    weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
-    budgets = FieldData(field, ops).sweep(weights, which)
+    budgets = FieldData(field, ops).sweep(s_values, which)
     assert [b.s for b in budgets] == s_values
-    for w, budget in zip(weights, budgets):
-        assert_matches_oracle(field, ops, w, which, budget)
+    for s, budget in zip(s_values, budgets):
+        assert_matches_oracle(field, ops, s, which, budget)
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 12),
-       delta=st.sampled_from([0.05, 0.1, 0.2]), steps=st.integers(8, 24),
-       alpha=st.floats(0.1, 0.9), modes=st.integers(1, 6),
+       delta=st.sampled_from([0.05, 0.1, 0.2]), T=st.floats(1.0, 4.0),
+       steps=st.integers(8, 24), alpha=st.floats(0.1, 0.9), modes=st.integers(1, 6),
        s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
                          unique=True).map(sorted),
        magnitude=st.floats(0.0, 280.0), decay=st.floats(0.0, 1.0),
        zero_share=st.sampled_from([0.0, 0.2]), with_source=st.booleans(),
        which=st.sampled_from(["eq410", "eq51"]),
        direction=st.sampled_from(["forward", "backward"]), seed=st.integers(0, 2**32 - 1))
-def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, steps, alpha, modes,
+def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, modes,
                                                    s_values, magnitude, decay, zero_share,
                                                    with_source, which, direction, seed):
     # the twin of the nodal property for coefficient fields, whose moments
@@ -413,29 +399,28 @@ def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, steps, alpha,
                       n * (4 if kind == "interval" else 1))
     ops = assemble(mesh)
     spec = compute_spectrum(ops, modes)
-    grid = TimeGrid(1.0, steps)
+    grid = TimeGrid(T, steps)
     rng = np.random.default_rng(seed)
     # coefficient rows of size 10**-magnitude at t = T, falling towards
     # 1e-280 at t = 0 (all of it at decay 1), some of them zero: below
     # about 1e-154, squares underflow unless the rows are scaled first
-    exponent = magnitude + (280.0 - magnitude) * decay * (1.0 - grid.nodes)
+    exponent = magnitude + (280.0 - magnitude) * decay * (1.0 - grid.nodes / T)
     amp = 10.0 ** -exponent[:, None]
     coeffs = rng.standard_normal((steps + 1, modes)) * amp
     coeffs[rng.random(steps + 1) < zero_share] = 0.0
     source = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp if with_source else None
     field = SpaceTimeField(mesh, grid, None, source=source, direction=direction,
                            mode_data=(spec, coeffs))
-    weights = [CarlemanWeights(alpha=alpha, T=1.0, s=s) for s in s_values]
-    budgets = FieldData(field, ops).sweep(weights, which)
+    budgets = FieldData(field, ops).sweep(s_values, which)
     assert field._values is None
     nodal = SpaceTimeField(mesh, grid, field.values, source=source, direction=direction)
-    nodal_budgets = FieldData(nodal, ops).sweep(weights, which)
+    nodal_budgets = FieldData(nodal, ops).sweep(s_values, which)
     # a forward coefficient field takes its flux from the mode fluxes, a
     # nodal one recovers it with a time difference: only the backward
     # copy shares the boundary term
     keys = LOG_KEYS if direction == "backward" else ("log_lhs", "log_rhs_source")
-    for w, budget, nodal_budget in zip(weights, budgets, nodal_budgets):
-        assert_matches_oracle(field, ops, w, which, budget)
+    for s, budget, nodal_budget in zip(s_values, budgets, nodal_budgets):
+        assert_matches_oracle(field, ops, s, which, budget)
         assert_logs_match(budget, asdict(nodal_budget), keys)
 
 
@@ -456,7 +441,6 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
     t = grid.nodes
     z = (xn - xn[0]) / (xn[-1] - xn[0])
     u = np.outer(1.0 + t, np.sin(np.pi * z) * (1.0 + 2.0 * z))  # no flat node
-    w = CarlemanWeights(alpha=alpha, T=1.0, s=s)
     theta = np.exp(-4.0 * (np.log(t[1:-1]) + np.log(1.0 - t[1:-1])))
     g = s * (2.0 - alpha) * theta[:, None] * (xn ** (1.0 - alpha))[None, :]
 
@@ -494,7 +478,7 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
         return original(self, ti, ni, gsel)
 
     monkeypatch.setattr(carleman.FieldData, "_bracket_direct", spy)
-    assert_matches_oracle(field, ops, w, "eq410")
+    assert_matches_oracle(field, ops, s, "eq410")
     # every band entry went through the direct sum, and little else did
     band_entries = {(i, int(j)) for i in range(t.size - 2) for j in band}
     assert band_entries <= direct and len(direct) <= 2 * len(band_entries)

@@ -280,6 +280,32 @@ n: 100000
     assert peak < 2**20
 
 
+@pytest.mark.parametrize("experiment, need", [
+    ("evolve", "evolve with 10000000000 time steps needs about 4806519 MiB"),
+    ("observability", "observability with 10000000000 time steps needs about 1296997 MiB"),
+    ("carleman", "carleman with 10000000000 time steps needs about 16403198 MiB"),
+    ("full-report", "carleman with 10000000000 time steps needs about 16403198 MiB"),
+])
+def test_huge_step_count_refused_before_allocation(tmp_path, capsys, experiment, need):
+    # 10**10 + 1 time nodes: one coefficient array of 3 modes alone is 224 GiB
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 8
+modes: 3
+steps: 10000000000
+""")
+    tracemalloc.start()
+    try:
+        code = main([experiment, "--config", str(cfg), "--out", str(tmp_path / "o")])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert need in err and "Traceback" not in err
+    assert peak < 2**20
+
+
 def test_carleman_and_observability_runs(tmp_path):
     cfg = write_config(tmp_path, """
 experiment: carleman

@@ -8,18 +8,16 @@ from degenlab.discretize import (
     assemble,
     boundary_flux,
     build_mesh,
-    edge_mass,
     flux_stencil,
     hardy_check,
     mass_1d,
     norms,
-    part_node_ids,
     poincare_check,
     restrict_mesh,
     stiffness_1d,
     tensor_form,
 )
-from degenlab.errors import ContractError, ParameterError, UnsupportedRegionError
+from degenlab.errors import ContractError, ParameterError
 from degenlab.geometry import BoundaryPart, make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
@@ -140,7 +138,7 @@ def test_interior_operators_are_interior_blocks(kind, n, alpha, grading, delta):
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 32),
        grading=st.floats(1.0, 4.0), delta=st.one_of(st.none(), st.floats(0.01, 0.24)),
-       form=st.sampled_from(["mass", "stiffness", "xn_energy", "hardy", "edge_mass"]),
+       form=st.sampled_from(["mass", "stiffness", "xn_energy", "hardy", "edge"]),
        rows=st.one_of(st.none(), st.integers(1, 200)), seed=st.integers(0, 2**32 - 1))
 def test_tensor_form_matches_kron_oracle(kind, n, grading, delta, form, rows, seed):
     # delta None: the full domain on a graded mesh; else its slab above delta.
@@ -149,10 +147,9 @@ def test_tensor_form_matches_kron_oracle(kind, n, grading, delta, form, rows, se
     mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
     ops = assemble(mesh)
     (kx, mx), (kn, mn) = ops.x1, ops.xn
-    edge = edge_mass(ops, BoundaryPart.OBSERVED)
     terms = {"mass": [(mx, mn)], "stiffness": [(kx, mn), (mx, kn)], "xn_energy": [(mx, kn)],
-             "hardy": [(mx, ops.hardy_xn)], "edge_mass": [(edge,)]}
-    size = mx.shape[0] if form == "edge_mass" else mesh.n_nodes
+             "hardy": [(mx, ops.hardy_xn)], "edge": [(mx,)]}
+    size = mx.shape[0] if form == "edge" else mesh.n_nodes
     v = np.random.default_rng(seed).standard_normal(size if rows is None else (rows, size))
     got = sum(tensor_form(v, *term) for term in terms[form])
     want = sum(kron_form(v, *term) for term in terms[form])
@@ -255,24 +252,12 @@ def test_flux_linear_field():
     mesh = build_mesh(d, 512, 1.0)
     ops = assemble(mesh)
     u = mesh.points[:, 0].copy()  # ignoring boundary conditions on purpose
-    nodes = flux_stencil(ops, BoundaryPart.OBSERVED)
-    flux = boundary_flux(ops, u[nodes], BoundaryPart.OBSERVED)
+    nodes = flux_stencil(ops)
+    flux = boundary_flux(ops, u[nodes])
     assert flux[0] == pytest.approx(1.0, abs=3.0 / 512)
-    assert boundary_flux(ops, np.zeros(nodes.size), BoundaryPart.OBSERVED)[0] == 0.0
+    assert boundary_flux(ops, np.zeros(nodes.size))[0] == 0.0
     with pytest.raises(ContractError, match="flux stencil"):
-        boundary_flux(ops, u, BoundaryPart.OBSERVED)  # every node, not the stencil
-
-
-def test_flux_unsupported_parts():
-    d = make_domain("square", 0.5)
-    mesh = build_mesh(d, 8)
-    ops = assemble(mesh)
-    u = np.zeros(mesh.n_nodes)
-    for part in (BoundaryPart.DEGENERATE, BoundaryPart.LATERAL):
-        with pytest.raises(UnsupportedRegionError):
-            boundary_flux(ops, u, part)
-        with pytest.raises(UnsupportedRegionError):
-            flux_stencil(ops, part)
+        boundary_flux(ops, u)  # every node, not the stencil
 
 
 @settings(max_examples=40, deadline=None)
@@ -289,26 +274,25 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
     gen = np.random.default_rng(seed)
     u = gen.standard_normal((mesh.n_nodes, m))
     f = gen.standard_normal((mesh.n_nodes, m))
-    parts = [BoundaryPart.OBSERVED] + ([] if delta is None else [BoundaryPart.CUT])
-    for part in parts:
-        # both horizontal parts carry the x_1 mass factor, [[1]] on the interval
-        want = mass_1d(mesh.axes[0]).toarray() if kind == "square" else [[1.0]]
-        assert np.array_equal(edge_mass(ops, part).toarray(), want)
-        # the stencil is the part and its neighbouring x_N layer, and the
-        # flux from it is the residual of the part's full rows, bit for bit
-        nodes = flux_stencil(ops, part)
-        ids = part_node_ids(mesh, part)
-        assert nodes.size == 2 * ids.size
-        lump = np.asarray(edge_mass(ops, part).sum(axis=1))
-        full_rows = (full_stiffness(ops)[ids] @ u - ops.M_full[ids] @ f) / lump
-        assert np.array_equal(boundary_flux(ops, u[nodes], part, f_proxy=f[nodes]), full_rows)
-        for proxy in (None, f[nodes]):
-            block = boundary_flux(ops, u[nodes], part, f_proxy=proxy)
-            cols = np.stack([boundary_flux(ops, u[nodes, c], part,
-                                           f_proxy=None if proxy is None else proxy[:, c])
-                             for c in range(m)], axis=1)
-            assert block.shape == cols.shape
-            assert np.max(np.abs(block - cols)) <= 1e-14 * np.max(np.abs(cols))
+    # the observed edge carries the x_1 mass factor, [[1]] on the interval
+    edge = ops.x1[1]
+    want = mass_1d(mesh.axes[0]).toarray() if kind == "square" else [[1.0]]
+    assert np.array_equal(edge.toarray(), want)
+    # the stencil is the edge and its neighbouring x_N layer, and the
+    # flux from it is the residual of the edge's full rows, bit for bit
+    nodes = flux_stencil(ops)
+    ids = mesh.part_nodes[BoundaryPart.OBSERVED]
+    assert nodes.size == 2 * ids.size
+    lump = np.asarray(edge.sum(axis=1))
+    full_rows = (full_stiffness(ops)[ids] @ u - ops.M_full[ids] @ f) / lump
+    assert np.array_equal(boundary_flux(ops, u[nodes], f_proxy=f[nodes]), full_rows)
+    for proxy in (None, f[nodes]):
+        block = boundary_flux(ops, u[nodes], f_proxy=proxy)
+        cols = np.stack([boundary_flux(ops, u[nodes, c],
+                                       f_proxy=None if proxy is None else proxy[:, c])
+                         for c in range(m)], axis=1)
+        assert block.shape == cols.shape
+        assert np.max(np.abs(block - cols)) <= 1e-14 * np.max(np.abs(cols))
 
 
 def test_flux_eigenmode_against_series_oracle():
@@ -320,9 +304,8 @@ def test_flux_eigenmode_against_series_oracle():
     mesh = build_mesh(d, 1024, 2.0)
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 1)
-    phi = spec.mode(1)[flux_stencil(ops, BoundaryPart.OBSERVED)]
-    flux = boundary_flux(ops, phi, BoundaryPart.OBSERVED,
-                         f_proxy=spec.eigenvalues[0] * phi)
+    phi = spec.mode(1)[flux_stencil(ops)]
+    flux = boundary_flux(ops, phi, f_proxy=spec.eigenvalues[0] * phi)
     # sign convention of the solver may flip the mode
     assert abs(flux[0]) == pytest.approx(abs(du1), rel=5e-3)
 
@@ -335,10 +318,9 @@ def test_variational_vs_fd_flux_converges():
         ops = assemble(mesh)
         spec = compute_spectrum(ops, 1)
         phi = spec.mode(1)
-        nodes = flux_stencil(ops, BoundaryPart.OBSERVED)
-        fv = boundary_flux(ops, phi[nodes], BoundaryPart.OBSERVED,
-                           f_proxy=spec.eigenvalues[0] * phi[nodes])
-        fd = fd_flux(mesh, phi, BoundaryPart.OBSERVED)
+        nodes = flux_stencil(ops)
+        fv = boundary_flux(ops, phi[nodes], f_proxy=spec.eigenvalues[0] * phi[nodes])
+        fd = fd_flux(mesh, phi)
         gaps.append(abs(fv[0] - fd[0]))
     # the two recoveries agree to at least first order in h
     assert gaps[1] < gaps[0]

@@ -4,7 +4,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.carleman import CarlemanWeights, check_inequality
+from degenlab.carleman import check_inequality
 from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import (
@@ -18,7 +18,7 @@ from degenlab.evolution import (
     theta_rows,
     time_reverse,
 )
-from degenlab.geometry import BoundaryPart, make_domain, truncate
+from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
@@ -132,7 +132,7 @@ def test_flux_history_classical_oracle():
     y0[mesh.boundary] = 0.0
     grid = TimeGrid(1.0, 256)
     field = solve_spectral(spec, y0, None, grid)
-    _, integral = flux_history(field, ops, BoundaryPart.OBSERVED)
+    _, integral = flux_history(field, ops)
     assert integral == pytest.approx(HEAT_FLUX_INTEGRAL, rel=2e-3)
 
 
@@ -140,10 +140,10 @@ def test_flux_history_zero_and_profile(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 32)
     zero = SpaceTimeField(ops.mesh, grid, np.zeros((33, ops.mesh.n_nodes)))
-    flux, integral = flux_history(zero, ops, BoundaryPart.OBSERVED)
+    flux, integral = flux_history(zero, ops)
     assert integral == 0.0 and np.all(flux == 0.0)
     field = solve_spectral(spec, spec.mode(1), None, grid)
-    flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+    flux, _ = flux_history(field, ops)
     profile = flux[:, 0] / flux[0, 0]
     assert np.allclose(profile, np.exp(-spec.eigenvalues[0] * grid.nodes), rtol=1e-10)
 
@@ -156,8 +156,8 @@ def test_flux_fd_path_matches_mode_path(setup):
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
     fi = solve_implicit(ops, y0, None, grid, theta=0.5)
-    _, int_s = flux_history(fs, ops, BoundaryPart.OBSERVED)
-    _, int_i = flux_history(fi, ops, BoundaryPart.OBSERVED)
+    _, int_s = flux_history(fs, ops)
+    _, int_i = flux_history(fi, ops)
     assert int_i == pytest.approx(int_s, rel=2e-2)
 
 
@@ -173,10 +173,10 @@ def test_backward_flux_as_accurate_as_forward(kind):
     spec = compute_spectrum(ops, 4)
     grid = TimeGrid(1.0, 128)
     fwd = solve_spectral(spec, spec.mode(1) + spec.mode(4), None, grid)
-    exact, _ = flux_history(fwd, ops, BoundaryPart.OBSERVED)
+    exact, _ = flux_history(fwd, ops)
 
     def error(field, reference):
-        flux, _ = flux_history(field, ops, BoundaryPart.OBSERVED)
+        flux, _ = flux_history(field, ops)
         return np.max(np.abs(flux - reference)) / np.max(np.abs(reference))
 
     forward = error(SpaceTimeField(mesh, grid, fwd.values), exact)
@@ -258,13 +258,12 @@ def test_absent_source_equals_zero_source(kind, n, theta):
                   for f in (None, np.zeros(ops.mesh.n_nodes)))
     assert free.source_values() is None
     assert np.array_equal(free.values, zero.values)
-    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl, ops, BoundaryPart.OBSERVED)
+    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl, ops)
                                         for fl in (free, zero))
     assert np.array_equal(flux_a, flux_b) and int_a == int_b
     assert stability_ratio(free, ops) == stability_ratio(zero, ops)
-    w = CarlemanWeights(alpha=0.5, T=1.0, s=3.0)
-    assert (check_inequality(time_reverse(free), w, ops)
-            == check_inequality(time_reverse(zero), w, ops))
+    assert (check_inequality(time_reverse(free), 3.0, ops)
+            == check_inequality(time_reverse(zero), 3.0, ops))
 
 
 def _theta_problem(kind, n, grading, source, seed, steps=16):
@@ -374,7 +373,7 @@ def test_reversed_coefficient_flux_is_nodal_recovery(slab, with_source):
     back = time_reverse(_coefficient_field(ops, spec, with_source))
     nodal = SpaceTimeField(back.mesh, back.grid, back.rows(slice(None)), source=back.source,
                            direction="backward")
-    (flux_c, int_c), (flux_n, int_n) = (flux_history(f, ops, BoundaryPart.OBSERVED)
+    (flux_c, int_c), (flux_n, int_n) = (flux_history(f, ops)
                                         for f in (back, nodal))
     assert back._values is None
     assert np.array_equal(flux_c, flux_n) and int_c == int_n

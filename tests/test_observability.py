@@ -33,7 +33,7 @@ def test_classical_single_mode_ratios(classical):
     grid = TimeGrid(1.0, 128)
     for mode in range(1, 6):
         y0 = spec.mode(mode)
-        ratio = observability_ratio(y0, grid, ops, spec)
+        ratio = observability_ratio(y0, grid, spec)
         oracle = heat_observability_ratio(mode, 1.0)
         assert ratio == pytest.approx(oracle, rel=1e-3)
 
@@ -47,7 +47,7 @@ def test_degenerate_mode_ratio_closed_form(degenerate):
     _, lam_oracle, du1 = degenerate_eigenfunction(0.5, 1)
     T = 1.0
     grid = TimeGrid(T, 64)
-    ratio = observability_ratio(spec.mode(1), grid, ops, spec)
+    ratio = observability_ratio(spec.mode(1), grid, spec)
     oracle = 1.0 / (du1**2 * (1.0 - np.exp(-2.0 * lam_oracle * T)) / (2.0 * lam_oracle))
     assert ratio == pytest.approx(oracle, rel=2e-2)
 
@@ -63,7 +63,7 @@ def test_square_orthogonal_fluxes_block_gram():
     ops = assemble(build_mesh(d, 32, 2.0))
     spec = compute_spectrum(ops, 3)
     grid = TimeGrid(0.2, 32)
-    gram = _flux_gram(ops, spec, grid, 3)
+    gram = _flux_gram(spec, grid, 3)
     # modes 1 and 3 here are (m=1, j=1) and (m=2, j=1): lam = m^2 pi^2 + mu_1
     lam = spec.eigenvalues
     assert lam[2] == pytest.approx(lam[0] + 3.0 * np.pi**2, rel=2e-2)
@@ -77,10 +77,10 @@ def test_ratio_scale_invariance(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(1.0, 64)
     y0 = spec.mode(1) + 0.2 * spec.mode(3)
-    r1 = observability_ratio(y0, grid, ops, spec)
-    r2 = observability_ratio(2.0 * y0, grid, ops, spec)  # power of two: exact
+    r1 = observability_ratio(y0, grid, spec)
+    r2 = observability_ratio(2.0 * y0, grid, spec)  # power of two: exact
     assert r1 == r2
-    r3 = observability_ratio(-3.0 * y0, grid, ops, spec)
+    r3 = observability_ratio(-3.0 * y0, grid, spec)
     assert r3 == pytest.approx(r1, rel=1e-12)
 
 
@@ -88,24 +88,24 @@ def test_ratio_errors(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(1.0, 64)
     with pytest.raises(ParameterError):
-        observability_ratio(np.zeros(ops.mesh.n_nodes), grid, ops, spec)
+        observability_ratio(np.zeros(ops.mesh.n_nodes), grid, spec)
     tiny = 1e-155 * spec.mode(1)
     with pytest.raises(DegenerateObservationError):
-        observability_ratio(tiny, grid, ops, spec)
+        observability_ratio(tiny, grid, spec)
 
 
 def test_constant_nondecreasing_in_subspace(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(0.05, 64)
-    values = [estimate_constant(grid, ops, spec, k).c_obs for k in (1, 3, 5)]
+    values = [estimate_constant(grid, spec, k).c_obs for k in (1, 3, 5)]
     assert values[0] <= values[1] <= values[2]
 
 
 def test_constant_k1_matches_single_ratio(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(0.5, 64)
-    rep = estimate_constant(grid, ops, spec, 1)
-    single = observability_ratio(spec.mode(1), grid, ops, spec)
+    rep = estimate_constant(grid, spec, 1)
+    single = observability_ratio(spec.mode(1), grid, spec)
     assert rep.c_obs == pytest.approx(single, rel=1e-12)
     assert rep.c_obs >= max(rep.ratios) * (1.0 - 1e-12)
 
@@ -113,12 +113,12 @@ def test_constant_k1_matches_single_ratio(degenerate):
 def test_depth_limit_enforced(degenerate):
     ops, spec = degenerate
     # at T = 1 only the shallow modes satisfy lambda_k * T <= 60
-    rep = estimate_constant(TimeGrid(1.0, 64), ops, spec, 10)
+    rep = estimate_constant(TimeGrid(1.0, 64), spec, 10)
     lam = spec.eigenvalues
     assert rep.subspace_dim == int(np.searchsorted(lam * 1.0, 60.0, side="right"))
     assert rep.requested_modes == 10
     with pytest.raises(ParameterError):
-        estimate_constant(TimeGrid(20.0, 64), ops, spec, 1)
+        estimate_constant(TimeGrid(20.0, 64), spec, 1)
 
 
 def test_refinement_drift(degenerate):
@@ -128,7 +128,7 @@ def test_refinement_drift(degenerate):
     for n in (256, 512):
         ops = assemble(build_mesh(d, n, 2.0))
         spec = compute_spectrum(ops, 5)
-        vals.append(estimate_constant(grid, ops, spec, 5).c_obs)
+        vals.append(estimate_constant(grid, spec, 5).c_obs)
     assert abs(vals[1] - vals[0]) / vals[0] <= 0.25
 
 

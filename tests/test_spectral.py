@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from degenlab.discretize import assemble, build_mesh, norms, poincare_check
 from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
-from degenlab.geometry import BoundaryPart, make_domain, truncate
+from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum, expand, reconstruct
 
@@ -175,11 +175,11 @@ def test_spectrum_builds_no_full_node_operator(kind):
 
 @pytest.mark.parametrize("kind", ["interval", "square"])
 def test_flux_builds_no_full_node_operator(kind):
-    # the flux rows of a horizontal part come from the 1D factors
+    # the flux rows of the observed edge come from the 1D factors
     ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
     spec = compute_spectrum(ops, 3)
-    spec.mode_flux(BoundaryPart.OBSERVED)
+    spec.mode_flux
     grid = TimeGrid(1.0, 8)
     values = np.outer(np.exp(-grid.nodes), spec.mode(1))
-    flux_history(SpaceTimeField(ops.mesh, grid, values), ops, BoundaryPart.OBSERVED)
+    flux_history(SpaceTimeField(ops.mesh, grid, values), ops)
     assert "M_full" not in vars(ops)
