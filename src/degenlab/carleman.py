@@ -62,7 +62,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .discretize import OperatorPair, _tensor_stiffness
+from .discretize import _tensor_stiffness
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
 from .geometry import TruncatedDomain
@@ -163,7 +163,7 @@ def transform(field: SpaceTimeField, s: float) -> SpaceTimeField:
     xi = w.theta(field.grid.nodes[1:-1])[:, None] * w.gamma_minus_eta(field.mesh.xn)[None, :]
     z = np.zeros_like(field.values)
     z[1:-1] = np.exp(-s * xi) * field.values[1:-1]
-    return SpaceTimeField(field.mesh, field.grid, z, direction=field.direction)
+    return SpaceTimeField(field.ops, field.grid, z, direction=field.direction)
 
 
 @dataclass
@@ -299,10 +299,9 @@ class FieldData:
     the largest |y| or |d_N y| over x_1, and sums over x_1 directly.
     """
 
-    def __init__(self, field: SpaceTimeField, ops: OperatorPair):
+    def __init__(self, field: SpaceTimeField):
         _require_truncated(field)
-        mesh = field.mesh
-        grid = field.grid
+        ops, mesh, grid = field.ops, field.mesh, field.grid
         t = grid.nodes[1:-1]
         self.weights = CarlemanWeights.of(field)
         self.log_theta = self.weights.log_theta(t)
@@ -323,7 +322,7 @@ class FieldData:
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
 
-        flux, _ = flux_history(field, ops)
+        flux, _ = flux_history(field)
         w_edge = np.asarray(ops.x1[1].sum(axis=1))
         self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
         # no source, no moment: the source budget is exp(-inf) = 0
@@ -451,8 +450,8 @@ def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
     )
 
 
-def check_inequality(field: SpaceTimeField, s: float, ops: OperatorPair,
-                     which: str = "eq410", c_boundary: float = 1.0) -> CarlemanBudget:
+def check_inequality(field: SpaceTimeField, s: float, which: str = "eq410",
+                     c_boundary: float = 1.0) -> CarlemanBudget:
     """Evaluate one inequality budget at parameter s for a backward-convention
     solution, with the field's own weight family.
 
@@ -461,7 +460,7 @@ def check_inequality(field: SpaceTimeField, s: float, ops: OperatorPair,
     zero-order term s II Theta y**2 exp(-2 s xi).  ``holds`` compares
     against rhs_source + c_boundary * rhs_boundary.
     """
-    return FieldData(field, ops).budget(s, which, c_boundary)
+    return FieldData(field).budget(s, which, c_boundary)
 
 
 @dataclass(frozen=True)
@@ -517,7 +516,7 @@ def find_s0(fields, s_grid, which: str = "eq410") -> S0Fit:
                  log_needed_c=tuple(map(tuple, log_needed)))
 
 
-def p_residual(z_field: SpaceTimeField, f, s: float, ops: OperatorPair) -> float:
+def p_residual(z_field: SpaceTimeField, f, s: float) -> float:
     """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, with
     the field's own weight family.
 
@@ -533,8 +532,7 @@ def p_residual(z_field: SpaceTimeField, f, s: float, ops: OperatorPair) -> float
     """
     _require_truncated(z_field)
     _check_s(s)
-    mesh = z_field.mesh
-    grid = z_field.grid
+    ops, mesh, grid = z_field.ops, z_field.mesh, z_field.grid
     w = CarlemanWeights.of(z_field)
     alpha = w.alpha
     t = grid.nodes[1:-1]

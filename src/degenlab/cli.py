@@ -307,7 +307,7 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
-    e_s = energy_history(fs, ops)
+    e_s = energy_history(fs)
     # theta rows are folded as they come: no nodal field of either solver is held
     e2_i, gap2 = np.empty((2, cfg.steps + 1))
     for j, row in enumerate(theta_rows(ops, y0, None, grid, theta=1.0)):
@@ -354,13 +354,13 @@ def run_delta_sweep(cfg: ExperimentConfig, problem) -> Outcome:
 
 def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     delta = cfg.deltas[0]
-    tmesh, tops, spec = problem(cfg, delta)
+    tmesh, _, spec = problem(cfg, delta)
     grid = TimeGrid(cfg.T, cfg.steps)
     rng = Lcg(cfg.seed)
     data = [spec.modes[:, k] for k in range(cfg.modes)]
     data += [random_admissible(tmesh, rng) for _ in range(5)]
     # streamed, never all held at once; the first field's data serves the eq51 check
-    fields = (carle.FieldData(time_reverse(solve_spectral(spec, y0, None, grid)), tops)
+    fields = (carle.FieldData(time_reverse(solve_spectral(spec, y0, None, grid)))
               for y0 in data)
     first = next(fields)
     fit = carle.find_s0(itertools.chain([first], fields), cfg.s_values)
@@ -387,7 +387,7 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
-    mesh, ops, spec = problem(cfg)
+    mesh, _, spec = problem(cfg)
     grid = TimeGrid(cfg.T, cfg.steps)
     report = obs.estimate_constant(grid, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]
@@ -396,7 +396,7 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
     for _ in range(20):
         y0 = random_admissible(mesh, rng)
         back = time_reverse(solve_spectral(spec, y0, None, grid))
-        window_ok &= obs.window_bound_check(back, ops)["holds"]
+        window_ok &= obs.window_bound_check(back)["holds"]
     rough = random_admissible(mesh, rng)
     rough_ratio = obs.observability_ratio(rough, grid, spec)
     checks = {

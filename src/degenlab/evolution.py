@@ -53,18 +53,21 @@ class TimeGrid:
 
 
 class SpaceTimeField:
-    """Nodal values y(x, t_j) for every time node, zero on the boundary.
+    """Nodal values y(x, t_j) for every time node on the mesh of the operator
+    pair ``ops``, zero on the boundary; consumers read the pair as ``field.ops``.
 
     A coefficient field (``values=None``, ``mode_data=(spectrum, coeffs)``
     with one coefficient row per time node) builds its nodal values on
     first read, as ``coeffs @ spectrum.modes.T`` in either time direction,
-    and caches them.  Each nodal row depends only on its coefficient row,
-    so a reversed field's values are the forward values reversed.
+    and caches them; its spectrum must be one of ``ops``.  Each nodal row
+    depends only on its coefficient row, so a reversed field's values are
+    the forward values reversed.
     """
 
-    def __init__(self, mesh, grid, values, source=None, direction="forward",
+    def __init__(self, ops: OperatorPair, grid, values, source=None, direction="forward",
                  mode_data=None):
-        self.mesh = mesh
+        self.ops = ops
+        self.mesh = mesh = ops.mesh
         self.grid = grid
         self._values = values
         self.source = source
@@ -74,6 +77,8 @@ class SpaceTimeField:
             shape = values.shape
         else:
             spectrum, coeffs = mode_data
+            if spectrum.ops is not ops:
+                raise ContractError("the field's spectrum is not one of its operator pair")
             shape = (coeffs.shape[0], spectrum.modes.shape[0])
         if shape != (grid.steps + 1, mesh.n_nodes):
             raise ContractError("field shape does not match grid and mesh")
@@ -152,8 +157,7 @@ def solve_spectral(spectrum: Spectrum, y0, f, grid: TimeGrid) -> SpaceTimeField:
     w_old = grid.dt * _phi2(mu)
     m = grid.steps + 1
     coeffs = np.empty((m, spectrum.count))
-    field = SpaceTimeField(spectrum.ops.mesh, grid, None, source=f,
-                           mode_data=(spectrum, coeffs))
+    field = SpaceTimeField(spectrum.ops, grid, None, source=f, mode_data=(spectrum, coeffs))
     fvals = field.source_values()
     loads = (np.zeros((m, spectrum.count)) if fvals is None
              else np.array([expand(spectrum, row) for row in fvals]))
@@ -222,7 +226,7 @@ def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
     values = np.empty((grid.steps + 1, ops.mesh.n_nodes))
     for j, row in enumerate(theta_rows(ops, y0, f, grid, theta)):
         values[j] = row
-    return SpaceTimeField(ops.mesh, grid, values, source=f)
+    return SpaceTimeField(ops, grid, values, source=f)
 
 
 def time_norm(per_time, t):
@@ -230,7 +234,7 @@ def time_norm(per_time, t):
     return float(np.sqrt(max(np.trapezoid(per_time, t), 0.0)))
 
 
-def energy_history(field: SpaceTimeField, ops: OperatorPair):
+def energy_history(field: SpaceTimeField):
     """L2 norm of the field at every time node; non-increasing when the
     source vanishes (parabolic energy decay).  A coefficient field gives
     sqrt(c(t)' G c(t)) with the mode Gram G = Phi' M Phi of its spectrum."""
@@ -238,7 +242,7 @@ def energy_history(field: SpaceTimeField, ops: OperatorPair):
         spectrum, coeffs = field._mode_data
         per_time = np.einsum("tk,tk->t", coeffs, coeffs @ spectrum.mass_gram)
     else:
-        per_time = tensor_form(field.values, ops.x1[1], ops.xn[1])
+        per_time = tensor_form(field.values, field.ops.x1[1], field.ops.xn[1])
     return np.sqrt(np.maximum(per_time, 0.0))
 
 
@@ -250,7 +254,7 @@ def _time_derivative(values, dt):
     return dv
 
 
-def flux_history(field: SpaceTimeField, ops: OperatorPair):
+def flux_history(field: SpaceTimeField):
     """Normal derivative on the observed edge at every time node, plus the
     space-time integral of its square over the edge x (0, T).
 
@@ -258,7 +262,7 @@ def flux_history(field: SpaceTimeField, ops: OperatorPair):
     their spectrum; other fields fall back to variational recovery with a
     finite-differenced time derivative as the load proxy.
     """
-    grid = field.grid
+    ops, grid = field.ops, field.grid
     # backward coefficient fields stay on the recovery below: the pinned Carleman
     # budgets come from it until the backward-flux fix (ROADMAP item 1)
     if field._mode_data is not None and field.direction == "forward":
@@ -287,20 +291,20 @@ def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
     source = None if field.source is None else -field.source_values()[::-1]
     if field._mode_data is not None:
         spectrum, coeffs = field._mode_data
-        return SpaceTimeField(field.mesh, field.grid, None, source=source,
+        return SpaceTimeField(field.ops, field.grid, None, source=source,
                               direction="backward", mode_data=(spectrum, coeffs[::-1]))
-    return SpaceTimeField(field.mesh, field.grid, field.values[::-1].copy(),
+    return SpaceTimeField(field.ops, field.grid, field.values[::-1].copy(),
                           source=source, direction="backward")
 
 
-def stability_ratio(field: SpaceTimeField, ops: OperatorPair) -> float:
+def stability_ratio(field: SpaceTimeField) -> float:
     """Measured shape of the a-priori energy estimate:
 
         [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / [ ||f||_{L2(Q)} + ||y0||_L2 ].
     """
     t = field.grid.nodes
-    (kx, mx), (kn, mn) = ops.x1, ops.xn
-    l2 = energy_history(field, ops)
+    (kx, mx), (kn, mn) = field.ops.x1, field.ops.xn
+    l2 = energy_history(field)
     h1_qt = time_norm(tensor_form(field.values, kx, mn) + tensor_form(field.values, mx, kn), t)
     f_qt = 0.0 if field.source is None else time_norm(
         tensor_form(field.source_values(), mx, mn), t)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .discretize import OperatorPair, tensor_form
+from .discretize import tensor_form
 from .errors import ConventionError, DegenerateObservationError, ParameterError
 from .evolution import SpaceTimeField, TimeGrid, energy_history
 from .spectral import Spectrum, expand
@@ -103,7 +103,7 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
     )
 
 
-def window_bound_check(field: SpaceTimeField, ops: OperatorPair):
+def window_bound_check(field: SpaceTimeField):
     """Initial energy against the mean energy over the middle half window.
 
     The field must follow the backward convention, i.e. its L2 energy is
@@ -111,7 +111,7 @@ def window_bound_check(field: SpaceTimeField, ops: OperatorPair):
     ||y(0)||^2 <= (2/T) * integral over (T/4, 3T/4) of ||y(t)||^2 dt.
     """
     t = field.grid.nodes
-    esq = energy_history(field, ops) ** 2
+    esq = energy_history(field) ** 2
     scale = max(float(esq.max()), 1e-300)
     if np.any(np.diff(esq) < -1e-10 * scale):
         raise ConventionError(

@@ -50,16 +50,16 @@ def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
     return out
 
 
-def extend_by_zero(field: SpaceTimeField, full_mesh: Mesh) -> SpaceTimeField:
-    """Zero extension of a space-time field on a truncated mesh."""
-    emap = extension_map(field.mesh, full_mesh)
-    values = np.zeros((field.grid.steps + 1, full_mesh.n_nodes))
+def extend_by_zero(field: SpaceTimeField, full_ops: OperatorPair) -> SpaceTimeField:
+    """Zero extension of a slab field to the mesh of the full pair ``full_ops``."""
+    emap = extension_map(field.mesh, full_ops.mesh)
+    values = np.zeros((field.grid.steps + 1, full_ops.mesh.n_nodes))
     values[:, emap] = field.values
     source = None
     if field.source is not None:
         source = np.zeros_like(values)
         source[:, emap] = field.source_values()
-    return SpaceTimeField(full_mesh, field.grid, values, source=source,
+    return SpaceTimeField(full_ops, field.grid, values, source=source,
                           direction=field.direction)
 
 
@@ -116,7 +116,7 @@ def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid, n: 
     y0 is a callable or a nodal vector on the uniform full-domain mesh
     with n cells per axis; it must vanish on the strip x_N <= delta (its
     restriction is the initial datum).  Returns the field on the
-    truncated mesh together with the assembled operators.
+    operators assembled on the truncated mesh.
     """
     full_mesh = build_mesh(domain, n, grading=1.0)
     y0_full = _nodal_data(full_mesh, y0, "y0")
@@ -129,8 +129,7 @@ def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid, n: 
     y0_tr = y0_full[emap].copy()
     y0_tr[tr_mesh.boundary] = 0.0
     f_tr = _nodal_data(tr_mesh, f, "f")
-    field = solve_implicit(tr_ops, y0_tr, f_tr, grid, theta=_THETA)
-    return field, tr_ops
+    return solve_implicit(tr_ops, y0_tr, f_tr, grid, theta=_THETA)
 
 
 @dataclass(frozen=True)
@@ -195,15 +194,15 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
             f"coarse field, more than the {memory_mib:.0f} MiB of physical memory")
 
     def full_solve(mesh):
-        ops = assemble(mesh)
         y0_full = _nodal_data(mesh, y0, "y0")
         y0_full[mesh.boundary] = 0.0
-        return solve_implicit(ops, y0_full, _nodal_data(mesh, f, "f"), grid,
-                              theta=_THETA), ops
+        return solve_implicit(assemble(mesh), y0_full, _nodal_data(mesh, f, "f"), grid,
+                              theta=_THETA)
 
     ref_mesh, coarse_mesh = (build_mesh(domain, n, grading=1.0) for n in (n_ref, n_sweep))
-    ref_field, ref_ops = full_solve(ref_mesh)
-    ref_flux, _ = flux_history(ref_field, ref_ops)
+    ref_field = full_solve(ref_mesh)
+    ref_ops = ref_field.ops
+    ref_flux, _ = flux_history(ref_field)
     prolong = prolongation(coarse_mesh, ref_mesh)
     tnodes = grid.nodes
 
@@ -214,17 +213,17 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
         return np.array([tensor_form(v, ref_ops.x1[1], ref_ops.xn[1]) for v in diffs])
 
     # self-convergence of the reference: full solve at sweep resolution
-    self_err = time_norm(error_per_time(prolong, full_solve(coarse_mesh)[0]), tnodes)
+    self_err = time_norm(error_per_time(prolong, full_solve(coarse_mesh)), tnodes)
 
     # one slab field at a time, each freed before the next slab is solved
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
-        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep)
+        field = solve_truncated(domain, d, y0, f, grid, n_sweep)
         # zero extension then prolongation: the columns of the slab nodes
-        per_time = error_per_time(prolong[:, extension_map(tr_ops.mesh, coarse_mesh)], field)
+        per_time = error_per_time(prolong[:, extension_map(field.mesh, coarse_mesh)], field)
         sol_errors.append(time_norm(per_time, tnodes))
         fin_errors.append(float(np.sqrt(per_time[-1])))
-        tr_flux, _ = flux_history(field, tr_ops)
+        tr_flux, _ = flux_history(field)
         del field
         if domain.dimension == 2:  # from the coarse x_1 nodes to the reference's
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
@@ -254,8 +253,7 @@ def stability_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n: int):
     constant in delta."""
     ratios = {}
     for d in deltas:
-        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n)
-        ratios[float(d)] = stability_ratio(field, tr_ops)
+        ratios[float(d)] = stability_ratio(solve_truncated(domain, d, y0, f, grid, n))
     vals = np.array(list(ratios.values()))
     drift = float((vals.max() - vals.min()) / vals.min())
     return {"ratios": ratios, "drift": drift}

@@ -152,7 +152,7 @@ def lse_exp_all(a):
     return float(top + np.log(np.sum(np.exp(a - top))))
 
 
-def carleman_budget_per_node(field, ops, s, which):
+def carleman_budget_per_node(field, s, which):
     """Log budgets of one Carleman inequality summed node by node, with the
     weight of the field's exponent alpha and horizon T.
 
@@ -164,7 +164,7 @@ def carleman_budget_per_node(field, ops, s, which):
     from degenlab.evolution import flux_history
     from degenlab.geometry import BoundaryPart
 
-    mesh, grid = field.mesh, field.grid
+    ops, mesh, grid = field.ops, field.mesh, field.grid
     alpha, gamma = mesh.domain.alpha, 2.0
     t = grid.nodes[1:-1]
     log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
@@ -176,7 +176,7 @@ def carleman_budget_per_node(field, ops, s, which):
         field.values.shape)[1:-1]
     xn = mesh.xn
     log_xn = np.log(xn)
-    flux, _ = flux_history(field, ops)
+    flux, _ = flux_history(field)
     with np.errstate(divide="ignore"):
         log_y2 = 2.0 * np.log(np.abs(y))
         log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
@@ -214,7 +214,7 @@ def carleman_budget_per_node(field, ops, s, which):
             "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}
 
 
-def carleman_budget_linear(field, ops, s, which):
+def carleman_budget_linear(field, s, which):
     """The three Carleman budget integrals of one field summed node by node
     in linear arithmetic, with the weight of the field's exponent alpha and
     horizon T: the left side, the source term and the boundary term (s
@@ -222,7 +222,7 @@ def carleman_budget_linear(field, ops, s, which):
     where exp(-2 s xi) stays within the double range."""
     from degenlab.evolution import flux_history
 
-    mesh, grid = field.mesh, field.grid
+    ops, mesh, grid = field.ops, field.mesh, field.grid
     alpha, gamma = mesh.domain.alpha, 2.0
     t = grid.nodes[1:-1]
     theta = (1.0 / (t * (grid.T - t)) ** 4)[:, None]
@@ -240,7 +240,7 @@ def carleman_budget_linear(field, ops, s, which):
         lhs = s * np.sum(lw * theta * y**2 * decay)
     source = 0.0 if field.source is None else np.sum(
         lw * field.source_values()[1:-1] ** 2 * decay)
-    flux, _ = flux_history(field, ops)
+    flux, _ = flux_history(field)
     w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
     edge_decay = np.exp(-2.0 * s * theta[:, 0] * (gamma - 1.0))  # x_N = 1 on the edge
     boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
@@ -316,7 +316,7 @@ def theta_scheme_lu(ops, y0, f, grid, theta):
     rhs_op = (ops.M - (1.0 - theta) * dt * ops.K).tocsr()
     values = np.zeros((grid.steps + 1, ops.mesh.n_nodes))
     values[0] = y0
-    fvals = SpaceTimeField(ops.mesh, grid, values, source=f).source_values()
+    fvals = SpaceTimeField(ops, grid, values, source=f).source_values()
     ii = ops.interior
     y = values[0, ii].copy()
     for j in range(grid.steps):
@@ -373,14 +373,15 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
         y0_full = y0(mesh.points)
         y0_full[mesh.boundary] = 0.0
         source = None if f is None else f(mesh.points)
-        return solve_implicit(ops, y0_full, source, grid, theta=0.5), ops
+        return solve_implicit(ops, y0_full, source, grid, theta=0.5)
 
-    ref_field, ref_ops = full_solve(n_ref)
+    ref_field = full_solve(n_ref)
+    ref_ops = ref_field.ops
     ref_mesh, t = ref_ops.mesh, grid.nodes
-    ref_flux, _ = flux_history(ref_field, ref_ops)
+    ref_flux, _ = flux_history(ref_field)
     edge = ref_ops.x1[1]
-    coarse_field, coarse_ops = full_solve(n_sweep)
-    coarse_mesh = coarse_ops.mesh
+    coarse_field = full_solve(n_sweep)
+    coarse_mesh = coarse_field.mesh
     prolong = prolongation(coarse_mesh, ref_mesh)
 
     def error_per_time(op, values):
@@ -389,12 +390,12 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
            "solution_errors": [], "final_time_errors": [], "flux_errors": []}
     for d in deltas:
-        field, tr_ops = solve_truncated(domain, d, y0, f, grid, n_sweep)
-        extend = prolong[:, extension_map(tr_ops.mesh, coarse_mesh)]
+        field = solve_truncated(domain, d, y0, f, grid, n_sweep)
+        extend = prolong[:, extension_map(field.mesh, coarse_mesh)]
         per_time = error_per_time(extend, field.values)
         out["solution_errors"].append(time_norm(per_time, t))
         out["final_time_errors"].append(float(np.sqrt(per_time[-1])))
-        tr_flux, _ = flux_history(field, tr_ops)
+        tr_flux, _ = flux_history(field)
         if domain.dimension == 2:
             tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
                                 for row in tr_flux])

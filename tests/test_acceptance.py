@@ -116,7 +116,7 @@ def test_criterion_4_evolution_exactness(deg1024):
         gaps.append(np.max(np.sqrt(
             np.einsum("tn,tn->t", diff, (ops.M_full @ diff.T).T))))
         for f in (fs, fi):
-            e = dl.energy_history(f, ops)
+            e = dl.energy_history(f)
             assert np.all(np.diff(e) <= 1e-12 * e[0])
     order = float(np.mean([np.log2(gaps[i] / gaps[i + 1]) for i in range(3)]))
     assert 0.9 <= order <= 1.1
@@ -188,7 +188,7 @@ def test_criterion_8_uniform_constants():
                   for k in range(10)]
         fields += [dl.time_reverse(dl.solve_spectral(
             tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
-        fit = dl.find_s0((dl.FieldData(f, tops) for f in fields), s_grid)
+        fit = dl.find_s0((dl.FieldData(f) for f in fields), s_grid)
         assert fit.found
         c_fit.append(fit.c_boundary)
         c_obs.append(dl.estimate_constant(grid, tspec, 10).c_obs)
@@ -213,12 +213,12 @@ def test_criterion_9_carleman_inequality():
     fields += [dl.time_reverse(dl.solve_spectral(
         tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
     s_grid = list(np.geomspace(1.0, 200.0, 20))
-    fit = dl.find_s0((dl.FieldData(f, tops) for f in fields), s_grid)
+    fit = dl.find_s0((dl.FieldData(f) for f in fields), s_grid)
     assert fit.found and fit.s0 <= 200.0
     start = s_grid.index(fit.s0)
     for s in s_grid[start:]:
         for field in fields:
-            b = dl.check_inequality(field, s, tops, "eq410",
+            b = dl.check_inequality(field, s, "eq410",
                                     c_boundary=fit.c_boundary)
             assert b.holds
 
@@ -241,8 +241,8 @@ def test_criterion_9_carleman_inequality():
         y = g[:, None] * phi[None, :]
         f = gp[:, None] * phi[None, :] + g[:, None] * (
             0.5 * x ** (-0.5) * dphi + x**0.5 * ddphi)[None, :]
-        field = dl.SpaceTimeField(mesh, gridr, y)
-        res.append(dl.p_residual(dl.transform(field, 1.0), f, 1.0, ops))
+        field = dl.SpaceTimeField(ops, gridr, y)
+        res.append(dl.p_residual(dl.transform(field, 1.0), f, 1.0))
     order = float(np.log2(res[0] / res[1]))
     assert order >= 1.0
     ok(9, f"s0 = {fit.s0:.3g} <= 200, inequality holds on [s0, 200]; "
@@ -287,7 +287,7 @@ def test_criterion_10_observability():
     for _ in range(20):
         y0 = dl.random_admissible(ops.mesh, rng)
         back = dl.time_reverse(dl.solve_spectral(spec, y0, None, gw))
-        assert dl.window_bound_check(back, ops)["holds"]
+        assert dl.window_bound_check(back)["holds"]
     ok(10, f"classical ratios in [0.9, 1.2] x oracle; C_obs finite for "
            f"K in (5, 10, 15), drifts {max(drifts.values()):.3f} <= 0.25; "
            "window bound holds on 20 runs")

@@ -20,7 +20,6 @@ from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_reverse
 from degenlab.geometry import make_domain, truncate
-from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import Spectrum, compute_spectrum
 
 from oracles import (carleman_budget_linear, carleman_budget_per_node, fit_tail_exponent,
@@ -80,7 +79,7 @@ def test_weight_growth_exponents():
 def test_transform_endpoints_and_zero(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 16)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
+    zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
     assert np.all(transform(zero, 2.0).values == 0.0)
     field = backward_mode_field(ops, spec, 1, grid)
     z = transform(field, 2.0)
@@ -94,7 +93,7 @@ def test_transform_needs_truncated_domain():
     d = make_domain("interval", 0.5)
     ops = assemble(build_mesh(d, 16))
     grid = TimeGrid(1.0, 8)
-    field = SpaceTimeField(ops.mesh, grid, np.zeros((9, ops.mesh.n_nodes)))
+    field = SpaceTimeField(ops, grid, np.zeros((9, ops.mesh.n_nodes)))
     with pytest.raises(ContractError):
         transform(field, 1.0)
 
@@ -116,7 +115,7 @@ def _manufactured(alpha, delta, T, n, steps):
     # source of the backward equation: f = y_t + (x**a y_x)_x
     f = gp[:, None] * phi[None, :] \
         + g[:, None] * (alpha * x ** (alpha - 1.0) * dphi + x**alpha * ddphi)[None, :]
-    return ops, SpaceTimeField(mesh, grid, y), f, grid
+    return SpaceTimeField(ops, grid, y), f
 
 
 @pytest.mark.parametrize("s", [1.0, 2.0])
@@ -126,9 +125,9 @@ def test_residual_identity_refinement_order(s):
     T = 2.5
     res = []
     for n, steps in [(32, 32), (64, 64), (128, 128)]:
-        ops, field, f, _ = _manufactured(0.5, 0.1, T, n, steps)
+        field, f = _manufactured(0.5, 0.1, T, n, steps)
         z = transform(field, s)
-        res.append(p_residual(z, f, s, ops))
+        res.append(p_residual(z, f, s))
     orders = [np.log2(res[i] / res[i + 1]) for i in range(2)]
     assert all(o >= 1.0 for o in orders), (res, orders)
 
@@ -136,27 +135,27 @@ def test_residual_identity_refinement_order(s):
 def test_residual_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    assert p_residual(transform(zero, 1.0), None, 1.0, ops) == 0.0
+    zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
+    assert p_residual(transform(zero, 1.0), None, 1.0) == 0.0
 
 
 def test_budget_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    b = check_inequality(zero, 1.0, ops, "eq410")
+    zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
+    b = check_inequality(zero, 1.0, "eq410")
     assert b.holds
     assert b.log_lhs == -np.inf and b.log_rhs_boundary == -np.inf
     with pytest.raises(ParameterError):
-        check_inequality(zero, 0.0, ops, "eq410")
+        check_inequality(zero, 0.0, "eq410")
 
 
 def test_budget_deterministic(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
     field = backward_mode_field(ops, spec, 1, grid)
-    b1 = check_inequality(field, 3.0, ops, "eq410")
-    b2 = check_inequality(field, 3.0, ops, "eq410")
+    b1 = check_inequality(field, 3.0, "eq410")
+    b2 = check_inequality(field, 3.0, "eq410")
     assert b1.log_lhs == b2.log_lhs
     assert b1.log_rhs_boundary == b2.log_rhs_boundary
 
@@ -169,10 +168,10 @@ def test_budget_time_symmetry(slab):
     prof = 1.0 + 4.0 * t * (1.0 - t)
     phi = spec.mode(1)
     vals = prof[:, None] * phi[None, :]
-    field = SpaceTimeField(ops.mesh, grid, vals)
-    flipped = SpaceTimeField(ops.mesh, grid, vals[::-1].copy())
-    b1 = check_inequality(field, 2.0, ops, "eq410")
-    b2 = check_inequality(flipped, 2.0, ops, "eq410")
+    field = SpaceTimeField(ops, grid, vals)
+    flipped = SpaceTimeField(ops, grid, vals[::-1].copy())
+    b1 = check_inequality(field, 2.0, "eq410")
+    b2 = check_inequality(flipped, 2.0, "eq410")
     assert b1.log_lhs == pytest.approx(b2.log_lhs, abs=1e-10)
     assert b1.log_rhs_boundary == pytest.approx(b2.log_rhs_boundary, abs=1e-10)
 
@@ -186,17 +185,17 @@ def test_budget_endpoint_slabs_negligible(slab):
     masked_vals = field.values.copy()
     masked_vals[1] = 0.0
     masked_vals[-2] = 0.0
-    masked = SpaceTimeField(ops.mesh, grid, masked_vals)
-    b1 = check_inequality(field, 1.0, ops, "eq410")
-    b2 = check_inequality(masked, 1.0, ops, "eq410")
+    masked = SpaceTimeField(ops, grid, masked_vals)
+    b1 = check_inequality(field, 1.0, "eq410")
+    b2 = check_inequality(masked, 1.0, "eq410")
     assert abs(np.expm1(b1.log_lhs - b2.log_lhs)) < 1e-12
 
 
 def test_find_s0_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    fit = find_s0([FieldData(zero, ops)], [1.0, 10.0, 100.0])
+    zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
+    fit = find_s0([FieldData(zero)], [1.0, 10.0, 100.0])
     assert fit.found and fit.s0 == 1.0
 
 
@@ -205,7 +204,7 @@ def test_find_s0_eigen_suite_monotone(slab):
     grid = TimeGrid(1.0, 64)
     fields = [backward_mode_field(ops, spec, k, grid) for k in range(1, 5)]
     s_grid = list(np.geomspace(1.0, 200.0, 12))
-    fit = find_s0((FieldData(f, ops) for f in fields), s_grid)
+    fit = find_s0((FieldData(f) for f in fields), s_grid)
     # coefficient fields: the budgets never build their nodal values
     assert all(field._values is None for field in fields)
     assert fit.found and fit.s0 <= 200.0
@@ -216,7 +215,7 @@ def test_find_s0_eigen_suite_monotone(slab):
     # with the fitted constant, the inequality holds at every point >= s0
     for j in range(start, len(s_grid)):
         for field in fields:
-            b = check_inequality(field, s_grid[j], ops, "eq410", c_boundary=fit.c_boundary)
+            b = check_inequality(field, s_grid[j], "eq410", c_boundary=fit.c_boundary)
             assert b.holds
 
 
@@ -228,8 +227,8 @@ def test_find_s0_failure_marker(slab):
     vals = np.zeros((17, mesh.n_nodes))
     inner = (mesh.xn > 0.3) & (mesh.xn < 0.6)
     vals[:, inner] = 1.0
-    field = SpaceTimeField(mesh, grid, vals)
-    fit = find_s0([FieldData(field, ops)], [1.0])
+    field = SpaceTimeField(ops, grid, vals)
+    fit = find_s0([FieldData(field)], [1.0])
     assert not fit.found and fit.s0 is None
 
 
@@ -238,11 +237,11 @@ def test_find_s0_validation(slab):
     with pytest.raises(ParameterError):
         find_s0([], [1.0, 2.0])
     grid = TimeGrid(1.0, 16)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
+    zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
     with pytest.raises(ParameterError):
-        find_s0([FieldData(zero, ops)], [0.5, 2.0])
+        find_s0([FieldData(zero)], [0.5, 2.0])
     with pytest.raises(ParameterError):
-        find_s0([FieldData(zero, ops)], [2.0, 1.0])
+        find_s0([FieldData(zero)], [2.0, 1.0])
 
 
 def test_eq51_follows_eq410(slab):
@@ -250,7 +249,7 @@ def test_eq51_follows_eq410(slab):
     grid = TimeGrid(1.0, 64)
     fields = [backward_mode_field(ops, spec, k, grid) for k in (1, 2)]
     s_grid = list(np.geomspace(1.0, 200.0, 10))
-    fit = find_s0((FieldData(f, ops) for f in fields), s_grid, which="eq51")
+    fit = find_s0((FieldData(f) for f in fields), s_grid, which="eq51")
     assert fit.found and fit.s0 <= 200.0
 
 
@@ -261,10 +260,10 @@ LOG_TOL = 1e-10
 LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
 
 
-def assert_matches_oracle(field, ops, s, which, budget=None):
+def assert_matches_oracle(field, s, which, budget=None):
     if budget is None:
-        budget = check_inequality(field, s, ops, which)
-    assert_logs_match(budget, carleman_budget_per_node(field, ops, s, which))
+        budget = check_inequality(field, s, which)
+    assert_logs_match(budget, carleman_budget_per_node(field, s, which))
 
 
 def assert_logs_match(budget, ref, keys=LOG_KEYS):
@@ -283,11 +282,11 @@ def test_budgets_match_oracle_on_mode_fields(slab):
     grid = TimeGrid(1.0, 64)
     for k in (1, 6):
         mode = backward_mode_field(ops, spec, k, grid)
-        field = SpaceTimeField(ops.mesh, grid, 1e-180 * mode.values, direction="backward")
-        data = FieldData(field, ops)
+        field = SpaceTimeField(ops, grid, 1e-180 * mode.values, direction="backward")
+        data = FieldData(field)
         for s in map(float, np.geomspace(1.0, 200.0, 7)):
             for which in ("eq410", "eq51"):
-                assert_matches_oracle(field, ops, s, which, data.budget(s, which))
+                assert_matches_oracle(field, s, which, data.budget(s, which))
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,9 +303,9 @@ def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_
     values = rng.standard_normal((steps + 1, mesh.n_nodes))
     values[:, mesh.boundary] = 0.0
     source = rng.standard_normal(values.shape) if with_source else None
-    field = SpaceTimeField(mesh, grid, values, source=source, direction="backward")
-    budget = check_inequality(field, s, ops, which)
-    linear = carleman_budget_linear(field, ops, s, which)
+    field = SpaceTimeField(ops, grid, values, source=source, direction="backward")
+    budget = check_inequality(field, s, which)
+    linear = carleman_budget_linear(field, s, which)
     assert np.exp(budget.log_lhs) == pytest.approx(linear["lhs"], rel=1e-12)
     assert np.exp(budget.log_rhs_source) == pytest.approx(linear["rhs_source"], rel=1e-12)
     assert np.exp(budget.log_rhs_boundary) == pytest.approx(linear["rhs_boundary"], rel=1e-12)
@@ -372,12 +371,12 @@ def test_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, s_values
     vals = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp
     vals[:, mesh.boundary] = 0.0
     source = rng.standard_normal(vals.shape) * amp if with_source else None
-    field = SpaceTimeField(mesh, grid, vals, source=source, direction="backward")
+    field = SpaceTimeField(ops, grid, vals, source=source, direction="backward")
     # one sweep over the drawn s values, every budget against the oracle
-    budgets = FieldData(field, ops).sweep(s_values, which)
+    budgets = FieldData(field).sweep(s_values, which)
     assert [b.s for b in budgets] == s_values
     for s, budget in zip(s_values, budgets):
-        assert_matches_oracle(field, ops, s, which, budget)
+        assert_matches_oracle(field, s, which, budget)
 
 
 @settings(max_examples=40, deadline=None)
@@ -409,18 +408,18 @@ def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, T, steps, alp
     coeffs = rng.standard_normal((steps + 1, modes)) * amp
     coeffs[rng.random(steps + 1) < zero_share] = 0.0
     source = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp if with_source else None
-    field = SpaceTimeField(mesh, grid, None, source=source, direction=direction,
+    field = SpaceTimeField(ops, grid, None, source=source, direction=direction,
                            mode_data=(spec, coeffs))
-    budgets = FieldData(field, ops).sweep(s_values, which)
+    budgets = FieldData(field).sweep(s_values, which)
     assert field._values is None
-    nodal = SpaceTimeField(mesh, grid, field.values, source=source, direction=direction)
-    nodal_budgets = FieldData(nodal, ops).sweep(s_values, which)
+    nodal = SpaceTimeField(ops, grid, field.values, source=source, direction=direction)
+    nodal_budgets = FieldData(nodal).sweep(s_values, which)
     # a forward coefficient field takes its flux from the mode fluxes, a
     # nodal one recovers it with a time difference: only the backward
     # copy shares the boundary term
     keys = LOG_KEYS if direction == "backward" else ("log_lhs", "log_rhs_source")
     for s, budget, nodal_budget in zip(s_values, budgets, nodal_budgets):
-        assert_matches_oracle(field, ops, s, which, budget)
+        assert_matches_oracle(field, s, which, budget)
         assert_logs_match(budget, asdict(nodal_budget), keys)
 
 
@@ -464,11 +463,11 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
         # the time rows as modes and the identity as coefficients: the
         # same interior values, with moments from the modes' per-layer factors
         spec = Spectrum(ops, np.ones(t.size), vals[:, ops.interior].T)
-        field = SpaceTimeField(mesh, grid, None, direction="backward",
+        field = SpaceTimeField(ops, grid, None, direction="backward",
                                mode_data=(spec, np.eye(t.size)))
         assert np.array_equal(field.rows(slice(None))[:, ops.interior], vals[:, ops.interior])
     else:
-        field = SpaceTimeField(mesh, grid, vals, direction="backward")
+        field = SpaceTimeField(ops, grid, vals, direction="backward")
 
     direct = set()
     original = carleman.FieldData._bracket_direct
@@ -478,7 +477,7 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
         return original(self, ti, ni, gsel)
 
     monkeypatch.setattr(carleman.FieldData, "_bracket_direct", spy)
-    assert_matches_oracle(field, ops, s, "eq410")
+    assert_matches_oracle(field, s, "eq410")
     # every band entry went through the direct sum, and little else did
     band_entries = {(i, int(j)) for i in range(t.size - 2) for j in band}
     assert band_entries <= direct and len(direct) <= 2 * len(band_entries)

@@ -10,7 +10,7 @@ import yaml
 
 import degenlab
 from degenlab import cli
-from degenlab.cli import ConfigError, ExperimentConfig, load_config, main, run
+from degenlab.cli import ConfigError, ExperimentConfig, load_config, main
 from degenlab.discretize import OperatorPair
 from degenlab.errors import ContractError, EigensolverError, PreconditionError
 

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

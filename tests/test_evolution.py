@@ -103,10 +103,10 @@ def test_energy_history_closed_form(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 32)
     field = solve_spectral(spec, spec.mode(1), None, grid)
-    e = energy_history(field, ops)
+    e = energy_history(field)
     assert np.allclose(e, np.exp(-spec.eigenvalues[0] * grid.nodes), atol=1e-12)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((33, ops.mesh.n_nodes)))
-    assert np.all(energy_history(zero, ops) == 0.0)
+    zero = SpaceTimeField(ops, grid, np.zeros((33, ops.mesh.n_nodes)))
+    assert np.all(energy_history(zero) == 0.0)
 
 
 def test_energy_monotone_all_solvers(setup):
@@ -118,7 +118,7 @@ def test_energy_monotone_all_solvers(setup):
         for field in (solve_spectral(spec, y0, None, grid),
                       solve_implicit(ops, y0, None, grid, theta=1.0),
                       solve_implicit(ops, y0, None, grid, theta=0.5)):
-            e = energy_history(field, ops)
+            e = energy_history(field)
             assert np.all(np.diff(e) <= 1e-12 * e[0])
 
 
@@ -132,18 +132,18 @@ def test_flux_history_classical_oracle():
     y0[mesh.boundary] = 0.0
     grid = TimeGrid(1.0, 256)
     field = solve_spectral(spec, y0, None, grid)
-    _, integral = flux_history(field, ops)
+    _, integral = flux_history(field)
     assert integral == pytest.approx(HEAT_FLUX_INTEGRAL, rel=2e-3)
 
 
 def test_flux_history_zero_and_profile(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 32)
-    zero = SpaceTimeField(ops.mesh, grid, np.zeros((33, ops.mesh.n_nodes)))
-    flux, integral = flux_history(zero, ops)
+    zero = SpaceTimeField(ops, grid, np.zeros((33, ops.mesh.n_nodes)))
+    flux, integral = flux_history(zero)
     assert integral == 0.0 and np.all(flux == 0.0)
     field = solve_spectral(spec, spec.mode(1), None, grid)
-    flux, _ = flux_history(field, ops)
+    flux, _ = flux_history(field)
     profile = flux[:, 0] / flux[0, 0]
     assert np.allclose(profile, np.exp(-spec.eigenvalues[0] * grid.nodes), rtol=1e-10)
 
@@ -156,8 +156,8 @@ def test_flux_fd_path_matches_mode_path(setup):
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
     fi = solve_implicit(ops, y0, None, grid, theta=0.5)
-    _, int_s = flux_history(fs, ops)
-    _, int_i = flux_history(fi, ops)
+    _, int_s = flux_history(fs)
+    _, int_i = flux_history(fi)
     assert int_i == pytest.approx(int_s, rel=2e-2)
 
 
@@ -173,13 +173,13 @@ def test_backward_flux_as_accurate_as_forward(kind):
     spec = compute_spectrum(ops, 4)
     grid = TimeGrid(1.0, 128)
     fwd = solve_spectral(spec, spec.mode(1) + spec.mode(4), None, grid)
-    exact, _ = flux_history(fwd, ops)
+    exact, _ = flux_history(fwd)
 
     def error(field, reference):
-        flux, _ = flux_history(field, ops)
+        flux, _ = flux_history(field)
         return np.max(np.abs(flux - reference)) / np.max(np.abs(reference))
 
-    forward = error(SpaceTimeField(mesh, grid, fwd.values), exact)
+    forward = error(SpaceTimeField(ops, grid, fwd.values), exact)
     backward = error(time_reverse(fwd), exact[::-1])
     assert backward <= 1.01 * forward
 
@@ -205,7 +205,7 @@ def test_apriori_bound_stable_under_refinement():
             y0 = data(ops.mesh, c)
             f = data(ops.mesh, cf)
             field = solve_implicit(ops, y0, f, grid, theta=0.5)
-            ratios.append(stability_ratio(field, ops))
+            ratios.append(stability_ratio(field))
         worst.append(max(ratios))
     drift = abs(worst[1] - worst[0]) / worst[0]
     assert drift <= 0.15, (worst, drift)
@@ -226,13 +226,13 @@ def test_smoothing_bounded_on_collar(setup):
 
 
 def test_time_reverse_convention(setup):
-    ops, spec = setup
+    _, spec = setup
     grid = TimeGrid(1.0, 32)
     field = solve_spectral(spec, spec.mode(1), None, grid)
     back = time_reverse(field)
     assert back.direction == "backward"
     assert back.source is None
-    e = energy_history(back, ops)
+    e = energy_history(back)
     assert np.all(np.diff(e) >= -1e-12 * e[-1])
     assert np.array_equal(back.values[0], field.values[-1])
 
@@ -241,11 +241,24 @@ def test_field_shape_contract(setup):
     ops, _ = setup
     grid = TimeGrid(1.0, 16)
     with pytest.raises(ContractError):
-        SpaceTimeField(ops.mesh, grid, np.zeros((5, ops.mesh.n_nodes)))
-    f = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)),
+        SpaceTimeField(ops, grid, np.zeros((5, ops.mesh.n_nodes)))
+    f = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)),
                        source=np.zeros(3))
     with pytest.raises(ContractError):
         f.source_values()
+
+
+def test_coefficient_field_lives_on_its_spectrum_operators(setup):
+    # a spectrum of another operator pair with the same node count would
+    # give other energies and fluxes, so the field refuses it
+    ops, spec = setup
+    grid = TimeGrid(1.0, 16)
+    coeffs = np.zeros((17, spec.count))
+    field = SpaceTimeField(ops, grid, None, mode_data=(spec, coeffs))
+    assert field.ops is ops and field.mesh is ops.mesh
+    uniform = assemble(build_mesh(ops.mesh.domain, 256, 1.0))
+    with pytest.raises(ContractError):
+        SpaceTimeField(uniform, grid, None, mode_data=(spec, coeffs))
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 64), ("square", 12)])
@@ -258,12 +271,12 @@ def test_absent_source_equals_zero_source(kind, n, theta):
                   for f in (None, np.zeros(ops.mesh.n_nodes)))
     assert free.source_values() is None
     assert np.array_equal(free.values, zero.values)
-    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl, ops)
+    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl)
                                         for fl in (free, zero))
     assert np.array_equal(flux_a, flux_b) and int_a == int_b
-    assert stability_ratio(free, ops) == stability_ratio(zero, ops)
-    assert (check_inequality(time_reverse(free), 3.0, ops)
-            == check_inequality(time_reverse(zero), 3.0, ops))
+    assert stability_ratio(free) == stability_ratio(zero)
+    assert (check_inequality(time_reverse(free), 3.0)
+            == check_inequality(time_reverse(zero), 3.0))
 
 
 def _theta_problem(kind, n, grading, source, seed, steps=16):
@@ -350,9 +363,9 @@ def test_coefficient_energy_matches_nodal_form(slab, with_source):
     ops, spec = slab
     field = _coefficient_field(ops, spec, with_source)
     for f in (field, time_reverse(field)):
-        nodal = SpaceTimeField(f.mesh, f.grid, f.values, source=f.source,
+        nodal = SpaceTimeField(f.ops, f.grid, f.values, source=f.source,
                                direction=f.direction)
-        e_coef, e_nodal = energy_history(f, ops), energy_history(nodal, ops)
+        e_coef, e_nodal = energy_history(f), energy_history(nodal)
         assert np.max(np.abs(e_coef - e_nodal)) <= 1e-13 * np.max(e_nodal)
 
 
@@ -371,9 +384,9 @@ def test_reversed_coefficient_flux_is_nodal_recovery(slab, with_source):
     # values, read at the stencil columns only
     ops, spec = slab
     back = time_reverse(_coefficient_field(ops, spec, with_source))
-    nodal = SpaceTimeField(back.mesh, back.grid, back.rows(slice(None)), source=back.source,
+    nodal = SpaceTimeField(back.ops, back.grid, back.rows(slice(None)), source=back.source,
                            direction="backward")
-    (flux_c, int_c), (flux_n, int_n) = (flux_history(f, ops)
+    (flux_c, int_c), (flux_n, int_n) = (flux_history(f)
                                         for f in (back, nodal))
     assert back._values is None
     assert np.array_equal(flux_c, flux_n) and int_c == int_n

@@ -139,7 +139,7 @@ def test_window_bound_backward_runs(degenerate):
     for _ in range(5):
         y0 = random_admissible(ops.mesh, rng)
         back = time_reverse(solve_spectral(spec, y0, None, grid))
-        res = window_bound_check(back, ops)
+        res = window_bound_check(back)
         assert res["holds"]
         assert res["lhs"] <= res["rhs"] * (1.0 + 1e-8)
 
@@ -148,8 +148,8 @@ def test_window_bound_constant_field(degenerate):
     ops, spec = degenerate
     grid = TimeGrid(1.0, 64)
     vals = np.broadcast_to(spec.mode(1), (65, ops.mesh.n_nodes)).copy()
-    field = SpaceTimeField(ops.mesh, grid, vals)
-    res = window_bound_check(field, ops)
+    field = SpaceTimeField(ops, grid, vals)
+    res = window_bound_check(field)
     assert res["lhs"] == pytest.approx(res["rhs"], rel=1e-12)
     assert res["holds"]
 
@@ -157,17 +157,17 @@ def test_window_bound_constant_field(degenerate):
 def test_window_bound_zero_field(degenerate):
     ops, _ = degenerate
     grid = TimeGrid(1.0, 16)
-    field = SpaceTimeField(ops.mesh, grid, np.zeros((17, ops.mesh.n_nodes)))
-    res = window_bound_check(field, ops)
+    field = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
+    res = window_bound_check(field)
     assert res["lhs"] == 0.0 and res["holds"]
 
 
 def test_window_bound_rejects_forward_fields(degenerate):
-    ops, spec = degenerate
+    _, spec = degenerate
     grid = TimeGrid(1.0, 64)
     forward = solve_spectral(spec, spec.mode(1), None, grid)
     with pytest.raises(ConventionError):
-        window_bound_check(forward, ops)
+        window_bound_check(forward)
 
 
 def test_window_bound_builds_no_nodal_field():
@@ -178,7 +178,7 @@ def test_window_bound_builds_no_nodal_field():
     y0 = random_admissible(ops.mesh, Lcg(4))
     tracemalloc.start()
     try:
-        res = window_bound_check(time_reverse(solve_spectral(spec, y0, None, grid)), ops)
+        res = window_bound_check(time_reverse(solve_spectral(spec, y0, None, grid)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -193,4 +193,4 @@ def test_window_bound_rejects_forward_fields_square():
     forward = solve_spectral(spec, random_admissible(ops.mesh, Lcg(8)), None,
                              TimeGrid(1.0, 32))
     with pytest.raises(ConventionError):
-        window_bound_check(forward, ops)
+        window_bound_check(forward)

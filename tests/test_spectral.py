@@ -181,5 +181,5 @@ def test_flux_builds_no_full_node_operator(kind):
     spec.mode_flux
     grid = TimeGrid(1.0, 8)
     values = np.outer(np.exp(-grid.nodes), spec.mode(1))
-    flux_history(SpaceTimeField(ops.mesh, grid, values), ops)
+    flux_history(SpaceTimeField(ops, grid, values))
     assert "M_full" not in vars(ops)
