@@ -37,7 +37,7 @@ from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, tim
 from .geometry import make_domain, truncate
 from .rng import Lcg, random_admissible
 from .shape_design import delta_sweep
-from .spectral import compute_spectrum, expand
+from .spectral import _check_eigensolve, compute_spectrum, expand
 
 EXPERIMENTS = ("spectrum", "evolve", "hardy", "delta-sweep", "carleman",
                "observability", "full-report")
@@ -191,10 +191,11 @@ def _context_line(cfg: ExperimentConfig, delta="", s="") -> str:
 
 
 def _write_csv(path, context, columns, rows):
-    lines = [context, ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """Write the table one line at a time, so ``rows`` may be a generator."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(context + "\n" + ",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _plain(value):
@@ -213,7 +214,7 @@ def _plain(value):
 
 @dataclass
 class Outcome:
-    tables: dict  # name -> (context, columns, rows)
+    tables: dict  # name -> (context, columns, rows); rows are read once
     checks: dict  # name -> bool
     values: dict
 
@@ -316,9 +317,9 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0]
                                    - np.exp(-spec.eigenvalues[0] * cfg.T))))
     gap = float(np.max(np.sqrt(gap2)))
-    rows = [(grid.nodes[j], e_s[j], e_i[j]) for j in range(cfg.steps + 1)]
     return Outcome(
-        tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"), rows)},
+        tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"),
+                           zip(grid.nodes, e_s, e_i))},
         checks={
             "spectral_mode_exact": mode_err <= 1e-10,
             "energy_monotone": bool(np.all(np.diff(e_s) <= 1e-12)
@@ -414,25 +415,29 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
     )
 
 
-def _check_time_arrays(cfg: ExperimentConfig, experiments):
-    """Refuse a run whose arrays with one row per time node exceed physical
-    memory in some experiment, before any of them exists; a mesh too large
-    is refused first, with its own message.  The bound per time node
-    (tracemalloc measured 45-85% of it over 512 to 8192 steps) covers, for
-    evolve, K coefficients, loads and energy products, four energy columns
-    and a table row with its CSV line (no nodal field); for observability,
+def _check_arrays(cfg: ExperimentConfig, experiments):
+    """Refuse a run whose mesh, eigensolve or arrays with one row per time
+    node exceed physical memory in some experiment, before any of them
+    exists, in that order and each with its own message.  Every experiment
+    but delta-sweep, which checks its nodal fields itself, builds the mesh
+    and computes a spectrum.  The bound per time node (tracemalloc measured
+    45-85% of it over 512 to 8192 steps) covers, for evolve, K
+    coefficients, loads and energy products and four energy columns (no
+    nodal field; the table is written row by row); for observability,
     one window field's coefficients, loads and products; for carleman, per
     x_N node, two moment factor products of min(n_x1, 2K) entries and about
     20 moment, weight and work arrays of its field and the first, and four
-    copies of the 2 n_x1 flux stencil values.  delta-sweep checks its nodal
-    fields itself."""
-    k, n_x1 = cfg.modes, 1 if cfg.domain == "interval" else cfg.n + 1
-    per_node = {"evolve": 8 * (3 * k + 4) + 400, "observability": 8 * (3 * k + 8),
+    copies of the 2 n_x1 flux stencil values."""
+    if experiments == ["delta-sweep"]:
+        return
+    dim = 1 if cfg.domain == "interval" else 2
+    _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes)
+    k, n_x1 = cfg.modes, (cfg.n + 1) ** (dim - 1)
+    per_node = {"evolve": 8 * (3 * k + 4), "observability": 8 * (3 * k + 8),
                 "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}
     name = max(experiments, key=lambda e: per_node.get(e, 0))
     if name not in per_node:
         return
-    _check_size((cfg.n + 1,) * (1 if cfg.domain == "interval" else 2))
     need_mib = (cfg.steps + 1) * per_node[name] / 2**20
     memory_mib = physical_memory_mib()
     if need_mib > memory_mib:
@@ -457,7 +462,7 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
     full report; returns the process exit code."""
     report = config.experiment == "full-report"
     experiments = list(_RUNNERS) if report else [config.experiment]
-    _check_time_arrays(config, experiments)
+    _check_arrays(config, experiments)
     out = Path(out_dir if out_dir is not None else config.out)
     out.mkdir(parents=True, exist_ok=True)
     problem = _problem_memo()

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, flux_stencil
+from .discretize import OperatorPair, boundary_flux, flux_stencil, physical_memory_mib
 from .errors import EigensolverError, ParameterError
 
 
@@ -73,6 +73,24 @@ class Spectrum:
         return flux
 
 
+def _check_eigensolve(n_interior, n_nodes, k):
+    """Refuse an eigensolve of k modes whose arrays exceed the machine's
+    physical memory, before any of them exists.  Lanczos holds a basis of
+    n_interior x min(n_interior, max(2k+1, 20)) doubles (ARPACK's default
+    ncv); the dense fallback holds the scaled K and M and the copies eigh
+    works on, 4 n_interior**2 doubles; the nodal modes are n_nodes x k."""
+    if k <= n_interior - 2:
+        solver = n_interior * min(n_interior, max(2 * k + 1, 20))
+    else:
+        solver = 4 * n_interior**2
+    need_mib = (solver + n_nodes * k) * 8 / 2**20
+    memory_mib = physical_memory_mib()
+    if need_mib > memory_mib:
+        raise ParameterError(
+            f"an eigensolve of {k} modes on {n_interior} unknowns needs about {need_mib:.0f} "
+            f"MiB for its basis and modes, more than the {memory_mib:.0f} MiB of physical memory")
+
+
 def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     """First k eigenpairs of  K phi = lambda M phi  on interior DOFs.
 
@@ -81,11 +99,13 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     generalized solver it stays accurate when strong mesh grading makes
     the mass matrix badly scaled.  Tiny problems where Lanczos cannot
     run (k close to the DOF count) fall back to a Jacobi-scaled dense
-    solve.
+    solve.  An eigensolve whose arrays exceed physical memory is refused
+    before they exist.
     """
-    n = ops.K.shape[0]
+    n = ops.interior.size
     if not (1 <= k <= n):
         raise ParameterError(f"mode count k={k} outside [1, {n}]")
+    _check_eigensolve(n, ops.mesh.n_nodes, k)
     if k <= n - 2:
         v0 = np.ones(n) / np.sqrt(n)
         try:

@@ -2,7 +2,8 @@
 
 Everything here is deliberately decoupled from the package internals:
 Bessel functions come from their power series, zeros from bisection,
-integrals from adaptive quadrature.  The exceptions are the per-node
+integrals from adaptive quadrature.  Zeros beyond the series' range come
+from scipy's J_nu, bracketed by a sign-change scan and refined by brentq.  The exceptions are the per-node
 Carleman budgets, in log space and in linear arithmetic, which take the
 field's boundary flux from the package and are the reference for the
 moment-based budgets; the theta scheme by one sparse LU of the assembled
@@ -27,7 +28,8 @@ eigenfunctions
     nu   = (1-a)/(2-a),
 
 so lam_k = ((2-a)/2)**2 * j_{nu,k}**2 with j_{nu,k} the k-th positive
-zero of J_nu.
+zero of J_nu, and the flux of the L2-normalised u_k at the observed end
+(a Rellich identity) is u_k'(1)**2 = (2-a) lam_k.
 """
 
 import math
@@ -36,7 +38,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
-from scipy.special import logsumexp
+from scipy.optimize import brentq
+from scipy.special import jv, logsumexp
 
 
 def bessel_j(nu, x):
@@ -77,6 +80,26 @@ def bessel_zero(nu, k=1):
         x_prev, f_prev = x, f
         x += 0.05
     raise RuntimeError(f"zero {k} of J_{nu} not found")
+
+
+def bessel_zeros(nu, count):
+    """The first ``count`` positive zeros of J_nu (nu > -1) from scipy's
+    J_nu: a scan in steps of 0.05, far below the zero spacing of about pi,
+    up to one pi past McMahon's estimate (count + nu/2 - 1/4) pi of the
+    last zero brackets each sign change, and brentq refines it."""
+    x = np.arange(1e-3, (count + nu / 2.0 + 0.75) * math.pi, 0.05)
+    f = jv(nu, x)
+    starts = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[:count]
+    if starts.size < count:
+        raise RuntimeError(f"found {starts.size} of {count} zeros of J_{nu}")
+    return np.array([brentq(lambda z: jv(nu, z), x[i], x[i + 1], xtol=1e-14, rtol=1e-15)
+                     for i in starts])
+
+
+def degenerate_eigenvalues(alpha, count):
+    """lambda_1..lambda_count of -(x**a u')' = lam u on (0, 1), Dirichlet ends."""
+    nu = (1.0 - alpha) / (2.0 - alpha)
+    return ((2.0 - alpha) / 2.0) ** 2 * bessel_zeros(nu, count) ** 2
 
 
 def degenerate_eigenvalue(alpha, k=1):

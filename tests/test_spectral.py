@@ -9,9 +9,10 @@ from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
+from degenlab import spectral
 from degenlab.spectral import compute_spectrum, expand, reconstruct
 
-from oracles import degenerate_eigenvalue
+from oracles import degenerate_eigenvalue, degenerate_eigenvalues
 
 # frozen from the series/bisection oracle
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
@@ -50,6 +51,36 @@ def test_eigenvalue_ladder_order():
            for n in (256, 512, 1024)]
     order = np.log2((lam[0] - lam[1]) / (lam[1] - lam[2]))
     assert order >= 1.5
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_eigenvalues_and_fluxes_converge_at_second_order(alpha):
+    # lambda_1..lambda_10 and the squared mode fluxes against the Bessel-zero
+    # oracle and (2 - alpha) lambda_k: on meshes graded by 2 / (1 - alpha)
+    # both errors fall at second order.  At the default grading 2 and
+    # alpha = 0.8 both orders are 0.44.
+    exact = degenerate_eigenvalues(alpha, 10)
+    grading = max(2.0, 2.0 / (1.0 - alpha))
+    errors = []
+    for n in (240, 480):
+        spec = compute_spectrum(assemble(build_mesh(make_domain("interval", alpha), n,
+                                                    grading)), 10)
+        flux2 = spec.mode_flux[0] ** 2
+        errors.append([np.max(np.abs(spec.eigenvalues - exact) / exact),
+                       np.max(np.abs(flux2 - (2.0 - alpha) * exact) / ((2.0 - alpha) * exact))])
+    orders = np.log2(np.divide(*errors))
+    assert np.all(orders >= 1.8), orders
+
+
+def test_oversized_eigensolve_refused_before_lanczos(monkeypatch):
+    # 100 modes on 999 unknowns: a Lanczos basis of 999 x 201 doubles and
+    # 1001 x 100 nodal modes, 2.3 MiB against a machine of 1 MiB
+    ops = assemble(build_mesh(make_domain("interval", 0.5), 1000))
+    monkeypatch.setattr(spectral, "physical_memory_mib", lambda: 1.0)
+    with pytest.raises(ParameterError, match="an eigensolve of 100 modes on 999 unknowns "
+                                             "needs about 2 MiB"):
+        compute_spectrum(ops, 100)
+    assert "K" not in vars(ops)
 
 
 def test_square_separability():
