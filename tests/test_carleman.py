@@ -35,7 +35,7 @@ def slab():
     return ops, spec
 
 
-def backward_mode_field(ops, spec, k, grid):
+def backward_mode_field(spec, k, grid):
     return time_reverse(solve_spectral(spec, spec.mode(k), None, grid))
 
 
@@ -81,7 +81,7 @@ def test_transform_endpoints_and_zero(slab):
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
     assert np.all(transform(zero, 2.0).values == 0.0)
-    field = backward_mode_field(ops, spec, 1, grid)
+    field = backward_mode_field(spec, 1, grid)
     z = transform(field, 2.0)
     assert np.all(z.values[0] == 0.0) and np.all(z.values[-1] == 0.0)
     for s in (0.0, -1.0):
@@ -151,9 +151,9 @@ def test_budget_zero_field(slab):
 
 
 def test_budget_deterministic(slab):
-    ops, spec = slab
+    _, spec = slab
     grid = TimeGrid(1.0, 64)
-    field = backward_mode_field(ops, spec, 1, grid)
+    field = backward_mode_field(spec, 1, grid)
     b1 = check_inequality(field, 3.0, "eq410")
     b2 = check_inequality(field, 3.0, "eq410")
     assert b1.log_lhs == b2.log_lhs
@@ -181,7 +181,7 @@ def test_budget_endpoint_slabs_negligible(slab):
     # every budget integral unchanged to far below 1e-12 relative
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
-    field = backward_mode_field(ops, spec, 1, grid)
+    field = backward_mode_field(spec, 1, grid)
     masked_vals = field.values.copy()
     masked_vals[1] = 0.0
     masked_vals[-2] = 0.0
@@ -200,9 +200,9 @@ def test_find_s0_zero_field(slab):
 
 
 def test_find_s0_eigen_suite_monotone(slab):
-    ops, spec = slab
+    _, spec = slab
     grid = TimeGrid(1.0, 64)
-    fields = [backward_mode_field(ops, spec, k, grid) for k in range(1, 5)]
+    fields = [backward_mode_field(spec, k, grid) for k in range(1, 5)]
     s_grid = list(np.geomspace(1.0, 200.0, 12))
     fit = find_s0((FieldData(f) for f in fields), s_grid)
     # coefficient fields: the budgets never build their nodal values
@@ -245,9 +245,9 @@ def test_find_s0_validation(slab):
 
 
 def test_eq51_follows_eq410(slab):
-    ops, spec = slab
+    _, spec = slab
     grid = TimeGrid(1.0, 64)
-    fields = [backward_mode_field(ops, spec, k, grid) for k in (1, 2)]
+    fields = [backward_mode_field(spec, k, grid) for k in (1, 2)]
     s_grid = list(np.geomspace(1.0, 200.0, 10))
     fit = find_s0((FieldData(f) for f in fields), s_grid, which="eq51")
     assert fit.found and fit.s0 <= 200.0
@@ -281,7 +281,7 @@ def test_budgets_match_oracle_on_mode_fields(slab):
     ops, spec = slab
     grid = TimeGrid(1.0, 64)
     for k in (1, 6):
-        mode = backward_mode_field(ops, spec, k, grid)
+        mode = backward_mode_field(spec, k, grid)
         field = SpaceTimeField(ops, grid, 1e-180 * mode.values, direction="backward")
         data = FieldData(field)
         for s in map(float, np.geomspace(1.0, 200.0, 7)):
