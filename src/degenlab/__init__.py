@@ -1,6 +1,6 @@
 """Numerical laboratory for boundary-degenerate parabolic equations."""
 
-from .geometry import BoundaryPart, DomainSpec, TruncatedDomain, make_domain, truncate
+from .geometry import DomainSpec, TruncatedDomain, make_domain, truncate
 from .discretize import (
     Mesh,
     OperatorPair,

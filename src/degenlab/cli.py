@@ -34,7 +34,7 @@ from .discretize import (_check_size, assemble, build_mesh, hardy_check, physica
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
-from .geometry import make_domain, truncate
+from .geometry import MAX_DELTA, make_domain, truncate
 from .rng import Lcg, random_admissible
 from .shape_design import delta_sweep
 from .spectral import _check_eigensolve, compute_spectrum, expand
@@ -85,8 +85,8 @@ class ExperimentConfig:
             fail("modes", "must be at least 1")
         if not self.deltas or any(d2 >= d1 for d1, d2 in zip(self.deltas, self.deltas[1:])):
             fail("deltas", "must be non-empty and strictly descending")
-        if any(not (0.0 < d < 0.25) for d in self.deltas):
-            fail("deltas", "entries must lie in (0, 0.25)")
+        if any(not (0.0 < d < MAX_DELTA) for d in self.deltas):
+            fail("deltas", f"entries must lie in (0, {MAX_DELTA})")
         if self.s_grid and (self.s_grid[0] < 1.0
                             or any(b <= a for a, b in zip(self.s_grid, self.s_grid[1:]))):
             fail("s_grid", "must be ascending and start at or above 1")
@@ -234,10 +234,11 @@ def _bump_factory(lo, hi):
 
 
 def _problem_memo():
-    """Memoised builder of (mesh, ops, spectrum) with cfg.modes modes, for
-    the full domain of a config (graded mesh) or, given delta, for its slab
-    truncated at delta (uniform mesh).  One memo serves one run, so the
-    experiments of a full report assemble and eigensolve each domain once."""
+    """Memoised builder of the spectrum with cfg.modes modes, for the full
+    domain of a config (graded mesh) or, given delta, for its slab truncated
+    at delta (uniform mesh); it carries its operator pair and mesh.  One memo
+    serves one run, so the experiments of a full report assemble and
+    eigensolve each domain once."""
     built = {}
 
     def problem(cfg: ExperimentConfig, delta=None):
@@ -248,15 +249,15 @@ def _problem_memo():
                 mesh = build_mesh(domain, cfg.n, cfg.grading)
             else:
                 mesh = build_mesh(truncate(domain, delta), cfg.n)
-            ops = assemble(mesh)
-            built[key] = (mesh, ops, compute_spectrum(ops, cfg.modes))
+            built[key] = compute_spectrum(assemble(mesh), cfg.modes)
         return built[key]
 
     return problem
 
 
 def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
-    _, ops, spec = problem(cfg)
+    spec = problem(cfg)
+    ops = spec.ops
     phi = spec.modes[ops.interior]
     gram_m = phi.T @ (ops.M @ phi)
     gram_k = phi.T @ (ops.K @ phi)
@@ -276,7 +277,8 @@ def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
-    mesh, ops, spec = problem(cfg)
+    spec = problem(cfg)
+    ops = spec.ops
     n_eigs = min(cfg.modes, 10)
     rng = Lcg(cfg.seed)
     rows = []
@@ -288,7 +290,7 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
         rows.append(("eigenvector", k + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
     for i in range(cfg.samples):
-        u = random_admissible(mesh, rng)
+        u = random_admissible(ops.mesh, rng)
         res = hardy_check(ops, u)
         rows.append(("random", i + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
@@ -304,7 +306,8 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
-    _, ops, spec = problem(cfg)
+    spec = problem(cfg)
+    ops = spec.ops
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = spec.mode(1)
     fs = solve_spectral(spec, y0, None, grid)
@@ -355,11 +358,11 @@ def run_delta_sweep(cfg: ExperimentConfig, problem) -> Outcome:
 
 def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     delta = cfg.deltas[0]
-    tmesh, _, spec = problem(cfg, delta)
+    spec = problem(cfg, delta)
     grid = TimeGrid(cfg.T, cfg.steps)
     rng = Lcg(cfg.seed)
     data = [spec.modes[:, k] for k in range(cfg.modes)]
-    data += [random_admissible(tmesh, rng) for _ in range(5)]
+    data += [random_admissible(spec.ops.mesh, rng) for _ in range(5)]
     # streamed, never all held at once; the first field's data serves the eq51 check
     fields = (carle.FieldData(time_reverse(solve_spectral(spec, y0, None, grid)))
               for y0 in data)
@@ -388,7 +391,8 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
-    mesh, _, spec = problem(cfg)
+    spec = problem(cfg)
+    mesh = spec.ops.mesh
     grid = TimeGrid(cfg.T, cfg.steps)
     report = obs.estimate_constant(grid, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]

@@ -23,7 +23,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError
-from .geometry import BoundaryPart, DomainSpec, TruncatedDomain
+from .geometry import DomainSpec, TruncatedDomain
 
 
 def _power_integral(a, b, q):
@@ -140,20 +140,14 @@ class Mesh:
         self._classify()
 
     def _classify(self):
-        """Boundary, interior and parts, read off the C-order node ids: the
-        first x_N layer is the domain's lower part and the last one is
-        observed, both with their corners; the rest of the first and last
-        x_1 columns is lateral."""
+        """Boundary and interior, read off the C-order node ids: a node is
+        on the boundary when its index is at either end of some axis."""
         ids = np.arange(self.n_nodes).reshape(self.shape)
         inner = tuple(slice(1, -1) for _ in self.shape)
         self.interior = ids[inner].ravel()
         on_face = np.ones(self.shape, dtype=bool)
         on_face[inner] = False
         self.boundary = ids[on_face]
-        self.part_nodes = {self.domain.lower_part: ids[..., 0].ravel(),
-                           BoundaryPart.OBSERVED: ids[..., -1].ravel()}
-        if len(self.shape) == 2:
-            self.part_nodes[BoundaryPart.LATERAL] = ids[[0, -1], 1:-1].ravel()
 
     def grad_n(self, values):
         """Nodal derivative along the degenerate axis (3-point stencils) of

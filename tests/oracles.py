@@ -185,7 +185,6 @@ def carleman_budget_per_node(field, s, which):
     needed boundary constant (lhs - rhs_source)+ / rhs_boundary.
     """
     from degenlab.evolution import flux_history
-    from degenlab.geometry import BoundaryPart
 
     ops, mesh, grid = field.ops, field.mesh, field.grid
     alpha, gamma = mesh.domain.alpha, 2.0
@@ -210,7 +209,7 @@ def carleman_budget_per_node(field, s, which):
     two_s_xi = 2.0 * s * xi
 
     w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
-    edge_xn = xn[mesh.part_nodes[BoundaryPart.OBSERVED]]
+    edge_xn = xn[np.arange(mesh.n_nodes).reshape(mesh.shape)[..., -1].ravel()]
     xi_edge = theta * (gamma - edge_xn ** (2.0 - alpha))[None, :]
     lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
     log_rhs_b = np.log(s) + logsumexp(lt + log_flux2 - 2.0 * s * xi_edge + lw_edge)
@@ -293,28 +292,15 @@ def interior_blocks(ops):
 
 
 def classify_by_coordinates(mesh):
-    """(boundary, interior, parts) of a mesh from its node coordinates
-    against a 1e-12 tolerance.  A node is on the boundary when any
-    coordinate sits at an end of its axis (x_N's lower end is the domain's
-    xn_lower); a boundary node is lateral by default, observed at x_N = 1
-    and on the lower part (DEGENERATE, or CUT on a slab) at x_N =
-    xn_lower, the lower and observed edges taking the corners."""
-    from degenlab.geometry import BoundaryPart, TruncatedDomain
-
+    """(boundary, interior) of a mesh from its node coordinates against a
+    1e-12 tolerance.  A node is on the boundary when any coordinate sits at
+    an end of its axis (x_N's lower end is the domain's xn_lower)."""
     pts = mesh.points
     lower = (0.0,) * (pts.shape[1] - 1) + (mesh.domain.xn_lower,)
     at_lower = np.abs(pts - np.array(lower)) <= 1e-12
     at_upper = np.abs(pts - 1.0) <= 1e-12
     on_face = np.any(at_lower | at_upper, axis=1)
-    boundary = np.flatnonzero(on_face)
-    labels = np.full(boundary.size, BoundaryPart.LATERAL, dtype=object)
-    labels[at_upper[boundary, -1]] = BoundaryPart.OBSERVED
-    lower_part = (BoundaryPart.CUT if isinstance(mesh.domain, TruncatedDomain)
-                  else BoundaryPart.DEGENERATE)
-    labels[at_lower[boundary, -1]] = lower_part
-    parts = {part: boundary[labels == part] for part in BoundaryPart
-             if np.any(labels == part)}
-    return boundary, np.flatnonzero(~on_face), parts
+    return np.flatnonzero(on_face), np.flatnonzero(~on_face)
 
 
 def extension_map_meshgrid(tr_mesh, full_mesh):

@@ -389,6 +389,12 @@ def test_config_defaults_and_ranges():
         ExperimentConfig(experiment="spectrum", s_grid=(0.5, 2.0))
 
 
+def test_config_deltas_stop_at_max_delta():
+    # the truncation margin has one source, geometry.MAX_DELTA (test_geometry)
+    with pytest.raises(ConfigError, match=r"'deltas'.*\(0, 0\.25\)"):
+        ExperimentConfig(experiment="spectrum", deltas=(0.25,))
+
+
 def test_full_report(tmp_path):
     cfg = write_config(tmp_path, """
 experiment: full-report
@@ -470,7 +476,7 @@ def test_evolve_holds_no_nodal_field():
     # square n=120, 128 steps: one (steps+1, n_nodes) field is 15.1 MB
     cfg = ExperimentConfig(experiment="evolve", domain="square", n=120, steps=128)
     problem = cli._problem_memo()
-    _, ops, _ = problem(cfg)  # the eigensolve is not the experiment's to count
+    ops = problem(cfg).ops  # the eigensolve is not the experiment's to count
     tracemalloc.start()
     try:
         outcome = cli.run_evolve(cfg, problem)

@@ -141,16 +141,6 @@ def test_delta_sweep_nonzero_source():
     assert all(a > b for a, b in zip(rep.solution_errors, rep.solution_errors[1:]))
 
 
-def test_delta_sweep_wide_margin_domain():
-    # with a wider safety margin, farther cuts are admissible and the
-    # nearer cut approximates better
-    d = make_domain("interval", 0.5, delta0=0.45)
-    grid = TimeGrid(1.0, 64)
-    rep = delta_sweep(d, smooth_bump(0.55, 0.95), None, grid,
-                      [0.4, 0.2], n_ref=80)
-    assert rep.solution_errors[1] <= rep.solution_errors[0]
-
-
 def _sine_source(points):
     return np.sin(np.pi * np.atleast_2d(points)[:, -1])
 
@@ -224,7 +214,7 @@ def test_prolongation_is_tensor_linear_interpolation(kind, n):
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(8, 64),
        rung=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
 def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
-    # delta is a node j/n of the uniform full mesh below the domain's delta0 = 1/4
+    # delta is a node j/n of the uniform full mesh below MAX_DELTA = 1/4
     full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
     j = 1 + int(rung * ((n - 1) // 4))
     tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
@@ -240,7 +230,7 @@ def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
        rung=st.floats(0.0, 1.0, exclude_max=True))
 def test_extension_map_matches_meshgrid_oracle(kind, n, rung):
     # the slab's node ids are the last x_N layers of the full mesh's index
-    # array; delta is a node j/n below delta0 = 1/4, so n starts at 5
+    # array; delta is a node j/n below MAX_DELTA = 1/4, so n starts at 5
     full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
     j = 1 + int(rung * ((n - 1) // 4))
     tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
