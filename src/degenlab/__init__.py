@@ -7,7 +7,6 @@ from .discretize import (
     assemble,
     boundary_flux,
     build_mesh,
-    flux_stencil,
     hardy_check,
     mass_1d,
     norms,
@@ -16,7 +15,7 @@ from .discretize import (
     stiffness_1d,
     tensor_form,
 )
-from .spectral import Spectrum, compute_spectrum, expand, reconstruct
+from .spectral import Spectrum, compute_spectrum, expand
 from .evolution import (
     SpaceTimeField,
     TimeGrid,
@@ -42,7 +41,6 @@ from .carleman import (
     CarlemanWeights,
     FieldData,
     S0Fit,
-    check_inequality,
     eval_weights,
     find_s0,
     p_residual,

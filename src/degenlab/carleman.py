@@ -360,7 +360,11 @@ class FieldData:
 
     def sweep(self, s_values, which: str, c_boundary: float = 1.0):
         """Budgets at every parameter of ``s_values``, with the field's own
-        weight family.
+        weight family, for a backward-convention solution.  which = "eq410"
+        puts the weighted gradient and zero-order terms of the transformed
+        variable on the left; "eq51" the single zero-order term
+        s II Theta y**2 exp(-2 s xi).  ``holds`` compares against
+        rhs_source + c_boundary * rhs_boundary.
 
         Theta, xi = Theta (gamma - eta), the bracket coefficient g / s and
         the base log terms of every integral do not depend on s and are
@@ -448,19 +452,6 @@ def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
         c_boundary=c_boundary,
         holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
     )
-
-
-def check_inequality(field: SpaceTimeField, s: float, which: str = "eq410",
-                     c_boundary: float = 1.0) -> CarlemanBudget:
-    """Evaluate one inequality budget at parameter s for a backward-convention
-    solution, with the field's own weight family.
-
-    which = "eq410" uses the weighted gradient and zero-order terms of
-    the transformed variable on the left; "eq51" uses the single
-    zero-order term s II Theta y**2 exp(-2 s xi).  ``holds`` compares
-    against rhs_source + c_boundary * rhs_boundary.
-    """
-    return FieldData(field).budget(s, which, c_boundary)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,9 @@
 reads a YAML/JSON config, runs the requested pipeline and writes one CSV
 per result table plus a JSON summary of all check outcomes.  Exit codes:
 0 all checks pass, 1 a check failed, 2 invalid config (or a parameter,
-contract or precondition error), 3 numerical failure inside a module
-(any other exception is a defect and propagates).
+contract or precondition error, or an output directory that cannot be
+made), 3 numerical failure inside a module (any other exception is a
+defect and propagates).
 Outputs are byte-identical across reruns with the same config, seed and
 BLAS thread count: floats are printed with 17 significant digits and
 random vectors come from the documented linear congruential generator.  Experiments run in
@@ -29,14 +30,14 @@ import yaml
 
 from . import carleman as carle
 from . import observability as obs
-from .discretize import (_check_size, assemble, build_mesh, hardy_check, physical_memory_mib,
+from .discretize import (_check_size, _require_memory, assemble, build_mesh, hardy_check,
                          poincare_check, tensor_form)
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
 from .geometry import MAX_DELTA, make_domain, truncate
 from .rng import Lcg, random_admissible
-from .shape_design import delta_sweep
+from .shape_design import _check_sweep, delta_sweep
 from .spectral import _check_eigensolve, compute_spectrum, expand
 
 EXPERIMENTS = ("spectrum", "evolve", "hardy", "delta-sweep", "carleman",
@@ -45,6 +46,10 @@ EXPERIMENTS = ("spectrum", "evolve", "hardy", "delta-sweep", "carleman",
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(OSError):
+    """The output directory cannot be made."""
 
 
 @dataclass(frozen=True)
@@ -156,6 +161,8 @@ def load_config(path, experiment=None):
             raw = yaml.load(fh, Loader=_ConfigLoader)
     except (yaml.YAMLError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file is not valid YAML/JSON: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(str(exc)) from exc
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
@@ -420,34 +427,29 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def _check_arrays(cfg: ExperimentConfig, experiments):
-    """Refuse a run whose mesh, eigensolve or arrays with one row per time
-    node exceed physical memory in some experiment, before any of them
+    """Refuse a run whose mesh, eigensolve, arrays with one row per time
+    node or delta sweep some experiment would refuse, before any of them
     exists, in that order and each with its own message.  Every experiment
-    but delta-sweep, which checks its nodal fields itself, builds the mesh
-    and computes a spectrum.  The bound per time node (tracemalloc measured
-    45-85% of it over 512 to 8192 steps) covers, for evolve, K
-    coefficients, loads and energy products and four energy columns (no
-    nodal field; the table is written row by row); for observability,
-    one window field's coefficients, loads and products; for carleman, per
-    x_N node, two moment factor products of min(n_x1, 2K) entries and about
-    20 moment, weight and work arrays of its field and the first, and four
-    copies of the 2 n_x1 flux stencil values."""
-    if experiments == ["delta-sweep"]:
-        return
+    but delta-sweep builds the mesh and computes a spectrum.  The bound per
+    time node (tracemalloc measured 45-85% of it over 512 to 8192 steps)
+    covers, for evolve, K coefficients, loads and energy products and four
+    energy columns (no nodal field; the table is written row by row); for
+    observability, one window field's coefficients, loads and products; for
+    carleman, per x_N node, two moment factor products of min(n_x1, 2K)
+    entries and about 20 moment, weight and work arrays of its field and the
+    first, and four copies of the 2 n_x1 flux stencil values."""
     dim = 1 if cfg.domain == "interval" else 2
-    _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes)
+    if any(e != "delta-sweep" for e in experiments):
+        _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes)
     k, n_x1 = cfg.modes, (cfg.n + 1) ** (dim - 1)
     per_node = {"evolve": 8 * (3 * k + 4), "observability": 8 * (3 * k + 8),
                 "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}
     name = max(experiments, key=lambda e: per_node.get(e, 0))
-    if name not in per_node:
-        return
-    need_mib = (cfg.steps + 1) * per_node[name] / 2**20
-    memory_mib = physical_memory_mib()
-    if need_mib > memory_mib:
-        raise ParameterError(
-            f"{name} with {cfg.steps} time steps needs about {need_mib:.0f} MiB of arrays "
-            f"with one row per time node, more than the {memory_mib:.0f} MiB of physical memory")
+    if name in per_node:
+        _require_memory((cfg.steps + 1) * per_node[name],
+                        f"{name} with {cfg.steps} time steps")
+    if "delta-sweep" in experiments:
+        _check_sweep(dim, cfg.deltas, cfg.n, cfg.steps)
 
 
 # every experiment but full-report, in EXPERIMENTS order
@@ -468,7 +470,10 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
     experiments = list(_RUNNERS) if report else [config.experiment]
     _check_arrays(config, experiments)
     out = Path(out_dir if out_dir is not None else config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OutputError(f"cannot make the output directory {out}: {exc}") from exc
     problem = _problem_memo()
     checks, values = {}, {}
     for name in experiments:
@@ -503,6 +508,12 @@ def _write_summary(path, config: ExperimentConfig, checks, values):
                     encoding="utf-8")
 
 
+# the refused inputs, which exit 2, and the prefix of each one's message
+_REFUSALS = {ConfigError: "config error", ParameterError: "parameter error",
+             ContractError: "contract error", PreconditionError: "precondition error",
+             OutputError: "output error"}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="degen-lab",
@@ -515,28 +526,15 @@ def main(argv=None) -> int:
                         help="ignored; kept so that old command lines still run")
     args = parser.parse_args(argv)
     try:
-        config = load_config(args.config, experiment=args.experiment)
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        return run(config, out_dir=args.out)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParameterError as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return 2
-    except ContractError as exc:
-        print(f"contract error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"precondition error: {exc}", file=sys.stderr)
-        return 2
+        return run(load_config(args.config, experiment=args.experiment), out_dir=args.out)
     except (EigensolverError, DegenerateObservationError, ConventionError,
             np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except tuple(_REFUSALS) as exc:
+        prefix = next(p for kind, p in _REFUSALS.items() if isinstance(exc, kind))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -99,6 +99,17 @@ def physical_memory_mib():
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2**20
 
 
+def _require_memory(need_bytes, what):
+    """Refuse, before anything is allocated, a task whose arrays are
+    estimated at ``need_bytes`` when that exceeds the machine's physical
+    memory; ``what`` names the task in the message.  The one refusal of
+    the mesh, the eigensolve, the time-node arrays and the delta sweep."""
+    need_mib, memory_mib = need_bytes / 2**20, physical_memory_mib()
+    if need_mib > memory_mib:
+        raise ParameterError(f"{what} needs about {need_mib:.0f} MiB, more than the "
+                             f"{memory_mib:.0f} MiB of physical memory")
+
+
 def _check_size(shape):
     """The node count of a tensor mesh of this shape, refusing the mesh
     before any per-node array exists when its estimated memory exceeds the
@@ -106,14 +117,8 @@ def _check_size(shape):
     coordinates and two int64 node ids, (N + 2) * 8 bytes, and the interior
     K and M each hold 3**N nonzeros per row at 12 bytes (a float64 value and
     an int32 index): 248 bytes per node on the square, 96 on the interval."""
-    n_nodes = math.prod(shape)
-    dim = len(shape)
-    need_mib = n_nodes * ((dim + 2) * 8 + 2 * 3**dim * 12) / 2**20
-    memory_mib = physical_memory_mib()
-    if need_mib > memory_mib:
-        raise ParameterError(
-            f"a mesh of {n_nodes} nodes needs about {need_mib:.0f} MiB for its arrays and "
-            f"interior operators, more than the {memory_mib:.0f} MiB of physical memory")
+    n_nodes, dim = math.prod(shape), len(shape)
+    _require_memory(n_nodes * ((dim + 2) * 8 + 2 * 3**dim * 12), f"a mesh of {n_nodes} nodes")
     return n_nodes
 
 
@@ -257,9 +262,10 @@ class OperatorPair:
     @cached_property
     def flux_rows(self):
         """(stencil node ids, the observed edge's rows of the full-node
-        stiffness and of M_full on those columns).  The edge is the last x_N
-        layer, and the rows of a product A (x) B on the layer are
-        A (x) B[layer], so they come from the 1D factors alone."""
+        stiffness and of M_full on those columns).  The stencil is every
+        node those rows touch, sorted ascending and read-only.  The edge is
+        the last x_N layer, and the rows of a product A (x) B on the layer
+        are A (x) B[layer], so they come from the 1D factors alone."""
         kn, mn = self.xn
         k = _tensor_stiffness(self.x1, (kn[-1], mn[-1]))
         m = sp.kron(self.x1[1], mn[-1], format="csr")
@@ -368,14 +374,6 @@ def poincare_check(ops: OperatorPair, u):
     return {"ratio": tensor_form(u, mx, mn) / h1sq}
 
 
-def flux_stencil(ops: OperatorPair):
-    """Ids of the nodes whose values enter the flux on the observed edge:
-    the columns that the edge's rows of the full-node stiffness and M_full
-    touch, which are the edge and its neighbouring x_N layer.  Sorted
-    ascending, read-only."""
-    return ops.flux_rows[0]
-
-
 def boundary_flux(ops: OperatorPair, u, f_proxy=None):
     """Outward normal derivative of u on the observed edge x_N = 1, by
     variational recovery.
@@ -388,10 +386,10 @@ def boundary_flux(ops: OperatorPair, u, f_proxy=None):
     factor ``ops.x1[1]`` (the counting measure [[1]] on the interval, whose
     edge is a single point).  Away from the degeneracy the conormal and
     normal derivatives coincide.  Only the rows of the edge enter the
-    residual, and they touch only the nodes ``flux_stencil(ops)``: ``u``
-    and ``f_proxy`` hold the values at those nodes, in that order.  They may
-    also be (n_stencil, m) blocks, one field per column; the result is then
-    (n_edge, m).
+    residual, and they touch only the nodes ``ops.flux_rows[0]``, the edge
+    and its neighbouring x_N layer: ``u`` and ``f_proxy`` hold the values at
+    those nodes, in that order.  They may also be (n_stencil, m) blocks, one
+    field per column; the result is then (n_edge, m).
     """
     cols, k_rows, m_rows = ops.flux_rows
     lump = np.asarray(ops.x1[1].sum(axis=1)).ravel()

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, flux_stencil, tensor_form
+from .discretize import OperatorPair, boundary_flux, tensor_form
 from .errors import ContractError, ParameterError
 from .spectral import Spectrum, expand
 
@@ -269,7 +269,7 @@ def flux_history(field: SpaceTimeField):
         spectrum, coeffs = field._mode_data
         flux = coeffs @ spectrum.mode_flux.T
     else:
-        cols = flux_stencil(ops)
+        cols = ops.flux_rows[0]
         values = field.columns(cols)
         proxy = -_time_derivative(values, grid.dt)
         if field.source is not None:

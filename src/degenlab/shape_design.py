@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import (Mesh, OperatorPair, assemble, build_mesh, physical_memory_mib,
+from .discretize import (Mesh, OperatorPair, _require_memory, assemble, build_mesh,
                          restrict_mesh, tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
@@ -160,18 +160,12 @@ def prolongation(coarse: Mesh, fine: Mesh):
     return op
 
 
-def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
-                n_ref: int) -> ConvergenceReport:
-    """Convergence experiment: truncated solves at half the reference
-    resolution, zero-extended and compared against the full-domain solve.
-
-    Uniform meshes are used throughout so that every delta is a node
-    coordinate of both resolutions and extension stays exact injection;
-    deltas must be multiples of 2/n_ref, strictly descending.  A sweep
-    whose reference and coarse fields together exceed the machine's
-    physical memory is refused before anything is assembled.
-    """
-    deltas = [float(d) for d in deltas]
+def _check_sweep(dimension, deltas, n_ref, steps):
+    """Refuse a delta sweep before anything is assembled: its deltas must be
+    strictly descending and multiples of 2/n_ref, n_ref even, and the
+    reference field and one coarse or slab field, held at once, must fit in
+    physical memory.  They are (steps+1) (n+1)**dimension doubles at n_ref
+    and at the sweep resolution n_ref/2."""
     if any(d2 >= d1 for d1, d2 in zip(deltas, deltas[1:])):
         raise ParameterError("deltas must be strictly descending")
     if n_ref % 2:
@@ -182,16 +176,26 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
             raise ParameterError(
                 f"delta={d} is not node-aligned with the sweep mesh (n={n_sweep})"
             )
+    ref, coarse = ((steps + 1) * (n + 1) ** dimension * 8 for n in (n_ref, n_sweep))
+    _require_memory(ref + coarse, f"a delta sweep with a {ref / 2**20:.0f} MiB reference "
+                                  f"field and a {coarse / 2**20:.0f} MiB coarse field")
+
+
+def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
+                n_ref: int) -> ConvergenceReport:
+    """Convergence experiment: truncated solves at half the reference
+    resolution, zero-extended and compared against the full-domain solve.
+
+    Uniform meshes are used throughout so that every delta is a node
+    coordinate of both resolutions and extension stays exact injection.
+    A sweep that :func:`_check_sweep` refuses fails before anything is
+    assembled.
+    """
+    deltas = [float(d) for d in deltas]
+    _check_sweep(domain.dimension, deltas, n_ref, grid.steps)
+    n_sweep = n_ref // 2
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
-    # the reference field and one coarse or slab field are held at once
-    ref_mib, coarse_mib = ((grid.steps + 1) * (n + 1) ** domain.dimension * 8 / 2**20
-                           for n in (n_ref, n_sweep))
-    memory_mib = physical_memory_mib()
-    if ref_mib + coarse_mib > memory_mib:
-        raise ParameterError(
-            f"delta sweep needs a {ref_mib:.0f} MiB reference field and a {coarse_mib:.0f} MiB "
-            f"coarse field, more than the {memory_mib:.0f} MiB of physical memory")
 
     def full_solve(mesh):
         y0_full = _nodal_data(mesh, y0, "y0")

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.linalg as la
 import scipy.sparse.linalg as spla
 
-from .discretize import OperatorPair, boundary_flux, flux_stencil, physical_memory_mib
+from .discretize import OperatorPair, _require_memory, boundary_flux
 from .errors import EigensolverError, ParameterError
 
 
@@ -67,7 +67,7 @@ class Spectrum:
         """Normal derivative of every mode on the observed edge,
         (n_edge, count), recovered with the load lambda_k phi_k; built once
         per spectrum and read-only."""
-        modes = self.modes[flux_stencil(self.ops)]
+        modes = self.modes[self.ops.flux_rows[0]]
         flux = boundary_flux(self.ops, modes, f_proxy=modes * self.eigenvalues)
         flux.flags.writeable = False
         return flux
@@ -83,12 +83,8 @@ def _check_eigensolve(n_interior, n_nodes, k):
         solver = n_interior * min(n_interior, max(2 * k + 1, 20))
     else:
         solver = 4 * n_interior**2
-    need_mib = (solver + n_nodes * k) * 8 / 2**20
-    memory_mib = physical_memory_mib()
-    if need_mib > memory_mib:
-        raise ParameterError(
-            f"an eigensolve of {k} modes on {n_interior} unknowns needs about {need_mib:.0f} "
-            f"MiB for its basis and modes, more than the {memory_mib:.0f} MiB of physical memory")
+    _require_memory((solver + n_nodes * k) * 8,
+                    f"an eigensolve of {k} modes on {n_interior} unknowns")
 
 
 def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
@@ -138,8 +134,3 @@ def expand(spectrum: Spectrum, u):
     """L2 coefficients of u against the computed modes: c_i = phi_i' M u."""
     u = np.asarray(u, dtype=float)
     return spectrum.modes.T @ (spectrum.ops.M_full @ u)
-
-
-def reconstruct(spectrum: Spectrum, coeffs):
-    """Nodal field from mode coefficients."""
-    return spectrum.modes @ np.asarray(coeffs, dtype=float)

@@ -10,7 +10,6 @@ from degenlab import carleman
 from degenlab.carleman import (
     CarlemanWeights,
     FieldData,
-    check_inequality,
     eval_weights,
     find_s0,
     p_residual,
@@ -143,19 +142,19 @@ def test_budget_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
-    b = check_inequality(zero, 1.0, "eq410")
+    b = FieldData(zero).budget(1.0, "eq410")
     assert b.holds
     assert b.log_lhs == -np.inf and b.log_rhs_boundary == -np.inf
     with pytest.raises(ParameterError):
-        check_inequality(zero, 0.0, "eq410")
+        FieldData(zero).budget(0.0, "eq410")
 
 
 def test_budget_deterministic(slab):
     _, spec = slab
     grid = TimeGrid(1.0, 64)
     field = backward_mode_field(spec, 1, grid)
-    b1 = check_inequality(field, 3.0, "eq410")
-    b2 = check_inequality(field, 3.0, "eq410")
+    b1 = FieldData(field).budget(3.0, "eq410")
+    b2 = FieldData(field).budget(3.0, "eq410")
     assert b1.log_lhs == b2.log_lhs
     assert b1.log_rhs_boundary == b2.log_rhs_boundary
 
@@ -170,8 +169,8 @@ def test_budget_time_symmetry(slab):
     vals = prof[:, None] * phi[None, :]
     field = SpaceTimeField(ops, grid, vals)
     flipped = SpaceTimeField(ops, grid, vals[::-1].copy())
-    b1 = check_inequality(field, 2.0, "eq410")
-    b2 = check_inequality(flipped, 2.0, "eq410")
+    b1 = FieldData(field).budget(2.0, "eq410")
+    b2 = FieldData(flipped).budget(2.0, "eq410")
     assert b1.log_lhs == pytest.approx(b2.log_lhs, abs=1e-10)
     assert b1.log_rhs_boundary == pytest.approx(b2.log_rhs_boundary, abs=1e-10)
 
@@ -186,8 +185,8 @@ def test_budget_endpoint_slabs_negligible(slab):
     masked_vals[1] = 0.0
     masked_vals[-2] = 0.0
     masked = SpaceTimeField(ops, grid, masked_vals)
-    b1 = check_inequality(field, 1.0, "eq410")
-    b2 = check_inequality(masked, 1.0, "eq410")
+    b1 = FieldData(field).budget(1.0, "eq410")
+    b2 = FieldData(masked).budget(1.0, "eq410")
     assert abs(np.expm1(b1.log_lhs - b2.log_lhs)) < 1e-12
 
 
@@ -215,7 +214,7 @@ def test_find_s0_eigen_suite_monotone(slab):
     # with the fitted constant, the inequality holds at every point >= s0
     for j in range(start, len(s_grid)):
         for field in fields:
-            b = check_inequality(field, s_grid[j], "eq410", c_boundary=fit.c_boundary)
+            b = FieldData(field).budget(s_grid[j], "eq410", fit.c_boundary)
             assert b.holds
 
 
@@ -262,7 +261,7 @@ LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
 
 def assert_matches_oracle(field, s, which, budget=None):
     if budget is None:
-        budget = check_inequality(field, s, which)
+        budget = FieldData(field).budget(s, which)
     assert_logs_match(budget, carleman_budget_per_node(field, s, which))
 
 
@@ -304,7 +303,7 @@ def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_
     values[:, mesh.boundary] = 0.0
     source = rng.standard_normal(values.shape) if with_source else None
     field = SpaceTimeField(ops, grid, values, source=source, direction="backward")
-    budget = check_inequality(field, s, which)
+    budget = FieldData(field).budget(s, which)
     linear = carleman_budget_linear(field, s, which)
     assert np.exp(budget.log_lhs) == pytest.approx(linear["lhs"], rel=1e-12)
     assert np.exp(budget.log_rhs_source) == pytest.approx(linear["rhs_source"], rel=1e-12)

@@ -9,10 +9,10 @@ import pytest
 import yaml
 
 import degenlab
-from degenlab import cli
+from degenlab import cli, discretize
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main
 from degenlab.discretize import OperatorPair
-from degenlab.errors import ContractError, EigensolverError, PreconditionError
+from degenlab.errors import ContractError, EigensolverError, ParameterError, PreconditionError
 
 
 def write_config(path: Path, text: str) -> Path:
@@ -190,6 +190,7 @@ def test_cli_import_leaves_out_scipy_interpolate():
 
 
 @pytest.mark.parametrize("error, prefix", [
+    (ParameterError, "parameter error: "),
     (ContractError, "contract error: "),
     (PreconditionError, "precondition error: "),
 ])
@@ -228,6 +229,22 @@ def test_missing_config_file(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.yaml")]) == 2
 
 
+@pytest.mark.parametrize("out", ["taken", "taken/o"])
+def test_unusable_output_directory_exit_2(tmp_path, monkeypatch, capsys, out):
+    # a file where the output directory or one of its parents should be
+    (tmp_path / "taken").write_text("")
+
+    def runner(cfg, problem):
+        raise AssertionError("an experiment started")
+
+    monkeypatch.setitem(cli._RUNNERS, "spectrum", runner)
+    cfg = write_config(tmp_path, "experiment: spectrum\n")
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("output error: cannot make the output directory")
+    assert "Traceback" not in err
+
+
 def test_misaligned_deltas_exit_code(tmp_path):
     cfg = write_config(tmp_path, """
 experiment: delta-sweep
@@ -258,6 +275,36 @@ steps: 128
     err = capsys.readouterr().err
     assert "9842116 MiB reference field" in err and "2460578 MiB coarse field" in err
     assert peak < 2**20
+
+
+def test_full_report_refuses_misaligned_deltas_before_any_output(tmp_path, capsys):
+    # the sweep mesh has 30 cells, so 0.05 falls between two of its nodes
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 60
+modes: 3
+""")
+    out = tmp_path / "o"
+    assert main(["full-report", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "delta=0.05 is not node-aligned" in capsys.readouterr().err
+    assert list(out.glob("*")) == []
+
+
+def test_full_report_refuses_oversized_sweep_before_any_output(tmp_path, monkeypatch,
+                                                                capsys):
+    # square n=40: the mesh (0.4 MiB), eigensolve (0.3 MiB) and carleman time
+    # arrays (1.6 MiB) fit a 1.8 MiB machine, the sweep's fields (2.1 MiB) do not
+    monkeypatch.setattr(discretize, "physical_memory_mib", lambda: 1.8)
+    cfg = write_config(tmp_path, """
+domain: square
+n: 40
+modes: 3
+""")
+    out = tmp_path / "o"
+    assert main(["full-report", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: a delta sweep with a 2 MiB reference field")
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("experiment", ["spectrum", "evolve", "hardy", "carleman",
@@ -334,6 +381,8 @@ modes: 100000
     ("interval", 240, list(cli._RUNNERS)),
 ])
 def test_benchmark_configs_pass_the_memory_checks(domain, n, experiments):
+    # every pre-flight check, the sweep's included: one that refused a
+    # benchmark config would fail every run of that workload
     cfg = ExperimentConfig(experiment="spectrum", domain=domain, n=n, modes=10)
     for experiment in experiments:
         cli._check_arrays(cfg, [experiment])

@@ -7,7 +7,6 @@ from degenlab.discretize import (
     assemble,
     boundary_flux,
     build_mesh,
-    flux_stencil,
     hardy_check,
     mass_1d,
     norms,
@@ -251,7 +250,7 @@ def test_flux_linear_field():
     mesh = build_mesh(d, 512, 1.0)
     ops = assemble(mesh)
     u = mesh.points[:, 0].copy()  # ignoring boundary conditions on purpose
-    nodes = flux_stencil(ops)
+    nodes = ops.flux_rows[0]
     flux = boundary_flux(ops, u[nodes])
     assert flux[0] == pytest.approx(1.0, abs=3.0 / 512)
     assert boundary_flux(ops, np.zeros(nodes.size))[0] == 0.0
@@ -279,7 +278,7 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
     assert np.array_equal(edge.toarray(), want)
     # the stencil is the edge and its neighbouring x_N layer, and the
     # flux from it is the residual of the edge's full rows, bit for bit
-    nodes = flux_stencil(ops)
+    nodes = ops.flux_rows[0]
     ids = np.arange(mesh.n_nodes).reshape(mesh.shape)[..., -1].ravel()
     assert nodes.size == 2 * ids.size
     lump = np.asarray(edge.sum(axis=1))
@@ -303,7 +302,7 @@ def test_flux_eigenmode_against_series_oracle():
     mesh = build_mesh(d, 1024, 2.0)
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 1)
-    phi = spec.mode(1)[flux_stencil(ops)]
+    phi = spec.mode(1)[ops.flux_rows[0]]
     flux = boundary_flux(ops, phi, f_proxy=spec.eigenvalues[0] * phi)
     # sign convention of the solver may flip the mode
     assert abs(flux[0]) == pytest.approx(abs(du1), rel=5e-3)
@@ -317,7 +316,7 @@ def test_variational_vs_fd_flux_converges():
         ops = assemble(mesh)
         spec = compute_spectrum(ops, 1)
         phi = spec.mode(1)
-        nodes = flux_stencil(ops)
+        nodes = ops.flux_rows[0]
         fv = boundary_flux(ops, phi[nodes], f_proxy=spec.eigenvalues[0] * phi[nodes])
         fd = fd_flux(mesh, phi)
         gaps.append(abs(fv[0] - fd[0]))

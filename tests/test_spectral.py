@@ -9,8 +9,8 @@ from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
-from degenlab import spectral
-from degenlab.spectral import compute_spectrum, expand, reconstruct
+from degenlab import discretize
+from degenlab.spectral import compute_spectrum, expand
 
 from oracles import degenerate_eigenvalue, degenerate_eigenvalues
 
@@ -76,7 +76,7 @@ def test_oversized_eigensolve_refused_before_lanczos(monkeypatch):
     # 100 modes on 999 unknowns: a Lanczos basis of 999 x 201 doubles and
     # 1001 x 100 nodal modes, 2.3 MiB against a machine of 1 MiB
     ops = assemble(build_mesh(make_domain("interval", 0.5), 1000))
-    monkeypatch.setattr(spectral, "physical_memory_mib", lambda: 1.0)
+    monkeypatch.setattr(discretize, "physical_memory_mib", lambda: 1.0)
     with pytest.raises(ParameterError, match="an eigensolve of 100 modes on 999 unknowns "
                                              "needs about 2 MiB"):
         compute_spectrum(ops, 100)
@@ -143,7 +143,7 @@ def test_parseval_identities(interval_spec):
     ops, spec = interval_spec
     rng = Lcg(5)
     c = rng.symmetric(spec.count)
-    u = reconstruct(spec, c)
+    u = spec.modes @ c
     res = norms(ops, u)
     assert np.sum(c**2) == pytest.approx(res["l2"] ** 2, rel=1e-8)
     assert np.sum(c**2 * spec.eigenvalues) == pytest.approx(res["h1w"] ** 2, rel=1e-6)
@@ -154,7 +154,7 @@ def test_operator_image_identity(interval_spec):
     ops, spec = interval_spec
     rng = Lcg(6)
     c = rng.symmetric(spec.count)
-    u = reconstruct(spec, c)[ops.interior]
+    u = (spec.modes @ c)[ops.interior]
     ku = ops.K @ u
     lu = spla.splu(ops.M.tocsc())
     val = float(ku @ lu.solve(ku))
