@@ -22,36 +22,24 @@ the horizon of its time grid (``CarlemanWeights.of``), so s is the only
 Carleman parameter of every entry point.
 
 The weights depend on (t, x_N) only, so each field is reduced over x_1
-once, to the moments sum w y**2, sum w y d_N y and sum w (d_N y)**2 (and
-sum w f**2, and the squared flux on the observed edge) at every (t, x_N)
-row; a budget at one s is then a log-sum-exp over (t, x_N).  Each moment
-is taken of the field divided by a scale, with the log of that scale
-squared kept beside it, so fields near 1e-200 do not underflow when
-squared.  A nodal field is scaled by its largest |entry| in the row.  A
-coefficient field y = Phi c of K modes is scaled per time row by its
-largest |c_k| and never builds its nodal values: on each x_N layer n the
-triangular QR factor R_n of sqrt(w_n) [Phi_n, D_N Phi_n] (built once per
-spectrum) gives the three moments as dot products of R_n[:, :K] c and
-R_n[:, K:] c, which is one matrix product over all layers.  R_n has
-min(n_x1, 2K) rows, so on the interval (one x_1 node) it is a single row
-and the work matches the nodal sums.  The eq410 bracket norm is the quadratic
-A + 2 g B + g**2 C in its s-dependent coefficient g; where that sum has
-cancelled below 1e-8 of A + g**2 C, the bracket is summed directly over
-x_1 for those rows instead, from the nodal values of those time rows only.
+once, to s-free moments at every (t, x_N) row (FieldData); a budget at
+one s is then a log-sum-exp over (t, x_N).  The eq410 bracket norm is
+C (g + beta)**2 + D in its coefficient g, a sum of two non-negative
+terms, so it cannot cancel at any s.  An s grid whose largest g would
+pass 1e150 is refused (_check_range), so (g + beta)**2 stays finite.
 
-The budgets of one field are evaluated as one sweep over the s grid.
-Every integrand is base(t, x_N) - 2 s xi(t, x_N) with an s-free base
-(for I1 plus log b2, the bracket at that s), so xi and the bases are
-formed once per sweep.  Each log-sum-exp skips the entries more than 708
-below its largest one: exp(-708) is about 3e-308, so together they add
-less than (count) * 3e-308 to a sum of at least 1, below one ulp of it,
-and exp is several times slower on arguments that underflow.  Whole time
-rows are skipped the same way.  Since xi = Theta(t) (gamma - eta) and
-gamma - eta >= min(gamma - eta) > 0, every entry of row t is at most
-max_x base(t) - 2 s Theta(t) min(gamma - eta) (with log max_x b2 added
-for I1).  The actual maximum of the row with the largest such bound is a
-lower bound on the top, and a row whose bound lies 708 below it holds no
-entry the sum keeps.
+The budgets of one field are one sweep over the s grid.  Every integrand
+is base(t, x_N) - 2 s xi(t, x_N) with an s-free base (for I1 plus log b2,
+the bracket at that s).  The factor exp(-2 s xi*), xi* = Theta(t*)
+(gamma - 1) at the time node t* nearest T/2, is common to every integral
+and cancels in the needed constant, but 2 s xi* reaches 2 s (T/2)**-8
+(1.6e17 at s = 200, T = 0.03), where a double keeps no digit after the
+point.  So the integrands take xi - xi*, formed without cancellation
+(CarlemanWeights.xi_excess), and 2 s xi* is subtracted from the three
+reported logs only.  Each log-sum-exp skips the entries, and the whole
+time rows, that lie more than 708 below its top (_lse, _lse_rows): every
+entry of row t is at most max_x base(t) - 2 s min_x (xi - xi*)(t), plus
+log max_x b2 for I1.
 """
 
 from __future__ import annotations
@@ -119,10 +107,43 @@ class CarlemanWeights:
         (multiplied in that order): -d_N xi is the slope times Theta."""
         return (2.0 - self.alpha) * factor * xn ** (1.0 - self.alpha)
 
+    def xi_excess(self, t, xn):
+        """xi - xi* on the (t, x_N) grid, and xi* = Theta(t*) (gamma - 1)
+        at the node t* of t nearest T/2.  The difference is
+        (Theta(t) - Theta(t*)) (gamma - eta) + Theta(t*) (1 - eta), with no
+        factor formed by cancellation: with u = t (T - t), Theta(t) - Theta(t*)
+        = (t* - t)(T - t - t*)(u* + u)(u*^2 + u^2) / (u u*)^4, and
+        1 - eta = -expm1((2 - alpha) log1p(x_N - 1)).
+        """
+        ts = t[np.argmin(np.abs(t - 0.5 * self.T))]
+        u, us = t * (self.T - t), ts * (self.T - ts)
+        theta_s = 1.0 / us**4
+        d_theta = (ts - t) * (self.T - t - ts) * (us + u) * (us**2 + u**2) / (u * us) ** 4
+        xi = d_theta[:, None] * self.gamma_minus_eta(xn)[None, :]
+        xi += theta_s * -np.expm1((2.0 - self.alpha) * np.log1p(xn - 1.0))
+        return xi, theta_s * (self.gamma - 1.0)
+
 
 def _check_s(s):
     if not s > 0.0:
         raise ParameterError(f"s must be positive, got {s}")
+
+
+# the largest bracket coefficient g admitted: 1e150**2 is 8 orders of
+# magnitude inside the double range
+_G_LIMIT = 1e150
+
+
+def _check_range(w: CarlemanWeights, t, s_max: float):
+    """Refuse s up to s_max on the interior time nodes t where the bracket
+    coefficient g = s (2 - alpha) Theta(t) x_N**(1 - alpha) passes _G_LIMIT
+    (at x_N = 1), which includes every grid on which Theta overflows."""
+    log_g = math.log(s_max * (2.0 - w.alpha)) + float(np.max(w.log_theta(t)))
+    if not log_g <= math.log(_G_LIMIT):
+        raise ParameterError(
+            f"s up to {s_max:g} on {t.size + 1} time steps of T={w.T:g} puts the Carleman "
+            f"coefficient s (2 - alpha) Theta(t) at about 10**{log_g / math.log(10.0):.1f}, "
+            f"beyond the limit {_G_LIMIT:g}")
 
 
 def eval_weights(w: CarlemanWeights, t, points):
@@ -239,27 +260,29 @@ def _log_moment(u, w):
         return log_scale2 + np.log(_sum_x1(u, w, u))
 
 
-# Rounding in the moments is about eps (A + g**2 C); where the bracket
-# norm A + 2 g B + g**2 C falls below this fraction of A + g**2 C, that
-# is more than about 1e-8 of the result, so the bracket is summed directly.
-_CANCELLATION = 1e-8
+def _beta(b, c):
+    """B / C, and 0 where C = 0 (y = 0 along the whole row, so B = 0)."""
+    return np.divide(b, c, out=np.zeros_like(b), where=c != 0.0)
 
 
 def _nodal_moments(values, mesh, w):
     """Scale m per (t, x_N) row (the largest |y| or |d_N y| over x_1) and
-    the moments C, 2 B, A of nodal values y, a (t, node) array."""
+    the moments C, beta, D of nodal values y, a (t, node) array."""
     rows = (values.shape[0], -1, mesh.shape[-1])  # (t, x_1, x_N)
     y = values.reshape(rows)
     dy = mesh.grad_n(values).reshape(rows)
     scale, _ = _row_scale(y, dy)
     ys = y / scale[:, None, :]
     dy /= scale[:, None, :]
-    # 2 B: doubling is exact
-    return scale, _sum_x1(ys, w, ys), 2.0 * _sum_x1(ys, w, dy), _sum_x1(dy, w, dy)
+    c = _sum_x1(ys, w, ys)
+    beta = _beta(_sum_x1(ys, w, dy), c)
+    ys *= beta[:, None, :]
+    dy -= ys  # (d_N y - beta y) / m
+    return scale, c, beta, _sum_x1(dy, w, dy)
 
 
 def _mode_moments(spectrum, coeffs):
-    """Scale m per time row (the largest |c_k|) and the moments C, 2 B, A
+    """Scale m per time row (the largest |c_k|) and the moments C, beta, D
     of coefficient rows c, from the spectrum's per-layer factors (see
     FieldData); each of u and v is one matrix product over all layers."""
     scale = np.abs(coeffs).max(axis=1)
@@ -269,8 +292,10 @@ def _mode_moments(spectrum, coeffs):
     shape = (coeffs.shape[0], spectrum.ops.mesh.shape[-1], -1)  # (t, x_N, r)
     u, v = u.reshape(shape), v.reshape(shape)
     c = np.einsum("tnr,tnr->tn", u, u)
-    return (scale[:, None], c,
-            2.0 * np.einsum("tnr,tnr->tn", u, v), np.einsum("tnr,tnr->tn", v, v))
+    beta = _beta(np.einsum("tnr,tnr->tn", u, v), c)
+    u *= beta[:, :, None]
+    v -= u  # the factor of d_N y - beta y
+    return scale[:, None], c, beta, np.einsum("tnr,tnr->tn", v, v)
 
 
 class FieldData:
@@ -278,37 +303,36 @@ class FieldData:
 
     Every weight depends on (t, x_N) only, so each budget integrand is
     summed over x_1 once here.  With the lumped spatial weight w and a
-    scale m of the field:
+    scale m of the field, C = sum w (y/m)**2, beta = B/C (0 where C = 0)
+    with B = sum w (y/m)(d_N y/m), and D = sum w ((d_N y - beta y)/m)**2, so
+    the eq410 bracket norm at coefficient g is
 
-        C = sum w (y/m)**2,  B = sum w (y/m)(d_N y/m),  A = sum w (d_N y/m)**2,
+        sum w ((d_N y + g y)/m)**2 = C (g + beta)**2 + D.
 
-    F likewise for the source and, per t, the observed-edge flux moment;
-    log(m**2) is kept beside each, so squares of fields near 1e-200 never
-    underflow.
+    F is formed likewise for the source and, per t, the observed-edge flux
+    moment; log(m**2) is kept beside each, so squares of fields near 1e-200
+    never underflow.  A nodal field keeps one scale per (t, x_N) row, the
+    largest |y| or |d_N y| over x_1, and sums over x_1 directly.
 
     A coefficient field y = Phi c never builds its nodal values.  Its
     scale is one m per time row, the largest |c_k|, and its moments come
     from the triangular factor R_n of sqrt(w_n) [Phi_n, D_N Phi_n] on each
-    x_N layer n (``Spectrum.moment_factor``): R_n' R_n is the layer's
-    weighted Gram of the modes and their x_N derivatives, so with
-    u = R_n[:, :K] c/m and v = R_n[:, K:] c/m, C = u.u, B = u.v, A = v.v.
-    R_n has min(n_x1, 2K) rows: on the interval the x_1 axis has one node,
-    R_n is the 1 x 2K row sqrt(w_n) [Phi_n, D_N Phi_n] itself and u, v are
-    the scaled nodal values and derivatives, so the interval costs what
-    the nodal path does.  A nodal field keeps one scale per (t, x_N) row,
-    the largest |y| or |d_N y| over x_1, and sums over x_1 directly.
+    x_N layer n (``Spectrum.moment_factor``), the layer's weighted Gram
+    factor: with u = R_n[:, :K] c/m and v = R_n[:, K:] c/m, C = u.u,
+    B = u.v and D = |v - beta u|**2.  R_n has min(n_x1, 2K) rows; on the
+    interval it is the single row sqrt(w_n) [Phi_n, D_N Phi_n], and the
+    interval costs what the nodal path does.
     """
 
     def __init__(self, field: SpaceTimeField):
         _require_truncated(field)
         ops, mesh, grid = field.ops, field.mesh, field.grid
-        t = grid.nodes[1:-1]
+        self.t = t = grid.nodes[1:-1]
         self.weights = CarlemanWeights.of(field)
         self.log_theta = self.weights.log_theta(t)
         self.log_dt = np.log(grid.dt)
         self.xn = mesh.axes[-1]
         self.log_xn = np.log(self.xn)
-        self.field = field  # read again only by the cancellation fallback
         rows = (t.size, -1, self.xn.size)  # (t, x_1, x_N)
         self.w = ops.lumped_full.reshape(rows[1:])
 
@@ -317,7 +341,7 @@ class FieldData:
             moments = _mode_moments(spectrum, coeffs[1:-1])
         else:
             moments = _nodal_moments(field.values[1:-1], mesh, self.w)
-        self.scale, self.c, self.two_b, self.a = moments
+        self.scale, self.c, self.beta, self.d = moments
         self.log_scale2 = 2.0 * np.log(self.scale)
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
@@ -329,35 +353,6 @@ class FieldData:
         self.log_f2 = (None if field.source is None
                        else _log_moment(field.source_values()[1:-1].reshape(rows), self.w))
 
-    def _bracket_direct(self, ti, ni, g):
-        """sum over x_1 of w ((d_N y + g y)/m)**2 at the (ti, ni) rows."""
-        times, at = np.unique(ti, return_inverse=True)
-        vals = self.field.rows(1 + times)
-        shape = (times.size, -1, self.xn.size)
-        y = vals.reshape(shape)[at, :, ni]
-        dy = self.field.mesh.grad_n(vals).reshape(shape)[at, :, ni]
-        scale = np.broadcast_to(self.scale, self.c.shape)[ti, ni]  # (t, 1) for mode fields
-        bracket = (dy + g[:, None] * y) / scale[:, None]
-        return np.sum(self.w[:, ni].T * bracket**2, axis=1)
-
-    def _bracket(self, g, work):
-        """The eq410 bracket norm sum w ((d_N y + g y)/m)**2 = A + 2 g B + g**2 C
-        at every (t, x_N) row, in work[0]; where it has cancelled, the
-        direct sum over x_1 replaces it.  work is three (t, x_N) arrays."""
-        b2, ggc, limit = work
-        np.multiply(g, g, out=ggc)
-        ggc *= self.c
-        np.multiply(g, self.two_b, out=b2)
-        b2 += self.a
-        b2 += ggc
-        np.add(self.a, ggc, out=limit)
-        limit *= _CANCELLATION
-        cancelled = np.abs(b2, out=ggc) < limit
-        if cancelled.any():
-            ti, ni = np.nonzero(cancelled)
-            b2[ti, ni] = self._bracket_direct(ti, ni, g[ti, ni])
-        return b2
-
     def sweep(self, s_values, which: str, c_boundary: float = 1.0):
         """Budgets at every parameter of ``s_values``, with the field's own
         weight family, for a backward-convention solution.  which = "eq410"
@@ -366,33 +361,30 @@ class FieldData:
         s II Theta y**2 exp(-2 s xi).  ``holds`` compares against
         rhs_source + c_boundary * rhs_boundary.
 
-        Theta, xi = Theta (gamma - eta), the bracket coefficient g / s and
-        the base log terms of every integral do not depend on s and are
-        formed once; at each s only the bracket b2 (on every row) and the
-        live time rows of each log-sum-exp are.  A budget integrand is
-        base - 2 s xi, so row t is bounded by its base maximum less
-        2 s Theta(t) min(gamma - eta), with log(max b2) added for I1.
+        xi - xi*, g / s and the base log terms of every integral are s-free
+        and formed once; at each s only the bracket b2 (on every row) and
+        the live time rows of each log-sum-exp are (see the module notes).
         """
         if which not in ("eq410", "eq51"):
             raise ParameterError(f"unknown inequality selector {which!r}")
+        s_values = list(s_values)
+        for s in s_values:
+            _check_s(s)
         w = self.weights
+        if s_values:
+            _check_range(w, self.t, max(s_values))
         alpha = w.alpha
-        theta = np.exp(self.log_theta)
-        gme = w.gamma_minus_eta(self.xn)
-        xi = theta[:, None] * gme[None, :]
-        xi_min = theta * gme.min()
-        # boundary term: the observed edge is the last x_N row, xi is
-        # constant along it
-        xi_edge = theta * gme[-1]
+        xi, xi_star = w.xi_excess(self.t, self.xn)
+        xi_min = xi.min(axis=1)
+        xi_edge = xi[:, -1]  # the observed edge is the last x_N row
         base_b = self.log_theta + self.log_flux2 + self.log_dt
         lt = self.log_theta[:, None]
         bases = {}  # the s-free log terms of the integrals over (t, x_N)
         if self.log_f2 is not None:
             bases["f"] = self.log_f2 + self.log_dt
         if which == "eq410":
-            g_per_s = w.eta_slope(self.xn, theta[:, None])  # -d_N xi
-            # g and the bracket's three work arrays, reused at every s
-            work = np.empty((4,) + g_per_s.shape)
+            g_per_s = w.eta_slope(self.xn, np.exp(lt))  # -d_N xi
+            b2 = np.empty_like(g_per_s)  # the bracket, reused at every s
             bases["i1"] = lt + alpha * self.log_xn[None, :] + self.log_scale2 + self.log_dt
             bases["i2"] = (3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
                            + self.log_y2 + self.log_dt)
@@ -402,7 +394,6 @@ class FieldData:
 
         budgets = []
         for s in s_values:
-            _check_s(s)
             two_s = 2.0 * s
 
             def decayed(name, b2=None):
@@ -418,12 +409,17 @@ class FieldData:
             log_rhs_b = np.log(s) + _lse(base_b - two_s * xi_edge)
             log_rhs_f = decayed("f") if "f" in bases else -np.inf
             if which == "eq410":
-                b2 = self._bracket(np.multiply(s, g_per_s, out=work[0]), work[1:])
+                np.multiply(s, g_per_s, out=b2)
+                b2 += self.beta
+                np.square(b2, out=b2)
+                b2 *= self.c
+                b2 += self.d
                 log_lhs = np.logaddexp(np.log(s) + decayed("i1", b2),
                                        3.0 * np.log(s) + decayed("i2"))
             else:
                 log_lhs = np.log(s) + decayed("eq51")
-            budgets.append(_budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary))
+            budgets.append(_budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary,
+                                   two_s * xi_star))
         return budgets
 
     def budget(self, s: float, which: str, c_boundary: float = 1.0):
@@ -431,8 +427,9 @@ class FieldData:
         return self.sweep([s], which, c_boundary)[0]
 
 
-def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
-    """The budget record from the logs of its three integrals."""
+def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary, shift):
+    """The budget record from the logs of its three integrals, each taken
+    ``shift`` above its value; only the reported logs subtract it."""
     # constant needed on the boundary term: (lhs - rhs_f)+ / rhs_b
     if log_lhs <= log_rhs_f:
         log_needed = -np.inf
@@ -445,9 +442,9 @@ def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary):
     return CarlemanBudget(
         s=s,
         which=which,
-        log_lhs=float(log_lhs),
-        log_rhs_source=float(log_rhs_f),
-        log_rhs_boundary=float(log_rhs_b),
+        log_lhs=float(log_lhs - shift),
+        log_rhs_source=float(log_rhs_f - shift),
+        log_rhs_boundary=float(log_rhs_b - shift),
         log_needed_c=float(log_needed),
         c_boundary=c_boundary,
         holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),

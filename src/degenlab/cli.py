@@ -428,8 +428,8 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
 
 def _check_arrays(cfg: ExperimentConfig, experiments):
     """Refuse a run whose mesh, eigensolve, arrays with one row per time
-    node or delta sweep some experiment would refuse, before any of them
-    exists, in that order and each with its own message.  Every experiment
+    node, delta sweep or Carleman s range some experiment would refuse,
+    before any of them exists, in that order and each with its own message.  Every experiment
     but delta-sweep builds the mesh and computes a spectrum.  The bound per
     time node (tracemalloc measured 45-85% of it over 512 to 8192 steps)
     covers, for evolve, K coefficients, loads and energy products and four
@@ -450,6 +450,9 @@ def _check_arrays(cfg: ExperimentConfig, experiments):
                         f"{name} with {cfg.steps} time steps")
     if "delta-sweep" in experiments:
         _check_sweep(dim, cfg.deltas, cfg.n, cfg.steps)
+    if "carleman" in experiments:
+        carle._check_range(carle.CarlemanWeights(cfg.alpha, cfg.T),
+                           TimeGrid(cfg.T, cfg.steps).nodes[1:-1], cfg.s_values[-1])
 
 
 # every experiment but full-report, in EXPERIMENTS order

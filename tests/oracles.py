@@ -4,9 +4,9 @@ Everything here is deliberately decoupled from the package internals:
 Bessel functions come from their power series, zeros from bisection,
 integrals from adaptive quadrature.  Zeros beyond the series' range come
 from scipy's J_nu, bracketed by a sign-change scan and refined by brentq.  The exceptions are the per-node
-Carleman budgets, in log space and in linear arithmetic, which take the
-field's boundary flux from the package and are the reference for the
-moment-based budgets; the theta scheme by one sparse LU of the assembled
+Carleman budgets, in log space, in linear arithmetic and in mpmath at
+40 digits, which take the field's boundary flux from the package and are
+the reference for the moment-based budgets; the theta scheme by one sparse LU of the assembled
 interior operator, the reference for the x_1-diagonalised solver; and the
 delta sweep over whole (steps+1, n_nodes) fields, the reference for the
 streamed sweep; and the interior rows and columns sliced out of the
@@ -34,6 +34,7 @@ zero of J_nu, and the flux of the L2-normalised u_k at the observed end
 
 import math
 
+import mpmath
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -267,6 +268,56 @@ def carleman_budget_linear(field, s, which):
     edge_decay = np.exp(-2.0 * s * theta[:, 0] * (gamma - 1.0))  # x_N = 1 on the edge
     boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
     return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
+
+
+def carleman_budget_mp(field, s, which, dps=40):
+    """The log budgets of carleman_budget_per_node evaluated in mpmath at
+    ``dps`` digits, from the same double inputs: the field's values, their
+    3-point x_N derivative, its recovered flux and the lumped weights.
+
+    Every weight, product and sum is formed in multiprecision, whose
+    exponent range does not underflow, so the integrals are summed
+    directly.  It is the reference for the rounding of the double budgets:
+    2 s xi alone is 1.6e17 at s = 200 and T = 0.03, where a double keeps
+    no digit after the point.
+    """
+    from degenlab.evolution import flux_history
+
+    ops, mesh, grid = field.ops, field.mesh, field.grid
+    y = field.values[1:-1]
+    dy = np.gradient(y.reshape((-1,) + mesh.shape), mesh.axes[-1], axis=-1,
+                     edge_order=2).reshape(y.shape)
+    flux = flux_history(field)[0][1:-1]
+    f = None if field.source is None else field.source_values()[1:-1]
+    with mpmath.workdps(dps):
+        mpf = mpmath.mpf
+        s, T, alpha = mpf(s), mpf(grid.T), mpf(mesh.domain.alpha)
+        xn = [mpf(x) for x in mesh.xn]
+        w = [mpf(x) for x in ops.lumped_full]
+        w_edge = [mpf(x) for x in np.asarray(ops.x1[1].sum(axis=1)).ravel()]
+        eta = [x ** (2 - alpha) for x in xn]
+        lhs, source, boundary = mpf(0), mpf(0), mpf(0)
+        for i, t in enumerate(map(mpf, grid.nodes[1:-1])):
+            theta = 1 / (t * (T - t)) ** 4
+            edge = sum(we * mpf(q) ** 2 for we, q in zip(w_edge, flux[i]))
+            boundary += theta * edge * mpmath.exp(-2 * s * theta)  # x_N = 1 on the edge
+            for j, x in enumerate(xn):
+                decay = w[j] * mpmath.exp(-2 * s * theta * (2 - eta[j]))
+                yj = mpf(y[i, j])
+                if which == "eq410":
+                    bracket = mpf(dy[i, j]) + s * (2 - alpha) * theta * x ** (1 - alpha) * yj
+                    lhs += decay * (s * theta * x**alpha * bracket**2
+                                    + s**3 * theta**3 * eta[j] * yj**2)
+                else:
+                    lhs += decay * s * theta * yj**2
+                if f is not None:
+                    source += decay * mpf(f[i, j]) ** 2
+        dt = mpf(grid.dt)
+        lhs, source, boundary = dt * lhs, dt * source, s * dt * boundary
+        needed = mpmath.log((lhs - source) / boundary) if lhs > source else -mpmath.inf
+        return {"log_lhs": float(mpmath.log(lhs)), "log_rhs_source": float(mpmath.log(source)),
+                "log_rhs_boundary": float(mpmath.log(boundary)),
+                "log_needed_c": float(needed)}
 
 
 def full_stiffness(ops):

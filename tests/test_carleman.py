@@ -21,8 +21,8 @@ from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_re
 from degenlab.geometry import make_domain, truncate
 from degenlab.spectral import Spectrum, compute_spectrum
 
-from oracles import (carleman_budget_linear, carleman_budget_per_node, fit_tail_exponent,
-                     lse_exp_all)
+from oracles import (carleman_budget_linear, carleman_budget_mp, carleman_budget_per_node,
+                     fit_tail_exponent, lse_exp_all)
 
 
 @pytest.fixture(scope="module")
@@ -428,9 +428,10 @@ def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, T, steps, alp
     pytest.param("interval", True, id="interval-coefficients"),
     pytest.param("square", True, id="square-coefficients"),
 ])
-def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeypatch):
+def test_cancelling_bracket_matches_oracle(kind, coefficients):
     # y = phi(x_1) u(t, x_N) with d_N u = -g u at every other x_N node of a
-    # band, so the eq410 bracket d_N y + g y cancels there for every x_1
+    # band, so the eq410 bracket d_N y + g y cancels there for every x_1:
+    # there C (g + beta)**2 + D is the sum of two tiny non-negative terms
     alpha, s = 0.5, 3.0
     mesh = build_mesh(truncate(make_domain(kind, alpha), 0.1), 48 if kind == "interval" else 12)
     ops = assemble(mesh)
@@ -467,16 +468,42 @@ def test_cancelling_bracket_falls_back_to_direct_sum(kind, coefficients, monkeyp
         assert np.array_equal(field.rows(slice(None))[:, ops.interior], vals[:, ops.interior])
     else:
         field = SpaceTimeField(ops, grid, vals, direction="backward")
-
-    direct = set()
-    original = carleman.FieldData._bracket_direct
-
-    def spy(self, ti, ni, gsel):
-        direct.update(zip(ti.tolist(), ni.tolist()))
-        return original(self, ti, ni, gsel)
-
-    monkeypatch.setattr(carleman.FieldData, "_bracket_direct", spy)
     assert_matches_oracle(field, s, "eq410")
-    # every band entry went through the direct sum, and little else did
-    band_entries = {(i, int(j)) for i in range(t.size - 2) for j in band}
-    assert band_entries <= direct and len(direct) <= 2 * len(band_entries)
+
+
+def small_slab_field(n, T, steps):
+    # the first field of the carleman experiment on interval n, deltas [0.125], K=3
+    mesh = build_mesh(truncate(make_domain("interval", 0.5), 0.125), n)
+    return backward_mode_field(compute_spectrum(assemble(mesh), 3), 1, TimeGrid(T, steps))
+
+
+@pytest.mark.parametrize("T", [0.03, 0.1, 1.0])
+def test_needed_constant_matches_multiprecision_oracle(T):
+    # 2 s xi grows like 2 s (T/2)**-8, 1.6e17 at s = 200 and T = 0.03: formed
+    # in doubles it keeps no digit, though it cancels in the needed constant
+    field = small_slab_field(32, T, 32)
+    s_values = [1.0, 200.0, 1e10]
+    for s, budget in zip(s_values, FieldData(field).sweep(s_values, "eq410")):
+        want = carleman_budget_mp(field, s, "eq410")["log_needed_c"]
+        assert abs(budget.log_needed_c - want) <= 1e-9, (s, budget.log_needed_c, want)
+
+
+def test_needed_constant_finite_and_flat_up_to_large_s():
+    # 2 s Theta(T/2) = 512 s: from s = 1 on, only the edge node of the time
+    # row at T/2 keeps weight, so the needed constant is the same at every s
+    field = small_slab_field(16, 1.0, 8)
+    needed = [b.log_needed_c
+              for b in FieldData(field).sweep(np.geomspace(1.0, 1e100, 21), "eq410")]
+    assert np.all(np.isfinite(needed))
+    assert max(needed) - min(needed) <= 1e-12
+
+
+@pytest.mark.parametrize("T, s", [pytest.param(1.0, 1e154, id="large-s"),
+                                  pytest.param(1e-300, 1.0, id="tiny-T")])
+def test_overflowing_coefficient_refused(T, s):
+    # (s (2 - alpha) Theta)**2 would leave the double range, for either
+    # inequality, since both weigh by exp(-2 s xi)
+    data = FieldData(small_slab_field(16, T, 8))
+    for which in ("eq410", "eq51"):
+        with pytest.raises(ParameterError, match="beyond the limit 1e\\+150"):
+            data.sweep([1.0, s], which)

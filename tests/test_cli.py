@@ -307,6 +307,30 @@ modes: 3
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("line, size", [
+    pytest.param("s_grid: [1, 1e154]", "10**158.0", id="large-s"),
+    pytest.param("T: 1e-300", "10**2406.3", id="tiny-T"),
+])
+def test_carleman_coefficient_overflow_refused_before_any_output(tmp_path, capsys, line,
+                                                                 size):
+    # s (2 - alpha) Theta(t), squared in the eq410 bracket, would leave the
+    # double range and turn the budgets into nan
+    cfg = write_config(tmp_path, f"""
+domain: interval
+n: 16
+steps: 8
+modes: 3
+deltas: [0.125]
+{line}
+""")
+    out = tmp_path / "o"
+    assert main(["carleman", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error:") and "Traceback" not in err
+    assert f"at about {size}, beyond the limit 1e+150" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("experiment", ["spectrum", "evolve", "hardy", "carleman",
                                         "observability", "full-report"])
 def test_oversized_mesh_refused_before_assembly(tmp_path, capsys, experiment):
