@@ -1,6 +1,6 @@
 """Numerical laboratory for boundary-degenerate parabolic equations."""
 
-from .geometry import DomainSpec, TruncatedDomain, make_domain, truncate
+from .geometry import Domain, make_domain, truncate
 from .discretize import (
     Mesh,
     OperatorPair,
@@ -30,7 +30,6 @@ from .evolution import (
 from .shape_design import (
     ConvergenceReport,
     delta_sweep,
-    extend_by_zero,
     extend_vector,
     isometry_report,
     solve_truncated,
@@ -41,7 +40,6 @@ from .carleman import (
     CarlemanWeights,
     FieldData,
     S0Fit,
-    eval_weights,
     find_s0,
     p_residual,
     transform,

@@ -53,7 +53,6 @@ import numpy as np
 from .discretize import _tensor_stiffness
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
-from .geometry import TruncatedDomain
 
 
 @dataclass(frozen=True)
@@ -93,10 +92,6 @@ class CarlemanWeights:
     def theta_dt(self, t):
         u = t * (self.T - t)
         return -4.0 * (self.T - 2.0 * t) / u**5
-
-    def theta_dtt(self, t):
-        u = t * (self.T - t)
-        return 8.0 / u**5 + 20.0 * (self.T - 2.0 * t) ** 2 / u**6
 
     def gamma_minus_eta(self, xn):
         """gamma - eta(x_N), so that xi = Theta(t) (gamma - eta)."""
@@ -146,29 +141,8 @@ def _check_range(w: CarlemanWeights, t, s_max: float):
             f"beyond the limit {_G_LIMIT:g}")
 
 
-def eval_weights(w: CarlemanWeights, t, points):
-    """Pointwise weight values at one time; at t in {0, T} the limit
-    convention Theta = +inf (so exp(-s xi) = 0) is returned."""
-    t = float(t)
-    if not (0.0 <= t <= w.T):
-        raise ParameterError(f"t={t} outside [0, {w.T}]")
-    xn = np.atleast_2d(points)[:, -1]
-    theta = float(w.theta(t))
-    if not math.isfinite(theta):
-        inf = np.full(xn.size, np.inf)
-        grad = np.where(xn > 0.0, -np.inf, 0.0)
-        return {"theta": np.inf, "xi": inf, "grad_xi": grad, "xi_t": inf}
-    gme = w.gamma_minus_eta(xn)
-    return {
-        "theta": theta,
-        "xi": theta * gme,
-        "grad_xi": -w.eta_slope(xn, theta),
-        "xi_t": float(w.theta_dt(t)) * gme,
-    }
-
-
 def _require_truncated(field: SpaceTimeField):
-    if not isinstance(field.mesh.domain, TruncatedDomain):
+    if not field.mesh.domain.delta > 0.0:
         raise ContractError("Carleman budgets require a truncated (uniformly "
                             "parabolic) domain")
 

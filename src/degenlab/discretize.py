@@ -23,7 +23,7 @@ import scipy.linalg as la
 import scipy.sparse as sp
 
 from .errors import ContractError, ParameterError
-from .geometry import DomainSpec, TruncatedDomain
+from .geometry import truncate
 
 
 def _power_integral(a, b, q):
@@ -66,19 +66,11 @@ def mass_1d(nodes, p=0.0):
         raise ParameterError("mass weight exponent must exceed -2")
     a, b = nodes[:-1], nodes[1:]
     h = b - a
+    with np.errstate(divide="ignore"):  # the first cell's i_p when it is singular
+        i_p, i_p1, i_p2 = (_power_integral(a, b, p + j) for j in (0.0, 1.0, 2.0))
     singular_first = nodes[0] == 0.0 and p <= -1.0
-    lo = 1 if singular_first else 0
-    i_p = np.empty_like(h)
-    i_p1 = np.empty_like(h)
     if singular_first:
         i_p[0] = 0.0  # pairs only with the zero coefficient at x = 0
-        i_p1[0] = _power_integral(a[0], b[0], p + 1.0) if p + 1.0 > -1.0 else 0.0
-    i_p[lo:] = _power_integral(a[lo:], b[lo:], p)
-    if not singular_first:
-        i_p1[:] = _power_integral(a, b, p + 1.0)
-    else:
-        i_p1[1:] = _power_integral(a[1:], b[1:], p + 1.0)
-    i_p2 = _power_integral(a, b, p + 2.0)
 
     m00 = (b * b * i_p - 2.0 * b * i_p1 + i_p2) / h**2
     m01 = (-a * b * i_p + (a + b) * i_p1 - i_p2) / h**2
@@ -133,9 +125,9 @@ class Mesh:
         for ax in self.axes:
             if ax.size < 2 or np.any(np.diff(ax) <= 0.0):
                 raise ContractError("axis nodes must be strictly increasing")
-        if self.axes[-1][0] != domain.xn_lower:
+        if self.axes[-1][0] != domain.delta:
             raise ContractError(
-                f"first x_N node must equal the domain lower bound {domain.xn_lower}"
+                f"first x_N node must equal the domain lower bound {domain.delta}"
             )
         self.shape = tuple(ax.size for ax in self.axes)
         self.n_nodes = _check_size(self.shape)
@@ -171,7 +163,7 @@ def build_mesh(domain, n, grading=None):
     """
     if n < 4:
         raise ParameterError(f"need at least 4 cells per axis, got {n}")
-    truncated = isinstance(domain, TruncatedDomain)
+    truncated = domain.delta > 0.0
     if grading is None:
         grading = 1.0 if truncated else 2.0
     if grading < 1.0:
@@ -180,7 +172,7 @@ def build_mesh(domain, n, grading=None):
         raise ParameterError("truncated domains use uniform meshes (grading 1)")
     _check_size((n + 1,) * domain.dimension)  # before the axes are built
     j = np.arange(n + 1) / n
-    lo = domain.xn_lower
+    lo = domain.delta
     xn_axis = lo + (j**grading) * (1.0 - lo)
     xn_axis[0], xn_axis[-1] = lo, 1.0
     axes = [np.linspace(0.0, 1.0, n + 1) for _ in range(domain.dimension - 1)]
@@ -191,8 +183,7 @@ def build_mesh(domain, n, grading=None):
 def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
     """Truncated mesh whose nodes are exactly the full-mesh nodes with
     x_N >= delta; delta must coincide with a full-mesh node."""
-    if not isinstance(full_mesh.domain, DomainSpec):
-        raise ContractError("restrict_mesh expects a full-domain mesh")
+    dom = truncate(full_mesh.domain, delta)
     ax = full_mesh.axes[-1]
     hits = np.flatnonzero(np.abs(ax - delta) <= 1e-12)
     if hits.size == 0:
@@ -200,7 +191,6 @@ def restrict_mesh(full_mesh: Mesh, delta: float) -> Mesh:
     j0 = int(hits[0])
     axes = list(full_mesh.axes[:-1]) + [ax[j0:].copy()]
     axes[-1][0] = delta
-    dom = TruncatedDomain(full_mesh.domain, delta)
     return Mesh(dom, axes)
 
 

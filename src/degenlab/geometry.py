@@ -4,22 +4,23 @@ The diffusion matrix is diag(1, ..., 1, x_N**alpha) with alpha in (0, 1):
 it vanishes on the boundary piece where the last coordinate is zero.  Two
 geometries are supported, the unit interval (N = 1) and the unit square
 (N = 2), with the degenerate coordinate x_N last.  The flux is observed
-on the edge x_N = 1.  Truncated domains cut a strip of width delta, with
-0 < delta < MAX_DELTA, off the degenerate edge, where the equation becomes
-uniformly parabolic.
+on the edge x_N = 1.  One record describes the whole family
+Omega_delta = {x in Omega : x_N > delta}: delta = 0 is the degenerate
+domain itself, and a slab with 0 < delta < MAX_DELTA, whose lower edge
+x_N = delta is the cut boundary, is uniformly parabolic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .errors import ParameterError
+from .errors import ContractError, ParameterError
 
 MAX_DELTA = 0.25
 
 
 @dataclass(frozen=True)
-class DomainSpec:
+class Domain:
     """Continuous problem description.
 
     Attributes
@@ -28,10 +29,14 @@ class DomainSpec:
         1 (interval) or 2 (unit square).
     alpha : float
         Degeneracy exponent of the diffusion weight, strictly in (0, 1).
+    delta : float
+        Lower bound of x_N: 0 for the degenerate domain, in (0, MAX_DELTA)
+        for a slab.
     """
 
     dimension: int
     alpha: float
+    delta: float = 0.0
 
     def __post_init__(self):
         if self.dimension not in (1, 2):
@@ -40,39 +45,11 @@ class DomainSpec:
             raise ParameterError(
                 f"alpha must lie strictly inside (0, 1), got {self.alpha}"
             )
-
-    @property
-    def xn_lower(self) -> float:
-        """Lower bound of the degenerate coordinate (0 for full domains)."""
-        return 0.0
+        if not (0.0 <= self.delta < MAX_DELTA):
+            raise ParameterError(f"delta must be 0 or lie in (0, {MAX_DELTA}), got {self.delta}")
 
 
-@dataclass(frozen=True)
-class TruncatedDomain:
-    """The slab {x in Omega : x_N > delta} cut off the parent, whose lower
-    edge x_N = delta is the cut boundary."""
-
-    parent: DomainSpec
-    delta: float
-
-    def __post_init__(self):
-        if not (0.0 < self.delta < MAX_DELTA):
-            raise ParameterError(f"delta must lie in (0, {MAX_DELTA}), got {self.delta}")
-
-    @property
-    def dimension(self) -> int:
-        return self.parent.dimension
-
-    @property
-    def alpha(self) -> float:
-        return self.parent.alpha
-
-    @property
-    def xn_lower(self) -> float:
-        return self.delta
-
-
-def make_domain(kind: str, alpha: float) -> DomainSpec:
+def make_domain(kind: str, alpha: float) -> Domain:
     """Build the interval or unit-square domain description.
 
     Parameters
@@ -84,9 +61,14 @@ def make_domain(kind: str, alpha: float) -> DomainSpec:
     kinds = {"interval": 1, "square": 2}
     if kind not in kinds:
         raise ParameterError(f"unknown domain kind {kind!r}")
-    return DomainSpec(dimension=kinds[kind], alpha=alpha)
+    return Domain(dimension=kinds[kind], alpha=alpha)
 
 
-def truncate(domain: DomainSpec, delta: float) -> TruncatedDomain:
-    """Slab Omega intersected with {x_N > delta}, 0 < delta < MAX_DELTA."""
-    return TruncatedDomain(parent=domain, delta=delta)
+def truncate(domain: Domain, delta: float) -> Domain:
+    """Slab Omega intersected with {x_N > delta}, 0 < delta < MAX_DELTA, of
+    the degenerate domain; a slab is not cut again."""
+    if domain.delta > 0.0:
+        raise ContractError(f"the domain is already the slab x_N > {domain.delta}")
+    if not delta > 0.0:
+        raise ParameterError(f"delta must lie in (0, {MAX_DELTA}), got {delta}")
+    return replace(domain, delta=delta)

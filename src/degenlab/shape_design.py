@@ -1,11 +1,11 @@
 """Truncated problems, extension by zero, and delta-convergence experiments.
 
-The degenerate problem on the full domain is approximated by uniformly
-parabolic problems on the slabs {x_N > delta}.  Truncated meshes are
-node-subsets of a full mesh, so extending a solution by zero is exact
-injection: the interface nodes carry homogeneous Dirichlet values, hence
-the extended finite-element function *is* the zero extension and its L2
-norm is preserved to rounding.
+The degenerate problem on the full domain (a ``Domain`` with delta = 0) is
+approximated by uniformly parabolic problems on the slabs {x_N > delta} of
+the same family.  Truncated meshes are node-subsets of a full mesh, so
+extending a nodal vector by zero is exact injection: the interface nodes
+carry homogeneous Dirichlet values, hence the extended finite-element
+function *is* the zero extension and its L2 norm is preserved to rounding.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import scipy.sparse as sp
 from .discretize import (Mesh, OperatorPair, _require_memory, assemble, build_mesh,
                          restrict_mesh, tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
-from .evolution import (SpaceTimeField, TimeGrid, flux_history, solve_implicit,
-                        stability_ratio, time_norm)
-from .geometry import DomainSpec, TruncatedDomain
+from .evolution import TimeGrid, flux_history, solve_implicit, stability_ratio, time_norm
+from .geometry import Domain
 
 
 def extension_map(tr_mesh: Mesh, full_mesh: Mesh):
@@ -31,8 +30,6 @@ def extension_map(tr_mesh: Mesh, full_mesh: Mesh):
     Requires the truncated axes to be exact subsets of the full axes
     (the truncation-compatibility built by restrict_mesh).
     """
-    if not isinstance(tr_mesh.domain, TruncatedDomain):
-        raise ContractError("first mesh must live on a truncated domain")
     n_slab = tr_mesh.shape[-1]
     subset = (tr_mesh.shape[:-1] == full_mesh.shape[:-1] and n_slab <= full_mesh.shape[-1]
               and all(np.allclose(ax_f[ax_f.size - ax_t.size:], ax_t, rtol=0.0, atol=1e-12)
@@ -48,19 +45,6 @@ def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
     out = np.zeros(full_mesh.n_nodes)
     out[extension_map(tr_mesh, full_mesh)] = np.asarray(u, dtype=float)
     return out
-
-
-def extend_by_zero(field: SpaceTimeField, full_ops: OperatorPair) -> SpaceTimeField:
-    """Zero extension of a slab field to the mesh of the full pair ``full_ops``."""
-    emap = extension_map(field.mesh, full_ops.mesh)
-    values = np.zeros((field.grid.steps + 1, full_ops.mesh.n_nodes))
-    values[:, emap] = field.values
-    source = None
-    if field.source is not None:
-        source = np.zeros_like(values)
-        source[:, emap] = field.source_values()
-    return SpaceTimeField(full_ops, field.grid, values, source=source,
-                          direction=field.direction)
 
 
 def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
@@ -110,7 +94,7 @@ def _check_support(y0_full, full_mesh: Mesh, delta: float):
         )
 
 
-def solve_truncated(domain: DomainSpec, delta: float, y0, f, grid: TimeGrid, n: int):
+def solve_truncated(domain: Domain, delta: float, y0, f, grid: TimeGrid, n: int):
     """Uniformly parabolic solve on the slab {x_N > delta}.
 
     y0 is a callable or a nodal vector on the uniform full-domain mesh
@@ -181,7 +165,7 @@ def _check_sweep(dimension, deltas, n_ref, steps):
                                   f"field and a {coarse / 2**20:.0f} MiB coarse field")
 
 
-def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
+def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
                 n_ref: int) -> ConvergenceReport:
     """Convergence experiment: truncated solves at half the reference
     resolution, zero-extended and compared against the full-domain solve.
@@ -251,7 +235,7 @@ def delta_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas,
     )
 
 
-def stability_sweep(domain: DomainSpec, y0, f, grid: TimeGrid, deltas, n: int):
+def stability_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas, n: int):
     """Measured a-priori stability ratios of the truncated solves across a
     delta ladder; their spread probes the uniformity of the estimate's
     constant in delta."""

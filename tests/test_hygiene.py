@@ -1,9 +1,14 @@
-"""Source hygiene: every name a module imports is read somewhere in it.
+"""Source hygiene: every name a module imports is read somewhere in it,
+and every public definition of the package is reached by the product.
 
 The package modules (``__init__.py`` re-exports by design, so it is left
 out) and the test files are parsed with ``ast``; an imported name that no
 ``Name`` node of the file loads is an unused import.  ``__future__``
-imports are directives, not names.
+imports are directives, not names.  A public module-level function or
+class, or a public method, of a package module is reached when its name
+is a ``Name`` or an ``Attribute`` in some package module or in the
+acceptance tests: code that only its own unit tests call is dead product
+code.
 """
 
 import ast
@@ -12,8 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted([p for p in (ROOT / "src" / "degenlab").glob("*.py") if p.name != "__init__.py"]
-               + list((ROOT / "tests").glob("*.py")))
+MODULES = sorted(p for p in (ROOT / "src" / "degenlab").glob("*.py") if p.name != "__init__.py")
+FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source):
@@ -41,3 +46,46 @@ def test_scan_flags_a_leftover_enum_import():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def public_definitions(source):
+    """(qualified name, name) of each public module-level function or class
+    and of each public method of a module-level class."""
+    found = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        if not node.name.startswith("_"):
+            found.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(f"{node.name}.{item.name}", item.name) for item in node.body
+                      if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+    return found
+
+
+def referenced_names(source):
+    """Every identifier the module uses as a name or as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_scan_flags_an_unreached_method():
+    source = ("class A:\n    def used(self):\n        pass\n\n"
+              "    def unused(self):\n        pass\n\n"
+              "    def _private(self):\n        pass\n\n\ndef f():\n    return A().used()\n")
+    reached = referenced_names(source)
+    assert [q for q, name in public_definitions(source) if name not in reached] == ["A.unused", "f"]
+
+
+def test_public_definitions_are_reached_by_the_product():
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    reached = set().union(*map(referenced_names, sources + [
+        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]))
+    unreached = [q for source in sources for q, name in public_definitions(source)
+                 if name not in reached]
+    assert unreached == []

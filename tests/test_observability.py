@@ -40,7 +40,7 @@ def test_classical_single_mode_ratios(classical):
 
 def test_degenerate_mode_ratio_closed_form(degenerate):
     # separated solution: ratio = 1 / [flux(1)^2 (1 - e^{-2 lam T})/(2 lam)]
-    # with the flux trace taken from the Bessel-series oracle
+    # with the flux trace taken from the Bessel oracle
     from oracles import degenerate_eigenfunction
 
     ops, spec = degenerate

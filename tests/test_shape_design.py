@@ -6,12 +6,11 @@ from scipy.interpolate import RegularGridInterpolator
 
 from degenlab.discretize import assemble, build_mesh, restrict_mesh
 from degenlab.errors import ContractError, ParameterError, PreconditionError
-from degenlab.evolution import TimeGrid, energy_history, solve_spectral
+from degenlab.evolution import TimeGrid, energy_history
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.shape_design import (
     delta_sweep,
-    extend_by_zero,
     extend_vector,
     extension_map,
     isometry_report,
@@ -72,17 +71,6 @@ def test_extension_requires_nesting():
     full = build_mesh(d, 16, 1.0)
     with pytest.raises(ContractError):
         extend_vector(np.zeros(tr.n_nodes), tr, full)
-
-
-def test_extend_space_time_field(nested):
-    tr_ops, full_ops = nested
-    grid = TimeGrid(1.0, 16)
-    spec = compute_spectrum(tr_ops, 2)
-    field = solve_spectral(spec, spec.mode(1), None, grid)
-    ext = extend_by_zero(field, full_ops)
-    e_tr = energy_history(field)
-    e_ext = energy_history(ext)
-    assert np.allclose(e_tr, e_ext, rtol=1e-13)
 
 
 def test_solve_truncated_support_check():

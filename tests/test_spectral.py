@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -12,9 +13,9 @@ from degenlab.rng import Lcg, random_admissible
 from degenlab import discretize
 from degenlab.spectral import compute_spectrum, expand
 
-from oracles import degenerate_eigenvalue, degenerate_eigenvalues
+from oracles import bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues
 
-# frozen from the series/bisection oracle
+# frozen from an independent power-series and bisection evaluation of J_{1/3}
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
 BESSEL_ZERO_THIRD = 2.9025862484169522  # first zero of J_{1/3}
 
@@ -32,6 +33,13 @@ def test_classical_limit_eigenvalues():
     spec = compute_spectrum(ops, 5)
     for n in range(1, 6):
         assert spec.eigenvalues[n - 1] == pytest.approx((n * np.pi) ** 2, rel=1e-3)
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_bessel_zeros_match_mpmath(alpha):
+    nu = (1.0 - alpha) / (2.0 - alpha)
+    exact = [float(mpmath.besseljzero(nu, k)) for k in range(1, 16)]
+    assert bessel_zeros(nu, 15) == pytest.approx(exact, rel=1e-13, abs=0.0)
 
 
 def test_degenerate_eigenvalue_oracle():
