@@ -211,8 +211,9 @@ class OperatorPair:
     K / M are the interior blocks after eliminating the homogeneous
     Dirichlet rows and columns on the whole boundary, built as the same
     products of the interior blocks of the 1D pairs.  Only the 1D pairs are
-    built here: every other operator is built on first read, so an
-    eigensolve holds the interior pair and its factorization alone.
+    built here: every other operator is built on first read.  An eigensolve
+    builds no full-node operator and keeps no K: it holds the factor of K
+    and M, and K only while it factors it or takes Rayleigh quotients.
     """
 
     def __init__(self, mesh: Mesh):
@@ -227,11 +228,16 @@ class OperatorPair:
     M_full = cached_property(lambda self: sp.kron(self.x1[1], self.xn[1], format="csr"))
     # the row sums of M_full itself: a product of 1D row sums rounds differently
     lumped_full = cached_property(lambda self: np.asarray(self.M_full.sum(axis=1)).ravel())
-    K = cached_property(lambda self: _tensor_stiffness(*self.interior_1d).tocsc())
+    K = cached_property(lambda self: self.interior_stiffness())
     M = cached_property(lambda self: sp.kron(self.interior_1d[0][1], self.interior_1d[1][1],
                                              format="csr").tocsc())
     # the x_N factor of the Hardy form  int x_N**(alpha-2) u v
     hardy_xn = cached_property(lambda self: mass_1d(self.mesh.axes[-1], self.alpha - 2.0))
+
+    def interior_stiffness(self):
+        """The interior stiffness K, CSC, built anew on every call and held by
+        the caller alone; ``K`` keeps one."""
+        return _tensor_stiffness(*self.interior_1d).tocsc()
 
     @cached_property
     def interior_1d(self):

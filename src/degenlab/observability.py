@@ -70,6 +70,16 @@ class ObservabilityReport:
     singular: bool
 
 
+def _check_depth(lambda_1, T):
+    """Refuse a horizon T with lambda_1 T beyond the depth limit, which
+    leaves no mode to observe; the CLI runs it before writing any file."""
+    if lambda_1 * T > _MODE_DEPTH_LIMIT:
+        raise ParameterError(
+            f"lambda_1 * T = {lambda_1 * T:.3g} exceeds the depth limit "
+            f"{_MODE_DEPTH_LIMIT}; shorten the horizon"
+        )
+
+
 def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> ObservabilityReport:
     """Worst energy/flux ratio over the first k eigenmodes.
 
@@ -80,11 +90,7 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
     if k_modes < 1 or k_modes > spectrum.count:
         raise ParameterError(f"k_modes={k_modes} outside [1, {spectrum.count}]")
     lam = spectrum.eigenvalues
-    if lam[0] * grid.T > _MODE_DEPTH_LIMIT:
-        raise ParameterError(
-            f"lambda_1 * T = {lam[0] * grid.T:.3g} exceeds the depth limit "
-            f"{_MODE_DEPTH_LIMIT}; shorten the horizon"
-        )
+    _check_depth(lam[0], grid.T)
     k_eff = int(np.searchsorted(lam * grid.T, _MODE_DEPTH_LIMIT, side="right"))
     k_eff = min(k_eff, k_modes)
     gram = _flux_gram(spectrum, grid, k_eff)

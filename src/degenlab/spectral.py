@@ -104,22 +104,33 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     _check_eigensolve(n, ops.mesh.n_nodes, k)
     if k <= n - 2:
         v0 = np.ones(n) / np.sqrt(n)
+        # the factor ARPACK would make of ops.K (splu with its defaults), made
+        # here of a K that is dropped before M exists, so that no
+        # problem-sized operator sits beside the factor but M; in
+        # shift-invert mode eigsh reads only the shape and dtype of its
+        # first argument
+        lu = spla.splu(ops.interior_stiffness())
+        inv = spla.LinearOperator((n, n), matvec=lu.solve, dtype=float)
         try:
-            vals, vecs = spla.eigsh(ops.K, k=k, M=ops.M, sigma=0.0, which="LM", v0=v0)
+            vals, vecs = spla.eigsh(inv, k=k, M=ops.M, sigma=0.0, which="LM", v0=v0,
+                                    OPinv=inv)
         except spla.ArpackNoConvergence as exc:
             raise EigensolverError(
                 f"eigensolver stalled with {len(exc.eigenvalues)} of {k} pairs") from exc
+        # the Rayleigh pass below builds K again: release the factor first
+        del lu, inv
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     else:
         scale = 1.0 / np.sqrt(ops.M.diagonal())
-        ks = scale[:, None] * ops.K.toarray() * scale[None, :]
+        ks = scale[:, None] * ops.interior_stiffness().toarray() * scale[None, :]
         ms = scale[:, None] * ops.M.toarray() * scale[None, :]
         vals, vecs = la.eigh(ks, ms, subset_by_index=[0, k - 1])
         vecs = scale[:, None] * vecs
     # one Rayleigh-quotient pass: the quotient of a computed vector is a
-    # more accurate eigenvalue than the raw solver output
-    num = np.einsum("ij,ij->j", vecs, ops.K @ vecs)
+    # more accurate eigenvalue than the raw solver output.  Its K is not
+    # kept: a run that never reads ops.K afterwards never holds one
+    num = np.einsum("ij,ij->j", vecs, ops.interior_stiffness() @ vecs)
     den = np.einsum("ij,ij->j", vecs, ops.M @ vecs)
     vals = num / den
     # deterministic sign: largest-magnitude entry positive

@@ -12,7 +12,9 @@ streamed sweep; and the interior rows and columns sliced out of the
 full-node operators, the reference for the interior operators built
 from the 1D factors.  The full-node operators are Kronecker products of
 the 1D factors, built whole; their quadratic forms are the reference for
-the forms applied factor by factor.  The boundary parts classified by node
+the forms applied factor by factor.  eigsh on the assembled K and M,
+which factors K itself, is the bit-for-bit reference for the eigensolve
+that hands it a factor.  The boundary parts classified by node
 coordinates, and the slab's node ids found by a meshgrid of its axis
 offsets, are the references for the parts and the extension map read
 off the node index array.  The one-sided finite-difference normal derivative
@@ -297,6 +299,25 @@ def interior_blocks(ops):
     of ops.M_full, sliced out of the full-node operators, in CSC."""
     ii = ops.interior
     return tuple(A[ii][:, ii].tocsc() for A in (full_stiffness(ops), ops.M_full))
+
+
+def eigsh_reference(ops, k):
+    """(eigenvalues, interior modes) of the first k pairs of K phi = lambda M phi
+    by eigsh on the assembled K and M, letting ARPACK factor K itself:
+    sigma = 0, the start vector ones/sqrt(n), then the ascending sort, one
+    Rayleigh-quotient pass and the largest-magnitude-entry-positive sign."""
+    n = ops.interior.size
+    vals, vecs = spla.eigsh(ops.K, k=k, M=ops.M, sigma=0.0, which="LM",
+                            v0=np.ones(n) / np.sqrt(n))
+    order = np.argsort(vals)
+    vecs = vecs[:, order]
+    vals = (np.einsum("ij,ij->j", vecs, ops.K @ vecs)
+            / np.einsum("ij,ij->j", vecs, ops.M @ vecs))
+    for c in range(k):
+        i = int(np.argmax(np.abs(vecs[:, c])))
+        if vecs[i, c] < 0.0:
+            vecs[:, c] = -vecs[:, c]
+    return vals, vecs
 
 
 def classify_by_coordinates(mesh):

@@ -307,6 +307,25 @@ modes: 3
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("experiment", ["observability", "full-report"])
+def test_depth_limit_refused_before_any_output(tmp_path, capsys, experiment):
+    # lambda_1 * T = 487: the depth limit needs the spectrum, and runs before
+    # the first table of a full report is written
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 16
+steps: 8
+modes: 3
+deltas: [0.125]
+T: 100
+""")
+    out = tmp_path / "o"
+    assert main([experiment, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: lambda_1 * T = 487 exceeds the depth limit 60")
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("line, size", [
     pytest.param("s_grid: [1, 1e154]", "10**158.0", id="large-s"),
     pytest.param("T: 1e-300", "10**2406.3", id="tiny-T"),

@@ -1,6 +1,7 @@
 import mpmath
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,10 +11,10 @@ from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
-from degenlab import discretize
+from degenlab import discretize, spectral
 from degenlab.spectral import compute_spectrum, expand
 
-from oracles import bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues
+from oracles import bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues, eigsh_reference
 
 # frozen from an independent power-series and bisection evaluation of J_{1/3}
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
@@ -204,9 +205,71 @@ def test_spectrum_ascending_and_mass_orthonormal(kind, n, alpha, grading, delta,
     assert np.max(np.abs(phi.T @ (ops.M @ phi) - np.eye(spec.count))) <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 40),
+       alpha=st.floats(0.05, 0.95), grading=st.floats(1.0, 4.0),
+       delta=st.one_of(st.none(), st.floats(0.01, 0.24)), data=st.data())
+def test_lanczos_bits_match_eigsh_on_the_assembled_pair(kind, n, alpha, grading, delta,
+                                                         data):
+    # the factor made in compute_spectrum is the one ARPACK makes of ops.K:
+    # the same eigenvalues and modes to the last bit, graded and slab
+    d = make_domain(kind, alpha)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
+    ops = assemble(mesh)
+    k = data.draw(st.integers(1, min(n, ops.interior.size) - 2), label="k")
+    spec = compute_spectrum(ops, k)
+    vals, vecs = eigsh_reference(assemble(mesh), k)
+    assert np.array_equal(spec.eigenvalues, vals)
+    assert np.array_equal(spec.modes[ops.interior], vecs)
+
+
+def test_eigensolve_holds_one_operator_beside_its_factor(monkeypatch):
+    # square n=16: the factor is made before M exists, eigsh runs beside M
+    # alone, the factor is released before the Rayleigh pass builds K
+    # again, and no K is left on ops
+    ops = assemble(build_mesh(make_domain("square", 0.5), 16))
+    seen, alive = [], []
+    real_splu, real_eigsh, tensor_stiffness = spla.splu, spla.eigsh, discretize._tensor_stiffness
+
+    class Factor:
+        """The only holder of the factor, so its end is the factor's end."""
+
+        def __init__(self, lu):
+            self.lu = lu
+            alive.append(True)
+
+        def solve(self, b):
+            return self.lu.solve(b)
+
+        def __del__(self):
+            alive.pop()
+
+    def splu(a, **kw):
+        seen.append(("splu", set(vars(ops))))
+        return Factor(real_splu(a, **kw))
+
+    def eigsh(a, **kw):
+        seen.append(("eigsh", set(vars(ops)), sp.issparse(a)))
+        return real_eigsh(a, **kw)
+
+    def stiffness(*pairs):
+        seen.append(("K", len(alive)))
+        return tensor_stiffness(*pairs)
+
+    monkeypatch.setattr(spectral.spla, "splu", splu)
+    monkeypatch.setattr(spectral.spla, "eigsh", eigsh)
+    monkeypatch.setattr(discretize, "_tensor_stiffness", stiffness)
+    compute_spectrum(ops, 3)
+    built, (_, at_splu), (_, at_eigsh, sparse_a), rayleigh = seen
+    assert built == ("K", 0) and not {"K", "M"} & at_splu
+    assert "K" not in at_eigsh and "M" in at_eigsh and not sparse_a
+    assert rayleigh == ("K", 0)
+    assert "K" not in vars(ops)
+
+
 @pytest.mark.parametrize("kind", ["interval", "square"])
 def test_spectrum_builds_no_full_node_operator(kind):
-    # the eigensolve holds the interior pair and its factorization alone
+    # the eigensolve builds interior operators only
     ops = assemble(build_mesh(make_domain(kind, 0.5), 16))
     compute_spectrum(ops, 3)
     assert not {"M_full", "lumped_full"} & set(vars(ops))
