@@ -440,7 +440,7 @@ def _check_arrays(cfg: ExperimentConfig, experiments):
     first, and four copies of the 2 n_x1 flux stencil values."""
     dim = 1 if cfg.domain == "interval" else 2
     if any(e != "delta-sweep" for e in experiments):
-        _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes)
+        _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes, dim)
     k, n_x1 = cfg.modes, (cfg.n + 1) ** (dim - 1)
     per_node = {"evolve": 8 * (3 * k + 4), "observability": 8 * (3 * k + 8),
                 "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}

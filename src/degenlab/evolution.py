@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .discretize import OperatorPair, boundary_flux, tensor_form
 from .errors import ContractError, ParameterError
@@ -195,10 +195,12 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
     eye = sp.identity(lam.size)
     mass = sp.kron(eye, mn, format="csr")
     stiff = sp.kron(sp.diags(lam), mn, format="csr") + sp.kron(eye, kn, format="csr")
-    lu = spla.splu((mass + theta * dt * stiff).tocsc())
+    # end to end, the blocks are one SPD tridiagonal matrix (0 where two meet): L D L'
+    lhs = mass + theta * dt * stiff
+    d, e, _ = dpttrf(lhs.diagonal(), lhs.diagonal(1))
     # copied: a sparse sum keeps arrays sized for both operands' entries
     rhs_op = (mass - (1.0 - theta) * dt * stiff).copy()
-    del stiff  # the frame, and all it holds, lives until the last row is read
+    del stiff, lhs  # the frame, and all it holds, lives until the last row is read
     fvals = _source_rows(f, grid, mesh)
     shape = (lam.size, mn.shape[0])  # the interior tensor grid: x_1 rows by x_N columns
 
@@ -212,7 +214,7 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
         rhs = rhs_op @ z
         if fvals is not None:
             rhs += dt * (mass @ coords((1.0 - theta) * fvals[j] + theta * fvals[j + 1]))
-        z = lu.solve(rhs)
+        z = dpttrs(d, e, rhs, overwrite_b=True)[0]
         # decayed coefficients reach the subnormal range, where vecs @ z is slow
         z[np.abs(z) < _TINY] = 0.0
         row = np.zeros(mesh.n_nodes)

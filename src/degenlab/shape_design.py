@@ -131,17 +131,17 @@ class ConvergenceReport:
 
 
 def prolongation(coarse: Mesh, fine: Mesh):
-    """Sparse (fine.n_nodes, coarse.n_nodes) piecewise (bi)linear interpolation:
-    the Kronecker product of one 1D linear interpolation per axis, in the
-    C-order node numbering; a fine node in [c_i, c_i+1) uses coarse cell i."""
-    op = sp.identity(1, format="csr")
-    for xc, xf in zip(coarse.axes, fine.axes):
+    """Per-axis factors (px, pn) of the piecewise (bi)linear interpolation from
+    the coarse to the fine nodes, kron(px, pn) in the C-order node numbering:
+    sparse 1D linear interpolations of x_1 and x_N, and px the 1x1 identity on
+    the interval; a fine node in [c_i, c_i+1) uses coarse cell i."""
+    def axis_op(xc, xf):
         i = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, xc.size - 2)
         t = (xf - xc[i]) / (xc[i + 1] - xc[i])
         ij = (np.tile(np.arange(xf.size), 2), np.concatenate([i, i + 1]))
-        axis_op = sp.csr_matrix((np.concatenate([1.0 - t, t]), ij), shape=(xf.size, xc.size))
-        op = sp.kron(op, axis_op, format="csr")
-    return op
+        return sp.csr_matrix((np.concatenate([1.0 - t, t]), ij), shape=(xf.size, xc.size))
+
+    return (sp.identity(1, format="csr"), *map(axis_op, coarse.axes, fine.axes))[-2:]
 
 
 def _check_sweep(dimension, deltas, n_ref, steps):
@@ -191,31 +191,29 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     ref_field = full_solve(ref_mesh)
     ref_ops = ref_field.ops
     ref_flux, _ = flux_history(ref_field)
-    prolong = prolongation(coarse_mesh, ref_mesh)
+    px, pn = prolongation(coarse_mesh, ref_mesh)
     tnodes = grid.nodes
 
-    def error_per_time(op, field):
-        """v'Mv at every time of v = op @ field(t) - reference(t), one time
-        row at a time, so no full-size difference is ever held."""
-        diffs = (op @ row - ref_row for row, ref_row in zip(field.values, ref_field.values))
+    def error_per_time(field, pn_cols):
+        """v'Mv at every time of v = px V pn_cols' - reference(t), with V the
+        field's (x_1, x_N) time row; no full-size difference is ever held."""
+        diffs = ((px @ row.reshape(px.shape[1], -1) @ pn_cols.T).ravel() - ref_row
+                 for row, ref_row in zip(field.values, ref_field.values))
         return np.array([tensor_form(v, ref_ops.x1[1], ref_ops.xn[1]) for v in diffs])
 
     # self-convergence of the reference: full solve at sweep resolution
-    self_err = time_norm(error_per_time(prolong, full_solve(coarse_mesh)), tnodes)
+    self_err = time_norm(error_per_time(full_solve(coarse_mesh), pn), tnodes)
 
     # one slab field at a time, each freed before the next slab is solved
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
         field = solve_truncated(domain, d, y0, f, grid, n_sweep)
-        # zero extension then prolongation: the columns of the slab nodes
-        per_time = error_per_time(prolong[:, extension_map(field.mesh, coarse_mesh)], field)
+        # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by 0
+        per_time = error_per_time(field, pn[:, -field.mesh.shape[-1]:])
         sol_errors.append(time_norm(per_time, tnodes))
         fin_errors.append(float(np.sqrt(per_time[-1])))
-        tr_flux, _ = flux_history(field)
+        tr_flux = flux_history(field)[0] @ px.T  # on the reference's x_1 nodes
         del field
-        if domain.dimension == 2:  # from the coarse x_1 nodes to the reference's
-            tr_flux = np.stack([np.interp(ref_mesh.axes[0], coarse_mesh.axes[0], row)
-                                for row in tr_flux])
         flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, ref_ops.x1[1]), tnodes))
 
     rates = tuple(

@@ -73,14 +73,25 @@ class Spectrum:
         return flux
 
 
-def _check_eigensolve(n_interior, n_nodes, k):
+def _lu_entries(n_interior, dimension):
+    """Estimated L + U entries of splu's factor of the interior K: 4 per
+    unknown for the tridiagonal K of the interval, and on the square
+    max(24, 14 log2(N) - 80) per unknown, at or above splu's count at each
+    n measured from 4 to 240 and 4% above it at n = 240 (7,723,232)."""
+    return n_interior * (4 if dimension == 1 else max(24.0, 14.0 * np.log2(n_interior) - 80.0))
+
+
+def _check_eigensolve(n_interior, n_nodes, k, dimension):
     """Refuse an eigensolve of k modes whose arrays exceed the machine's
     physical memory, before any of them exists.  Lanczos holds a basis of
     n_interior x min(n_interior, max(2k+1, 20)) doubles (ARPACK's default
-    ncv); the dense fallback holds the scaled K and M and the copies eigh
-    works on, 4 n_interior**2 doubles; the nodal modes are n_nodes x k."""
+    ncv) and the LU factor of K at 12 bytes an entry, plus a quarter for
+    the copies splu makes as the factor grows (21% of it at square n=240);
+    the dense fallback holds the scaled K and M and the copies eigh works
+    on, 4 n_interior**2 doubles; the nodal modes are n_nodes x k."""
     if k <= n_interior - 2:
-        solver = n_interior * min(n_interior, max(2 * k + 1, 20))
+        solver = (n_interior * min(n_interior, max(2 * k + 1, 20))
+                  + 15 / 8 * _lu_entries(n_interior, dimension))
     else:
         solver = 4 * n_interior**2
     _require_memory((solver + n_nodes * k) * 8,
@@ -101,7 +112,7 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     n = ops.interior.size
     if not (1 <= k <= n):
         raise ParameterError(f"mode count k={k} outside [1, {n}]")
-    _check_eigensolve(n, ops.mesh.n_nodes, k)
+    _check_eigensolve(n, ops.mesh.n_nodes, k, ops.mesh.domain.dimension)
     if k <= n - 2:
         v0 = np.ones(n) / np.sqrt(n)
         # the factor ARPACK would make of ops.K (splu with its defaults), made

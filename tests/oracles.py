@@ -30,7 +30,9 @@ eigenfunctions
 
 so lam_k = ((2-a)/2)**2 * j_{nu,k}**2 with j_{nu,k} the k-th positive
 zero of J_nu, and the flux of the L2-normalised u_k at the observed end
-(a Rellich identity) is u_k'(1)**2 = (2-a) lam_k.
+(a Rellich identity) is u_k'(1)**2 = (2-a) lam_k.  These give the exact
+flux Gram of the first K modes, and the continuum observability constant
+in mpmath.
 """
 
 import math
@@ -91,6 +93,25 @@ def degenerate_eigenfunction(alpha, k=1):
     du1 = (11.0 * u(1.0) - 18.0 * u(1.0 - h) + 9.0 * u(1.0 - 2 * h)
            - 2.0 * u(1.0 - 3 * h)) / (6.0 * h)
     return u, lam, du1
+
+
+def c_obs_interval(alpha, T, K, dps=50):
+    """Continuum observability constant of the interval over its first K
+    modes, in mpmath at ``dps`` digits: with lam_k = ((2-a)/2)**2 j_k**2 and the
+    squared mode fluxes f_k**2 = (2-a) lam_k, the flux Gram is
+    G_jk = f_j f_k (1 - exp(-(lam_j + lam_k) T)) / (lam_j + lam_k), and
+    c_obs = 1 / lambda_min(G).  The zeros j_k come from bessel_zeros."""
+    zeros = bessel_zeros((1.0 - alpha) / (2.0 - alpha), K)
+    with mpmath.workdps(dps):
+        a, T = mpmath.mpf(alpha), mpmath.mpf(T)
+        lam = [((2 - a) / 2) ** 2 * mpmath.mpf(j) ** 2 for j in zeros]
+        f = [mpmath.sqrt((2 - a) * x) for x in lam]
+        gram = mpmath.matrix(K, K)
+        for p in range(K):
+            for q in range(K):
+                rate = lam[p] + lam[q]
+                gram[p, q] = f[p] * f[q] * -mpmath.expm1(-rate * T) / rate
+        return float(1 / min(mpmath.eigsy(gram, eigvals_only=True)))
 
 
 def hardy_ratio_quartic(alpha=0.5):
@@ -396,9 +417,11 @@ def fd_flux(mesh, u):
 def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     """Errors of the delta sweep from whole fields: the reference solve at
     n_ref, the full-domain and slab solves at n_ref/2, each held as a
-    (steps+1, n_nodes) field, prolonged as a block and compared at once.
-    Returns the solution, final-time and flux errors per delta and the
-    reference's self-convergence error."""
+    (steps+1, n_nodes) field, prolonged as a block by the 2D operator
+    kron(px, pn) (its extension-map columns for a slab) and compared at once;
+    slab fluxes move to the reference's x_1 nodes by np.interp.  Returns the
+    solution, final-time and flux errors per delta and the reference's
+    self-convergence error."""
     from degenlab.discretize import assemble, build_mesh
     from degenlab.evolution import flux_history, solve_implicit, time_norm
     from degenlab.shape_design import extension_map, prolongation, solve_truncated
@@ -420,7 +443,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     edge = ref_ops.x1[1]
     coarse_field = full_solve(n_sweep)
     coarse_mesh = coarse_field.mesh
-    prolong = prolongation(coarse_mesh, ref_mesh)
+    prolong = sp.kron(*prolongation(coarse_mesh, ref_mesh), format="csr")
 
     def error_per_time(op, values):
         return kron_form((op @ values.T).T - ref_field.values, ref_ops.x1[1], ref_ops.xn[1])

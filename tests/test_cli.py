@@ -9,7 +9,7 @@ import pytest
 import yaml
 
 import degenlab
-from degenlab import cli, discretize
+from degenlab import cli, discretize, spectral
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main
 from degenlab.discretize import OperatorPair
 from degenlab.errors import ContractError, EigensolverError, ParameterError, PreconditionError
@@ -292,7 +292,7 @@ modes: 3
 
 def test_full_report_refuses_oversized_sweep_before_any_output(tmp_path, monkeypatch,
                                                                 capsys):
-    # square n=40: the mesh (0.4 MiB), eigensolve (0.3 MiB) and carleman time
+    # square n=40: the mesh (0.4 MiB), eigensolve (1.75 MiB) and carleman time
     # arrays (1.6 MiB) fit a 1.8 MiB machine, the sweep's fields (2.1 MiB) do not
     monkeypatch.setattr(discretize, "physical_memory_mib", lambda: 1.8)
     cfg = write_config(tmp_path, """
@@ -399,7 +399,8 @@ steps: 10000000000
 @pytest.mark.parametrize("experiment", ["spectrum", "evolve", "hardy", "carleman",
                                         "observability", "full-report"])
 def test_huge_mode_count_refused_before_eigensolve(tmp_path, capsys, experiment):
-    # 100000 modes on 999999 unknowns: ARPACK's Lanczos basis alone is 1.46 TiB
+    # 100000 modes on 999999 unknowns: ARPACK's Lanczos basis alone is 1.46 TiB;
+    # the tridiagonal LU factor of K adds 57 MiB
     cfg = write_config(tmp_path, """
 domain: interval
 n: 1000000
@@ -413,9 +414,28 @@ modes: 100000
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "an eigensolve of 100000 modes on 999999 unknowns needs about 2288825 MiB" in err
+    assert "an eigensolve of 100000 modes on 999999 unknowns needs about 2288882 MiB" in err
     assert "Traceback" not in err
     assert peak < 2**20
+
+
+def test_eigensolve_refused_for_its_lu_factor_before_splu(tmp_path, monkeypatch, capsys):
+    # square n=60, 10 modes: the mesh (0.9 MiB), the Lanczos basis and the
+    # nodal modes (0.8 MiB) fit a 3 MiB machine; with the LU factor of K
+    # (about 4 MiB) the eigensolve does not, and splu never runs
+    monkeypatch.setattr(discretize, "physical_memory_mib", lambda: 3.0)
+    monkeypatch.setattr(spectral.spla, "splu", lambda *a, **kw: pytest.fail("splu ran"))
+    cfg = write_config(tmp_path, """
+domain: square
+n: 60
+modes: 10
+""")
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: an eigensolve of 10 modes on 3481 unknowns "
+                          "needs about 5 MiB")
+    assert list(out.glob("*")) == []
 
 
 @pytest.mark.parametrize("domain, n, experiments", [

@@ -89,3 +89,24 @@ def test_public_definitions_are_reached_by_the_product():
     unreached = [q for source in sources for q, name in public_definitions(source)
                  if name not in reached]
     assert unreached == []
+
+
+def imported_modules(source):
+    """Every module an import statement of the source names, with the
+    submodules a ``from`` import may bind (``from a import b`` names a and a.b)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            found.add(node.module)
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_the_eigensolve_imports_sparse_solvers():
+    # the theta scheme factors its tridiagonal matrix with LAPACK; only the
+    # shift-invert eigensolve needs splu and ARPACK
+    importers = [p.name for p in MODULES
+                 if "scipy.sparse.linalg" in imported_modules(p.read_text(encoding="utf-8"))]
+    assert importers == ["spectral.py"]

@@ -11,7 +11,7 @@ from degenlab.observability import estimate_constant, observability_ratio, windo
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import heat_observability_ratio
+from oracles import c_obs_interval, heat_observability_ratio
 
 
 @pytest.fixture(scope="module")
@@ -194,3 +194,20 @@ def test_window_bound_rejects_forward_fields_square():
                              TimeGrid(1.0, 32))
     with pytest.raises(ConventionError):
         window_bound_check(forward)
+
+
+def test_c_obs_interval_oracle_values():
+    # K=15 at T=0.048: the Gram's condition number is about 4e15
+    assert c_obs_interval(0.5, 0.048, 15) == pytest.approx(4.4564696e14, rel=1e-7)
+    assert c_obs_interval(0.5, 0.5, 3) == pytest.approx(36.85154808, rel=1e-9)
+
+
+def test_interval_c_obs_converges_at_second_order():
+    # grading 4 at alpha 0.5: errors -3.26e-3, -8.18e-4, -2.05e-4 at n=120, 240, 480
+    exact = c_obs_interval(0.5, 0.5, 3)
+    errors = []
+    for n in (120, 240, 480):
+        spec = compute_spectrum(assemble(build_mesh(make_domain("interval", 0.5), n, 4.0)), 3)
+        errors.append(abs(estimate_constant(TimeGrid(0.5, 8), spec, 3).c_obs - exact))
+    orders = np.log2(np.array(errors[:-1]) / errors[1:])
+    assert np.all(orders >= 1.8), orders

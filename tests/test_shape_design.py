@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
@@ -184,7 +185,10 @@ def test_stability_sweep_drift():
 def test_prolongation_is_tensor_linear_interpolation(kind, n):
     d = make_domain(kind, 0.5)
     coarse, fine = build_mesh(d, n, 1.0), build_mesh(d, 2 * n, 1.0)
-    P = prolongation(coarse, fine)
+    px, pn = prolongation(coarse, fine)
+    if kind == "interval":  # one x_N axis: the x_1 factor is the 1x1 identity
+        assert px.toarray().tolist() == [[1.0]]
+    P = sp.kron(px, pn, format="csr")
     assert P.shape == (fine.n_nodes, coarse.n_nodes)
 
     def bilinear(points):  # a + b x + c y + d x y; the interval has only x

@@ -92,6 +92,19 @@ def test_oversized_eigensolve_refused_before_lanczos(monkeypatch):
     assert "K" not in vars(ops)
 
 
+@pytest.mark.parametrize("kind, n", [("square", 30), ("square", 60), ("square", 120),
+                                     ("square", 240), ("interval", 240)])
+def test_lu_estimate_bounds_the_factor_splu_makes(kind, n):
+    # the fill depends only on the sparsity pattern, not on grading or slab
+    ops = assemble(build_mesh(make_domain(kind, 0.5), n, 2.0))
+    lu = spla.splu(ops.interior_stiffness())
+    count = lu.L.nnz + lu.U.nnz
+    estimate = spectral._lu_entries(ops.interior.size, ops.mesh.domain.dimension)
+    assert count <= estimate
+    if (kind, n) == ("square", 240):
+        assert estimate <= 1.25 * count
+
+
 def test_square_separability():
     d = make_domain("square", 0.5)
     ops = assemble(build_mesh(d, 32, 2.0))
