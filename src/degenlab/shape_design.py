@@ -208,7 +208,7 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in deltas:
         field = solve_truncated(domain, d, y0, f, grid, n_sweep)
-        # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by 0
+        # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by zero
         per_time = error_per_time(field, pn[:, -field.mesh.shape[-1]:])
         sol_errors.append(time_norm(per_time, tnodes))
         fin_errors.append(float(np.sqrt(per_time[-1])))

@@ -86,9 +86,10 @@ def _check_eigensolve(n_interior, n_nodes, k, dimension):
     physical memory, before any of them exists.  Lanczos holds a basis of
     n_interior x min(n_interior, max(2k+1, 20)) doubles (ARPACK's default
     ncv) and the LU factor of K at 12 bytes an entry, plus a quarter for
-    the copies splu makes as the factor grows (21% of it at square n=240);
-    the dense fallback holds the scaled K and M and the copies eigh works
-    on, 4 n_interior**2 doubles; the nodal modes are n_nodes x k."""
+    the copies splu makes as the factor grows (21% of it at square n=240),
+    so 15/8 doubles an entry; the dense fallback holds the scaled K and M
+    and the copies eigh works on, 4 n_interior**2 doubles; the nodal modes
+    are n_nodes x k."""
     if k <= n_interior - 2:
         solver = (n_interior * min(n_interior, max(2 * k + 1, 20))
                   + 15 / 8 * _lu_entries(n_interior, dimension))
