@@ -436,8 +436,8 @@ class S0Fit:
     log_needed_c: tuple  # per field, per s
 
 
-def find_s0(fields, s_grid, which: str = "eq410") -> S0Fit:
-    """Smallest grid parameter from which the inequality stabilizes.
+def find_s0(fields, s_grid) -> S0Fit:
+    """Smallest grid parameter from which the eq410 inequality stabilizes.
 
     ``fields`` is any iterable of FieldData; a generator streams them, since
     only one field's data is held at a time.  For every field the needed
@@ -454,7 +454,7 @@ def find_s0(fields, s_grid, which: str = "eq410") -> S0Fit:
         raise ParameterError("s grid must start at or above 1")
     rows = []
     for data in fields:
-        rows.append([b.log_needed_c for b in data.sweep(s_grid, which)])
+        rows.append([b.log_needed_c for b in data.sweep(s_grid, "eq410")])
         del data  # freed before a generator builds the next one
     if not rows:
         raise ParameterError("need at least one field to calibrate")

@@ -479,9 +479,9 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
         raise OutputError(f"cannot make the output directory {out}: {exc}") from exc
     problem = _problem_memo()
     if "observability" in experiments:
-        # the depth limit needs lambda_1, so it runs here, before the first
-        # file is written; the spectrum is memoised for the experiments
-        obs._check_depth(problem(config).eigenvalues[0], config.T)
+        # the depth checks need the eigenvalues, so they run here, before the
+        # first file is written; the spectrum is memoised for the experiments
+        obs._check_depth(problem(config).eigenvalues, config.T, config.modes)
     checks, values = {}, {}
     for name in experiments:
         outcome = _RUNNERS[name](config, problem)

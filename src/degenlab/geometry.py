@@ -6,8 +6,9 @@ geometries are supported, the unit interval (N = 1) and the unit square
 (N = 2), with the degenerate coordinate x_N last.  The flux is observed
 on the edge x_N = 1.  One record describes the whole family
 Omega_delta = {x in Omega : x_N > delta}: delta = 0 is the degenerate
-domain itself, and a slab with 0 < delta < MAX_DELTA, whose lower edge
-x_N = delta is the cut boundary, is uniformly parabolic.
+domain itself, so ``truncate(domain, 0)`` is Omega, and a slab with
+0 < delta < MAX_DELTA, whose lower edge x_N = delta is the cut boundary,
+is uniformly parabolic.
 """
 
 from __future__ import annotations
@@ -65,10 +66,8 @@ def make_domain(kind: str, alpha: float) -> Domain:
 
 
 def truncate(domain: Domain, delta: float) -> Domain:
-    """Slab Omega intersected with {x_N > delta}, 0 < delta < MAX_DELTA, of
-    the degenerate domain; a slab is not cut again."""
+    """Omega intersected with {x_N > delta}: the degenerate domain itself at
+    delta = 0, else its slab; a slab is not cut again."""
     if domain.delta > 0.0:
         raise ContractError(f"the domain is already the slab x_N > {domain.delta}")
-    if not delta > 0.0:
-        raise ParameterError(f"delta must lie in (0, {MAX_DELTA}), got {delta}")
     return replace(domain, delta=delta)

@@ -70,14 +70,27 @@ class ObservabilityReport:
     singular: bool
 
 
-def _check_depth(lambda_1, T):
-    """Refuse a horizon T with lambda_1 T beyond the depth limit, which
-    leaves no mode to observe; the CLI runs it before writing any file."""
-    if lambda_1 * T > _MODE_DEPTH_LIMIT:
+def _check_depth(lam, T, k_modes):
+    """The number of the first k_modes eigenvalues lam with lambda T within
+    the depth limit, which the flux Gram keeps.  Refuse a horizon T with
+    lambda_1 T beyond the limit, which leaves no mode to observe, or with
+    2 lambda T below machine epsilon for every kept mode but one: then
+    every time factor of the Gram rounds to T, and the time kernels of
+    the modes cannot be told apart.  The CLI runs it before writing any
+    file."""
+    if lam[0] * T > _MODE_DEPTH_LIMIT:
         raise ParameterError(
-            f"lambda_1 * T = {lambda_1 * T:.3g} exceeds the depth limit "
+            f"lambda_1 * T = {lam[0] * T:.3g} exceeds the depth limit "
             f"{_MODE_DEPTH_LIMIT}; shorten the horizon"
         )
+    k_eff = min(int(np.searchsorted(lam * T, _MODE_DEPTH_LIMIT, side="right")), k_modes)
+    if k_eff >= 2 and 2.0 * lam[k_eff - 1] * T < np.finfo(float).eps:
+        raise ParameterError(
+            f"2 lambda_{k_eff} * T = {2.0 * lam[k_eff - 1] * T:.3g} is below machine "
+            f"epsilon: the time kernels of the first {k_eff} modes agree to double "
+            "precision; lengthen the horizon"
+        )
+    return k_eff
 
 
 def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> ObservabilityReport:
@@ -89,10 +102,7 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
     """
     if k_modes < 1 or k_modes > spectrum.count:
         raise ParameterError(f"k_modes={k_modes} outside [1, {spectrum.count}]")
-    lam = spectrum.eigenvalues
-    _check_depth(lam[0], grid.T)
-    k_eff = int(np.searchsorted(lam * grid.T, _MODE_DEPTH_LIMIT, side="right"))
-    k_eff = min(k_eff, k_modes)
+    k_eff = _check_depth(spectrum.eigenvalues, grid.T, k_modes)
     gram = _flux_gram(spectrum, grid, k_eff)
     ratios = tuple(1.0 / gram[m, m] for m in range(k_eff))
     # eigh, not eigvalsh: LAPACK takes another route without eigenvectors,

@@ -22,29 +22,21 @@ from .evolution import TimeGrid, flux_history, solve_implicit, stability_ratio, 
 from .geometry import Domain
 
 
-def extension_map(tr_mesh: Mesh, full_mesh: Mesh):
-    """Full-mesh node id of every truncated-mesh node: the slab is the last
-    x_N layers of the full mesh, so these are those layers of its C-order
-    node ids.
+def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
+    """Zero extension of a nodal vector from the slab to the full domain.
 
-    Requires the truncated axes to be exact subsets of the full axes
-    (the truncation-compatibility built by restrict_mesh).
+    The slab must be the last x_N layers of the full mesh, with its axes
+    exact subsets of the full axes (the nesting restrict_mesh builds).
     """
     n_slab = tr_mesh.shape[-1]
-    subset = (tr_mesh.shape[:-1] == full_mesh.shape[:-1] and n_slab <= full_mesh.shape[-1]
+    nested = (tr_mesh.shape[:-1] == full_mesh.shape[:-1] and n_slab <= full_mesh.shape[-1]
               and all(np.allclose(ax_f[ax_f.size - ax_t.size:], ax_t, rtol=0.0, atol=1e-12)
                       for ax_t, ax_f in zip(tr_mesh.axes, full_mesh.axes)))
-    if not subset:
+    if not nested:
         raise ContractError("truncated mesh nodes are not a subset of the full mesh")
-    ids = np.arange(full_mesh.n_nodes).reshape(full_mesh.shape)
-    return ids[..., -n_slab:].ravel()
-
-
-def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
-    """Zero extension of a nodal vector from the slab to the full domain."""
-    out = np.zeros(full_mesh.n_nodes)
-    out[extension_map(tr_mesh, full_mesh)] = np.asarray(u, dtype=float)
-    return out
+    out = np.zeros(full_mesh.shape)
+    out[..., -n_slab:] = np.asarray(u, dtype=float).reshape(tr_mesh.shape)
+    return out.ravel()
 
 
 def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
@@ -94,26 +86,25 @@ def _check_support(y0_full, full_mesh: Mesh, delta: float):
         )
 
 
-def solve_truncated(domain: Domain, delta: float, y0, f, grid: TimeGrid, n: int):
-    """Uniformly parabolic solve on the slab {x_N > delta}.
+def solve_truncated(full_mesh: Mesh, delta: float, y0, f, grid: TimeGrid):
+    """Solve on the part x_N > delta of a full-domain mesh, delta one of its
+    x_N nodes: a uniformly parabolic slab, or the whole mesh at delta = 0.
 
-    y0 is a callable or a nodal vector on the uniform full-domain mesh
-    with n cells per axis; it must vanish on the strip x_N <= delta (its
-    restriction is the initial datum).  Returns the field on the
-    operators assembled on the truncated mesh.
+    y0 is a callable or a nodal vector on full_mesh; it must vanish on the
+    strip x_N <= delta (its restriction is the initial datum).  Returns the
+    field on the operators assembled on the truncated mesh.
     """
-    full_mesh = build_mesh(domain, n, grading=1.0)
     y0_full = _nodal_data(full_mesh, y0, "y0")
     if y0_full is None:
         raise ParameterError("initial datum is required")
     _check_support(y0_full, full_mesh, delta)
     tr_mesh = restrict_mesh(full_mesh, delta)
-    tr_ops = assemble(tr_mesh)
-    emap = extension_map(tr_mesh, full_mesh)
-    y0_tr = y0_full[emap].copy()
+    # the slab's nodes are the last x_N layers; flatten copies, so a nodal
+    # y0 of the caller is never written
+    y0_tr = y0_full.reshape(full_mesh.shape)[..., -tr_mesh.shape[-1]:].flatten()
     y0_tr[tr_mesh.boundary] = 0.0
     f_tr = _nodal_data(tr_mesh, f, "f")
-    return solve_implicit(tr_ops, y0_tr, f_tr, grid, theta=_THETA)
+    return solve_implicit(assemble(tr_mesh), y0_tr, f_tr, grid, theta=_THETA)
 
 
 @dataclass(frozen=True)
@@ -172,26 +163,20 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
 
     Uniform meshes are used throughout so that every delta is a node
     coordinate of both resolutions and extension stays exact injection.
-    A sweep that :func:`_check_sweep` refuses fails before anything is
-    assembled.
+    The reference is the delta = 0 solve at n_ref; the sweep solves
+    delta = 0 and then every delta on the coarse mesh, and the delta = 0
+    error is the reference's self-convergence error.  A sweep that
+    :func:`_check_sweep` refuses fails before anything is assembled.
     """
     deltas = [float(d) for d in deltas]
     _check_sweep(domain.dimension, deltas, n_ref, grid.steps)
-    n_sweep = n_ref // 2
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
-
-    def full_solve(mesh):
-        y0_full = _nodal_data(mesh, y0, "y0")
-        y0_full[mesh.boundary] = 0.0
-        return solve_implicit(assemble(mesh), y0_full, _nodal_data(mesh, f, "f"), grid,
-                              theta=_THETA)
-
-    ref_mesh, coarse_mesh = (build_mesh(domain, n, grading=1.0) for n in (n_ref, n_sweep))
-    ref_field = full_solve(ref_mesh)
+    ref_field = solve_truncated(build_mesh(domain, n_ref, grading=1.0), 0.0, y0, f, grid)
     ref_ops = ref_field.ops
     ref_flux, _ = flux_history(ref_field)
-    px, pn = prolongation(coarse_mesh, ref_mesh)
+    coarse_mesh = build_mesh(domain, n_ref // 2, grading=1.0)
+    px, pn = prolongation(coarse_mesh, ref_field.mesh)
     tnodes = grid.nodes
 
     def error_per_time(field, pn_cols):
@@ -201,13 +186,10 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
                  for row, ref_row in zip(field.values, ref_field.values))
         return np.array([tensor_form(v, ref_ops.x1[1], ref_ops.xn[1]) for v in diffs])
 
-    # self-convergence of the reference: full solve at sweep resolution
-    self_err = time_norm(error_per_time(full_solve(coarse_mesh), pn), tnodes)
-
-    # one slab field at a time, each freed before the next slab is solved
+    # one field at a time, each freed before the next one is solved
     sol_errors, fin_errors, flux_errors = [], [], []
-    for d in deltas:
-        field = solve_truncated(domain, d, y0, f, grid, n_sweep)
+    for d in (0.0, *deltas):
+        field = solve_truncated(coarse_mesh, d, y0, f, grid)
         # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by zero
         per_time = error_per_time(field, pn[:, -field.mesh.shape[-1]:])
         sol_errors.append(time_norm(per_time, tnodes))
@@ -216,6 +198,7 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
         del field
         flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, ref_ops.x1[1]), tnodes))
 
+    self_err, *sol_errors = sol_errors
     rates = tuple(
         float(np.log(sol_errors[i] / sol_errors[i + 1])
               / np.log(deltas[i] / deltas[i + 1]))
@@ -225,8 +208,8 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     return ConvergenceReport(
         deltas=tuple(deltas),
         solution_errors=tuple(sol_errors),
-        final_time_errors=tuple(fin_errors),
-        flux_errors=tuple(flux_errors),
+        final_time_errors=tuple(fin_errors[1:]),
+        flux_errors=tuple(flux_errors[1:]),
         solution_rates=rates,
         reference=f"full domain, uniform mesh n={n_ref}, theta={_THETA}",
         reference_self_error=self_err,
@@ -237,9 +220,10 @@ def stability_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas, n: int):
     """Measured a-priori stability ratios of the truncated solves across a
     delta ladder; their spread probes the uniformity of the estimate's
     constant in delta."""
+    full_mesh = build_mesh(domain, n, grading=1.0)
     ratios = {}
     for d in deltas:
-        ratios[float(d)] = stability_ratio(solve_truncated(domain, d, y0, f, grid, n))
+        ratios[float(d)] = stability_ratio(solve_truncated(full_mesh, d, y0, f, grid))
     vals = np.array(list(ratios.values()))
     drift = float((vals.max() - vals.min()) / vals.min())
     return {"ratios": ratios, "drift": drift}

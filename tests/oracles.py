@@ -418,13 +418,14 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     """Errors of the delta sweep from whole fields: the reference solve at
     n_ref, the full-domain and slab solves at n_ref/2, each held as a
     (steps+1, n_nodes) field, prolonged as a block by the 2D operator
-    kron(px, pn) (its extension-map columns for a slab) and compared at once;
+    kron(px, pn) (for a slab, its columns at the slab's node ids, which
+    extension_map_meshgrid finds by coordinates) and compared at once;
     slab fluxes move to the reference's x_1 nodes by np.interp.  Returns the
     solution, final-time and flux errors per delta and the reference's
     self-convergence error."""
     from degenlab.discretize import assemble, build_mesh
     from degenlab.evolution import flux_history, solve_implicit, time_norm
-    from degenlab.shape_design import extension_map, prolongation, solve_truncated
+    from degenlab.shape_design import prolongation, solve_truncated
 
     n_sweep = n_ref // 2
 
@@ -451,8 +452,8 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
            "solution_errors": [], "final_time_errors": [], "flux_errors": []}
     for d in deltas:
-        field = solve_truncated(domain, d, y0, f, grid, n_sweep)
-        extend = prolong[:, extension_map(field.mesh, coarse_mesh)]
+        field = solve_truncated(coarse_mesh, d, y0, f, grid)
+        extend = prolong[:, extension_map_meshgrid(field.mesh, coarse_mesh)]
         per_time = error_per_time(extend, field.values)
         out["solution_errors"].append(time_norm(per_time, t))
         out["final_time_errors"].append(float(np.sqrt(per_time[-1])))

@@ -237,12 +237,15 @@ def test_find_s0_validation(slab):
 
 
 def test_eq51_follows_eq410(slab):
+    # the CLI's eq51_holds check: eq51 holds at the eq410 fit's s0 and constant
     _, spec = slab
     grid = TimeGrid(1.0, 64)
     fields = [backward_mode_field(spec, k, grid) for k in (1, 2)]
     s_grid = list(np.geomspace(1.0, 200.0, 10))
-    fit = find_s0((FieldData(f) for f in fields), s_grid, which="eq51")
+    fit = find_s0((FieldData(f) for f in fields), s_grid)
     assert fit.found and fit.s0 <= 200.0
+    for field in fields:
+        assert FieldData(field).budget(fit.s0, "eq51", max(fit.c_boundary, 1.0)).holds
 
 
 # Budgets are logs of magnitude up to about 1e5 at s = 200 (one ulp is

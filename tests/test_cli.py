@@ -326,6 +326,25 @@ T: 100
     assert list(out.glob("*")) == []
 
 
+def test_tiny_horizon_refused_before_any_output(tmp_path, capsys):
+    # at T = 1e-300 the three modes' time kernels agree to double precision,
+    # and the flux Gram would be singular
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 16
+steps: 8
+modes: 3
+deltas: [0.125]
+T: 1e-300
+""")
+    out = tmp_path / "o"
+    assert main(["observability", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: 2 lambda_3 * T = ") and "Traceback" not in err
+    assert "below machine epsilon" in err
+    assert list(out.glob("*")) == []
+
+
 @pytest.mark.parametrize("line, size", [
     pytest.param("s_grid: [1, 1e154]", "10**158.0", id="large-s"),
     pytest.param("T: 1e-300", "10**2406.3", id="tiny-T"),

@@ -23,9 +23,23 @@ def test_truncate_region_and_errors():
     with pytest.raises(ParameterError):
         truncate(make_domain("interval", 0.5), 0.3)
     with pytest.raises(ParameterError):
-        truncate(d, 0.0)
+        truncate(d, -0.1)
     with pytest.raises(ParameterError):
         Domain(dimension=2, alpha=0.5, delta=-0.1)
+
+
+@pytest.mark.parametrize("kind", ["interval", "square"])
+def test_delta_zero_is_the_full_domain(kind):
+    # Omega intersected with {x_N > 0} is Omega, on the record and on the mesh
+    d = make_domain(kind, 0.5)
+    assert truncate(d, 0.0) == d
+    full = build_mesh(d, 16, 1.0)
+    same = restrict_mesh(full, 0.0)
+    assert same.domain == d and same.shape == full.shape
+    assert all(np.array_equal(a, b) for a, b in zip(same.axes, full.axes))
+    assert np.array_equal(same.points, full.points)
+    assert np.array_equal(same.interior, full.interior)
+    assert np.array_equal(same.boundary, full.boundary)
 
 
 def test_a_slab_is_not_cut_again():

@@ -91,6 +91,88 @@ def test_public_definitions_are_reached_by_the_product():
     assert unreached == []
 
 
+def defaulted_parameters(source):
+    """(qualified name, name, parameter, position) of each defaulted
+    parameter of a public module-level function or public method of a
+    module-level class; position counts the positional arguments of a call
+    (a method's self or cls is not one), None for keyword-only."""
+    found = []
+    for node in ast.parse(source).body:
+        defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
+        if isinstance(node, ast.ClassDef):
+            defs = [(f"{node.name}.{item.name}", item, 1) for item in node.body
+                    if isinstance(item, ast.FunctionDef)]
+        for qualified, fn, skip in defs:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                    len(positional) - len(args.defaults)):
+                found.append((qualified, fn.name, arg.arg, i - skip))
+            found += [(qualified, fn.name, arg.arg, None)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
+                      if default is not None]
+    return found
+
+
+def passed_arguments(source):
+    """name -> (keywords, positional count) of every call of the module,
+    one entry per call.  A call is named by its attribute or by its name,
+    with import aliases resolved; a starred argument passes every position
+    from its own on, and ``**`` every keyword ("**")."""
+    tree = ast.parse(source)
+    aliases = {alias.asname: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
+    calls = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute):
+            name = func.attr
+        elif isinstance(func, ast.Name):
+            name = aliases.get(func.id, func.id)
+        else:
+            continue
+        starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+        count = float("inf") if starred else len(node.args)
+        keywords = {kw.arg or "**" for kw in node.keywords}
+        calls.setdefault(name, []).append((keywords, count))
+    return calls
+
+
+def unused_options(sources, callers=()):
+    """qualified name(parameter) of each defaulted parameter of the sources'
+    public definitions that no call of the sources or the callers passes."""
+    calls = {}
+    for source in [*sources, *callers]:
+        for name, found in passed_arguments(source).items():
+            calls.setdefault(name, []).extend(found)
+    return [f"{qualified}({param})" for source in sources
+            for qualified, name, param, pos in defaulted_parameters(source)
+            if not any(param in kw or "**" in kw or (pos is not None and count > pos)
+                       for kw, count in calls.get(name, []))]
+
+
+def test_scan_flags_an_unused_option():
+    source = ("from x import g as h\n\n\n"
+              "def f(a, b=1, c=2, *, d=3, e=4):\n    pass\n\n\n"
+              "def g(a=1):\n    pass\n\n\n"
+              "def _p(a=1):\n    pass\n\n\n"
+              "class A:\n    def m(self, a=1, b=2):\n        pass\n\n\n"
+              "f(0, 1, d=5)\nh(2)\nA().m(1)\n")
+    assert unused_options([source]) == ["f(c)", "f(e)", "A.m(b)"]
+
+
+def test_every_option_is_passed_by_the_product():
+    # a defaulted parameter that neither the package nor the acceptance
+    # tests ever pass is an option nothing uses
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert unused_options(sources, [acceptance]) == []
+
+
 def imported_modules(source):
     """Every module an import statement of the source names, with the
     submodules a ``from`` import may bind (``from a import b`` names a and a.b)."""

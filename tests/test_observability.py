@@ -7,7 +7,8 @@ from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ConventionError, DegenerateObservationError, ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_reverse
 from degenlab.geometry import make_domain, truncate
-from degenlab.observability import estimate_constant, observability_ratio, window_bound_check
+from degenlab.observability import (_flux_gram, estimate_constant, observability_ratio,
+                                    window_bound_check)
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
@@ -119,6 +120,21 @@ def test_depth_limit_enforced(degenerate):
     assert rep.requested_modes == 10
     with pytest.raises(ParameterError):
         estimate_constant(TimeGrid(20.0, 64), spec, 1)
+
+
+def test_tiny_horizon_refused(degenerate):
+    # with 2 lambda_3 T below machine epsilon every time factor of the Gram
+    # rounds to T, and the interval's Gram T f f' has rank one
+    ops, spec = degenerate
+    eps = np.finfo(float).eps
+    tiny = 0.4 * eps / spec.eigenvalues[2]
+    assert np.linalg.matrix_rank(_flux_gram(spec, TimeGrid(tiny, 8), 3)) == 1
+    for T in (1e-300, tiny):
+        with pytest.raises(ParameterError, match="below machine epsilon"):
+            estimate_constant(TimeGrid(T, 8), spec, 3)
+    # above epsilon, or with one mode and no second kernel, the Gram is built
+    assert estimate_constant(TimeGrid(2.5 * tiny, 8), spec, 3).subspace_dim == 3
+    assert estimate_constant(TimeGrid(1e-300, 8), spec, 1).c_obs > 0.0
 
 
 def test_refinement_drift(degenerate):

@@ -7,13 +7,12 @@ from scipy.interpolate import RegularGridInterpolator
 
 from degenlab.discretize import assemble, build_mesh, restrict_mesh
 from degenlab.errors import ContractError, ParameterError, PreconditionError
-from degenlab.evolution import TimeGrid, energy_history
+from degenlab.evolution import TimeGrid, energy_history, solve_implicit
 from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.shape_design import (
     delta_sweep,
     extend_vector,
-    extension_map,
     isometry_report,
     prolongation,
     solve_truncated,
@@ -77,16 +76,53 @@ def test_extension_requires_nesting():
 def test_solve_truncated_support_check():
     d = make_domain("interval", 0.5)
     grid = TimeGrid(1.0, 16)
-    field = solve_truncated(d, 0.1, smooth_bump(0.45, 0.95), None, grid, 40)
+    full_mesh = build_mesh(d, 40, 1.0)
+    field = solve_truncated(full_mesh, 0.1, smooth_bump(0.45, 0.95), None, grid)
     assert field.mesh.domain.delta == 0.1
     # an initial datum reaching the degenerate edge is rejected with the
     # measured support distance
-    full_ops = assemble(build_mesh(d, 40, 1.0))
-    phi1 = compute_spectrum(full_ops, 1).mode(1)
+    phi1 = compute_spectrum(assemble(full_mesh), 1).mode(1)
     with pytest.raises(PreconditionError) as err:
-        solve_truncated(d, 0.1, phi1, None, grid, 40)
+        solve_truncated(full_mesh, 0.1, phi1, None, grid)
     assert err.value.support_distance is not None
     assert err.value.support_distance <= 0.1
+
+
+def _nonzero_on_degenerate_edge(points):
+    return 1.0 - np.atleast_2d(points)[:, -1]
+
+
+@pytest.mark.parametrize("kind, n", [("interval", 40), ("square", 12)])
+@pytest.mark.parametrize("source", [None, "callable", "nodal"])
+def test_delta_zero_is_the_full_solve(kind, n, source):
+    # the delta = 0 slab is the whole mesh: the same bits as a solve on the
+    # assembled full mesh with the datum's boundary zeroed
+    mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
+    grid = TimeGrid(1.0, 16)
+    bump = smooth_bump(0.3, 0.9)
+    f = {None: None, "callable": _sine_source, "nodal": _sine_source(mesh.points)}[source]
+    field = solve_truncated(mesh, 0.0, bump, f, grid)
+    y0 = bump(mesh.points)
+    y0[mesh.boundary] = 0.0
+    nodal_f = None if f is None else _sine_source(mesh.points)
+    full = solve_implicit(assemble(mesh), y0, nodal_f, grid, theta=0.5)
+    assert field.mesh.domain == mesh.domain and field.mesh.shape == mesh.shape
+    assert np.array_equal(field.values, full.values)
+    # a datum that does not vanish on x_N = 0 is refused, as on every slab
+    with pytest.raises(PreconditionError):
+        solve_truncated(mesh, 0.0, _nonzero_on_degenerate_edge, None, grid)
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.1])
+def test_solve_truncated_leaves_a_nodal_datum_unchanged(delta):
+    # on the interval the slab's layers of y0 are a slice of the caller's
+    # array; zeroing the slab boundary must not write into it
+    mesh = build_mesh(make_domain("interval", 0.5), 40, 1.0)
+    y0 = smooth_bump(0.0, 0.9)(mesh.points) + 1.0
+    y0[mesh.xn <= delta + 1e-12] = 0.0
+    before = y0.copy()
+    solve_truncated(mesh, delta, y0, None, TimeGrid(1.0, 8))
+    assert np.array_equal(y0, before)
 
 
 def test_truncated_eigenmode_decays_at_truncated_rate():
@@ -98,7 +134,7 @@ def test_truncated_eigenmode_decays_at_truncated_rate():
     tr_ops = assemble(tr_mesh)
     spec = compute_spectrum(tr_ops, 1)
     y0_full = extend_vector(spec.mode(1), tr_mesh, full_mesh)
-    field = solve_truncated(d, 0.1, y0_full, None, grid, n)
+    field = solve_truncated(full_mesh, 0.1, y0_full, None, grid)
     e = energy_history(field)
     lam1 = spec.eigenvalues[0]
     # pure exponential decay at the truncated operator's first eigenvalue,
@@ -220,11 +256,13 @@ def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(5, 40),
        rung=st.floats(0.0, 1.0, exclude_max=True))
-def test_extension_map_matches_meshgrid_oracle(kind, n, rung):
+def test_extension_matches_meshgrid_oracle(kind, n, rung):
     # the slab's node ids are the last x_N layers of the full mesh's index
     # array; delta is a node j/n below MAX_DELTA = 1/4, so n starts at 5
     full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
     j = 1 + int(rung * ((n - 1) // 4))
     tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
-    assert np.array_equal(extension_map(tr_mesh, full_mesh),
-                          extension_map_meshgrid(tr_mesh, full_mesh))
+    u = np.arange(1.0, tr_mesh.n_nodes + 1.0)
+    oracle = np.zeros(full_mesh.n_nodes)
+    oracle[extension_map_meshgrid(tr_mesh, full_mesh)] = u
+    assert np.array_equal(extend_vector(u, tr_mesh, full_mesh), oracle)
