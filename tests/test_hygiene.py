@@ -107,9 +107,9 @@ def defaulted_parameters(source):
                 continue
             args = fn.args
             positional = args.posonlyargs + args.args
-            for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
-                                    len(positional) - len(args.defaults)):
-                found.append((qualified, fn.name, arg.arg, i - skip))
+            first = len(positional) - len(args.defaults)
+            found += [(qualified, fn.name, arg.arg, i - skip)
+                      for i, arg in enumerate(positional[first:], first)]
             found += [(qualified, fn.name, arg.arg, None)
                       for arg, default in zip(args.kwonlyargs, args.kw_defaults)
                       if default is not None]
@@ -119,8 +119,8 @@ def defaulted_parameters(source):
 def passed_arguments(source):
     """name -> (keywords, positional count) of every call of the module,
     one entry per call.  A call is named by its attribute or by its name,
-    with import aliases resolved; a starred argument passes every position
-    from its own on, and ``**`` every keyword ("**")."""
+    with import aliases resolved; a starred argument passes every position,
+    and ``**`` every keyword ("**")."""
     tree = ast.parse(source)
     aliases = {alias.asname: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
@@ -135,7 +135,7 @@ def passed_arguments(source):
             name = aliases.get(func.id, func.id)
         else:
             continue
-        starred = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
         count = float("inf") if starred else len(node.args)
         keywords = {kw.arg or "**" for kw in node.keywords}
         calls.setdefault(name, []).append((keywords, count))

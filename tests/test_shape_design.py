@@ -86,10 +86,10 @@ def test_solve_truncated_support_check():
         solve_truncated(full_mesh, 0.1, phi1, None, grid)
     assert err.value.support_distance is not None
     assert err.value.support_distance <= 0.1
-
-
-def _nonzero_on_degenerate_edge(points):
-    return 1.0 - np.atleast_2d(points)[:, -1]
+    # at delta = 0 the datum must vanish on the degenerate edge x_N = 0
+    with pytest.raises(PreconditionError) as err:
+        solve_truncated(full_mesh, 0.0, lambda points: 1.0 - points[:, -1], None, grid)
+    assert err.value.support_distance == 0.0
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 40), ("square", 12)])
@@ -108,9 +108,6 @@ def test_delta_zero_is_the_full_solve(kind, n, source):
     full = solve_implicit(assemble(mesh), y0, nodal_f, grid, theta=0.5)
     assert field.mesh.domain == mesh.domain and field.mesh.shape == mesh.shape
     assert np.array_equal(field.values, full.values)
-    # a datum that does not vanish on x_N = 0 is refused, as on every slab
-    with pytest.raises(PreconditionError):
-        solve_truncated(mesh, 0.0, _nonzero_on_degenerate_edge, None, grid)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
