@@ -7,15 +7,16 @@ The weight family is
     xi(t, x) = Theta(t) (gamma - eta(x)),   gamma = sup eta + 1,
 
 and the transformed variable z = exp(-s xi) y vanishes (with its
-gradient) at t = 0 and t = T.  The inequality budgets compare
+gradient) at t = 0 and t = T.  For a source-free backward solution the
+inequality budgets compare
 
     s  II Theta x_N**alpha (d_N z)**2  +  s**3 II Theta**3 z**2 x_N**(2-alpha)
 
-against the weighted source norm plus a constant times the observed
-boundary term.  Every budget integral is accumulated in log space
-(log-sum-exp over quadrature samples): for moderate s the factor
-exp(-2 s xi) already underflows double precision, while ratios of the
-integrals stay perfectly representable.
+against a constant times the observed boundary term.  Every budget
+integral is accumulated in log space (log-sum-exp over quadrature
+samples): for moderate s the factor exp(-2 s xi) already underflows
+double precision, while ratios of the integrals stay perfectly
+representable.
 
 The family is the field's own: alpha is the exponent of its domain and T
 the horizon of its time grid (``CarlemanWeights.of``), so s is the only
@@ -35,7 +36,7 @@ the bracket at that s).  The factor exp(-2 s xi*), xi* = Theta(t*)
 and cancels in the needed constant, but 2 s xi* reaches 2 s (T/2)**-8
 (1.6e17 at s = 200, T = 0.03), where a double keeps no digit after the
 point.  So the integrands take xi - xi*, formed without cancellation
-(CarlemanWeights.xi_excess), and 2 s xi* is subtracted from the three
+(CarlemanWeights.xi_excess), and 2 s xi* is subtracted from the two
 reported logs only.  Each log-sum-exp skips the entries, and the whole
 time rows, that lie more than 708 below its top (_lse, _lse_rows): every
 entry of row t is at most max_x base(t) - 2 s min_x (xi - xi*)(t), plus
@@ -167,12 +168,9 @@ class CarlemanBudget:
     logs of its integrals: the integrals themselves underflow for moderate s."""
 
     s: float
-    which: str
     log_lhs: float
-    log_rhs_source: float
     log_rhs_boundary: float
     log_needed_c: float
-    c_boundary: float
     holds: bool
 
 
@@ -283,9 +281,9 @@ class FieldData:
 
         sum w ((d_N y + g y)/m)**2 = C (g + beta)**2 + D.
 
-    F is formed likewise for the source and, per t, the observed-edge flux
-    moment; log(m**2) is kept beside each, so squares of fields near 1e-200
-    never underflow.  A nodal field keeps one scale per (t, x_N) row, the
+    The observed-edge flux moment is formed likewise per t; log(m**2) is
+    kept beside each moment, so squares of fields near 1e-200 never
+    underflow.  A nodal field keeps one scale per (t, x_N) row, the
     largest |y| or |d_N y| over x_1, and sums over x_1 directly.
 
     A coefficient field y = Phi c never builds its nodal values.  Its
@@ -307,8 +305,7 @@ class FieldData:
         self.log_dt = np.log(grid.dt)
         self.xn = mesh.axes[-1]
         self.log_xn = np.log(self.xn)
-        rows = (t.size, -1, self.xn.size)  # (t, x_1, x_N)
-        self.w = ops.lumped_full.reshape(rows[1:])
+        self.w = ops.lumped_full.reshape(-1, self.xn.size)  # (x_1, x_N)
 
         if field._mode_data is not None:
             spectrum, coeffs = field._mode_data
@@ -323,9 +320,6 @@ class FieldData:
         flux, _ = flux_history(field)
         w_edge = np.asarray(ops.x1[1].sum(axis=1))
         self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
-        # no source, no moment: the source budget is exp(-inf) = 0
-        self.log_f2 = (None if field.source is None
-                       else _log_moment(field.source_values()[1:-1].reshape(rows), self.w))
 
     def sweep(self, s_values, which: str, c_boundary: float = 1.0):
         """Budgets at every parameter of ``s_values``, with the field's own
@@ -333,7 +327,7 @@ class FieldData:
         puts the weighted gradient and zero-order terms of the transformed
         variable on the left; "eq51" the single zero-order term
         s II Theta y**2 exp(-2 s xi).  ``holds`` compares against
-        rhs_source + c_boundary * rhs_boundary.
+        c_boundary * rhs_boundary.
 
         xi - xi*, g / s and the base log terms of every integral are s-free
         and formed once; at each s only the bracket b2 (on every row) and
@@ -354,8 +348,6 @@ class FieldData:
         base_b = self.log_theta + self.log_flux2 + self.log_dt
         lt = self.log_theta[:, None]
         bases = {}  # the s-free log terms of the integrals over (t, x_N)
-        if self.log_f2 is not None:
-            bases["f"] = self.log_f2 + self.log_dt
         if which == "eq410":
             g_per_s = w.eta_slope(self.xn, np.exp(lt))  # -d_N xi
             b2 = np.empty_like(g_per_s)  # the bracket, reused at every s
@@ -381,7 +373,6 @@ class FieldData:
                                      lambda sl: base[sl] + np.log(b2[sl]) - two_s * xi[sl])
 
             log_rhs_b = np.log(s) + _lse(base_b - two_s * xi_edge)
-            log_rhs_f = decayed("f") if "f" in bases else -np.inf
             if which == "eq410":
                 np.multiply(s, g_per_s, out=b2)
                 b2 += self.beta
@@ -392,8 +383,7 @@ class FieldData:
                                        3.0 * np.log(s) + decayed("i2"))
             else:
                 log_lhs = np.log(s) + decayed("eq51")
-            budgets.append(_budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary,
-                                   two_s * xi_star))
+            budgets.append(_budget(s, log_lhs, log_rhs_b, c_boundary, two_s * xi_star))
         return budgets
 
     def budget(self, s: float, which: str, c_boundary: float = 1.0):
@@ -401,27 +391,17 @@ class FieldData:
         return self.sweep([s], which, c_boundary)[0]
 
 
-def _budget(s, which, log_lhs, log_rhs_f, log_rhs_b, c_boundary, shift):
-    """The budget record from the logs of its three integrals, each taken
+def _budget(s, log_lhs, log_rhs_b, c_boundary, shift):
+    """The budget record from the logs of its two integrals, each taken
     ``shift`` above its value; only the reported logs subtract it."""
-    # constant needed on the boundary term: (lhs - rhs_f)+ / rhs_b
-    if log_lhs <= log_rhs_f:
-        log_needed = -np.inf
-    elif log_rhs_f == -np.inf:
-        log_needed = log_lhs - log_rhs_b
-    else:
-        log_excess = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs))
-        log_needed = log_excess - log_rhs_b
-    log_rhs = np.logaddexp(log_rhs_f, np.log(c_boundary) + log_rhs_b)
+    # constant needed on the boundary term, lhs / rhs_b; 0 for a zero lhs
+    log_needed = -np.inf if log_lhs == -np.inf else log_lhs - log_rhs_b
     return CarlemanBudget(
         s=s,
-        which=which,
         log_lhs=float(log_lhs - shift),
-        log_rhs_source=float(log_rhs_f - shift),
         log_rhs_boundary=float(log_rhs_b - shift),
         log_needed_c=float(log_needed),
-        c_boundary=c_boundary,
-        holds=bool(log_lhs <= log_rhs + np.log1p(1e-9)),
+        holds=bool(log_lhs <= np.log(c_boundary) + log_rhs_b + np.log1p(1e-9)),
     )
 
 
@@ -441,7 +421,7 @@ def find_s0(fields, s_grid) -> S0Fit:
 
     ``fields`` is any iterable of FieldData; a generator streams them, since
     only one field's data is held at a time.  For every field the needed
-    boundary constant (lhs - rhs_source)+ / rhs_boundary is evaluated on the
+    boundary constant lhs / rhs_boundary is evaluated on the
     whole grid; s0 is the first grid point from which these are finite and
     non-increasing for every field (so the inequality with the fitted C =
     max needed constant over the region holds at every larger grid value).

@@ -1,8 +1,8 @@
-"""Forward-in-time evolution of the weighted parabolic equation.
+"""Forward-in-time evolution of the source-free weighted parabolic equation.
 
 Two solvers share one convention (forward from an initial datum): the
-spectral Galerkin solver evolves each mode coefficient by the explicit
-exponential formula, and a theta scheme, stepping in the eigenbasis of
+spectral Galerkin solver evolves each mode coefficient by its exact
+exponential decay, and a theta scheme, stepping in the eigenbasis of
 the x_1 pair with one tridiagonal x_N solve per mode, provides an
 independent cross-validation path.  The theta scheme yields one nodal row
 per time node (:func:`theta_rows`); the CLI's evolve folds each row as it
@@ -53,8 +53,9 @@ class TimeGrid:
 
 
 class SpaceTimeField:
-    """Nodal values y(x, t_j) for every time node on the mesh of the operator
-    pair ``ops``, zero on the boundary; consumers read the pair as ``field.ops``.
+    """Nodal values y(x, t_j) of a source-free solution for every time node
+    on the mesh of the operator pair ``ops``, zero on the boundary; consumers
+    read the pair as ``field.ops``.
 
     A coefficient field (``values=None``, ``mode_data=(spectrum, coeffs)``
     with one coefficient row per time node) builds its nodal values on
@@ -64,13 +65,11 @@ class SpaceTimeField:
     the forward values reversed.
     """
 
-    def __init__(self, ops: OperatorPair, grid, values, source=None, direction="forward",
-                 mode_data=None):
+    def __init__(self, ops: OperatorPair, grid, values, direction="forward", mode_data=None):
         self.ops = ops
         self.mesh = mesh = ops.mesh
         self.grid = grid
         self._values = values
-        self.source = source
         self.direction = direction
         self._mode_data = mode_data
         if values is not None:
@@ -107,72 +106,30 @@ class SpaceTimeField:
         spectrum, coeffs = self._mode_data
         return coeffs @ spectrum.modes[cols].T
 
-    def source_values(self):
-        """Source as a (steps+1, n_nodes) array, or None when absent."""
-        return _source_rows(self.source, self.grid, self.mesh)
 
-
-def _source_rows(source, grid, mesh):
-    """A nodal or per-time-node source as a (steps+1, n_nodes) array, or None."""
-    if source is None:
-        return None
-    m, n = grid.steps + 1, mesh.n_nodes
-    f = np.asarray(source, dtype=float)
-    if f.shape == (n,):
-        return np.broadcast_to(f, (m, n))
-    if f.shape == (m, n):
-        return f
-    raise ContractError("source must be nodal, constant or per time node")
-
-
-def _phi1(mu):
-    """(1 - exp(-mu)) / mu, stable for small mu."""
-    mu = np.asarray(mu, dtype=float)
-    return np.where(mu < 1e-12, 1.0 - mu / 2.0, -np.expm1(-mu) / np.where(mu == 0, 1, mu))
-
-
-def _phi2(mu):
-    """(1 - (1 + mu) exp(-mu)) / mu**2, stable for small mu."""
-    mu = np.asarray(mu, dtype=float)
-    small = mu < 1e-3
-    safe = np.where(small, 1.0, mu)
-    exact = (-np.expm1(-safe) - safe * np.exp(-safe)) / safe**2
-    series = 0.5 - mu / 6.0 + mu**2 / 24.0 - mu**3 / 120.0
-    return np.where(small, series, exact)
-
-
-def solve_spectral(spectrum: Spectrum, y0, f, grid: TimeGrid) -> SpaceTimeField:
+def solve_spectral(spectrum: Spectrum, y0, grid: TimeGrid) -> SpaceTimeField:
     """Evolve by the explicit per-mode formula.
 
-    Each coefficient obeys c' + lambda c = f_n(t) and is advanced exactly
-    for the piecewise-linear-in-time interpolant of the mode load, so
-    there is no stiffness restriction on the step size.  The field is the
-    evolution of the projection of (y0, f) onto the computed mode span;
-    data outside the span is discarded (callers supply expandable data).
+    Each coefficient obeys c' + lambda c = 0 and is advanced exactly,
+    c(t + dt) = c(t) exp(-lambda dt), so there is no stiffness restriction
+    on the step size.  The field is the evolution of the projection of y0
+    onto the computed mode span; data outside the span is discarded
+    (callers supply expandable data).
     """
-    lam = spectrum.eigenvalues
-    mu = lam * grid.dt
-    decay = np.exp(-mu)
-    w_new = grid.dt * (_phi1(mu) - _phi2(mu))
-    w_old = grid.dt * _phi2(mu)
-    m = grid.steps + 1
-    coeffs = np.empty((m, spectrum.count))
-    field = SpaceTimeField(spectrum.ops, grid, None, source=f, mode_data=(spectrum, coeffs))
-    fvals = field.source_values()
-    loads = (np.zeros((m, spectrum.count)) if fvals is None
-             else np.array([expand(spectrum, row) for row in fvals]))
+    decay = np.exp(-spectrum.eigenvalues * grid.dt)
+    coeffs = np.empty((grid.steps + 1, spectrum.count))
     coeffs[0] = expand(spectrum, np.asarray(y0, dtype=float))
     for j in range(grid.steps):
-        coeffs[j + 1] = coeffs[j] * decay + loads[j] * w_old + loads[j + 1] * w_new
-    return field
+        coeffs[j + 1] = coeffs[j] * decay
+    return SpaceTimeField(spectrum.ops, grid, None, mode_data=(spectrum, coeffs))
 
 
 # the smallest normal double
 _TINY = np.finfo(float).tiny
 
 
-def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
-    """Theta scheme (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f,
+def theta_rows(ops: OperatorPair, y0, grid: TimeGrid, theta: float = 1.0):
+    """Theta scheme (M + theta dt K) y+ = (M - (1-theta) dt K) y,
     yielded as one new nodal row per time node, from y0 on; only the current
     row is held, so a consumer that folds each row keeps O(n_nodes) memory.
 
@@ -200,21 +157,13 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
     d, e, _ = dpttrf(lhs.diagonal(), lhs.diagonal(1))
     # copied: a sparse sum keeps arrays sized for both operands' entries
     rhs_op = (mass - (1.0 - theta) * dt * stiff).copy()
-    del stiff, lhs  # the frame, and all it holds, lives until the last row is read
-    fvals = _source_rows(f, grid, mesh)
+    del mass, stiff, lhs  # the frame, and all it holds, lives until the last row is read
     shape = (lam.size, mn.shape[0])  # the interior tensor grid: x_1 rows by x_N columns
-
-    def coords(v):
-        return (to_modes @ v[ops.interior].reshape(shape)).ravel()
-
     row = np.array(y0, dtype=float)
     yield row
-    z = coords(row)
-    for j in range(grid.steps):
-        rhs = rhs_op @ z
-        if fvals is not None:
-            rhs += dt * (mass @ coords((1.0 - theta) * fvals[j] + theta * fvals[j + 1]))
-        z = dpttrs(d, e, rhs, overwrite_b=True)[0]
+    z = (to_modes @ row[ops.interior].reshape(shape)).ravel()
+    for _ in range(grid.steps):
+        z = dpttrs(d, e, rhs_op @ z, overwrite_b=True)[0]
         # decayed coefficients reach the subnormal range, where vecs @ z is slow
         z[np.abs(z) < _TINY] = 0.0
         row = np.zeros(mesh.n_nodes)
@@ -222,13 +171,12 @@ def theta_rows(ops: OperatorPair, y0, f, grid: TimeGrid, theta: float = 1.0):
         yield row
 
 
-def solve_implicit(ops: OperatorPair, y0, f, grid: TimeGrid,
-                   theta: float = 1.0) -> SpaceTimeField:
+def solve_implicit(ops: OperatorPair, y0, grid: TimeGrid, theta: float = 1.0) -> SpaceTimeField:
     """The rows of :func:`theta_rows` as one (steps+1, n_nodes) field."""
     values = np.empty((grid.steps + 1, ops.mesh.n_nodes))
-    for j, row in enumerate(theta_rows(ops, y0, f, grid, theta)):
+    for j, row in enumerate(theta_rows(ops, y0, grid, theta)):
         values[j] = row
-    return SpaceTimeField(ops, grid, values, source=f)
+    return SpaceTimeField(ops, grid, values)
 
 
 def time_norm(per_time, t):
@@ -237,8 +185,8 @@ def time_norm(per_time, t):
 
 
 def energy_history(field: SpaceTimeField):
-    """L2 norm of the field at every time node; non-increasing when the
-    source vanishes (parabolic energy decay).  A coefficient field gives
+    """L2 norm of the field at every time node; non-increasing for a
+    forward field (parabolic energy decay).  A coefficient field gives
     sqrt(c(t)' G c(t)) with the mode Gram G = Phi' M Phi of its spectrum."""
     if field._mode_data is not None:
         spectrum, coeffs = field._mode_data
@@ -261,8 +209,8 @@ def flux_history(field: SpaceTimeField):
     space-time integral of its square over the edge x (0, T).
 
     Forward fields of the spectral solver combine the per-mode fluxes of
-    their spectrum; other fields fall back to variational recovery with a
-    finite-differenced time derivative as the load proxy.
+    their spectrum; other fields fall back to variational recovery with
+    -y_t, finite-differenced in time, as the load proxy.
     """
     ops, grid = field.ops, field.grid
     # backward coefficient fields stay on the recovery below: the pinned Carleman
@@ -274,8 +222,6 @@ def flux_history(field: SpaceTimeField):
         cols = ops.flux_rows[0]
         values = field.columns(cols)
         proxy = -_time_derivative(values, grid.dt)
-        if field.source is not None:
-            proxy += field.source_values()[:, cols]
         flux = boundary_flux(ops, values.T, f_proxy=proxy.T).T
     per_time = tensor_form(flux, ops.x1[1])
     integral = float(np.trapezoid(per_time, grid.nodes))
@@ -285,32 +231,28 @@ def flux_history(field: SpaceTimeField):
 def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
     """Backward-convention view: t -> T - t.
 
-    If y solves the forward equation with source g, the reversed field
-    solves the backward equation (d_t + div(A grad)) y = -g(T - t); its
-    L2 energy is non-decreasing when g = 0.  A coefficient field stays one,
-    with its coefficient rows reversed.
+    If y solves the forward equation, the reversed field solves the
+    backward equation (d_t + div(A grad)) y = 0, and its L2 energy is
+    non-decreasing.  A coefficient field stays one, with its coefficient
+    rows reversed.
     """
-    source = None if field.source is None else -field.source_values()[::-1]
     if field._mode_data is not None:
         spectrum, coeffs = field._mode_data
-        return SpaceTimeField(field.ops, field.grid, None, source=source,
-                              direction="backward", mode_data=(spectrum, coeffs[::-1]))
+        return SpaceTimeField(field.ops, field.grid, None, direction="backward",
+                              mode_data=(spectrum, coeffs[::-1]))
     return SpaceTimeField(field.ops, field.grid, field.values[::-1].copy(),
-                          source=source, direction="backward")
+                          direction="backward")
 
 
 def stability_ratio(field: SpaceTimeField) -> float:
     """Measured shape of the a-priori energy estimate:
 
-        [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / [ ||f||_{L2(Q)} + ||y0||_L2 ].
+        [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / ||y0||_L2.
     """
     t = field.grid.nodes
     (kx, mx), (kn, mn) = field.ops.x1, field.ops.xn
     l2 = energy_history(field)
     h1_qt = time_norm(tensor_form(field.values, kx, mn) + tensor_form(field.values, mx, kn), t)
-    f_qt = 0.0 if field.source is None else time_norm(
-        tensor_form(field.source_values(), mx, mn), t)
-    denom = f_qt + l2[0]
-    if denom == 0.0:
+    if l2[0] == 0.0:
         raise ParameterError("stability ratio undefined for zero data")
-    return (float(np.max(l2)) + h1_qt) / denom
+    return (float(np.max(l2)) + h1_qt) / l2[0]

@@ -63,7 +63,6 @@ class ObservabilityReport:
     poison the Gram conditioning).
     """
 
-    requested_modes: int
     subspace_dim: int
     ratios: tuple
     c_obs: float | None
@@ -113,9 +112,8 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
     # meaningful singularity test
     singular = bool(evals[0] <= 1e-300)
     return ObservabilityReport(
-        requested_modes=k_modes, subspace_dim=k_eff,
-        ratios=ratios, c_obs=None if singular else float(1.0 / evals[0]),
-        singular=singular,
+        subspace_dim=k_eff, ratios=ratios,
+        c_obs=None if singular else float(1.0 / evals[0]), singular=singular,
     )
 
 

@@ -60,17 +60,6 @@ def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
 _THETA = 0.5
 
 
-def _nodal_data(mesh: Mesh, data, name):
-    if data is None:
-        return None
-    if callable(data):
-        return np.asarray(data(mesh.points), dtype=float)
-    arr = np.asarray(data, dtype=float)
-    if arr.shape != (mesh.n_nodes,):
-        raise ContractError(f"{name} must be callable or a nodal vector")
-    return arr
-
-
 def _check_support(y0_full, full_mesh: Mesh, delta: float):
     vals = np.abs(y0_full)
     scale = max(1.0, float(vals.max()))
@@ -86,7 +75,7 @@ def _check_support(y0_full, full_mesh: Mesh, delta: float):
         )
 
 
-def solve_truncated(full_mesh: Mesh, delta: float, y0, f, grid: TimeGrid):
+def solve_truncated(full_mesh: Mesh, delta: float, y0, grid: TimeGrid):
     """Solve on the part x_N > delta of a full-domain mesh, delta one of its
     x_N nodes: a uniformly parabolic slab, or the whole mesh at delta = 0.
 
@@ -94,17 +83,16 @@ def solve_truncated(full_mesh: Mesh, delta: float, y0, f, grid: TimeGrid):
     strip x_N <= delta (its restriction is the initial datum).  Returns the
     field on the operators assembled on the truncated mesh.
     """
-    y0_full = _nodal_data(full_mesh, y0, "y0")
-    if y0_full is None:
-        raise ParameterError("initial datum is required")
+    y0_full = np.asarray(y0(full_mesh.points) if callable(y0) else y0, dtype=float)
+    if y0_full.shape != (full_mesh.n_nodes,):
+        raise ContractError("y0 must be callable or a nodal vector")
     _check_support(y0_full, full_mesh, delta)
     tr_mesh = restrict_mesh(full_mesh, delta)
     # the slab's nodes are the last x_N layers; flatten copies, so a nodal
     # y0 of the caller is never written
     y0_tr = y0_full.reshape(full_mesh.shape)[..., -tr_mesh.shape[-1]:].flatten()
     y0_tr[tr_mesh.boundary] = 0.0
-    f_tr = _nodal_data(tr_mesh, f, "f")
-    return solve_implicit(assemble(tr_mesh), y0_tr, f_tr, grid, theta=_THETA)
+    return solve_implicit(assemble(tr_mesh), y0_tr, grid, theta=_THETA)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,7 @@ def _check_sweep(dimension, deltas, n_ref, steps):
                                   f"field and a {coarse / 2**20:.0f} MiB coarse field")
 
 
-def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
+def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
                 n_ref: int) -> ConvergenceReport:
     """Convergence experiment: truncated solves at half the reference
     resolution, zero-extended and compared against the full-domain solve.
@@ -172,7 +160,7 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     _check_sweep(domain.dimension, deltas, n_ref, grid.steps)
     if not callable(y0):
         raise ParameterError("delta_sweep needs a callable initial datum")
-    ref_field = solve_truncated(build_mesh(domain, n_ref, grading=1.0), 0.0, y0, f, grid)
+    ref_field = solve_truncated(build_mesh(domain, n_ref, grading=1.0), 0.0, y0, grid)
     ref_ops = ref_field.ops
     ref_flux, _ = flux_history(ref_field)
     coarse_mesh = build_mesh(domain, n_ref // 2, grading=1.0)
@@ -189,7 +177,7 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     # one field at a time, each freed before the next one is solved
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in (0.0, *deltas):
-        field = solve_truncated(coarse_mesh, d, y0, f, grid)
+        field = solve_truncated(coarse_mesh, d, y0, grid)
         # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by zero
         per_time = error_per_time(field, pn[:, -field.mesh.shape[-1]:])
         sol_errors.append(time_norm(per_time, tnodes))
@@ -216,14 +204,14 @@ def delta_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas,
     )
 
 
-def stability_sweep(domain: Domain, y0, f, grid: TimeGrid, deltas, n: int):
+def stability_sweep(domain: Domain, y0, grid: TimeGrid, deltas, n: int):
     """Measured a-priori stability ratios of the truncated solves across a
     delta ladder; their spread probes the uniformity of the estimate's
     constant in delta."""
     full_mesh = build_mesh(domain, n, grading=1.0)
     ratios = {}
     for d in deltas:
-        ratios[float(d)] = stability_ratio(solve_truncated(full_mesh, d, y0, f, grid))
+        ratios[float(d)] = stability_ratio(solve_truncated(full_mesh, d, y0, grid))
     vals = np.array(list(ratios.values()))
     drift = float((vals.max() - vals.min()) / vals.min())
     return {"ratios": ratios, "drift": drift}

@@ -162,8 +162,8 @@ def carleman_budget_per_node(field, s, which):
 
     Every integrand is formed per (t, node) in log space and reduced by
     one log-sum-exp over all interior time levels and nodes.  Returns
-    the logs of the left side, the source and boundary terms, and the
-    needed boundary constant (lhs - rhs_source)+ / rhs_boundary.
+    the logs of the left side and the boundary term, and the needed
+    boundary constant lhs / rhs_boundary.
     """
     from degenlab.evolution import flux_history
 
@@ -183,8 +183,6 @@ def carleman_budget_per_node(field, s, which):
     with np.errstate(divide="ignore"):
         log_y2 = 2.0 * np.log(np.abs(y))
         log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
-        log_f2 = (None if field.source is None
-                  else 2.0 * np.log(np.abs(field.source_values()[1:-1])))
     lw = np.log(grid.dt) + np.log(ops.lumped_full)[None, :]
     xi = theta * (gamma - xn ** (2.0 - alpha))[None, :]
     two_s_xi = 2.0 * s * xi
@@ -194,7 +192,6 @@ def carleman_budget_per_node(field, s, which):
     xi_edge = theta * (gamma - edge_xn ** (2.0 - alpha))[None, :]
     lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
     log_rhs_b = np.log(s) + logsumexp(lt + log_flux2 - 2.0 * s * xi_edge + lw_edge)
-    log_rhs_f = -np.inf if log_f2 is None else logsumexp(log_f2 - two_s_xi + lw)
 
     if which == "eq410":
         bracket = dy_dn + s * (2.0 - alpha) * theta * (xn ** (1.0 - alpha))[None, :] * y
@@ -207,21 +204,16 @@ def carleman_budget_per_node(field, s, which):
     else:
         log_lhs = np.log(s) + logsumexp(lt + log_y2 - two_s_xi + lw)
 
-    if log_lhs <= log_rhs_f:
-        log_needed = -np.inf
-    elif log_rhs_f == -np.inf:
-        log_needed = log_lhs - log_rhs_b
-    else:
-        log_needed = log_lhs + np.log1p(-np.exp(log_rhs_f - log_lhs)) - log_rhs_b
-    return {"log_lhs": float(log_lhs), "log_rhs_source": float(log_rhs_f),
-            "log_rhs_boundary": float(log_rhs_b), "log_needed_c": float(log_needed)}
+    log_needed = -np.inf if log_lhs == -np.inf else log_lhs - log_rhs_b
+    return {"log_lhs": float(log_lhs), "log_rhs_boundary": float(log_rhs_b),
+            "log_needed_c": float(log_needed)}
 
 
 def carleman_budget_linear(field, s, which):
-    """The three Carleman budget integrals of one field summed node by node
+    """The two Carleman budget integrals of one field summed node by node
     in linear arithmetic, with the weight of the field's exponent alpha and
-    horizon T: the left side, the source term and the boundary term (s
-    times its integral), over the interior time levels.  Only for s and T
+    horizon T: the left side and the boundary term (s times its integral),
+    over the interior time levels.  Only for s and T
     where exp(-2 s xi) stays within the double range."""
     from degenlab.evolution import flux_history
 
@@ -241,13 +233,11 @@ def carleman_budget_linear(field, s, which):
                + s**3 * np.sum(lw * theta**3 * xn ** (2.0 - alpha) * y**2 * decay))
     else:
         lhs = s * np.sum(lw * theta * y**2 * decay)
-    source = 0.0 if field.source is None else np.sum(
-        lw * field.source_values()[1:-1] ** 2 * decay)
     flux, _ = flux_history(field)
     w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
     edge_decay = np.exp(-2.0 * s * theta[:, 0] * (gamma - 1.0))  # x_N = 1 on the edge
     boundary = s * grid.dt * np.sum(theta[:, 0] * (flux[1:-1] ** 2 @ w_edge) * edge_decay)
-    return {"lhs": float(lhs), "rhs_source": float(source), "rhs_boundary": float(boundary)}
+    return {"lhs": float(lhs), "rhs_boundary": float(boundary)}
 
 
 def carleman_budget_mp(field, s, which, dps=40):
@@ -268,7 +258,6 @@ def carleman_budget_mp(field, s, which, dps=40):
     dy = np.gradient(y.reshape((-1,) + mesh.shape), mesh.axes[-1], axis=-1,
                      edge_order=2).reshape(y.shape)
     flux = flux_history(field)[0][1:-1]
-    f = None if field.source is None else field.source_values()[1:-1]
     with mpmath.workdps(dps):
         mpf = mpmath.mpf
         s, T, alpha = mpf(s), mpf(grid.T), mpf(mesh.domain.alpha)
@@ -276,7 +265,7 @@ def carleman_budget_mp(field, s, which, dps=40):
         w = [mpf(x) for x in ops.lumped_full]
         w_edge = [mpf(x) for x in np.asarray(ops.x1[1].sum(axis=1)).ravel()]
         eta = [x ** (2 - alpha) for x in xn]
-        lhs, source, boundary = mpf(0), mpf(0), mpf(0)
+        lhs, boundary = mpf(0), mpf(0)
         for i, t in enumerate(map(mpf, grid.nodes[1:-1])):
             theta = 1 / (t * (T - t)) ** 4
             edge = sum(we * mpf(q) ** 2 for we, q in zip(w_edge, flux[i]))
@@ -290,12 +279,10 @@ def carleman_budget_mp(field, s, which, dps=40):
                                     + s**3 * theta**3 * eta[j] * yj**2)
                 else:
                     lhs += decay * s * theta * yj**2
-                if f is not None:
-                    source += decay * mpf(f[i, j]) ** 2
         dt = mpf(grid.dt)
-        lhs, source, boundary = dt * lhs, dt * source, s * dt * boundary
-        needed = mpmath.log((lhs - source) / boundary) if lhs > source else -mpmath.inf
-        return {"log_lhs": float(mpmath.log(lhs)), "log_rhs_source": float(mpmath.log(source)),
+        lhs, boundary = dt * lhs, s * dt * boundary
+        needed = mpmath.log(lhs / boundary) if lhs > 0 else -mpmath.inf
+        return {"log_lhs": float(mpmath.log(lhs)),
                 "log_rhs_boundary": float(mpmath.log(boundary)),
                 "log_needed_c": float(needed)}
 
@@ -364,25 +351,19 @@ def extension_map_meshgrid(tr_mesh, full_mesh):
     return np.ravel_multi_index([g.ravel() for g in grids], full_mesh.shape)
 
 
-def theta_scheme_lu(ops, y0, f, grid, theta):
+def theta_scheme_lu(ops, y0, grid, theta):
     """Nodal values of the theta scheme
-    (M + theta dt K) y+ = (M - (1-theta) dt K) y + dt M f, stepped with one
-    sparse LU of the interior operator M + theta dt K."""
-    from degenlab.evolution import SpaceTimeField
-
+    (M + theta dt K) y+ = (M - (1-theta) dt K) y, stepped with one sparse
+    LU of the interior operator M + theta dt K."""
     dt = grid.dt
     lu = spla.splu((ops.M + theta * dt * ops.K).tocsc())
     rhs_op = (ops.M - (1.0 - theta) * dt * ops.K).tocsr()
     values = np.zeros((grid.steps + 1, ops.mesh.n_nodes))
     values[0] = y0
-    fvals = SpaceTimeField(ops, grid, values, source=f).source_values()
     ii = ops.interior
     y = values[0, ii].copy()
     for j in range(grid.steps):
-        rhs = rhs_op @ y
-        if fvals is not None:
-            rhs += dt * (ops.M @ ((1.0 - theta) * fvals[j, ii] + theta * fvals[j + 1, ii]))
-        y = lu.solve(rhs)
+        y = lu.solve(rhs_op @ y)
         values[j + 1, ii] = y
     return values
 
@@ -414,7 +395,7 @@ def fd_flux(mesh, u):
     return np.atleast_1d(d).ravel()
 
 
-def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
+def delta_sweep_blockwise(domain, y0, grid, deltas, n_ref):
     """Errors of the delta sweep from whole fields: the reference solve at
     n_ref, the full-domain and slab solves at n_ref/2, each held as a
     (steps+1, n_nodes) field, prolonged as a block by the 2D operator
@@ -434,8 +415,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
         ops = assemble(mesh)
         y0_full = y0(mesh.points)
         y0_full[mesh.boundary] = 0.0
-        source = None if f is None else f(mesh.points)
-        return solve_implicit(ops, y0_full, source, grid, theta=0.5)
+        return solve_implicit(ops, y0_full, grid, theta=0.5)
 
     ref_field = full_solve(n_ref)
     ref_ops = ref_field.ops
@@ -452,7 +432,7 @@ def delta_sweep_blockwise(domain, y0, f, grid, deltas, n_ref):
     out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
            "solution_errors": [], "final_time_errors": [], "flux_errors": []}
     for d in deltas:
-        field = solve_truncated(coarse_mesh, d, y0, f, grid)
+        field = solve_truncated(coarse_mesh, d, y0, grid)
         extend = prolong[:, extension_map_meshgrid(field.mesh, coarse_mesh)]
         per_time = error_per_time(extend, field.values)
         out["solution_errors"].append(time_norm(per_time, t))

@@ -102,7 +102,7 @@ def test_criterion_4_evolution_exactness(deg1024):
     ops, spec = deg1024
     grid = dl.TimeGrid(1.0, 64)
     lam1 = spec.eigenvalues[0]
-    field = dl.solve_spectral(spec, spec.mode(1), None, grid)
+    field = dl.solve_spectral(spec, spec.mode(1), grid)
     coeffs = np.array([dl.expand(spec, v) for v in field.values])
     exact = np.zeros_like(coeffs)
     exact[:, 0] = np.exp(-lam1 * grid.nodes)
@@ -110,8 +110,8 @@ def test_criterion_4_evolution_exactness(deg1024):
     gaps = []
     for steps in (32, 64, 128, 256):
         g = dl.TimeGrid(1.0, steps)
-        fs = dl.solve_spectral(spec, spec.mode(1), None, g)
-        fi = dl.solve_implicit(ops, spec.mode(1), None, g, theta=1.0)
+        fs = dl.solve_spectral(spec, spec.mode(1), g)
+        fi = dl.solve_implicit(ops, spec.mode(1), g, theta=1.0)
         diff = fs.values - fi.values
         gaps.append(np.max(np.sqrt(
             np.einsum("tn,tn->t", diff, (ops.M_full @ diff.T).T))))
@@ -160,7 +160,7 @@ def test_criterion_6_extension_isometry():
 def test_criterion_7_shape_design_convergence():
     d = dl.make_domain("interval", 0.5)
     grid = dl.TimeGrid(1.0, 128)
-    rep = dl.delta_sweep(d, smooth_bump(), None, grid,
+    rep = dl.delta_sweep(d, smooth_bump(), grid,
                          [0.2, 0.1, 0.05, 0.025], n_ref=160)
     errs = rep.solution_errors
     assert all(a > b for a, b in zip(errs, errs[1:]))
@@ -174,7 +174,7 @@ def test_criterion_8_uniform_constants():
     d = dl.make_domain("interval", 0.5)
     deltas = (0.2, 0.1, 0.05)
     grid = dl.TimeGrid(1.0, 128)
-    stab = dl.stability_sweep(d, smooth_bump(), None, grid, deltas, n=120)
+    stab = dl.stability_sweep(d, smooth_bump(), grid, deltas, n=120)
     assert stab["drift"] <= 0.25
 
     s_grid = list(np.geomspace(1.0, 200.0, 20))
@@ -184,10 +184,10 @@ def test_criterion_8_uniform_constants():
         tops = dl.assemble(tmesh)
         tspec = dl.compute_spectrum(tops, 10)
         rng = dl.Lcg(1)
-        fields = [dl.time_reverse(dl.solve_spectral(tspec, tspec.modes[:, k], None, grid))
+        fields = [dl.time_reverse(dl.solve_spectral(tspec, tspec.modes[:, k], grid))
                   for k in range(10)]
         fields += [dl.time_reverse(dl.solve_spectral(
-            tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
+            tspec, dl.random_admissible(tmesh, rng), grid)) for _ in range(5)]
         fit = dl.find_s0((dl.FieldData(f) for f in fields), s_grid)
         assert fit.found
         c_fit.append(fit.c_boundary)
@@ -208,10 +208,10 @@ def test_criterion_9_carleman_inequality():
     tops = dl.assemble(tmesh)
     tspec = dl.compute_spectrum(tops, 10)
     rng = dl.Lcg(9)
-    fields = [dl.time_reverse(dl.solve_spectral(tspec, tspec.modes[:, k], None, grid))
+    fields = [dl.time_reverse(dl.solve_spectral(tspec, tspec.modes[:, k], grid))
               for k in range(10)]
     fields += [dl.time_reverse(dl.solve_spectral(
-        tspec, dl.random_admissible(tmesh, rng), None, grid)) for _ in range(5)]
+        tspec, dl.random_admissible(tmesh, rng), grid)) for _ in range(5)]
     s_grid = list(np.geomspace(1.0, 200.0, 20))
     fit = dl.find_s0((dl.FieldData(f) for f in fields), s_grid)
     assert fit.found and fit.s0 <= 200.0
@@ -285,7 +285,7 @@ def test_criterion_10_observability():
     rng = dl.Lcg(555)
     for _ in range(20):
         y0 = dl.random_admissible(ops.mesh, rng)
-        back = dl.time_reverse(dl.solve_spectral(spec, y0, None, gw))
+        back = dl.time_reverse(dl.solve_spectral(spec, y0, gw))
         assert dl.window_bound_check(back)["holds"]
     ok(10, f"classical ratios in [0.9, 1.2] x oracle; C_obs finite for "
            f"K in (5, 10, 15), drifts {max(drifts.values()):.3f} <= 0.25; "

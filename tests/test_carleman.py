@@ -34,7 +34,7 @@ def slab():
 
 
 def backward_mode_field(spec, k, grid):
-    return time_reverse(solve_spectral(spec, spec.mode(k), None, grid))
+    return time_reverse(solve_spectral(spec, spec.mode(k), grid))
 
 
 def test_weight_values():
@@ -252,7 +252,7 @@ def test_eq51_follows_eq410(slab):
 # 1.5e-11 there), so the moment form may differ from the per-node sum by
 # a few ulps and no more.
 LOG_TOL = 1e-10
-LOG_KEYS = ("log_lhs", "log_rhs_source", "log_rhs_boundary", "log_needed_c")
+LOG_KEYS = ("log_lhs", "log_rhs_boundary", "log_needed_c")
 
 
 def assert_matches_oracle(field, s, which, budget=None):
@@ -288,8 +288,8 @@ def test_budgets_match_oracle_on_mode_fields(slab):
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 16),
        delta=st.sampled_from([0.1, 0.2]), T=st.floats(1.5, 4.0), steps=st.integers(8, 24),
        s=st.floats(1.0, 3.0), which=st.sampled_from(["eq410", "eq51"]),
-       with_source=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_source, seed):
+       seed=st.integers(0, 2**32 - 1))
+def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, seed):
     # at s <= 3 and T >= 1.5, exp(-2 s xi) >= exp(-120) in the time interior,
     # so the budgets can be summed directly; the field is arbitrary nodal data
     mesh = build_mesh(truncate(make_domain(kind, 0.5), delta), n)
@@ -297,12 +297,10 @@ def test_log_budgets_match_linear_sums(kind, n, delta, T, steps, s, which, with_
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((steps + 1, mesh.n_nodes))
     values[:, mesh.boundary] = 0.0
-    source = rng.standard_normal(values.shape) if with_source else None
-    field = SpaceTimeField(ops, grid, values, source=source, direction="backward")
+    field = SpaceTimeField(ops, grid, values, direction="backward")
     budget = FieldData(field).budget(s, which)
     linear = carleman_budget_linear(field, s, which)
     assert np.exp(budget.log_lhs) == pytest.approx(linear["lhs"], rel=1e-12)
-    assert np.exp(budget.log_rhs_source) == pytest.approx(linear["rhs_source"], rel=1e-12)
     assert np.exp(budget.log_rhs_boundary) == pytest.approx(linear["rhs_boundary"], rel=1e-12)
 
 
@@ -351,10 +349,9 @@ def test_live_rows_lse_matches_exp_all(rows, cols, s, dead_share, seed):
        s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
                          unique=True).map(sorted),
        magnitude=st.floats(0.0, 150.0), decay=st.floats(0.0, 300.0),
-       with_source=st.booleans(), which=st.sampled_from(["eq410", "eq51"]),
-       seed=st.integers(0, 2**32 - 1))
+       which=st.sampled_from(["eq410", "eq51"]), seed=st.integers(0, 2**32 - 1))
 def test_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, s_values, magnitude,
-                                       decay, with_source, which, seed):
+                                       decay, which, seed):
     mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
                       n * (4 if kind == "interval" else 1))
     ops = assemble(mesh)
@@ -365,8 +362,7 @@ def test_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, s_values
     amp = 10.0 ** -magnitude * np.exp(-decay * (1.0 - grid.nodes / T))[:, None]
     vals = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp
     vals[:, mesh.boundary] = 0.0
-    source = rng.standard_normal(vals.shape) * amp if with_source else None
-    field = SpaceTimeField(ops, grid, vals, source=source, direction="backward")
+    field = SpaceTimeField(ops, grid, vals, direction="backward")
     # one sweep over the drawn s values, every budget against the oracle
     budgets = FieldData(field).sweep(s_values, which)
     assert [b.s for b in budgets] == s_values
@@ -381,12 +377,11 @@ def test_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, s_values
        s_values=st.lists(st.floats(1.0, 200.0), min_size=1, max_size=4,
                          unique=True).map(sorted),
        magnitude=st.floats(0.0, 280.0), decay=st.floats(0.0, 1.0),
-       zero_share=st.sampled_from([0.0, 0.2]), with_source=st.booleans(),
-       which=st.sampled_from(["eq410", "eq51"]),
+       zero_share=st.sampled_from([0.0, 0.2]), which=st.sampled_from(["eq410", "eq51"]),
        direction=st.sampled_from(["forward", "backward"]), seed=st.integers(0, 2**32 - 1))
 def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, T, steps, alpha, modes,
                                                    s_values, magnitude, decay, zero_share,
-                                                   with_source, which, direction, seed):
+                                                   which, direction, seed):
     # the twin of the nodal property for coefficient fields, whose moments
     # come from the spectrum's per-layer factors and never from nodal values
     mesh = build_mesh(truncate(make_domain(kind, alpha), delta),
@@ -402,17 +397,15 @@ def test_coefficient_budgets_match_per_node_oracle(kind, n, delta, T, steps, alp
     amp = 10.0 ** -exponent[:, None]
     coeffs = rng.standard_normal((steps + 1, modes)) * amp
     coeffs[rng.random(steps + 1) < zero_share] = 0.0
-    source = rng.standard_normal((steps + 1, mesh.n_nodes)) * amp if with_source else None
-    field = SpaceTimeField(ops, grid, None, source=source, direction=direction,
-                           mode_data=(spec, coeffs))
+    field = SpaceTimeField(ops, grid, None, direction=direction, mode_data=(spec, coeffs))
     budgets = FieldData(field).sweep(s_values, which)
     assert field._values is None
-    nodal = SpaceTimeField(ops, grid, field.values, source=source, direction=direction)
+    nodal = SpaceTimeField(ops, grid, field.values, direction=direction)
     nodal_budgets = FieldData(nodal).sweep(s_values, which)
     # a forward coefficient field takes its flux from the mode fluxes, a
     # nodal one recovers it with a time difference: only the backward
     # copy shares the boundary term
-    keys = LOG_KEYS if direction == "backward" else ("log_lhs", "log_rhs_source")
+    keys = LOG_KEYS if direction == "backward" else ("log_lhs",)
     for s, budget, nodal_budget in zip(s_values, budgets, nodal_budgets):
         assert_matches_oracle(field, s, which, budget)
         assert_logs_match(budget, asdict(nodal_budget), keys)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -343,6 +344,40 @@ T: 1e-300
     assert err.startswith("parameter error: 2 lambda_3 * T = ") and "Traceback" not in err
     assert "below machine epsilon" in err
     assert list(out.glob("*")) == []
+
+
+def test_tiny_alpha_refused_before_any_output(tmp_path, capsys):
+    # alpha - 2 rounds to -2 at alpha = 1e-17, and the Hardy check's mass
+    # weight x_N**(alpha - 2) refuses that exponent; the config refuses it first
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 16
+steps: 8
+modes: 3
+alpha: 1.0e-17
+deltas: [0.125]
+""")
+    out = tmp_path / "o"
+    assert main(["full-report", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config field 'alpha'") and "Traceback" not in err
+    assert not out.exists()
+    assert ExperimentConfig("hardy", alpha=1e-12).alpha == 1e-12
+
+
+def test_long_horizon_evolve_warns_nothing(tmp_path):
+    # every mode has decayed to zero after the first of these steps; a
+    # source-free evolve forms no load weights that could overflow
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 16
+steps: 8
+modes: 3
+T: 1.0e300
+""")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
 
 @pytest.mark.parametrize("line, size", [

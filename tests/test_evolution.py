@@ -4,7 +4,6 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.carleman import FieldData
 from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ContractError, ParameterError
 from degenlab.evolution import (
@@ -49,36 +48,24 @@ def test_spectral_mode_decay_exact(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 32)
     lam1 = spec.eigenvalues[0]
-    field = solve_spectral(spec, spec.mode(1), None, grid)
+    field = solve_spectral(spec, spec.mode(1), grid)
     exact = np.exp(-lam1 * grid.nodes)[:, None] * spec.mode(1)[None, :]
     assert np.max(np.abs(field.values - exact)) <= 1e-10
-
-
-def test_spectral_constant_load(setup):
-    ops, spec = setup
-    grid = TimeGrid(1.0, 64)
-    lam1 = spec.eigenvalues[0]
-    field = solve_spectral(spec, np.zeros(ops.mesh.n_nodes), spec.mode(1), grid)
-    # mode-1 coefficient of the response to a constant unit load
-    from degenlab.spectral import expand
-    c1 = np.array([expand(spec, v)[0] for v in field.values])
-    expect = (1.0 - np.exp(-lam1 * grid.nodes)) / lam1
-    assert np.max(np.abs(c1 - expect)) <= 1e-12
 
 
 def test_zero_data_zero_solution(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 16)
     z = np.zeros(ops.mesh.n_nodes)
-    assert np.all(solve_spectral(spec, z, None, grid).values == 0.0)
-    assert np.all(solve_implicit(ops, z, None, grid).values == 0.0)
+    assert np.all(solve_spectral(spec, z, grid).values == 0.0)
+    assert np.all(solve_implicit(ops, z, grid).values == 0.0)
 
 
 def test_implicit_theta_range(setup):
     ops, _ = setup
     grid = TimeGrid(1.0, 16)
     with pytest.raises(ParameterError):
-        solve_implicit(ops, np.zeros(ops.mesh.n_nodes), None, grid, theta=0.3)
+        solve_implicit(ops, np.zeros(ops.mesh.n_nodes), grid, theta=0.3)
 
 
 @pytest.mark.parametrize("theta,lo,hi", [(1.0, 0.9, 1.1), (0.5, 1.8, 2.4)])
@@ -90,8 +77,8 @@ def test_implicit_convergence_order(setup, theta, lo, hi):
     gaps = []
     for steps in (32, 64, 128, 256):
         grid = TimeGrid(1.0, steps)
-        fs = solve_spectral(spec, y0, None, grid)
-        fi = solve_implicit(ops, y0, None, grid, theta=theta)
+        fs = solve_spectral(spec, y0, grid)
+        fi = solve_implicit(ops, y0, grid, theta=theta)
         diff = fs.values - fi.values
         sup = np.max(np.sqrt(np.einsum("tn,tn->t", diff, (ops.M_full @ diff.T).T)))
         gaps.append(sup)
@@ -102,7 +89,7 @@ def test_implicit_convergence_order(setup, theta, lo, hi):
 def test_energy_history_closed_form(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 32)
-    field = solve_spectral(spec, spec.mode(1), None, grid)
+    field = solve_spectral(spec, spec.mode(1), grid)
     e = energy_history(field)
     assert np.allclose(e, np.exp(-spec.eigenvalues[0] * grid.nodes), atol=1e-12)
     zero = SpaceTimeField(ops, grid, np.zeros((33, ops.mesh.n_nodes)))
@@ -115,9 +102,9 @@ def test_energy_monotone_all_solvers(setup):
     rng = Lcg(21)
     for _ in range(5):
         y0 = random_admissible(ops.mesh, rng)
-        for field in (solve_spectral(spec, y0, None, grid),
-                      solve_implicit(ops, y0, None, grid, theta=1.0),
-                      solve_implicit(ops, y0, None, grid, theta=0.5)):
+        for field in (solve_spectral(spec, y0, grid),
+                      solve_implicit(ops, y0, grid, theta=1.0),
+                      solve_implicit(ops, y0, grid, theta=0.5)):
             e = energy_history(field)
             assert np.all(np.diff(e) <= 1e-12 * e[0])
 
@@ -131,7 +118,7 @@ def test_flux_history_classical_oracle():
     y0 = np.sin(np.pi * mesh.points[:, 0])
     y0[mesh.boundary] = 0.0
     grid = TimeGrid(1.0, 256)
-    field = solve_spectral(spec, y0, None, grid)
+    field = solve_spectral(spec, y0, grid)
     _, integral = flux_history(field)
     assert integral == pytest.approx(HEAT_FLUX_INTEGRAL, rel=2e-3)
 
@@ -142,7 +129,7 @@ def test_flux_history_zero_and_profile(setup):
     zero = SpaceTimeField(ops, grid, np.zeros((33, ops.mesh.n_nodes)))
     flux, integral = flux_history(zero)
     assert integral == 0.0 and np.all(flux == 0.0)
-    field = solve_spectral(spec, spec.mode(1), None, grid)
+    field = solve_spectral(spec, spec.mode(1), grid)
     flux, _ = flux_history(field)
     profile = flux[:, 0] / flux[0, 0]
     assert np.allclose(profile, np.exp(-spec.eigenvalues[0] * grid.nodes), rtol=1e-10)
@@ -154,16 +141,15 @@ def test_flux_fd_path_matches_mode_path(setup):
     ops, spec = setup
     grid = TimeGrid(1.0, 256)
     y0 = spec.mode(1)
-    fs = solve_spectral(spec, y0, None, grid)
-    fi = solve_implicit(ops, y0, None, grid, theta=0.5)
+    fs = solve_spectral(spec, y0, grid)
+    fi = solve_implicit(ops, y0, grid, theta=0.5)
     _, int_s = flux_history(fs)
     _, int_i = flux_history(fi)
     assert int_i == pytest.approx(int_s, rel=2e-2)
 
 
 @pytest.mark.xfail(strict=True, reason="flux_history uses the forward load proxy "
-                   "-y_t + source for a time_reverse'd field, whose equation is "
-                   "K y = M (y_t - source)")
+                   "-y_t for a time_reverse'd field, whose equation is K y = M y_t")
 @pytest.mark.parametrize("kind", ["interval", "square"])
 def test_backward_flux_as_accurate_as_forward(kind):
     # the reversed field carries no mode data, so its flux is recovered
@@ -172,7 +158,7 @@ def test_backward_flux_as_accurate_as_forward(kind):
     ops = assemble(mesh)
     spec = compute_spectrum(ops, 4)
     grid = TimeGrid(1.0, 128)
-    fwd = solve_spectral(spec, spec.mode(1) + spec.mode(4), None, grid)
+    fwd = solve_spectral(spec, spec.mode(1) + spec.mode(4), grid)
     exact, _ = flux_history(fwd)
 
     def error(field, reference):
@@ -189,7 +175,6 @@ def test_apriori_bound_stable_under_refinement():
     grid = TimeGrid(1.0, 64)
     rng = Lcg(33)
     coef = [rng.symmetric(6) for _ in range(50)]
-    coef_f = [rng.symmetric(6) for _ in range(50)]
 
     def data(mesh, c):
         x = mesh.points[:, 0]
@@ -201,10 +186,8 @@ def test_apriori_bound_stable_under_refinement():
     for n in (128, 256):
         ops = assemble(build_mesh(d, n, 2.0))
         ratios = []
-        for c, cf in zip(coef, coef_f):
-            y0 = data(ops.mesh, c)
-            f = data(ops.mesh, cf)
-            field = solve_implicit(ops, y0, f, grid, theta=0.5)
+        for c in coef:
+            field = solve_implicit(ops, data(ops.mesh, c), grid, theta=0.5)
             ratios.append(stability_ratio(field))
         worst.append(max(ratios))
     drift = abs(worst[1] - worst[0]) / worst[0]
@@ -216,7 +199,7 @@ def test_smoothing_bounded_on_collar(setup):
     grid = TimeGrid(1.0, 64)
     rng = Lcg(9)
     y0 = sum(rng.symmetric() * spec.mode(k) for k in range(1, 6))
-    field = solve_spectral(spec, y0, None, grid)
+    field = solve_spectral(spec, y0, grid)
     dydt = np.gradient(field.values, grid.dt, axis=0)
     near_top = ops.mesh.points[:, -1] > 0.8 - 1e-12  # within 0.2 of the observed edge
     lump = ops.lumped_full[near_top]
@@ -228,10 +211,9 @@ def test_smoothing_bounded_on_collar(setup):
 def test_time_reverse_convention(setup):
     _, spec = setup
     grid = TimeGrid(1.0, 32)
-    field = solve_spectral(spec, spec.mode(1), None, grid)
+    field = solve_spectral(spec, spec.mode(1), grid)
     back = time_reverse(field)
     assert back.direction == "backward"
-    assert back.source is None
     e = energy_history(back)
     assert np.all(np.diff(e) >= -1e-12 * e[-1])
     assert np.array_equal(back.values[0], field.values[-1])
@@ -242,10 +224,6 @@ def test_field_shape_contract(setup):
     grid = TimeGrid(1.0, 16)
     with pytest.raises(ContractError):
         SpaceTimeField(ops, grid, np.zeros((5, ops.mesh.n_nodes)))
-    f = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)),
-                       source=np.zeros(3))
-    with pytest.raises(ContractError):
-        f.source_values()
 
 
 def test_coefficient_field_lives_on_its_spectrum_operators(setup):
@@ -261,70 +239,45 @@ def test_coefficient_field_lives_on_its_spectrum_operators(setup):
         SpaceTimeField(uniform, grid, None, mode_data=(spec, coeffs))
 
 
-@pytest.mark.parametrize("kind, n", [("interval", 64), ("square", 12)])
-@pytest.mark.parametrize("theta", [0.5, 1.0])
-def test_absent_source_equals_zero_source(kind, n, theta):
-    ops = assemble(build_mesh(truncate(make_domain(kind, 0.5), 0.1), n))
-    grid = TimeGrid(1.0, 16)
-    y0 = random_admissible(ops.mesh, Lcg(5))
-    free, zero = (solve_implicit(ops, y0, f, grid, theta=theta)
-                  for f in (None, np.zeros(ops.mesh.n_nodes)))
-    assert free.source_values() is None
-    assert np.array_equal(free.values, zero.values)
-    (flux_a, int_a), (flux_b, int_b) = (flux_history(fl)
-                                        for fl in (free, zero))
-    assert np.array_equal(flux_a, flux_b) and int_a == int_b
-    assert stability_ratio(free) == stability_ratio(zero)
-    assert (FieldData(time_reverse(free)).budget(3.0, "eq410")
-            == FieldData(time_reverse(zero)).budget(3.0, "eq410"))
-
-
-def _theta_problem(kind, n, grading, source, seed, steps=16):
-    """(ops, y0, f, grid) of one theta-scheme problem: a slab when grading
-    is None, else the full domain on a graded mesh."""
+def _theta_problem(kind, n, grading, seed, steps=16):
+    """(ops, y0, grid) of one theta-scheme problem: a slab when grading is
+    None, else the full domain on a graded mesh."""
     d = make_domain(kind, 0.5)
     mesh = build_mesh(truncate(d, 0.2), n) if grading is None else build_mesh(d, n, grading)
     rng = np.random.default_rng(seed)
     y0 = rng.standard_normal(mesh.n_nodes)
     y0[mesh.boundary] = 0.0
-    f = {"none": None, "nodal": rng.standard_normal(mesh.n_nodes),
-         "per-time": rng.standard_normal((steps + 1, mesh.n_nodes))}[source]
-    return assemble(mesh), y0, f, TimeGrid(1.0, steps)
+    return assemble(mesh), y0, TimeGrid(1.0, steps)
 
 
-def _theta_case(kind, n, grading, theta, source, seed, steps=16):
+def _theta_case(kind, n, grading, theta, seed, steps=16):
     """solve_implicit and the sparse-LU oracle on one problem."""
-    ops, y0, f, grid = _theta_problem(kind, n, grading, source, seed, steps)
-    return (solve_implicit(ops, y0, f, grid, theta=theta).values,
-            theta_scheme_lu(ops, y0, f, grid, theta))
+    ops, y0, grid = _theta_problem(kind, n, grading, seed, steps)
+    return (solve_implicit(ops, y0, grid, theta=theta).values,
+            theta_scheme_lu(ops, y0, grid, theta))
 
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 32),
        grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
-       source=st.sampled_from(["none", "nodal", "per-time"]),
        seed=st.integers(0, 2**32 - 1))
-def test_implicit_matches_lu_oracle(kind, n, grading, theta, source, seed):
-    values, oracle = _theta_case(kind, n, grading, theta, source, seed)
+def test_implicit_matches_lu_oracle(kind, n, grading, theta, seed):
+    values, oracle = _theta_case(kind, n, grading, theta, seed)
     assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @settings(max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 32),
        grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
-       source=st.sampled_from(["none", "nodal", "per-time"]),
        seed=st.integers(0, 2**32 - 1))
-def test_theta_rows_satisfy_their_step_equation(kind, n, grading, theta, source, seed):
-    # M (y+ - y) + dt K (theta y+ + (1-theta) y) = dt M ((1-theta) f + theta f+)
-    # on the interior, with ops.M and ops.K applied as assembled, no solver involved
-    ops, y0, f, grid = _theta_problem(kind, n, grading, source, seed)
+def test_theta_rows_satisfy_their_step_equation(kind, n, grading, theta, seed):
+    # M (y+ - y) + dt K (theta y+ + (1-theta) y) = 0 on the interior, with
+    # ops.M and ops.K applied as assembled, no solver involved
+    ops, y0, grid = _theta_problem(kind, n, grading, seed)
     ii, dt = ops.interior, grid.dt
-    y = np.stack(list(theta_rows(ops, y0, f, grid, theta)))[:, ii].T
-    load = np.zeros((grid.steps + 1, ii.size)) if f is None else np.broadcast_to(
-        f, (grid.steps + 1, ops.mesh.n_nodes))[:, ii]
+    y = np.stack(list(theta_rows(ops, y0, grid, theta)))[:, ii].T
     terms = (ops.M @ y[:, 1:], -(ops.M @ y[:, :-1]),
-             dt * (ops.K @ (theta * y[:, 1:] + (1.0 - theta) * y[:, :-1])),
-             -dt * (ops.M @ ((1.0 - theta) * load[:-1] + theta * load[1:]).T))
+             dt * (ops.K @ (theta * y[:, 1:] + (1.0 - theta) * y[:, :-1])))
     scale = max(np.max(np.abs(t)) for t in terms)
     assert np.max(np.abs(sum(terms))) <= 1e-12 * scale
 
@@ -332,22 +285,21 @@ def test_theta_rows_satisfy_their_step_equation(kind, n, grading, theta, source,
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 24),
        grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
-       source=st.sampled_from(["none", "nodal", "per-time"]),
        seed=st.integers(0, 2**32 - 1))
-def test_theta_rows_stack_to_solve_implicit(kind, n, grading, theta, source, seed):
-    ops, y0, f, grid = _theta_problem(kind, n, grading, source, seed)
-    rows = list(theta_rows(ops, y0, f, grid, theta))
+def test_theta_rows_stack_to_solve_implicit(kind, n, grading, theta, seed):
+    ops, y0, grid = _theta_problem(kind, n, grading, seed)
+    rows = list(theta_rows(ops, y0, grid, theta))
     # every row is a new array, so a consumer may keep the rows it is given
     assert len({id(row) for row in rows}) == len(rows) == grid.steps + 1
-    assert np.array_equal(np.stack(rows), solve_implicit(ops, y0, f, grid, theta=theta).values)
+    assert np.array_equal(np.stack(rows), solve_implicit(ops, y0, grid, theta=theta).values)
 
 
 def test_theta_rows_share_one_x1_eigendecomposition(monkeypatch):
     calls = []
     eigh = scipy.linalg.eigh
     monkeypatch.setattr(scipy.linalg, "eigh", lambda *a, **kw: calls.append(1) or eigh(*a, **kw))
-    ops, y0, f, grid = _theta_problem("square", 8, None, "none", 1)
-    first, second = (np.stack(list(theta_rows(ops, y0, f, grid))) for _ in range(2))
+    ops, y0, grid = _theta_problem("square", 8, None, 1)
+    first, second = (np.stack(list(theta_rows(ops, y0, grid))) for _ in range(2))
     assert len(calls) == 1
     assert np.array_equal(first, second)
 
@@ -355,7 +307,7 @@ def test_theta_rows_share_one_x1_eigendecomposition(monkeypatch):
 def test_implicit_graded_xn_is_direct():
     # x_N is solved directly, not in a weighted eigenbasis, which loses
     # accuracy on strongly graded meshes
-    values, oracle = _theta_case("interval", 1024, 4.0, 0.5, "none", 1, steps=128)
+    values, oracle = _theta_case("interval", 1024, 4.0, 0.5, 1, steps=128)
     assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -367,41 +319,33 @@ def slab(request):
     return ops, compute_spectrum(ops, 6)
 
 
-def _coefficient_field(ops, spec, with_source):
-    rng = Lcg(3)
-    y0 = random_admissible(ops.mesh, rng)
-    f = random_admissible(ops.mesh, rng) if with_source else None
-    return solve_spectral(spec, y0, f, TimeGrid(1.0, 32))
+def _coefficient_field(ops, spec):
+    return solve_spectral(spec, random_admissible(ops.mesh, Lcg(3)), TimeGrid(1.0, 32))
 
 
-@pytest.mark.parametrize("with_source", [False, True])
-def test_coefficient_energy_matches_nodal_form(slab, with_source):
+def test_coefficient_energy_matches_nodal_form(slab):
     ops, spec = slab
-    field = _coefficient_field(ops, spec, with_source)
+    field = _coefficient_field(ops, spec)
     for f in (field, time_reverse(field)):
-        nodal = SpaceTimeField(f.ops, f.grid, f.values, source=f.source,
-                               direction=f.direction)
+        nodal = SpaceTimeField(f.ops, f.grid, f.values, direction=f.direction)
         e_coef, e_nodal = energy_history(f), energy_history(nodal)
         assert np.max(np.abs(e_coef - e_nodal)) <= 1e-13 * np.max(e_nodal)
 
 
-@pytest.mark.parametrize("with_source", [False, True])
-def test_coefficient_time_reverse_is_reversed_values(slab, with_source):
+def test_coefficient_time_reverse_is_reversed_values(slab):
     ops, spec = slab
-    field = _coefficient_field(ops, spec, with_source)
+    field = _coefficient_field(ops, spec)
     back = time_reverse(field)
     assert back.direction == "backward"
     assert np.array_equal(back.values, field.values[::-1])
 
 
-@pytest.mark.parametrize("with_source", [False, True])
-def test_reversed_coefficient_flux_is_nodal_recovery(slab, with_source):
+def test_reversed_coefficient_flux_is_nodal_recovery(slab):
     # backward coefficient fields keep the variational recovery of their
     # values, read at the stencil columns only
     ops, spec = slab
-    back = time_reverse(_coefficient_field(ops, spec, with_source))
-    nodal = SpaceTimeField(back.ops, back.grid, back.rows(slice(None)), source=back.source,
-                           direction="backward")
+    back = time_reverse(_coefficient_field(ops, spec))
+    nodal = SpaceTimeField(back.ops, back.grid, back.rows(slice(None)), direction="backward")
     (flux_c, int_c), (flux_n, int_n) = (flux_history(f)
                                         for f in (back, nodal))
     assert back._values is None

@@ -91,11 +91,12 @@ def test_public_definitions_are_reached_by_the_product():
     assert unreached == []
 
 
-def defaulted_parameters(source):
-    """(qualified name, name, parameter, position) of each defaulted
+def public_parameters(source):
+    """(qualified name, name, parameter, position, default) of each
     parameter of a public module-level function or public method of a
     module-level class; position counts the positional arguments of a call
-    (a method's self or cls is not one), None for keyword-only."""
+    (a method's self or cls is not one), None for keyword-only, and default
+    is the default's ast node, None for a required parameter."""
     found = []
     for node in ast.parse(source).body:
         defs = [(node.name, node, 0)] if isinstance(node, ast.FunctionDef) else []
@@ -107,20 +108,19 @@ def defaulted_parameters(source):
                 continue
             args = fn.args
             positional = args.posonlyargs + args.args
-            first = len(positional) - len(args.defaults)
-            found += [(qualified, fn.name, arg.arg, i - skip)
-                      for i, arg in enumerate(positional[first:], first)]
-            found += [(qualified, fn.name, arg.arg, None)
-                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)
-                      if default is not None]
+            defaults = [None] * (len(positional) - len(args.defaults)) + args.defaults
+            found += [(qualified, fn.name, arg.arg, i - skip, default)
+                      for i, (arg, default) in enumerate(zip(positional, defaults)) if i >= skip]
+            found += [(qualified, fn.name, arg.arg, None, default)
+                      for arg, default in zip(args.kwonlyargs, args.kw_defaults)]
     return found
 
 
 def passed_arguments(source):
-    """name -> (keywords, positional count) of every call of the module,
-    one entry per call.  A call is named by its attribute or by its name,
-    with import aliases resolved; a starred argument passes every position,
-    and ``**`` every keyword ("**")."""
+    """name -> (positional arguments, keyword arguments by name) of every
+    call of the module, as ast nodes, one entry per call.  A call is named
+    by its attribute or by its name, with import aliases resolved; a
+    ``**`` argument is the keyword "**"."""
     tree = ast.parse(source)
     aliases = {alias.asname: alias.name for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) for alias in node.names if alias.asname}
@@ -135,24 +135,37 @@ def passed_arguments(source):
             name = aliases.get(func.id, func.id)
         else:
             continue
-        starred = any(isinstance(a, ast.Starred) for a in node.args)
-        count = float("inf") if starred else len(node.args)
-        keywords = {kw.arg or "**" for kw in node.keywords}
-        calls.setdefault(name, []).append((keywords, count))
+        keywords = {kw.arg or "**": kw.value for kw in node.keywords}
+        calls.setdefault(name, []).append((node.args, keywords))
     return calls
+
+
+def all_calls(sources):
+    """passed_arguments of the sources together."""
+    calls = {}
+    for source in sources:
+        for name, found in passed_arguments(source).items():
+            calls.setdefault(name, []).extend(found)
+    return calls
+
+
+def unpacks(call):
+    """Whether a call passes a * or ** argument."""
+    args, keywords = call
+    return "**" in keywords or any(isinstance(a, ast.Starred) for a in args)
 
 
 def unused_options(sources, callers=()):
     """qualified name(parameter) of each defaulted parameter of the sources'
-    public definitions that no call of the sources or the callers passes."""
-    calls = {}
-    for source in [*sources, *callers]:
-        for name, found in passed_arguments(source).items():
-            calls.setdefault(name, []).extend(found)
+    public definitions that no call of the sources or the callers passes;
+    a * argument passes every position and a ** argument every keyword."""
+    calls = all_calls([*sources, *callers])
     return [f"{qualified}({param})" for source in sources
-            for qualified, name, param, pos in defaulted_parameters(source)
-            if not any(param in kw or "**" in kw or (pos is not None and count > pos)
-                       for kw, count in calls.get(name, []))]
+            for qualified, name, param, pos, default in public_parameters(source)
+            if default is not None
+            and not any(unpacks(call) or param in call[1]
+                        or (pos is not None and len(call[0]) > pos)
+                        for call in calls.get(name, []))]
 
 
 def test_scan_flags_an_unused_option():
@@ -171,6 +184,47 @@ def test_every_option_is_passed_by_the_product():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
     assert unused_options(sources, [acceptance]) == []
+
+
+def is_none(node):
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def always_none(sources, callers=()):
+    """qualified name(parameter) of each parameter of the sources' public
+    definitions that every call of the sources or the callers passes as the
+    literal None; a call that leaves the parameter out passes its default,
+    and calls with a * or ** argument are left out."""
+    calls = all_calls([*sources, *callers])
+    flagged = []
+    for source in sources:
+        for qualified, name, param, pos, default in public_parameters(source):
+            passed = [keywords[param] if param in keywords
+                      else args[pos] if pos is not None and pos < len(args) else default
+                      for args, keywords in calls.get(name, [])
+                      if not unpacks((args, keywords))]
+            if passed and all(map(is_none, passed)):
+                flagged.append(f"{qualified}({param})")
+    return flagged
+
+
+def test_scan_flags_an_always_none_parameter():
+    source = ("from x import g as h\n\n\n"
+              "def f(a, b, c=None, *, d=None):\n    pass\n\n\n"
+              "def g(a):\n    pass\n\n\n"
+              "def _p(a):\n    pass\n\n\n"
+              "class A:\n    def m(self, a, b=None):\n        pass\n\n\n"
+              "f(1, None)\nf(2, b=None, c=None, d=3)\nf(*x)\nf(3, 4, **k)\n"
+              "h(None)\n_p(None)\nA().m(None)\nA().m(None, b=1)\n")
+    assert always_none([source]) == ["f(b)", "f(c)", "g(a)", "A.m(a)"]
+
+
+def test_no_parameter_is_always_none():
+    # a parameter that the package and the acceptance tests only ever pass
+    # as None is a code path nothing uses
+    sources = [p.read_text(encoding="utf-8") for p in MODULES]
+    acceptance = (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")
+    assert always_none(sources, [acceptance]) == []
 
 
 def imported_modules(source):

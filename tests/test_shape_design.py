@@ -77,35 +77,34 @@ def test_solve_truncated_support_check():
     d = make_domain("interval", 0.5)
     grid = TimeGrid(1.0, 16)
     full_mesh = build_mesh(d, 40, 1.0)
-    field = solve_truncated(full_mesh, 0.1, smooth_bump(0.45, 0.95), None, grid)
+    field = solve_truncated(full_mesh, 0.1, smooth_bump(0.45, 0.95), grid)
     assert field.mesh.domain.delta == 0.1
     # an initial datum reaching the degenerate edge is rejected with the
     # measured support distance
     phi1 = compute_spectrum(assemble(full_mesh), 1).mode(1)
     with pytest.raises(PreconditionError) as err:
-        solve_truncated(full_mesh, 0.1, phi1, None, grid)
+        solve_truncated(full_mesh, 0.1, phi1, grid)
     assert err.value.support_distance is not None
     assert err.value.support_distance <= 0.1
     # at delta = 0 the datum must vanish on the degenerate edge x_N = 0
     with pytest.raises(PreconditionError) as err:
-        solve_truncated(full_mesh, 0.0, lambda points: 1.0 - points[:, -1], None, grid)
+        solve_truncated(full_mesh, 0.0, lambda points: 1.0 - points[:, -1], grid)
     assert err.value.support_distance == 0.0
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 40), ("square", 12)])
-@pytest.mark.parametrize("source", [None, "callable", "nodal"])
-def test_delta_zero_is_the_full_solve(kind, n, source):
+@pytest.mark.parametrize("datum", ["callable", "nodal"])
+def test_delta_zero_is_the_full_solve(kind, n, datum):
     # the delta = 0 slab is the whole mesh: the same bits as a solve on the
-    # assembled full mesh with the datum's boundary zeroed
+    # assembled full mesh with the datum's boundary zeroed, whether the
+    # datum comes as a callable or as a nodal vector
     mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
     grid = TimeGrid(1.0, 16)
     bump = smooth_bump(0.3, 0.9)
-    f = {None: None, "callable": _sine_source, "nodal": _sine_source(mesh.points)}[source]
-    field = solve_truncated(mesh, 0.0, bump, f, grid)
+    field = solve_truncated(mesh, 0.0, bump if datum == "callable" else bump(mesh.points), grid)
     y0 = bump(mesh.points)
     y0[mesh.boundary] = 0.0
-    nodal_f = None if f is None else _sine_source(mesh.points)
-    full = solve_implicit(assemble(mesh), y0, nodal_f, grid, theta=0.5)
+    full = solve_implicit(assemble(mesh), y0, grid, theta=0.5)
     assert field.mesh.domain == mesh.domain and field.mesh.shape == mesh.shape
     assert np.array_equal(field.values, full.values)
 
@@ -118,7 +117,7 @@ def test_solve_truncated_leaves_a_nodal_datum_unchanged(delta):
     y0 = smooth_bump(0.0, 0.9)(mesh.points) + 1.0
     y0[mesh.xn <= delta + 1e-12] = 0.0
     before = y0.copy()
-    solve_truncated(mesh, delta, y0, None, TimeGrid(1.0, 8))
+    solve_truncated(mesh, delta, y0, TimeGrid(1.0, 8))
     assert np.array_equal(y0, before)
 
 
@@ -131,7 +130,7 @@ def test_truncated_eigenmode_decays_at_truncated_rate():
     tr_ops = assemble(tr_mesh)
     spec = compute_spectrum(tr_ops, 1)
     y0_full = extend_vector(spec.mode(1), tr_mesh, full_mesh)
-    field = solve_truncated(full_mesh, 0.1, y0_full, None, grid)
+    field = solve_truncated(full_mesh, 0.1, y0_full, grid)
     e = energy_history(field)
     lam1 = spec.eigenvalues[0]
     # pure exponential decay at the truncated operator's first eigenvalue,
@@ -142,7 +141,7 @@ def test_truncated_eigenmode_decays_at_truncated_rate():
 def test_delta_sweep_strictly_decreasing():
     d = make_domain("interval", 0.5)
     grid = TimeGrid(1.0, 64)
-    rep = delta_sweep(d, smooth_bump(0.45, 0.95), None, grid,
+    rep = delta_sweep(d, smooth_bump(0.45, 0.95), grid,
                       [0.2, 0.1, 0.05], n_ref=80)
     assert all(a > b for a, b in zip(rep.solution_errors, rep.solution_errors[1:]))
     assert all(a > b for a, b in zip(rep.flux_errors, rep.flux_errors[1:]))
@@ -150,31 +149,13 @@ def test_delta_sweep_strictly_decreasing():
     assert rep.reference_self_error >= 0.0
 
 
-def test_delta_sweep_nonzero_source():
-    d = make_domain("interval", 0.5)
-    grid = TimeGrid(1.0, 64)
-
-    def src(points):
-        x = np.atleast_2d(points)[:, -1]
-        return np.sin(np.pi * x)
-
-    rep = delta_sweep(d, smooth_bump(0.45, 0.95), src, grid,
-                      [0.2, 0.1, 0.05], n_ref=80)
-    assert all(a > b for a, b in zip(rep.solution_errors, rep.solution_errors[1:]))
-
-
-def _sine_source(points):
-    return np.sin(np.pi * np.atleast_2d(points)[:, -1])
-
-
 @pytest.mark.parametrize("kind, n_ref", [("interval", 80), ("square", 40)])
-@pytest.mark.parametrize("source", [None, _sine_source])
-def test_row_wise_sweep_matches_blockwise_oracle(kind, n_ref, source):
+def test_row_wise_sweep_matches_blockwise_oracle(kind, n_ref):
     d = make_domain(kind, 0.5)
     grid = TimeGrid(1.0, 32)
     bump, deltas = smooth_bump(0.45, 0.95), [0.2, 0.1, 0.05]
-    rep = delta_sweep(d, bump, source, grid, deltas, n_ref=n_ref)
-    oracle = delta_sweep_blockwise(d, bump, source, grid, deltas, n_ref)
+    rep = delta_sweep(d, bump, grid, deltas, n_ref=n_ref)
+    oracle = delta_sweep_blockwise(d, bump, grid, deltas, n_ref)
     for name in ("solution_errors", "final_time_errors", "flux_errors"):
         assert np.allclose(getattr(rep, name), oracle[name], rtol=1e-12, atol=0.0)
     assert rep.reference_self_error == pytest.approx(oracle["self_error"], rel=1e-12)
@@ -188,7 +169,7 @@ def test_delta_sweep_zero_data():
     def zero(points):
         return np.zeros(np.atleast_2d(points).shape[0])
 
-    rep = delta_sweep(d, zero, None, grid, [0.2, 0.1], n_ref=40)
+    rep = delta_sweep(d, zero, grid, [0.2, 0.1], n_ref=40)
     assert rep.solution_errors == (0.0, 0.0)
     assert rep.final_time_errors == (0.0, 0.0)
     assert rep.flux_errors == (0.0, 0.0)
@@ -199,15 +180,15 @@ def test_delta_sweep_validation():
     grid = TimeGrid(1.0, 32)
     bump = smooth_bump(0.45, 0.95)
     with pytest.raises(ParameterError):
-        delta_sweep(d, bump, None, grid, [0.1, 0.2], n_ref=80)  # ascending
+        delta_sweep(d, bump, grid, [0.1, 0.2], n_ref=80)  # ascending
     with pytest.raises(ParameterError):
-        delta_sweep(d, bump, None, grid, [0.15, 0.07], n_ref=80)  # misaligned
+        delta_sweep(d, bump, grid, [0.15, 0.07], n_ref=80)  # misaligned
 
 
 def test_stability_sweep_drift():
     d = make_domain("interval", 0.5)
     grid = TimeGrid(1.0, 64)
-    res = stability_sweep(d, smooth_bump(0.45, 0.95), None, grid,
+    res = stability_sweep(d, smooth_bump(0.45, 0.95), grid,
                           [0.2, 0.1, 0.05], n=80)
     assert set(res["ratios"]) == {0.2, 0.1, 0.05}
     assert res["drift"] <= 0.2
