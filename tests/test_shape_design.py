@@ -93,20 +93,24 @@ def test_solve_truncated_support_check():
 
 
 @pytest.mark.parametrize("kind, n", [("interval", 40), ("square", 12)])
-@pytest.mark.parametrize("datum", ["callable", "nodal"])
+@pytest.mark.parametrize("datum", [None, "callable", "nodal"])
 def test_delta_zero_is_the_full_solve(kind, n, datum):
     # the delta = 0 slab is the whole mesh: the same bits as a solve on the
     # assembled full mesh with the datum's boundary zeroed, whether the
-    # datum comes as a callable or as a nodal vector
+    # datum comes as a callable or as a nodal vector; datum None is the
+    # zero state, whose solve must stay exactly zero
     mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
     grid = TimeGrid(1.0, 16)
     bump = smooth_bump(0.3, 0.9)
-    field = solve_truncated(mesh, 0.0, bump if datum == "callable" else bump(mesh.points), grid)
-    y0 = bump(mesh.points)
+    nodal = np.zeros(mesh.n_nodes) if datum is None else bump(mesh.points)
+    field = solve_truncated(mesh, 0.0, bump if datum == "callable" else nodal, grid)
+    y0 = nodal.copy()
     y0[mesh.boundary] = 0.0
     full = solve_implicit(assemble(mesh), y0, grid, theta=0.5)
     assert field.mesh.domain == mesh.domain and field.mesh.shape == mesh.shape
     assert np.array_equal(field.values, full.values)
+    if datum is None:
+        assert not np.any(field.values)
 
 
 @pytest.mark.parametrize("delta", [0.0, 0.1])
