@@ -468,7 +468,7 @@ def p_residual(z_field: SpaceTimeField, f, s: float) -> float:
     mass-lumped recovery for the divergence), the xi factors closed
     forms.  The identity holds for z transformed from a solution of the
     backward equation with source f, given per time node as a
-    (steps+1, n_nodes) array (None for no source); the returned norm
+    (steps+1, n_nodes) array; the returned norm
     decays to zero under simultaneous space-time refinement at first
     order or better.
     """
@@ -493,15 +493,11 @@ def p_residual(z_field: SpaceTimeField, f, s: float) -> float:
     p2 = div_adz + s * zmid * theta_dt * gme \
         + s**2 * (2.0 - alpha) ** 2 * theta**2 * (xn ** (2.0 - alpha))[None, :] * zmid
 
-    if f is None:
-        fvals = np.zeros_like(zmid)
-    else:
-        fvals = np.asarray(f, dtype=float)
-        if fvals.shape != (grid.steps + 1, mesh.n_nodes):
-            raise ContractError("source shape does not match the field")
-        fvals = fvals[1:-1]
+    fvals = np.asarray(f, dtype=float)
+    if fvals.shape != (grid.steps + 1, mesh.n_nodes):
+        raise ContractError("source shape does not match the field")
     xi = theta * gme
-    resid = np.exp(-s * xi) * fvals - p1 - p2
+    resid = np.exp(-s * xi) * fvals[1:-1] - p1 - p2
 
     ii = mesh.interior
     w_space = ops.lumped_full[ii]

@@ -31,7 +31,7 @@ import yaml
 from . import carleman as carle
 from . import observability as obs
 from .discretize import (_check_size, _require_memory, assemble, build_mesh, hardy_check,
-                         poincare_check, tensor_form)
+                         tensor_form)
 from .errors import (ContractError, ConventionError, DegenerateObservationError,
                      EigensolverError, ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
@@ -278,7 +278,6 @@ def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
     return Outcome(
         tables={"eigenvalues": (_context_line(cfg), ("mode", "lambda"), rows)},
         checks={
-            "lambda1_positive": bool(spec.eigenvalues[0] > 0.0),
             "mass_orthonormal": mass_resid <= 1e-10,
             "stiffness_orthogonal": stiff_resid <= 1e-8,
         },
@@ -293,10 +292,8 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
     rng = Lcg(cfg.seed)
     rows = []
     all_hold = True
-    poincare_max = 0.0
     for k in range(n_eigs):
         res = hardy_check(ops, spec.modes[:, k])
-        poincare_max = max(poincare_max, poincare_check(ops, spec.modes[:, k])["ratio"])
         rows.append(("eigenvector", k + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
     for i in range(cfg.samples):
@@ -304,14 +301,10 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
         res = hardy_check(ops, u)
         rows.append(("random", i + 1, res["ratio"], res["bound"], res["holds"]))
         all_hold &= res["holds"]
-    lam1 = float(spec.eigenvalues[0])
-    poincare_gap = abs(poincare_max - 1.0 / lam1) * lam1
     return Outcome(
         tables={"hardy": (_context_line(cfg), ("kind", "index", "ratio", "bound", "holds"), rows)},
-        checks={"hardy_all_hold": bool(all_hold),
-                "poincare_sharp": poincare_gap <= 1e-8},
-        values={"bound": 4.0 / (1.0 - cfg.alpha) ** 2,
-                "poincare_max_ratio": poincare_max, "lambda1": lam1},
+        checks={"hardy_all_hold": bool(all_hold)},
+        values={"bound": 4.0 / (1.0 - cfg.alpha) ** 2},
     )
 
 
@@ -327,17 +320,17 @@ def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
     for j, row in enumerate(theta_rows(ops, y0, grid, theta=1.0)):
         e2_i[j], gap2[j] = tensor_form(np.stack([row, fs.rows(j) - row]), ops.x1[1], ops.xn[1])
     e_i = np.sqrt(np.maximum(e2_i, 0.0))
-    mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0]
-                                   - np.exp(-spec.eigenvalues[0] * cfg.T))))
+    lam1 = spec.eigenvalues[0]
+    mode_err = float(np.max(np.abs(expand(spec, fs.rows(-1))[0] - np.exp(-lam1 * cfg.T))))
     gap = float(np.max(np.sqrt(gap2)))
+    # the datum is a discrete eigenvector, so backward Euler steps it by
+    # (1 + lambda_1 dt)^-1 and the spectral solver by exp(-lambda_1 dt)
+    closed = float(np.max(np.abs((1.0 + lam1 * grid.dt) ** -np.arange(cfg.steps + 1.0)
+                                 - np.exp(-lam1 * grid.nodes))))
     return Outcome(
         tables={"energy": (_context_line(cfg), ("t", "l2_spectral", "l2_implicit"),
                            zip(grid.nodes, e_s, e_i))},
-        checks={
-            "spectral_mode_exact": mode_err <= 1e-10,
-            "energy_monotone": bool(np.all(np.diff(e_s) <= 1e-12)
-                                    and np.all(np.diff(e_i) <= 1e-12)),
-        },
+        checks={"solver_gap_closed_form": abs(gap - closed) <= 1e-8 * closed + 1e-10},
         values={"mode_error": mode_err, "solver_gap": gap},
     )
 
@@ -402,28 +395,15 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
 
 def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
     spec = problem(cfg)
-    mesh = spec.ops.mesh
     grid = TimeGrid(cfg.T, cfg.steps)
     report = obs.estimate_constant(grid, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]
-    rng = Lcg(cfg.seed)
-    window_ok = True
-    for _ in range(20):
-        y0 = random_admissible(mesh, rng)
-        back = time_reverse(solve_spectral(spec, y0, grid))
-        window_ok &= obs.window_bound_check(back)["holds"]
-    rough = random_admissible(mesh, rng)
+    rough = random_admissible(spec.ops.mesh, Lcg(cfg.seed))
     rough_ratio = obs.observability_ratio(rough, grid, spec)
-    checks = {
-        "c_obs_finite": (not report.singular) and report.c_obs is not None,
-        "c_obs_dominates": (not report.singular)
-        and all(report.c_obs >= r * (1.0 - 1e-9) for r in report.ratios),
-        "window_bound": bool(window_ok),
-    }
     return Outcome(
         tables={"observability": (_context_line(cfg),
                                   ("mode", "ratio"), rows)},
-        checks=checks,
+        checks={"c_obs_finite": (not report.singular) and report.c_obs is not None},
         values={"c_obs": report.c_obs, "subspace_dim": report.subspace_dim,
                 "rough_data_ratio": rough_ratio, "singular": report.singular},
     )
@@ -437,18 +417,17 @@ def _check_arrays(cfg: ExperimentConfig, experiments):
     time node (tracemalloc measured 45-85% of it over 512 to 8192 steps)
     covers, for evolve, K coefficients and energy products and four energy
     columns (no nodal field; the table is written row by row); for
-    observability, one window field's coefficients and products; for
     carleman, per x_N node, two moment factor products of min(n_x1, 2K)
     entries and about 20 moment, weight and work arrays of its field and the
-    first, and four copies of the 2 n_x1 flux stencil values.  The evolve
-    and observability constants still count K load values per node, which
-    the source-free solves no longer hold: a larger estimate only makes the
-    guard more cautious."""
+    first, and four copies of the 2 n_x1 flux stencil values.  Observability
+    holds nothing per time node.  The evolve constant still counts K load
+    values per node, which the source-free solves no longer hold: a larger
+    estimate only makes the guard more cautious."""
     dim = 1 if cfg.domain == "interval" else 2
     if any(e != "delta-sweep" for e in experiments):
         _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes, dim)
     k, n_x1 = cfg.modes, (cfg.n + 1) ** (dim - 1)
-    per_node = {"evolve": 8 * (3 * k + 4), "observability": 8 * (3 * k + 8),
+    per_node = {"evolve": 8 * (3 * k + 4),
                 "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}
     name = max(experiments, key=lambda e: per_node.get(e, 0))
     if name in per_node:

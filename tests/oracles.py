@@ -32,7 +32,10 @@ so lam_k = ((2-a)/2)**2 * j_{nu,k}**2 with j_{nu,k} the k-th positive
 zero of J_nu, and the flux of the L2-normalised u_k at the observed end
 (a Rellich identity) is u_k'(1)**2 = (2-a) lam_k.  These give the exact
 flux Gram of the first K modes, and the continuum observability constant
-in mpmath.
+in mpmath.  On the slab (delta, 1) the solutions are
+x**((1-a)/2) Z_nu(mu x**kappa) with Z = J_nu, Y_nu and kappa = (2-a)/2,
+so the slab's eigenvalues are kappa**2 mu**2 at the roots mu of the
+cross product J_nu(mu delta**kappa) Y_nu(mu) - J_nu(mu) Y_nu(mu delta**kappa).
 """
 
 import math
@@ -43,7 +46,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import jv, logsumexp
+from scipy.special import jv, logsumexp, yv
 
 
 def bessel_zeros(nu, count):
@@ -64,6 +67,26 @@ def degenerate_eigenvalues(alpha, count):
     """lambda_1..lambda_count of -(x**a u')' = lam u on (0, 1), Dirichlet ends."""
     nu = (1.0 - alpha) / (2.0 - alpha)
     return ((2.0 - alpha) / 2.0) ** 2 * bessel_zeros(nu, count) ** 2
+
+
+def slab_eigenvalues(alpha, delta, count):
+    """lambda_1..lambda_count of -(x**a u')' = lam u on the slab (delta, 1),
+    Dirichlet ends: kappa**2 mu**2 at the roots mu of the Bessel cross
+    product, by a scan in steps of 0.05 (the roots are at least pi apart)
+    up to (count + 2) pi / (1 - delta**kappa), and brentq."""
+    nu, kappa = (1.0 - alpha) / (2.0 - alpha), (2.0 - alpha) / 2.0
+    d = delta**kappa
+
+    def cross(mu):
+        return jv(nu, mu * d) * yv(nu, mu) - jv(nu, mu) * yv(nu, mu * d)
+
+    x = np.arange(1e-3, (count + 2) * math.pi / (1.0 - d), 0.05)
+    f = cross(x)
+    starts = np.flatnonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[:count]
+    if starts.size < count:
+        raise RuntimeError(f"found {starts.size} of {count} slab eigenvalues")
+    roots = np.array([brentq(cross, x[i], x[i + 1], xtol=1e-14, rtol=1e-15) for i in starts])
+    return kappa**2 * roots**2
 
 
 def degenerate_eigenvalue(alpha, k=1):

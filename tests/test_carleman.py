@@ -128,7 +128,7 @@ def test_residual_zero_field(slab):
     ops, _ = slab
     grid = TimeGrid(1.0, 16)
     zero = SpaceTimeField(ops, grid, np.zeros((17, ops.mesh.n_nodes)))
-    assert p_residual(transform(zero, 1.0), None, 1.0) == 0.0
+    assert p_residual(transform(zero, 1.0), np.zeros((17, ops.mesh.n_nodes)), 1.0) == 0.0
 
 
 def test_budget_zero_field(slab):

@@ -14,7 +14,8 @@ from degenlab.rng import Lcg, random_admissible
 from degenlab import discretize, spectral
 from degenlab.spectral import compute_spectrum, expand
 
-from oracles import bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues, eigsh_reference
+from oracles import (bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues,
+                     eigsh_reference, slab_eigenvalues)
 
 # frozen from an independent power-series and bisection evaluation of J_{1/3}
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
@@ -60,6 +61,27 @@ def test_eigenvalue_ladder_order():
            for n in (256, 512, 1024)]
     order = np.log2((lam[0] - lam[1]) / (lam[1] - lam[2]))
     assert order >= 1.5
+
+
+def test_slab_eigenvalues_converge_at_second_order():
+    # the interval slab above delta = 0.2 on uniform meshes against the
+    # Bessel cross-product roots: relative errors 1.74e-5 at n=240 and
+    # 4.36e-6 at n=480 for k = 1, order 2.0 for k = 1..3
+    exact = slab_eigenvalues(0.5, 0.2, 3)
+    slab = truncate(make_domain("interval", 0.5), 0.2)
+    err = [np.abs(compute_spectrum(assemble(build_mesh(slab, n)), 3).eigenvalues - exact)
+           for n in (240, 480)]
+    assert np.all(np.log2(err[0] / err[1]) >= 1.8), err
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_slab_eigenvalue_shift_rate_is_one_minus_alpha(alpha):
+    # lambda_1(delta) - lambda_1(0) = O(delta**(1 - alpha)), the rate of
+    # phi_1 ~ x**(1 - alpha) at the degenerate edge; measured local rates
+    # between delta = 1e-5 and 1e-6: 0.800, 0.5015 and 0.224
+    lam0 = degenerate_eigenvalue(alpha)
+    shift = [slab_eigenvalues(alpha, delta, 1)[0] - lam0 for delta in (1e-5, 1e-6)]
+    assert np.log10(shift[0] / shift[1]) == pytest.approx(1.0 - alpha, abs=0.05)
 
 
 @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
