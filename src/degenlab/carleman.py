@@ -208,49 +208,9 @@ def _lse_rows(bound, rows):
     return _lse(rows(slice(live[0], live[-1] + 1)))
 
 
-def _row_scale(*arrays):
-    """Largest |entry| along axis 1 of the arrays together (1 where every
-    entry is zero), with the log of its square."""
-    scale = np.zeros(arrays[0].shape[:1] + arrays[0].shape[2:])
-    for a in arrays:
-        np.maximum(scale, a.max(axis=1), out=scale)
-        np.maximum(scale, -a.min(axis=1), out=scale)
-    scale[scale == 0.0] = 1.0
-    return scale, 2.0 * np.log(scale)
-
-
-def _sum_x1(u, w, v):
-    """sum over x_1 of u w v at every (t, x_N) for (t, x_1, x_N) arrays."""
-    return np.einsum("tin,in,tin->tn", u, w, v)
-
-
-def _log_moment(u, w):
-    """log of the sum over x_1 of w u**2 at every (t, x_N), u scaled per row."""
-    scale, log_scale2 = _row_scale(u)
-    u = u / scale[:, None, :]
-    with np.errstate(divide="ignore"):
-        return log_scale2 + np.log(_sum_x1(u, w, u))
-
-
 def _beta(b, c):
     """B / C, and 0 where C = 0 (y = 0 along the whole row, so B = 0)."""
     return np.divide(b, c, out=np.zeros_like(b), where=c != 0.0)
-
-
-def _nodal_moments(values, mesh, w):
-    """Scale m per (t, x_N) row (the largest |y| or |d_N y| over x_1) and
-    the moments C, beta, D of nodal values y, a (t, node) array."""
-    rows = (values.shape[0], -1, mesh.shape[-1])  # (t, x_1, x_N)
-    y = values.reshape(rows)
-    dy = mesh.grad_n(values).reshape(rows)
-    scale, _ = _row_scale(y, dy)
-    ys = y / scale[:, None, :]
-    dy /= scale[:, None, :]
-    c = _sum_x1(ys, w, ys)
-    beta = _beta(_sum_x1(ys, w, dy), c)
-    ys *= beta[:, None, :]
-    dy -= ys  # (d_N y - beta y) / m
-    return scale, c, beta, _sum_x1(dy, w, dy)
 
 
 def _mode_moments(spectrum, coeffs):
@@ -283,43 +243,45 @@ class FieldData:
 
     The observed-edge flux moment is formed likewise per t; log(m**2) is
     kept beside each moment, so squares of fields near 1e-200 never
-    underflow.  A nodal field keeps one scale per (t, x_N) row, the
-    largest |y| or |d_N y| over x_1, and sums over x_1 directly.
+    underflow.
 
-    A coefficient field y = Phi c never builds its nodal values.  Its
-    scale is one m per time row, the largest |c_k|, and its moments come
-    from the triangular factor R_n of sqrt(w_n) [Phi_n, D_N Phi_n] on each
-    x_N layer n (``Spectrum.moment_factor``), the layer's weighted Gram
-    factor: with u = R_n[:, :K] c/m and v = R_n[:, K:] c/m, C = u.u,
-    B = u.v and D = |v - beta u|**2.  R_n has min(n_x1, 2K) rows; on the
-    interval it is the single row sqrt(w_n) [Phi_n, D_N Phi_n], and the
-    interval costs what the nodal path does.
+    The field is a coefficient field y = Phi c (``solve_spectral``,
+    ``time_reverse``), and its nodal values are never built; a nodal field
+    is refused.  Its scale is one m per time row, the largest |c_k|, and
+    its moments come from the triangular factor R_n of
+    sqrt(w_n) [Phi_n, D_N Phi_n] on each x_N layer n
+    (``Spectrum.moment_factor``), the layer's weighted Gram factor: with
+    u = R_n[:, :K] c/m and v = R_n[:, K:] c/m, C = u.u, B = u.v and
+    D = |v - beta u|**2.  R_n has min(n_x1, 2K) rows; on the interval it
+    is the single row sqrt(w_n) [Phi_n, D_N Phi_n].
     """
 
     def __init__(self, field: SpaceTimeField):
         _require_truncated(field)
-        ops, mesh, grid = field.ops, field.mesh, field.grid
+        if field._mode_data is None:
+            raise ContractError("Carleman budgets take a coefficient field "
+                                "(solve_spectral, time_reverse), not nodal values")
+        spectrum, coeffs = field._mode_data
+        grid = field.grid
         self.t = t = grid.nodes[1:-1]
         self.weights = CarlemanWeights.of(field)
         self.log_theta = self.weights.log_theta(t)
         self.log_dt = np.log(grid.dt)
-        self.xn = mesh.axes[-1]
+        self.xn = field.mesh.axes[-1]
         self.log_xn = np.log(self.xn)
-        self.w = ops.lumped_full.reshape(-1, self.xn.size)  # (x_1, x_N)
 
-        if field._mode_data is not None:
-            spectrum, coeffs = field._mode_data
-            moments = _mode_moments(spectrum, coeffs[1:-1])
-        else:
-            moments = _nodal_moments(field.values[1:-1], mesh, self.w)
-        self.scale, self.c, self.beta, self.d = moments
-        self.log_scale2 = 2.0 * np.log(self.scale)
+        scale, self.c, self.beta, self.d = _mode_moments(spectrum, coeffs[1:-1])
+        self.log_scale2 = 2.0 * np.log(scale)
+        # the edge flux moment sum over x_1 of w_edge (f/m)**2, m the largest |f| of each row
+        flux = flux_history(field)[0][1:-1, :, None]  # (t, x_1, 1)
+        flux_scale = np.abs(flux).max(axis=1)
+        flux_scale[flux_scale == 0.0] = 1.0
+        flux /= flux_scale[:, None, :]
+        w_edge = np.asarray(field.ops.x1[1].sum(axis=1))  # (x_1, 1)
         with np.errstate(divide="ignore"):
             self.log_y2 = self.log_scale2 + np.log(self.c)
-
-        flux, _ = flux_history(field)
-        w_edge = np.asarray(ops.x1[1].sum(axis=1))
-        self.log_flux2 = _log_moment(flux[1:-1, :, None], w_edge)[:, 0]
+            self.log_flux2 = (2.0 * np.log(flux_scale)
+                              + np.log(np.einsum("tin,in,tin->tn", flux, w_edge, flux)))[:, 0]
 
     def sweep(self, s_values, which: str, c_boundary: float = 1.0):
         """Budgets at every parameter of ``s_values``, with the field's own

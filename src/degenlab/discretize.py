@@ -370,7 +370,7 @@ def poincare_check(ops: OperatorPair, u):
     return {"ratio": tensor_form(u, mx, mn) / h1sq}
 
 
-def boundary_flux(ops: OperatorPair, u, f_proxy=None):
+def boundary_flux(ops: OperatorPair, u, f_proxy):
     """Outward normal derivative of u on the observed edge x_N = 1, by
     variational recovery.
 
@@ -393,7 +393,5 @@ def boundary_flux(ops: OperatorPair, u, f_proxy=None):
     if u.shape[:1] != cols.shape:
         raise ContractError(f"expected values at the {cols.size} flux stencil nodes, "
                             f"got shape {u.shape}")
-    r = k_rows @ u
-    if f_proxy is not None:
-        r = r - m_rows @ np.asarray(f_proxy, dtype=float)
+    r = k_rows @ u - m_rows @ np.asarray(f_proxy, dtype=float)
     return r / lump.reshape((-1,) + (1,) * (u.ndim - 1))

@@ -56,16 +56,10 @@ class Lcg:
         self.state = (int(seed) ^ 0x9E3779B97F4A7C15) & _MASK64
         # warm up so nearby seeds decorrelate
         for _ in range(8):
-            self._step()
+            self.state = (LCG_A * self.state + LCG_C) & _MASK64
 
-    def _step(self) -> int:
-        self.state = (LCG_A * self.state + LCG_C) & _MASK64
-        return self.state
-
-    def uniform(self, size=None):
-        """Uniform floats in [0, 1)."""
-        if size is None:
-            return (self._step() >> 11) * 2.0**-53
+    def uniform(self, size):
+        """``size`` uniform floats in [0, 1)."""
         n = int(size)
         if n == 0:
             return np.empty(0)
@@ -74,8 +68,8 @@ class Lcg:
         self.state = int(states[-1])
         return (states >> np.uint64(11)).astype(float) * 2.0**-53
 
-    def symmetric(self, size=None):
-        """Uniform floats in [-1, 1)."""
+    def symmetric(self, size):
+        """``size`` uniform floats in [-1, 1)."""
         u = self.uniform(size)
         return 2.0 * u - 1.0
 

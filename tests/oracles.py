@@ -35,7 +35,9 @@ flux Gram of the first K modes, and the continuum observability constant
 in mpmath.  On the slab (delta, 1) the solutions are
 x**((1-a)/2) Z_nu(mu x**kappa) with Z = J_nu, Y_nu and kappa = (2-a)/2,
 so the slab's eigenvalues are kappa**2 mu**2 at the roots mu of the
-cross product J_nu(mu delta**kappa) Y_nu(mu) - J_nu(mu) Y_nu(mu delta**kappa).
+cross product J_nu(mu delta**kappa) Y_nu(mu) - J_nu(mu) Y_nu(mu delta**kappa),
+and the L2-normalised eigenfunctions' end fluxes obey the Rellich identity
+u_k'(1)**2 = (2-a) lam_k + delta**(a+1) u_k'(delta)**2.
 """
 
 import math
@@ -46,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import jv, logsumexp, yv
+from scipy.special import jv, jvp, logsumexp, yv, yvp
 
 
 def bessel_zeros(nu, count):
@@ -87,6 +89,32 @@ def slab_eigenvalues(alpha, delta, count):
         raise RuntimeError(f"found {starts.size} of {count} slab eigenvalues")
     roots = np.array([brentq(cross, x[i], x[i + 1], xtol=1e-14, rtol=1e-15) for i in starts])
     return kappa**2 * roots**2
+
+
+def slab_mode_fluxes(alpha, delta, count):
+    """u_k'(1) and u_k'(delta), k = 1..count, of the L2-normalised slab
+    eigenfunctions u_k = x**((1-a)/2) [Y_nu(mu d) J_nu(mu x**kappa)
+    - J_nu(mu d) Y_nu(mu x**kappa)], d = delta**kappa, at the roots mu of
+    slab_eigenvalues; the norm is taken by quad.  u_k vanishes at both
+    ends, so u_k'(1) = mu kappa [Y_nu(mu d) J_nu'(mu) - J_nu(mu d) Y_nu'(mu)]
+    and u_k'(delta) = mu kappa delta**((1-2a)/2) [Y_nu(mu d) J_nu'(mu d)
+    - J_nu(mu d) Y_nu'(mu d)], times the norm's reciprocal."""
+    nu, kappa = (1.0 - alpha) / (2.0 - alpha), (2.0 - alpha) / 2.0
+    d = delta**kappa
+    top, bottom = [], []
+    for mu in np.sqrt(slab_eigenvalues(alpha, delta, count)) / kappa:
+        a, b = yv(nu, mu * d), jv(nu, mu * d)
+
+        def u(x):
+            z = mu * x**kappa
+            return x ** ((1.0 - alpha) / 2.0) * (a * jv(nu, z) - b * yv(nu, z))
+
+        c = 1.0 / math.sqrt(quad(lambda x: u(x) ** 2, delta, 1.0, epsabs=0.0, epsrel=1e-13,
+                                 limit=200)[0])
+        top.append(c * mu * kappa * (a * jvp(nu, mu) - b * yvp(nu, mu)))
+        bottom.append(c * mu * kappa * delta ** ((1.0 - 2.0 * alpha) / 2.0)
+                      * (a * jvp(nu, mu * d) - b * yvp(nu, mu * d)))
+    return np.array(top), np.array(bottom)
 
 
 def degenerate_eigenvalue(alpha, k=1):

@@ -20,13 +20,13 @@ _DRAWS = st.lists(st.tuples(st.sampled_from(["scalar", "uniform", "symmetric"]),
 # one length twice: the second draw reuses the cached jump tables
 @example(seed=5, draws=[("uniform", 1000), ("uniform", 1000), ("symmetric", 1000)])
 def test_jump_ahead_matches_scalar_recurrence(seed, draws):
-    # interleaved scalar and vector draws; a uint64 scalar overflow warning fails
+    # interleaved one-value and vector draws; a uint64 scalar overflow warning fails
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rng, oracle = Lcg(seed), Lcg(seed)
         for kind, n in draws:
             if kind == "scalar":
-                assert rng.uniform() == lcg_uniform(oracle, 1)[0]
+                assert rng.uniform(1)[0] == lcg_uniform(oracle, 1)[0]
             elif kind == "uniform":
                 assert np.array_equal(rng.uniform(n), lcg_uniform(oracle, n))
             else:

@@ -15,7 +15,7 @@ from degenlab import discretize, spectral
 from degenlab.spectral import compute_spectrum, expand
 
 from oracles import (bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues,
-                     eigsh_reference, slab_eigenvalues)
+                     eigsh_reference, slab_eigenvalues, slab_mode_fluxes)
 
 # frozen from an independent power-series and bisection evaluation of J_{1/3}
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
@@ -70,6 +70,31 @@ def test_slab_eigenvalues_converge_at_second_order():
     exact = slab_eigenvalues(0.5, 0.2, 3)
     slab = truncate(make_domain("interval", 0.5), 0.2)
     err = [np.abs(compute_spectrum(assemble(build_mesh(slab, n)), 3).eigenvalues - exact)
+           for n in (240, 480)]
+    assert np.all(np.log2(err[0] / err[1]) >= 1.8), err
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+@pytest.mark.parametrize("delta", [0.2, 0.05, 1e-3])
+def test_slab_fluxes_obey_the_rellich_identity(alpha, delta):
+    # multiplying the equation by x u' gives, for an L2-normalised slab
+    # eigenfunction, u'(1)**2 = (2 - alpha) lambda + delta**(alpha+1) u'(delta)**2;
+    # measured at most 6.5e-14 relative for k = 1..3
+    lam = slab_eigenvalues(alpha, delta, 3)
+    top, bottom = slab_mode_fluxes(alpha, delta, 3)
+    gap = top**2 - (2.0 - alpha) * lam - delta ** (alpha + 1.0) * bottom**2
+    assert np.all(np.abs(gap) <= 1e-12 * top**2), gap / top**2
+
+
+@pytest.mark.parametrize("alpha", [0.2, 0.5, 0.8])
+def test_slab_mode_fluxes_converge_at_second_order(alpha):
+    # |Spectrum.mode_flux| of the slab above delta = 0.2 on uniform meshes
+    # against the Bessel cross product's fluxes; at alpha 0.5 the relative
+    # errors for k = 1..3 are 1.78e-5, 6.56e-5 and 1.45e-4 at n=240 and
+    # 4.45e-6, 1.64e-5 and 3.63e-5 at n=480, order 2.0
+    exact = np.abs(slab_mode_fluxes(alpha, 0.2, 3)[0])
+    slab = truncate(make_domain("interval", alpha), 0.2)
+    err = [np.abs(np.abs(compute_spectrum(assemble(build_mesh(slab, n)), 3).mode_flux[0]) - exact)
            for n in (240, 480)]
     assert np.all(np.log2(err[0] / err[1]) >= 1.8), err
 
