@@ -10,7 +10,6 @@ from .discretize import (
     hardy_check,
     mass_1d,
     norms,
-    poincare_check,
     restrict_mesh,
     stiffness_1d,
     tensor_form,
@@ -42,7 +41,6 @@ from .carleman import (
     S0Fit,
     find_s0,
     p_residual,
-    transform,
 )
 from .observability import (
     ObservabilityReport,

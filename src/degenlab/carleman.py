@@ -148,20 +148,6 @@ def _require_truncated(field: SpaceTimeField):
                             "parabolic) domain")
 
 
-def transform(field: SpaceTimeField, s: float) -> SpaceTimeField:
-    """z = exp(-s xi) y with the field's own weight, and z = 0 at t = 0 and
-    t = T by the limit convention.  For large s the interior factor
-    underflows to zero in linear arithmetic; budget computations therefore
-    work in log space and never materialize z."""
-    _require_truncated(field)
-    _check_s(s)
-    w = CarlemanWeights.of(field)
-    xi = w.theta(field.grid.nodes[1:-1])[:, None] * w.gamma_minus_eta(field.mesh.xn)[None, :]
-    z = np.zeros_like(field.values)
-    z[1:-1] = np.exp(-s * xi) * field.values[1:-1]
-    return SpaceTimeField(field.ops, field.grid, z, direction=field.direction)
-
-
 @dataclass
 class CarlemanBudget:
     """One evaluation of an inequality budget at a fixed parameter s, as the
@@ -348,10 +334,6 @@ class FieldData:
             budgets.append(_budget(s, log_lhs, log_rhs_b, c_boundary, two_s * xi_star))
         return budgets
 
-    def budget(self, s: float, which: str, c_boundary: float = 1.0):
-        """The budget at one parameter s: a sweep of length one."""
-        return self.sweep([s], which, c_boundary)[0]
-
 
 def _budget(s, log_lhs, log_rhs_b, c_boundary, shift):
     """The budget record from the logs of its two integrals, each taken
@@ -420,46 +402,50 @@ def find_s0(fields, s_grid) -> S0Fit:
                  log_needed_c=tuple(map(tuple, log_needed)))
 
 
-def p_residual(z_field: SpaceTimeField, f, s: float) -> float:
-    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, with
-    the field's own weight family.
+def p_residual(field: SpaceTimeField, f, s: float) -> float:
+    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, for
+    the transformed variable z = exp(-s xi) y of the field y, with the
+    field's own weight family; z = 0 at t = 0 and t = T by the limit
+    convention.
 
     P1 z = z_t + 2 s (A grad z . grad xi) + s z div(A grad xi) and
     P2 z = div(A grad z) + s z xi_t + s**2 z (A grad xi . grad xi); the
     derivatives of z are discrete (central in time, 3-point in space,
     mass-lumped recovery for the divergence), the xi factors closed
-    forms.  The identity holds for z transformed from a solution of the
-    backward equation with source f, given per time node as a
-    (steps+1, n_nodes) array; the returned norm
-    decays to zero under simultaneous space-time refinement at first
-    order or better.
+    forms.  The identity holds for a solution y of the backward equation
+    with source f, given per time node as a (steps+1, n_nodes) array; the
+    returned norm decays to zero under simultaneous space-time refinement
+    at first order or better.  For large s the factor exp(-s xi)
+    underflows to zero in linear arithmetic, which is why the budgets
+    work in log space and never form z.
     """
-    _require_truncated(z_field)
+    _require_truncated(field)
     _check_s(s)
-    ops, mesh, grid = z_field.ops, z_field.mesh, z_field.grid
-    w = CarlemanWeights.of(z_field)
+    ops, mesh, grid = field.ops, field.mesh, field.grid
+    fvals = np.asarray(f, dtype=float)
+    if fvals.shape != (grid.steps + 1, mesh.n_nodes):
+        raise ContractError("source shape does not match the field")
+    w = CarlemanWeights.of(field)
     alpha = w.alpha
     t = grid.nodes[1:-1]
-    z = z_field.values
-    zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
-    zmid = z[1:-1]
-    dz_dn = mesh.grad_n(zmid)
-    div_adz = -(_tensor_stiffness(ops.x1, ops.xn) @ zmid.T).T / ops.lumped_full[None, :]
     xn = mesh.xn
     theta = w.theta(t)[:, None]
     theta_dt = w.theta_dt(t)[:, None]
     gme = w.gamma_minus_eta(xn)[None, :]
+    decay = np.exp(-s * (theta * gme))  # exp(-s xi)
+    y = field.values
+    z = np.zeros_like(y)
+    z[1:-1] = decay * y[1:-1]
+    zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
+    zmid = z[1:-1]
+    dz_dn = mesh.grad_n(zmid)
+    div_adz = -(_tensor_stiffness(ops.x1, ops.xn) @ zmid.T).T / ops.lumped_full[None, :]
 
     p1 = zt - 2.0 * s * (2.0 - alpha) * theta * xn[None, :] * dz_dn \
         - s * (2.0 - alpha) * theta * zmid
     p2 = div_adz + s * zmid * theta_dt * gme \
         + s**2 * (2.0 - alpha) ** 2 * theta**2 * (xn ** (2.0 - alpha))[None, :] * zmid
-
-    fvals = np.asarray(f, dtype=float)
-    if fvals.shape != (grid.steps + 1, mesh.n_nodes):
-        raise ContractError("source shape does not match the field")
-    xi = theta * gme
-    resid = np.exp(-s * xi) * fvals[1:-1] - p1 - p2
+    resid = decay * fvals[1:-1] - p1 - p2
 
     ii = mesh.interior
     w_space = ops.lumped_full[ii]

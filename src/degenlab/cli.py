@@ -22,7 +22,7 @@ import json
 import re
 import sys
 import typing
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,8 +32,8 @@ from . import carleman as carle
 from . import observability as obs
 from .discretize import (_check_size, _require_memory, assemble, build_mesh, hardy_check,
                          tensor_form)
-from .errors import (ContractError, ConventionError, DegenerateObservationError,
-                     EigensolverError, ParameterError, PreconditionError)
+from .errors import (ContractError, DegenerateObservationError, EigensolverError,
+                     ParameterError, PreconditionError)
 from .evolution import TimeGrid, energy_history, solve_spectral, theta_rows, time_reverse
 from .geometry import MAX_DELTA, make_domain, truncate
 from .rng import Lcg, random_admissible
@@ -243,30 +243,29 @@ def _bump_factory(lo, hi):
     return bump
 
 
-def _problem_memo():
+def _problem_memo(cfg: ExperimentConfig):
     """Memoised builder of the spectrum with cfg.modes modes, for the full
-    domain of a config (graded mesh) or, given delta, for its slab truncated
-    at delta (uniform mesh); it carries its operator pair and mesh.  One memo
-    serves one run, so the experiments of a full report assemble and
-    eigensolve each domain once."""
+    domain of the config (graded mesh) or, given delta, for its slab
+    truncated at delta (uniform mesh); it carries its operator pair and
+    mesh.  One memo serves one run of one config, so the experiments of a
+    full report assemble and eigensolve each domain once."""
     built = {}
 
-    def problem(cfg: ExperimentConfig, delta=None):
-        key = (cfg.domain, cfg.alpha, cfg.n, cfg.grading, cfg.modes, delta)
-        if key not in built:
+    def problem(delta=None):
+        if delta not in built:
             domain = make_domain(cfg.domain, cfg.alpha)
             if delta is None:
                 mesh = build_mesh(domain, cfg.n, cfg.grading)
             else:
                 mesh = build_mesh(truncate(domain, delta), cfg.n)
-            built[key] = compute_spectrum(assemble(mesh), cfg.modes)
-        return built[key]
+            built[delta] = compute_spectrum(assemble(mesh), cfg.modes)
+        return built[delta]
 
     return problem
 
 
 def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
-    spec = problem(cfg)
+    spec = problem()
     ops = spec.ops
     phi = spec.modes[ops.interior]
     gram_m = phi.T @ (ops.M @ phi)
@@ -286,7 +285,7 @@ def run_spectrum(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
-    spec = problem(cfg)
+    spec = problem()
     ops = spec.ops
     n_eigs = min(cfg.modes, 10)
     rng = Lcg(cfg.seed)
@@ -309,7 +308,7 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_evolve(cfg: ExperimentConfig, problem) -> Outcome:
-    spec = problem(cfg)
+    spec = problem()
     ops = spec.ops
     grid = TimeGrid(cfg.T, cfg.steps)
     y0 = spec.mode(1)
@@ -361,7 +360,7 @@ def run_delta_sweep(cfg: ExperimentConfig, problem) -> Outcome:
 
 def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
     delta = cfg.deltas[0]
-    spec = problem(cfg, delta)
+    spec = problem(delta)
     grid = TimeGrid(cfg.T, cfg.steps)
     rng = Lcg(cfg.seed)
     data = [spec.modes[:, k] for k in range(cfg.modes)]
@@ -379,7 +378,7 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
                  fit.c_boundary if fit.found else float("nan"))]
     holds_beyond = True
     if fit.found:
-        holds_beyond = first.budget(fit.s0, "eq51", c_boundary=max(fit.c_boundary, 1.0)).holds
+        holds_beyond = first.sweep([fit.s0], "eq51", c_boundary=max(fit.c_boundary, 1.0))[0].holds
     context = _context_line(
         cfg, delta=_fmt(delta),
         s=f"{_fmt(cfg.s_values[0])}..{_fmt(cfg.s_values[-1])}")
@@ -394,7 +393,7 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
 
 
 def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
-    spec = problem(cfg)
+    spec = problem()
     grid = TimeGrid(cfg.T, cfg.steps)
     report = obs.estimate_constant(grid, spec, cfg.modes)
     rows = [(m + 1, report.ratios[m]) for m in range(report.subspace_dim)]
@@ -462,11 +461,11 @@ def run(config: ExperimentConfig, out_dir=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise OutputError(f"cannot make the output directory {out}: {exc}") from exc
-    problem = _problem_memo()
+    problem = _problem_memo(config)
     if "observability" in experiments:
         # the depth checks need the eigenvalues, so they run here, before the
         # first file is written; the spectrum is memoised for the experiments
-        obs._check_depth(problem(config).eigenvalues, config.T, config.modes)
+        obs._check_depth(problem().eigenvalues, config.T, config.modes)
     checks, values = {}, {}
     for name in experiments:
         outcome = _RUNNERS[name](config, problem)
@@ -484,14 +483,11 @@ def _write_outcome(out, outcome: Outcome):
 
 
 def _write_summary(path, config: ExperimentConfig, checks, values):
+    # every config field but the experiment, named beside it, and the output directory
+    params = {k: v for k, v in asdict(config).items() if k not in ("experiment", "out")}
     payload = {
         "experiment": config.experiment,
-        "params": _plain({
-            "domain": config.domain, "alpha": config.alpha, "T": config.T,
-            "n": config.n, "grading": config.grading, "steps": config.steps,
-            "modes": config.modes, "deltas": list(config.deltas),
-            "seed": config.seed,
-        }),
+        "params": _plain(params),
         "checks": _plain(checks),
         "values": _plain(values),
         "pass": bool(all(checks.values())),
@@ -519,8 +515,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return run(load_config(args.config, experiment=args.experiment), out_dir=args.out)
-    except (EigensolverError, DegenerateObservationError, ConventionError,
-            np.linalg.LinAlgError) as exc:
+    except (EigensolverError, DegenerateObservationError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except tuple(_REFUSALS) as exc:

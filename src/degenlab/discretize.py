@@ -359,17 +359,6 @@ def hardy_check(ops: OperatorPair, u):
     return {"ratio": ratio, "bound": bound, "holds": ratio <= bound * (1.0 + _HARDY_TOL)}
 
 
-def poincare_check(ops: OperatorPair, u):
-    """l2**2 / h1w**2, the inverse of the Rayleigh quotient u'Ku / u'Mu; its
-    supremum over admissible u is 1/lambda_1."""
-    u = _check_admissible(ops.mesh, u)
-    (kx, mx), (kn, mn) = ops.x1, ops.xn
-    h1sq = tensor_form(u, kx, mn) + tensor_form(u, mx, kn)
-    if h1sq == 0.0:
-        raise ParameterError("Poincare ratio undefined for u = 0")
-    return {"ratio": tensor_form(u, mx, mn) / h1sq}
-
-
 def boundary_flux(ops: OperatorPair, u, f_proxy):
     """Outward normal derivative of u on the observed edge x_N = 1, by
     variational recovery.

@@ -11,10 +11,10 @@ comes, so its memory is independent of the step count, and
 reverse time with :func:`time_reverse`.
 
 A spectral field stays in coefficient space: it holds the K mode
-coefficients per time node, and its nodal values are built only when a
-consumer reads them.  Its energy is the quadratic form of the mode Gram
-``Phi' M Phi`` in the coefficients, and reversing it in time reverses
-the coefficient rows.
+coefficients per time node, and its nodal values are built, and never
+stored, each time a consumer reads them.  Its energy is the quadratic
+form of the mode Gram ``Phi' M Phi`` in the coefficients, and reversing
+it in time reverses the coefficient rows.
 """
 
 from __future__ import annotations
@@ -58,11 +58,13 @@ class SpaceTimeField:
     read the pair as ``field.ops``.
 
     A coefficient field (``values=None``, ``mode_data=(spectrum, coeffs)``
-    with one coefficient row per time node) builds its nodal values on
-    first read, as ``coeffs @ spectrum.modes.T`` in either time direction,
-    and caches them; its spectrum must be one of ``ops``.  Each nodal row
-    depends only on its coefficient row, so a reversed field's values are
-    the forward values reversed.
+    with one coefficient row per time node) stores no nodal values: every
+    read of ``values``, ``rows`` or ``columns`` builds them from the
+    coefficients, as ``coeffs @ spectrum.modes.T`` in either time direction,
+    so the bits of a read never depend on what was read before; its
+    spectrum must be one of ``ops``.  Each nodal row depends only on its
+    coefficient row, so a reversed field's values are the forward values
+    reversed.
     """
 
     def __init__(self, ops: OperatorPair, grid, values, direction="forward", mode_data=None):
@@ -84,10 +86,10 @@ class SpaceTimeField:
 
     @property
     def values(self):
-        if self._values is None:
-            spectrum, coeffs = self._mode_data
-            self._values = coeffs @ spectrum.modes.T
-        return self._values
+        if self._values is not None:
+            return self._values
+        spectrum, coeffs = self._mode_data
+        return coeffs @ spectrum.modes.T
 
     def rows(self, index):
         """Nodal values at the time rows ``index``; a coefficient field
@@ -252,7 +254,8 @@ def stability_ratio(field: SpaceTimeField) -> float:
     t = field.grid.nodes
     (kx, mx), (kn, mn) = field.ops.x1, field.ops.xn
     l2 = energy_history(field)
-    h1_qt = time_norm(tensor_form(field.values, kx, mn) + tensor_form(field.values, mx, kn), t)
+    values = field.values
+    h1_qt = time_norm(tensor_form(values, kx, mn) + tensor_form(values, mx, kn), t)
     if l2[0] == 0.0:
         raise ParameterError("stability ratio undefined for zero data")
     return (float(np.max(l2)) + h1_qt) / l2[0]

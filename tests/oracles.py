@@ -48,7 +48,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import jv, jvp, logsumexp, yv, yvp
+from scipy.special import jv, jvp, yv, yvp
 
 
 def bessel_zeros(nu, count):
@@ -207,6 +207,14 @@ def lse_exp_all(a):
     return float(top + np.log(np.sum(np.exp(a - top))))
 
 
+def _lse_long(a):
+    """log(sum(exp(a))) shifted by the largest entry, in the dtype of ``a``."""
+    top = np.max(a)
+    if not np.isfinite(top):
+        return top
+    return top + np.log(np.sum(np.exp(a - top)))
+
+
 def carleman_budget_per_node(field, s, which):
     """Log budgets of one Carleman inequality summed node by node, with the
     weight of the field's exponent alpha and horizon T.
@@ -224,6 +232,13 @@ def carleman_budget_per_node(field, s, which):
     log_theta = -4.0 * (np.log(t) + np.log(grid.T - t))
     theta = np.exp(log_theta)[:, None]
     lt = log_theta[:, None]
+    # 2 s xi reaches about 1e5 at s = 200 and T = 1, where one ulp of a double
+    # is 1.5e-11: the weight is formed in long double from the same double
+    # nodes, and every log-sum-exp and log sum that takes it stays there
+    tl, xl = t.astype(np.longdouble), mesh.xn.astype(np.longdouble)
+    theta_l = (1.0 / (tl * (grid.T - tl)) ** 4)[:, None]
+    eta_l = xl ** (2.0 - np.longdouble(alpha))
+    s_l = np.longdouble(s)
     y = field.values[1:-1]
     v = field.values.reshape(field.values.shape[:-1] + mesh.shape)
     dy_dn = np.gradient(v, mesh.axes[-1], axis=-1, edge_order=2).reshape(
@@ -235,25 +250,24 @@ def carleman_budget_per_node(field, s, which):
         log_y2 = 2.0 * np.log(np.abs(y))
         log_flux2 = 2.0 * np.log(np.abs(flux[1:-1]))
     lw = np.log(grid.dt) + np.log(ops.lumped_full)[None, :]
-    xi = theta * (gamma - xn ** (2.0 - alpha))[None, :]
-    two_s_xi = 2.0 * s * xi
+    two_s_xi = 2.0 * s_l * theta_l * (gamma - eta_l)[None, :]
 
     w_edge = np.asarray(ops.x1[1].sum(axis=1)).ravel()
-    edge_xn = xn[np.arange(mesh.n_nodes).reshape(mesh.shape)[..., -1].ravel()]
-    xi_edge = theta * (gamma - edge_xn ** (2.0 - alpha))[None, :]
+    edge = np.arange(mesh.n_nodes).reshape(mesh.shape)[..., -1].ravel()
+    two_s_xi_edge = 2.0 * s_l * theta_l * (gamma - eta_l[edge])[None, :]
     lw_edge = np.log(grid.dt) + np.log(w_edge)[None, :]
-    log_rhs_b = np.log(s) + logsumexp(lt + log_flux2 - 2.0 * s * xi_edge + lw_edge)
+    log_rhs_b = np.log(s_l) + _lse_long(lt + log_flux2 - two_s_xi_edge + lw_edge)
 
     if which == "eq410":
         bracket = dy_dn + s * (2.0 - alpha) * theta * (xn ** (1.0 - alpha))[None, :] * y
         with np.errstate(divide="ignore"):
             log_b2 = 2.0 * np.log(np.abs(bracket))
-        log_i1 = logsumexp(lt + alpha * log_xn[None, :] + log_b2 - two_s_xi + lw)
-        log_i2 = logsumexp(3.0 * lt + (2.0 - alpha) * log_xn[None, :]
+        log_i1 = _lse_long(lt + alpha * log_xn[None, :] + log_b2 - two_s_xi + lw)
+        log_i2 = _lse_long(3.0 * lt + (2.0 - alpha) * log_xn[None, :]
                            + log_y2 - two_s_xi + lw)
-        log_lhs = np.logaddexp(np.log(s) + log_i1, 3.0 * np.log(s) + log_i2)
+        log_lhs = np.logaddexp(np.log(s_l) + log_i1, 3.0 * np.log(s_l) + log_i2)
     else:
-        log_lhs = np.log(s) + logsumexp(lt + log_y2 - two_s_xi + lw)
+        log_lhs = np.log(s_l) + _lse_long(lt + log_y2 - two_s_xi + lw)
 
     log_needed = -np.inf if log_lhs == -np.inf else log_lhs - log_rhs_b
     return {"log_lhs": float(log_lhs), "log_rhs_boundary": float(log_rhs_b),

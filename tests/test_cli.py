@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -47,6 +48,17 @@ def test_spectrum_run_writes_tables(tmp_path):
     summary = json.loads((out / "spectrum_summary.json").read_text())
     assert summary["pass"] is True
     assert summary["checks"]["mass_orthonormal"] is True
+
+
+def test_summary_params_name_every_config_field(tmp_path):
+    # every field but the experiment, named beside it, and the output directory
+    cfg = write_config(tmp_path, SPECTRUM_CFG)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    params = json.loads((out / "spectrum_summary.json").read_text())["params"]
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)} - {"experiment", "out"}
+    assert set(params) == names
+    assert params["seed"] == 3 and params["samples"] == 100 and params["s_grid"] == []
 
 
 def test_determinism_byte_identical(tmp_path):
@@ -660,8 +672,8 @@ seed: 2
 def test_evolve_holds_no_nodal_field():
     # square n=120, 128 steps: one (steps+1, n_nodes) field is 15.1 MB
     cfg = ExperimentConfig(experiment="evolve", domain="square", n=120, steps=128)
-    problem = cli._problem_memo()
-    ops = problem(cfg).ops  # the eigensolve is not the experiment's to count
+    problem = cli._problem_memo(cfg)
+    ops = problem().ops  # the eigensolve is not the experiment's to count
     tracemalloc.start()
     try:
         outcome = cli.run_evolve(cfg, problem)
@@ -677,8 +689,8 @@ def test_evolve_writes_its_table_row_by_row(tmp_path):
     # running and writing hold about 74 bytes per time node, against 355
     # with the table held as a list of rows and joined into one string
     cfg = ExperimentConfig(experiment="evolve", domain="interval", n=8, modes=3, steps=8192)
-    problem = cli._problem_memo()
-    problem(cfg)  # the eigensolve is not the experiment's to count
+    problem = cli._problem_memo(cfg)
+    problem()  # the eigensolve is not the experiment's to count
     tracemalloc.start()
     try:
         cli._write_outcome(tmp_path, cli.run_evolve(cfg, problem))
