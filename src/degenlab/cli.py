@@ -410,28 +410,36 @@ def run_observability(cfg: ExperimentConfig, problem) -> Outcome:
 
 def _check_arrays(cfg: ExperimentConfig, experiments):
     """Refuse a run whose mesh, eigensolve, arrays with one row per time
-    node, delta sweep or Carleman s range some experiment would refuse,
-    before any of them exists, in that order and each with its own message.  Every experiment
-    but delta-sweep builds the mesh and computes a spectrum.  The bound per
-    time node (tracemalloc measured 45-85% of it over 512 to 8192 steps)
-    covers, for evolve, K coefficients and energy products and four energy
-    columns (no nodal field; the table is written row by row); for
-    carleman, per x_N node, two moment factor products of min(n_x1, 2K)
-    entries and about 20 moment, weight and work arrays of its field and the
-    first, and four copies of the 2 n_x1 flux stencil values.  Observability
-    holds nothing per time node.  The evolve constant still counts K load
-    values per node, which the source-free solves no longer hold: a larger
-    estimate only makes the guard more cautious."""
+    node or row tables, delta sweep or Carleman s range some experiment
+    would refuse, before any of them exists, in that order and each with
+    its own message.  Every experiment but delta-sweep builds the mesh and
+    computes a spectrum.  The bound per time node (tracemalloc measured
+    45-85% of it over 512 to 8192 steps) covers, for evolve, K coefficients
+    and energy products and four energy columns (no nodal field; the table
+    is written row by row); for carleman, per x_N node, two moment factor
+    products of min(n_x1, 2K) entries and about 20 moment, weight and work
+    arrays of its field and the first, and four copies of the 2 n_x1 flux
+    stencil values.  Observability holds nothing per time node.  The evolve
+    constant still counts K load values per node, which the source-free
+    solves no longer hold: a larger estimate only makes the guard more
+    cautious.  Row tables count the bytes tracemalloc measured per row: 168
+    per hardy row (eigenvectors and samples), and 120 per carleman field and
+    value of s for its budgets and rows (112-115 over 6 to 15 fields)."""
     dim = 1 if cfg.domain == "interval" else 2
     if any(e != "delta-sweep" for e in experiments):
         _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes, dim)
-    k, n_x1 = cfg.modes, (cfg.n + 1) ** (dim - 1)
-    per_node = {"evolve": 8 * (3 * k + 4),
-                "carleman": 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20) + 8 * n_x1 + 3 * k)}
-    name = max(experiments, key=lambda e: per_node.get(e, 0))
-    if name in per_node:
-        _require_memory((cfg.steps + 1) * per_node[name],
-                        f"{name} with {cfg.steps} time steps")
+    k, n_x1, n_s = cfg.modes, (cfg.n + 1) ** (dim - 1), len(cfg.s_values)
+    need = {"evolve": (cfg.steps + 1) * 8 * (3 * k + 4),
+            "hardy": 168 * (min(k, 10) + cfg.samples),
+            "carleman": ((cfg.steps + 1) * 8 * ((cfg.n + 1) * (2 * min(n_x1, 2 * k) + 20)
+                                                 + 8 * n_x1 + 3 * k)
+                         + 120 * (k + 5) * n_s)}
+    what = {"evolve": f"evolve with {cfg.steps} time steps",
+            "hardy": f"hardy with {cfg.samples} samples",
+            "carleman": f"carleman with {cfg.steps} time steps and {n_s} values of s"}
+    name = max(experiments, key=lambda e: need.get(e, 0))
+    if name in need:
+        _require_memory(need[name], what[name])
     if "delta-sweep" in experiments:
         _check_sweep(dim, cfg.deltas, cfg.n, cfg.steps)
     if "carleman" in experiments:

@@ -1,10 +1,10 @@
 """Forward-in-time evolution of the source-free weighted parabolic equation.
 
 Two solvers share one convention (forward from an initial datum): the
-spectral Galerkin solver evolves each mode coefficient by its exact
-exponential decay, and a theta scheme, stepping in the eigenbasis of
-the x_1 pair with one tridiagonal x_N solve per mode, provides an
-independent cross-validation path.  The theta scheme yields one nodal row
+spectral Galerkin solver sets each mode coefficient to its exact
+exponential decay at every time node, and a theta scheme, stepping in the
+eigenbasis of the x_1 pair with one tridiagonal x_N solve per mode,
+provides an independent cross-validation path.  The theta scheme yields one nodal row
 per time node (:func:`theta_rows`); the CLI's evolve folds each row as it
 comes, so its memory is independent of the step count, and
 :func:`solve_implicit` stacks the rows into a field.  Backward problems
@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .discretize import OperatorPair, boundary_flux, tensor_form
@@ -112,17 +111,17 @@ class SpaceTimeField:
 def solve_spectral(spectrum: Spectrum, y0, grid: TimeGrid) -> SpaceTimeField:
     """Evolve by the explicit per-mode formula.
 
-    Each coefficient obeys c' + lambda c = 0 and is advanced exactly,
-    c(t + dt) = c(t) exp(-lambda dt), so there is no stiffness restriction
-    on the step size.  The field is the evolution of the projection of y0
-    onto the computed mode span; data outside the span is discarded
-    (callers supply expandable data).
+    Each coefficient obeys c' + lambda c = 0 and is set at every time node
+    to its closed form c(t_j) = c(0) exp(-lambda t_j), so there is no
+    stiffness restriction on the step size.  The field is the evolution of
+    the projection of y0 onto the computed mode span; data outside the span
+    is discarded (callers supply expandable data).
     """
-    decay = np.exp(-spectrum.eigenvalues * grid.dt)
-    coeffs = np.empty((grid.steps + 1, spectrum.count))
-    coeffs[0] = expand(spectrum, np.asarray(y0, dtype=float))
-    for j in range(grid.steps):
-        coeffs[j + 1] = coeffs[j] * decay
+    # lambda t leaves the double range at long horizons, and exp(-inf) = 0
+    # is the exact decay of such a coefficient
+    with np.errstate(over="ignore"):
+        decay = np.exp(-np.outer(grid.nodes, spectrum.eigenvalues))
+    coeffs = expand(spectrum, np.asarray(y0, dtype=float)) * decay
     return SpaceTimeField(spectrum.ops, grid, None, mode_data=(spectrum, coeffs))
 
 
@@ -139,37 +138,37 @@ def theta_rows(ops: OperatorPair, y0, grid: TimeGrid, theta: float = 1.0):
     Euler, theta = 0.5 the second-order midpoint rule.  Steps run in the
     M-orthonormal eigenbasis of the interior x_1 pair, ``ops.x1_eigh``
     (one mode, lam = 0, on the interval), where M + c K has one tridiagonal
-    block of the interior x_N pair per x_1 mode; the eigenbasis is computed
-    once per operator pair, and no 2D operator is built or factored.
+    block mn + c (lam_i mn + kn) of the interior x_N pair per x_1 mode, held
+    as its diagonals; the eigenbasis is computed once per operator pair, and
+    no 2D operator and no sparse matrix is built.
     x_N stays nodal: its weighted eigenbasis loses accuracy on graded meshes.
     """
     if not (0.5 <= theta <= 1.0):
         raise ParameterError(f"theta must lie in [0.5, 1], got {theta}")
-    mesh = ops.mesh
-    dt = grid.dt
     (_, mx), (kn, mn) = ops.interior_1d
     lam, vecs = ops.x1_eigh
     to_modes = vecs.T @ mx.toarray()
-    # M and K in the x_1 eigenbasis: one tridiagonal x_N block per x_1 mode
-    eye = sp.identity(lam.size)
-    mass = sp.kron(eye, mn, format="csr")
-    stiff = sp.kron(sp.diags(lam), mn, format="csr") + sp.kron(eye, kn, format="csr")
+    # diagonal and superdiagonal of M and K, one row of x_N entries per x_1 mode
+    mass = [mn.diagonal(k) for k in (0, 1)]
+    stiff = [lam[:, None] * m + kn.diagonal(k) for k, m in enumerate(mass)]
+    (lhs_d, lhs_e), (rhs_d, rhs_e) = ([m + c * a for m, a in zip(mass, stiff)]
+                                      for c in (theta * grid.dt, -(1.0 - theta) * grid.dt))
     # end to end, the blocks are one SPD tridiagonal matrix (0 where two meet): L D L'
-    lhs = mass + theta * dt * stiff
-    d, e, _ = dpttrf(lhs.diagonal(), lhs.diagonal(1))
-    # copied: a sparse sum keeps arrays sized for both operands' entries
-    rhs_op = (mass - (1.0 - theta) * dt * stiff).copy()
-    del mass, stiff, lhs  # the frame, and all it holds, lives until the last row is read
-    shape = (lam.size, mn.shape[0])  # the interior tensor grid: x_1 rows by x_N columns
+    d, e, _ = dpttrf(lhs_d.ravel(), np.pad(lhs_e, ((0, 0), (0, 1))).ravel()[:-1])
     row = np.array(y0, dtype=float)
     yield row
-    z = (to_modes @ row[ops.interior].reshape(shape)).ravel()
+    z = to_modes @ row[ops.interior].reshape(lhs_d.shape)  # x_1 modes by x_N nodes
     for _ in range(grid.steps):
-        z = dpttrs(d, e, rhs_op @ z, overwrite_b=True)[0]
+        # summed below, on, then above the diagonal: the order of a CSR row
+        # product, so the rows keep the bits of the sparse operator's step
+        b = rhs_d * z
+        b[:, 1:] = rhs_e * z[:, :-1] + b[:, 1:]
+        b[:, :-1] += rhs_e * z[:, 1:]
+        z = dpttrs(d, e, b.ravel(), overwrite_b=True)[0].reshape(b.shape)
         # decayed coefficients reach the subnormal range, where vecs @ z is slow
         z[np.abs(z) < _TINY] = 0.0
-        row = np.zeros(mesh.n_nodes)
-        row[ops.interior] = (vecs @ z.reshape(shape)).ravel()
+        row = np.zeros(ops.mesh.n_nodes)
+        row[ops.interior] = (vecs @ z).ravel()
         yield row
 
 
@@ -198,21 +197,14 @@ def energy_history(field: SpaceTimeField):
     return np.sqrt(np.maximum(per_time, 0.0))
 
 
-def _time_derivative(values, dt):
-    dv = np.empty_like(values)
-    dv[1:-1] = (values[2:] - values[:-2]) / (2.0 * dt)
-    dv[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * dt)
-    dv[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * dt)
-    return dv
-
-
 def flux_history(field: SpaceTimeField):
     """Normal derivative on the observed edge at every time node, plus the
     space-time integral of its square over the edge x (0, T).
 
     Forward fields of the spectral solver combine the per-mode fluxes of
     their spectrum; other fields fall back to variational recovery with
-    -y_t, finite-differenced in time, as the load proxy.
+    -y_t, by the second-order stencils of ``np.gradient`` in time (those
+    ``Mesh.grad_n`` takes in space), as the load proxy.
     """
     ops, grid = field.ops, field.grid
     # backward coefficient fields stay on the recovery below: the pinned Carleman
@@ -221,9 +213,8 @@ def flux_history(field: SpaceTimeField):
         spectrum, coeffs = field._mode_data
         flux = coeffs @ spectrum.mode_flux.T
     else:
-        cols = ops.flux_rows[0]
-        values = field.columns(cols)
-        proxy = -_time_derivative(values, grid.dt)
+        values = field.columns(ops.flux_rows[0])
+        proxy = -np.gradient(values, grid.dt, axis=0, edge_order=2)
         flux = boundary_flux(ops, values.T, f_proxy=proxy.T).T
     per_time = tensor_form(flux, ops.x1[1])
     integral = float(np.trapezoid(per_time, grid.nodes))

@@ -146,10 +146,8 @@ def compute_spectrum(ops: OperatorPair, k: int) -> Spectrum:
     den = np.einsum("ij,ij->j", vecs, ops.M @ vecs)
     vals = num / den
     # deterministic sign: largest-magnitude entry positive
-    for c in range(vecs.shape[1]):
-        i = int(np.argmax(np.abs(vecs[:, c])))
-        if vecs[i, c] < 0.0:
-            vecs[:, c] = -vecs[:, c]
+    peaks = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(vecs.shape[1])]
+    vecs[:, peaks < 0.0] *= -1.0
     return Spectrum(ops, vals, vecs)
 
 

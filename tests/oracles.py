@@ -6,7 +6,9 @@ scan refined by brentq, integrals from adaptive quadrature.  The
 exceptions are the per-node Carleman budgets, in log space, in linear arithmetic and in mpmath at
 40 digits, which take the field's boundary flux from the package and are
 the reference for the moment-based budgets; the theta scheme by one sparse LU of the assembled
-interior operator, the reference for the x_1-diagonalised solver; and the
+interior operator, the reference for the x_1-diagonalised solver, and its
+step with the operators in the x_1 eigenbasis built as sparse Kronecker
+products, the bit-for-bit reference for the step on their diagonals; and the
 delta sweep over whole (steps+1, n_nodes) fields, the reference for the
 streamed sweep; and the interior rows and columns sliced out of the
 full-node operators, the reference for the interior operators built
@@ -47,6 +49,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 from scipy.special import jv, jvp, yv, yvp
 
@@ -431,6 +434,33 @@ def theta_scheme_lu(ops, y0, grid, theta):
         y = lu.solve(rhs_op @ y)
         values[j + 1, ii] = y
     return values
+
+
+def theta_rows_kron(ops, y0, grid, theta):
+    """The nodal rows of the theta scheme in the x_1 eigenbasis, with M and K
+    there built as the sparse Kronecker products I (x) mn and
+    diag(lam) (x) mn + I (x) kn, the left side factored by dpttrf from its
+    two diagonals and the right side applied as a CSR product."""
+    dt = grid.dt
+    (_, mx), (kn, mn) = ops.interior_1d
+    lam, vecs = ops.x1_eigh
+    to_modes = vecs.T @ mx.toarray()
+    eye = sp.identity(lam.size)
+    mass = sp.kron(eye, mn, format="csr")
+    stiff = sp.kron(sp.diags(lam), mn, format="csr") + sp.kron(eye, kn, format="csr")
+    lhs = mass + theta * dt * stiff
+    d, e, _ = dpttrf(lhs.diagonal(), lhs.diagonal(1))
+    rhs_op = mass - (1.0 - theta) * dt * stiff
+    shape = (lam.size, mn.shape[0])
+    row = np.array(y0, dtype=float)
+    yield row
+    z = (to_modes @ row[ops.interior].reshape(shape)).ravel()
+    for _ in range(grid.steps):
+        z = dpttrs(d, e, rhs_op @ z, overwrite_b=True)[0]
+        z[np.abs(z) < np.finfo(float).tiny] = 0.0
+        row = np.zeros(ops.mesh.n_nodes)
+        row[ops.interior] = (vecs @ z.reshape(shape)).ravel()
+        yield row
 
 
 def lcg_uniform(rng, n):

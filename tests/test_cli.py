@@ -381,17 +381,20 @@ deltas: [0.125]
 
 def test_long_horizon_evolve_warns_nothing(tmp_path):
     # every mode has decayed to zero after the first of these steps; a
-    # source-free evolve forms no load weights that could overflow
-    cfg = write_config(tmp_path, """
+    # source-free evolve forms no load weights that could overflow, and at
+    # T = 1e307 the exponents lambda_k t_j of the spectral solver leave the
+    # double range
+    for T in ("1.0e300", "1.0e307"):
+        cfg = write_config(tmp_path, f"""
 domain: interval
 n: 16
 steps: 8
 modes: 3
-T: 1.0e300
+T: {T}
 """)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["evolve", "--config", str(cfg), "--out", str(tmp_path / T)]) == 0
 
 
 @pytest.mark.parametrize("line, size", [
@@ -440,8 +443,10 @@ n: 100000
 
 @pytest.mark.parametrize("experiment, need", [
     ("evolve", "evolve with 10000000000 time steps needs about 991821 MiB"),
-    ("carleman", "carleman with 10000000000 time steps needs about 16403198 MiB"),
-    ("full-report", "carleman with 10000000000 time steps needs about 16403198 MiB"),
+    ("carleman", "carleman with 10000000000 time steps and 20 values of s needs about "
+                 "16403198 MiB"),
+    ("full-report", "carleman with 10000000000 time steps and 20 values of s needs about "
+                    "16403198 MiB"),
 ])
 def test_huge_step_count_refused_before_allocation(tmp_path, capsys, experiment, need):
     # 10**10 + 1 time nodes: one coefficient array of 3 modes alone is 224 GiB
@@ -461,6 +466,24 @@ steps: 10000000000
     err = capsys.readouterr().err
     assert need in err and "Traceback" not in err
     assert peak < 2**20
+
+
+def test_oversized_hardy_table_refused_before_any_output(tmp_path, monkeypatch, capsys):
+    # 100000 sampled rows at 168 bytes each (16 MiB) do not fit a 1 MiB
+    # machine, which the mesh and the eigensolve of the interval at n=4 fit
+    monkeypatch.setattr(discretize, "physical_memory_mib", lambda: 1.0)
+    cfg = write_config(tmp_path, """
+domain: interval
+n: 4
+modes: 3
+samples: 100000
+""")
+    out = tmp_path / "o"
+    assert main(["hardy", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: hardy with 100000 samples needs about 16 MiB")
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_observability_holds_nothing_per_time_node(tmp_path):

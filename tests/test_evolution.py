@@ -21,7 +21,7 @@ from degenlab.geometry import make_domain, truncate
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
-from oracles import heat_flux_integral, theta_scheme_lu
+from oracles import heat_flux_integral, theta_rows_kron, theta_scheme_lu
 
 # frozen from the closed-form oracle: int_0^1 (pi cos(pi))^2 e^{-2 pi^2 t} dt
 HEAT_FLUX_INTEGRAL = 0.499999998662356
@@ -292,6 +292,19 @@ def test_theta_rows_stack_to_solve_implicit(kind, n, grading, theta, seed):
     # every row is a new array, so a consumer may keep the rows it is given
     assert len({id(row) for row in rows}) == len(rows) == grid.steps + 1
     assert np.array_equal(np.stack(rows), solve_implicit(ops, y0, grid, theta=theta).values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 40),
+       grading=st.one_of(st.none(), st.floats(1.0, 4.0)), theta=st.floats(0.5, 1.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_theta_rows_match_the_kronecker_step_bit_for_bit(kind, n, grading, theta, seed):
+    # the step on the diagonals of M + c K sums each row of the right side
+    # in the order of the sparse product, so no bit moves
+    ops, y0, grid = _theta_problem(kind, n, grading, seed)
+    for row, kron_row in zip(theta_rows(ops, y0, grid, theta),
+                             theta_rows_kron(ops, y0, grid, theta), strict=True):
+        assert np.array_equal(row, kron_row)
 
 
 def test_theta_rows_share_one_x1_eigendecomposition(monkeypatch):
