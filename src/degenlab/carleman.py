@@ -38,9 +38,10 @@ and cancels in the needed constant, but 2 s xi* reaches 2 s (T/2)**-8
 point.  So the integrands take xi - xi*, formed without cancellation
 (CarlemanWeights.xi_excess), and 2 s xi* is subtracted from the two
 reported logs only.  Each log-sum-exp skips the entries, and the whole
-time rows, that lie more than 708 below its top (_lse, _lse_rows): every
+time rows, that lie more than 60 below its top (_lse, _lse_rows): every
 entry of row t is at most max_x base(t) - 2 s min_x (xi - xi*)(t), plus
-log max_x b2 for I1.
+for I1 the log of the bracket at the row's largest C, g, |beta| and D
+(_row_peaks), so b2 is formed on the live rows only.
 """
 
 from __future__ import annotations
@@ -160,17 +161,19 @@ class CarlemanBudget:
     holds: bool
 
 
-# exp(-708) is about 3e-308, just above the smallest normal double; a
-# shifted exponent below this adds nothing a double sum of >= 1 can hold
-_FLOOR = -708.0
+# exp(-60) is about 8.8e-27: 1e10 entries below it, more than any array
+# the lab can hold, add less than 8.8e-17 to a sum of at least 1, under
+# half an ulp of it (1.1e-16)
+_FLOOR = -60.0
 
 
 def _lse(a):
     """log(sum(exp(a))) over every entry, shifted by the largest one.
 
     Shifted entries below _FLOOR are skipped: together they add less than
-    a.size * exp(-708) to a sum of at least 1, far below one ulp of it,
-    and exp is several times slower on arguments that underflow.
+    a.size * exp(-60) to a sum of at least 1, under half an ulp of it, so
+    the sum rounds as if they were kept, and exp on them is work for
+    nothing.
     """
     top = np.max(a)
     if not np.isfinite(top):  # all -inf gives -inf; +inf and nan pass through
@@ -192,6 +195,22 @@ def _lse_rows(bound, rows):
     top = np.max(rows(slice(k, k + 1)))
     live = np.flatnonzero(~(bound < top + _FLOOR))
     return _lse(rows(slice(live[0], live[-1] + 1)))
+
+
+def _bracket(s, c, g, beta, d):
+    """The eq410 bracket C (s g + beta)**2 + D, in one fresh array."""
+    b2 = s * g
+    b2 += beta
+    np.square(b2, out=b2)
+    b2 *= c
+    b2 += d
+    return b2
+
+
+def _row_peaks(c, g, beta, d):
+    """Per time row, the largest C, g, |beta| and D: with C, g, D >= 0 and
+    s > 0, _bracket of these is at least every entry of the row's bracket."""
+    return c.max(axis=1), g.max(axis=1), np.abs(beta).max(axis=1), d.max(axis=1)
 
 
 def _beta(b, c):
@@ -277,9 +296,10 @@ class FieldData:
         s II Theta y**2 exp(-2 s xi).  ``holds`` compares against
         c_boundary * rhs_boundary.
 
-        xi - xi*, g / s and the base log terms of every integral are s-free
-        and formed once; at each s only the bracket b2 (on every row) and
-        the live time rows of each log-sum-exp are (see the module notes).
+        xi - xi*, g / s, the base log terms of every integral and the row
+        peaks of the bracket's factors are s-free and formed once; at each
+        s only the live time rows of each log-sum-exp are, the bracket b2
+        on those rows alone (see the module notes).
         """
         if which not in ("eq410", "eq51"):
             raise ParameterError(f"unknown inequality selector {which!r}")
@@ -298,7 +318,8 @@ class FieldData:
         bases = {}  # the s-free log terms of the integrals over (t, x_N)
         if which == "eq410":
             g_per_s = w.eta_slope(self.xn, np.exp(lt))  # -d_N xi
-            b2 = np.empty_like(g_per_s)  # the bracket, reused at every s
+            factors = (self.c, g_per_s, self.beta, self.d)  # of the bracket b2
+            peaks = _row_peaks(*factors)
             bases["i1"] = lt + alpha * self.log_xn[None, :] + self.log_scale2 + self.log_dt
             bases["i2"] = (3.0 * lt + (2.0 - alpha) * self.log_xn[None, :]
                            + self.log_y2 + self.log_dt)
@@ -310,24 +331,21 @@ class FieldData:
         for s in s_values:
             two_s = 2.0 * s
 
-            def decayed(name, b2=None):
+            def decayed(name, bracket=False):
                 """log of the integral with the s-free terms bases[name] (and b2)"""
                 base = bases[name]
                 bound = rowmax[name] - two_s * xi_min
-                if b2 is None:
+                if not bracket:
                     return _lse_rows(bound, lambda sl: base[sl] - two_s * xi[sl])
                 with np.errstate(divide="ignore"):
-                    return _lse_rows(bound + np.log(b2.max(axis=1)),
-                                     lambda sl: base[sl] + np.log(b2[sl]) - two_s * xi[sl])
+                    return _lse_rows(
+                        bound + np.log(_bracket(s, *peaks)),
+                        lambda sl: (base[sl] + np.log(_bracket(s, *(f[sl] for f in factors)))
+                                    - two_s * xi[sl]))
 
             log_rhs_b = np.log(s) + _lse(base_b - two_s * xi_edge)
             if which == "eq410":
-                np.multiply(s, g_per_s, out=b2)
-                b2 += self.beta
-                np.square(b2, out=b2)
-                b2 *= self.c
-                b2 += self.d
-                log_lhs = np.logaddexp(np.log(s) + decayed("i1", b2),
+                log_lhs = np.logaddexp(np.log(s) + decayed("i1", bracket=True),
                                        3.0 * np.log(s) + decayed("i2"))
             else:
                 log_lhs = np.log(s) + decayed("eq51")
@@ -357,7 +375,7 @@ class S0Fit:
     s0: float | None
     c_boundary: float | None
     s_grid: tuple
-    log_needed_c: tuple  # per field, per s
+    log_needed_c: np.ndarray  # (fields, s), read-only
 
 
 def find_s0(fields, s_grid) -> S0Fit:
@@ -378,11 +396,14 @@ def find_s0(fields, s_grid) -> S0Fit:
         raise ParameterError("s grid must start at or above 1")
     rows = []
     for data in fields:
-        rows.append([b.log_needed_c for b in data.sweep(s_grid, "eq410")])
+        rows.append(np.fromiter((b.log_needed_c for b in data.sweep(s_grid, "eq410")),
+                                float, len(s_grid)))
         del data  # freed before a generator builds the next one
     if not rows:
         raise ParameterError("need at least one field to calibrate")
-    log_needed = np.array(rows)
+    log_needed = np.stack(rows)
+    del rows
+    log_needed.flags.writeable = False
 
     def tail_ok(j):
         tail = log_needed[:, j:]
@@ -396,10 +417,9 @@ def find_s0(fields, s_grid) -> S0Fit:
         if tail_ok(j):
             c = float(np.exp(np.max(log_needed[:, j:])))
             return S0Fit(found=True, s0=s_grid[j], c_boundary=max(c, 1e-300),
-                         s_grid=tuple(s_grid),
-                         log_needed_c=tuple(map(tuple, log_needed)))
+                         s_grid=tuple(s_grid), log_needed_c=log_needed)
     return S0Fit(found=False, s0=None, c_boundary=None, s_grid=tuple(s_grid),
-                 log_needed_c=tuple(map(tuple, log_needed)))
+                 log_needed_c=log_needed)
 
 
 def p_residual(field: SpaceTimeField, f, s: float) -> float:

@@ -185,7 +185,7 @@ def load_config(path, experiment=None):
 
 
 def _fmt(value):
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.17g}"
@@ -289,20 +289,20 @@ def run_hardy(cfg: ExperimentConfig, problem) -> Outcome:
     ops = spec.ops
     n_eigs = min(cfg.modes, 10)
     rng = Lcg(cfg.seed)
-    rows = []
-    all_hold = True
-    for k in range(n_eigs):
-        res = hardy_check(ops, spec.modes[:, k])
-        rows.append(("eigenvector", k + 1, res["ratio"], res["bound"], res["holds"]))
-        all_hold &= res["holds"]
-    for i in range(cfg.samples):
-        u = random_admissible(ops.mesh, rng)
+    vectors = itertools.chain((spec.modes[:, k] for k in range(n_eigs)),
+                              (random_admissible(ops.mesh, rng) for _ in range(cfg.samples)))
+    # columns as arrays, rows streamed from them: no Python tuple per sample is held
+    ratio, holds = np.empty(n_eigs + cfg.samples), np.empty(n_eigs + cfg.samples, dtype=bool)
+    for j, u in enumerate(vectors):
         res = hardy_check(ops, u)
-        rows.append(("random", i + 1, res["ratio"], res["bound"], res["holds"]))
-        all_hold &= res["holds"]
+        ratio[j], holds[j] = res["ratio"], res["holds"]
+    kinds = itertools.chain(itertools.repeat("eigenvector", n_eigs),
+                            itertools.repeat("random", cfg.samples))
+    index = itertools.chain(range(1, n_eigs + 1), range(1, cfg.samples + 1))
+    rows = zip(kinds, index, ratio, itertools.repeat(res["bound"]), holds)
     return Outcome(
         tables={"hardy": (_context_line(cfg), ("kind", "index", "ratio", "bound", "holds"), rows)},
-        checks={"hardy_all_hold": bool(all_hold)},
+        checks={"hardy_all_hold": bool(holds.all())},
         values={"bound": 4.0 / (1.0 - cfg.alpha) ** 2},
     )
 
@@ -370,10 +370,9 @@ def run_carleman(cfg: ExperimentConfig, problem) -> Outcome:
               for y0 in data)
     first = next(fields)
     fit = carle.find_s0(itertools.chain([first], fields), cfg.s_values)
-    rows = []
-    for i, per_s in enumerate(fit.log_needed_c):
-        for j, s in enumerate(fit.s_grid):
-            rows.append((i, s, per_s[j]))
+    n_fields, n_s = fit.log_needed_c.shape
+    rows = zip(np.repeat(np.arange(n_fields), n_s), itertools.cycle(fit.s_grid),
+               fit.log_needed_c.ravel())
     fit_rows = [(fit.found, fit.s0 if fit.found else float("nan"),
                  fit.c_boundary if fit.found else float("nan"))]
     holds_beyond = True
@@ -422,9 +421,13 @@ def _check_arrays(cfg: ExperimentConfig, experiments):
     stencil values.  Observability holds nothing per time node.  The evolve
     constant still counts K load values per node, which the source-free
     solves no longer hold: a larger estimate only makes the guard more
-    cautious.  Row tables count the bytes tracemalloc measured per row: 168
-    per hardy row (eigenvectors and samples), and 120 per carleman field and
-    value of s for its budgets and rows (112-115 over 6 to 15 fields)."""
+    cautious.  Row tables count 168 bytes per hardy row (eigenvectors and
+    samples) and 120 per carleman field and value of s, what tracemalloc
+    measured when the rows were held as tuples.  Both tables are now
+    streamed from arrays: tracemalloc measures 9 bytes per hardy row, and
+    23-45 per carleman field and value of s over 15 to 6 fields (8 for the
+    log_needed_c array, the rest one field's budget records per s), so
+    both estimates are cautious."""
     dim = 1 if cfg.domain == "interval" else 2
     if any(e != "delta-sweep" for e in experiments):
         _check_eigensolve((cfg.n - 1) ** dim, _check_size((cfg.n + 1,) * dim), cfg.modes, dim)

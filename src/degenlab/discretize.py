@@ -270,6 +270,10 @@ class OperatorPair:
         return cols, k[:, cols], m[:, cols]
 
 
+# values per block of rows in tensor_form and in the delta sweep's errors
+_BLOCK = 2**16
+
+
 def tensor_form(values, a1, an=None):
     """v'(a1 (x) an)v for every leading row v of ``values``, from the
     symmetric 1D factors a1 on the x_1 axis and an on the x_N axis of the
@@ -278,14 +282,14 @@ def tensor_form(values, a1, an=None):
 
     Each row, as an (n_1, n_N) array V, gives the sum of the entries of
     (a1 V) * (V an): only the 1D factors are applied, and rows go through
-    in blocks of about 2**16 values, so no temporary is larger than one
+    in blocks of about _BLOCK values, so no temporary is larger than one
     block.  A single vector gives a float.
     """
     values = np.asarray(values, dtype=float)
     n1 = a1.shape[0]
     nn = values.shape[-1] // n1
     rows = values.reshape(-1, n1, nn)
-    step = max(1, 2**16 // values.shape[-1])
+    step = max(1, _BLOCK // values.shape[-1])
     out = np.empty(len(rows))
     for lo in range(0, len(rows), step):
         v = rows[lo:lo + step]

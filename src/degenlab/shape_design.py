@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import (Mesh, OperatorPair, _require_memory, assemble, build_mesh,
+from .discretize import (_BLOCK, Mesh, OperatorPair, _require_memory, assemble, build_mesh,
                          restrict_mesh, tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
 from .evolution import TimeGrid, flux_history, solve_implicit, stability_ratio, time_norm
@@ -169,10 +169,22 @@ def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
 
     def error_per_time(field, pn_cols):
         """v'Mv at every time of v = px V pn_cols' - reference(t), with V the
-        field's (x_1, x_N) time row; no full-size difference is ever held."""
-        diffs = ((px @ row.reshape(px.shape[1], -1) @ pn_cols.T).ravel() - ref_row
-                 for row, ref_row in zip(field.values, ref_field.values))
-        return np.array([tensor_form(v, ref_ops.x1[1], ref_ops.xn[1]) for v in diffs])
+        field's (x_1, x_N) time row.  The rows go through in blocks of about
+        _BLOCK reference values, tensor_form's own block: each block is
+        prolonged by one sparse product per axis and its errors formed by
+        one tensor_form call, so no full-size difference is ever held."""
+        (n1f, n1c), (nnf, nnc) = px.shape, pn_cols.shape
+        ref = ref_field.values
+        step = max(1, _BLOCK // ref.shape[1])
+        out = np.empty(len(ref))
+        for lo in range(0, len(ref), step):
+            v = field.values[lo:lo + step].reshape(-1, n1c, nnc)
+            b = len(v)
+            on_x1 = (px @ v.transpose(1, 0, 2).reshape(n1c, -1)).reshape(n1f, b, nnc)
+            on_xn = pn_cols @ on_x1.transpose(1, 0, 2).reshape(-1, nnc).T  # (x_N, t x_1)
+            diff = on_xn.T.reshape(b, -1) - ref[lo:lo + b]
+            out[lo:lo + b] = tensor_form(diff, ref_ops.x1[1], ref_ops.xn[1])
+        return out
 
     # one field at a time, each freed before the next one is solved
     sol_errors, fin_errors, flux_errors = [], [], []

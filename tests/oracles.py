@@ -218,6 +218,12 @@ def _lse_long(a):
     return top + np.log(np.sum(np.exp(a - top)))
 
 
+def lse_longdouble(a):
+    """log(sum(exp(a))) over every entry in extended precision (np.longdouble,
+    a 64-bit significand on x86-64), rounded to a float."""
+    return float(_lse_long(np.asarray(a, dtype=np.longdouble)))
+
+
 def carleman_budget_per_node(field, s, which):
     """Log budgets of one Carleman inequality summed node by node, with the
     weight of the field's exponent alpha and horizon T.

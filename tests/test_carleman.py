@@ -18,7 +18,7 @@ from degenlab.geometry import make_domain, truncate
 from degenlab.spectral import Spectrum, compute_spectrum
 
 from oracles import (carleman_budget_linear, carleman_budget_mp, carleman_budget_per_node,
-                     fit_tail_exponent, lse_exp_all)
+                     fit_tail_exponent, lse_exp_all, lse_longdouble)
 
 
 @pytest.fixture(scope="module")
@@ -356,6 +356,42 @@ def test_live_rows_lse_matches_exp_all(rows, cols, s, dead_share, seed):
         assert got == want
     else:
         assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.integers(1, 250), cols=st.integers(1, 400), top=st.floats(-1000.0, 1000.0),
+       width=st.floats(0.0, 2.0), above=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+def test_lse_at_floor_matches_longdouble(rows, cols, top, width, above, seed):
+    # up to 1e5 entries: one at the top, every other one within `width` of
+    # top + _FLOOR, a share `above` of them just above it (kept) and the
+    # rest just below (skipped); skipping the latter moves no bit that the
+    # extended-precision sum of every entry, rounded, keeps
+    rng = np.random.default_rng(seed)
+    off = width * rng.random((rows, cols))
+    a = top + carleman._FLOOR + np.where(rng.random((rows, cols)) < above, off, -off)
+    a.flat[rng.integers(a.size)] = top
+    want = lse_longdouble(a)
+    tol = 1e-14 * max(1.0, abs(want))
+    assert abs(carleman._lse(a) - want) <= tol
+    # _lse_rows with row bounds at or above each row's maximum
+    bound = a.max(axis=1) + rng.uniform(0.0, 2.0 * width, rows)
+    assert abs(carleman._lse_rows(bound, lambda sl: a[sl]) - want) <= tol
+
+
+@given(rows=st.integers(1, 20), cols=st.integers(1, 20), s=st.floats(1.0, 1e4),
+       dead_share=st.sampled_from([0.0, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_bracket_row_bound_is_at_least_row_max(rows, cols, s, dead_share, seed):
+    # C, D >= 0 and g >= 0 over many decades (some g = 0), beta of either
+    # sign, and a share of rows with C = D = 0 (y = 0 along the row)
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    c, d = (10.0 ** rng.uniform(-30.0, 5.0, shape) for _ in range(2))
+    g = 10.0 ** rng.uniform(-5.0, 140.0, shape) * (rng.random(shape) > 0.1)
+    beta = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5.0, 140.0, shape)
+    dead = rng.random(rows) < dead_share
+    c[dead], d[dead] = 0.0, 0.0
+    bound = carleman._bracket(s, *carleman._row_peaks(c, g, beta, d))
+    assert np.all(bound >= carleman._bracket(s, c, g, beta, d).max(axis=1))
 
 
 @settings(max_examples=40, deadline=None)
