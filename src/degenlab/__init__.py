@@ -9,7 +9,6 @@ from .discretize import (
     build_mesh,
     hardy_check,
     mass_1d,
-    norms,
     restrict_mesh,
     stiffness_1d,
     tensor_form,
@@ -22,32 +21,12 @@ from .evolution import (
     flux_history,
     solve_implicit,
     solve_spectral,
-    stability_ratio,
     theta_rows,
     time_reverse,
 )
-from .shape_design import (
-    ConvergenceReport,
-    delta_sweep,
-    extend_vector,
-    isometry_report,
-    solve_truncated,
-    stability_sweep,
-)
-from .carleman import (
-    CarlemanBudget,
-    CarlemanWeights,
-    FieldData,
-    S0Fit,
-    find_s0,
-    p_residual,
-)
-from .observability import (
-    ObservabilityReport,
-    estimate_constant,
-    observability_ratio,
-    window_bound_check,
-)
+from .shape_design import ConvergenceReport, delta_sweep, solve_truncated
+from .carleman import CarlemanBudget, CarlemanWeights, FieldData, S0Fit, find_s0
+from .observability import ObservabilityReport, estimate_constant, observability_ratio
 from .rng import Lcg, random_admissible
 
 __version__ = "0.1.0"

@@ -52,7 +52,6 @@ from typing import ClassVar
 
 import numpy as np
 
-from .discretize import _tensor_stiffness
 from .errors import ContractError, ParameterError
 from .evolution import SpaceTimeField, flux_history
 
@@ -85,15 +84,6 @@ class CarlemanWeights:
         """log Theta(t) = -4 (log t + log(T - t)); +inf at t in {0, T}."""
         with np.errstate(divide="ignore"):
             return -4.0 * (np.log(t) + np.log(self.T - t))
-
-    def theta(self, t):
-        """Theta(t) = 1 / [t (T - t)]**4, with the limit +inf at t in {0, T}."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_theta(t))
-
-    def theta_dt(self, t):
-        u = t * (self.T - t)
-        return -4.0 * (self.T - 2.0 * t) / u**5
 
     def gamma_minus_eta(self, xn):
         """gamma - eta(x_N), so that xi = Theta(t) (gamma - eta)."""
@@ -420,54 +410,3 @@ def find_s0(fields, s_grid) -> S0Fit:
                          s_grid=tuple(s_grid), log_needed_c=log_needed)
     return S0Fit(found=False, s0=None, c_boundary=None, s_grid=tuple(s_grid),
                  log_needed_c=log_needed)
-
-
-def p_residual(field: SpaceTimeField, f, s: float) -> float:
-    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, for
-    the transformed variable z = exp(-s xi) y of the field y, with the
-    field's own weight family; z = 0 at t = 0 and t = T by the limit
-    convention.
-
-    P1 z = z_t + 2 s (A grad z . grad xi) + s z div(A grad xi) and
-    P2 z = div(A grad z) + s z xi_t + s**2 z (A grad xi . grad xi); the
-    derivatives of z are discrete (central in time, 3-point in space,
-    mass-lumped recovery for the divergence), the xi factors closed
-    forms.  The identity holds for a solution y of the backward equation
-    with source f, given per time node as a (steps+1, n_nodes) array; the
-    returned norm decays to zero under simultaneous space-time refinement
-    at first order or better.  For large s the factor exp(-s xi)
-    underflows to zero in linear arithmetic, which is why the budgets
-    work in log space and never form z.
-    """
-    _require_truncated(field)
-    _check_s(s)
-    ops, mesh, grid = field.ops, field.mesh, field.grid
-    fvals = np.asarray(f, dtype=float)
-    if fvals.shape != (grid.steps + 1, mesh.n_nodes):
-        raise ContractError("source shape does not match the field")
-    w = CarlemanWeights.of(field)
-    alpha = w.alpha
-    t = grid.nodes[1:-1]
-    xn = mesh.xn
-    theta = w.theta(t)[:, None]
-    theta_dt = w.theta_dt(t)[:, None]
-    gme = w.gamma_minus_eta(xn)[None, :]
-    decay = np.exp(-s * (theta * gme))  # exp(-s xi)
-    y = field.values
-    z = np.zeros_like(y)
-    z[1:-1] = decay * y[1:-1]
-    zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
-    zmid = z[1:-1]
-    dz_dn = mesh.grad_n(zmid)
-    div_adz = -(_tensor_stiffness(ops.x1, ops.xn) @ zmid.T).T / ops.lumped_full[None, :]
-
-    p1 = zt - 2.0 * s * (2.0 - alpha) * theta * xn[None, :] * dz_dn \
-        - s * (2.0 - alpha) * theta * zmid
-    p2 = div_adz + s * zmid * theta_dt * gme \
-        + s**2 * (2.0 - alpha) ** 2 * theta**2 * (xn ** (2.0 - alpha))[None, :] * zmid
-    resid = decay * fvals[1:-1] - p1 - p2
-
-    ii = mesh.interior
-    w_space = ops.lumped_full[ii]
-    sq = np.sum(resid[:, ii] ** 2 * w_space[None, :], axis=1)
-    return float(np.sqrt(np.sum(sq) * grid.dt))

@@ -24,10 +24,5 @@ class DegenerateObservationError(ArithmeticError):
     energy/observation ratio is undefined."""
 
 
-class ConventionError(ValueError):
-    """A field does not follow the time-direction convention the caller
-    promised (e.g. energy not monotone for a backward-convention run)."""
-
-
 class EigensolverError(RuntimeError):
     """The iterative eigensolver failed to converge."""

@@ -235,18 +235,3 @@ def time_reverse(field: SpaceTimeField) -> SpaceTimeField:
                               mode_data=(spectrum, coeffs[::-1]))
     return SpaceTimeField(field.ops, field.grid, field.values[::-1].copy(),
                           direction="backward")
-
-
-def stability_ratio(field: SpaceTimeField) -> float:
-    """Measured shape of the a-priori energy estimate:
-
-        [ sup_t ||y(t)||_L2 + ||y||_{L2(0,T;H1w)} ] / ||y0||_L2.
-    """
-    t = field.grid.nodes
-    (kx, mx), (kn, mn) = field.ops.x1, field.ops.xn
-    l2 = energy_history(field)
-    values = field.values
-    h1_qt = time_norm(tensor_form(values, kx, mn) + tensor_form(values, mx, kn), t)
-    if l2[0] == 0.0:
-        raise ParameterError("stability ratio undefined for zero data")
-    return (float(np.max(l2)) + h1_qt) / l2[0]

@@ -15,8 +15,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .discretize import tensor_form
-from .errors import ConventionError, DegenerateObservationError, ParameterError
-from .evolution import SpaceTimeField, TimeGrid, energy_history
+from .errors import DegenerateObservationError, ParameterError
+from .evolution import TimeGrid
 from .spectral import Spectrum, expand
 
 _MODE_DEPTH_LIMIT = 60.0  # largest admissible lambda_K * T
@@ -115,27 +115,3 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
         subspace_dim=k_eff, ratios=ratios,
         c_obs=None if singular else float(1.0 / evals[0]), singular=singular,
     )
-
-
-def window_bound_check(field: SpaceTimeField):
-    """Initial energy against the mean energy over the middle half window.
-
-    The field must follow the backward convention, i.e. its L2 energy is
-    non-decreasing in time; then
-    ||y(0)||^2 <= (2/T) * integral over (T/4, 3T/4) of ||y(t)||^2 dt.
-    """
-    t = field.grid.nodes
-    esq = energy_history(field) ** 2
-    scale = max(float(esq.max()), 1e-300)
-    if np.any(np.diff(esq) < -1e-10 * scale):
-        raise ConventionError(
-            "energy decreases in time; window bound needs a backward-convention field"
-        )
-    T = field.grid.T
-    lo, hi = T / 4.0, 3.0 * T / 4.0
-    inside = (t > lo) & (t < hi)
-    tq = np.concatenate([[lo], t[inside], [hi]])
-    eq = np.concatenate([[np.interp(lo, t, esq)], esq[inside], [np.interp(hi, t, esq)]])
-    rhs = (2.0 / T) * float(np.trapezoid(eq, tq))
-    lhs = float(esq[0])
-    return {"lhs": lhs, "rhs": rhs, "holds": lhs <= rhs * (1.0 + 1e-8)}

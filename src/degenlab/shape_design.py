@@ -1,4 +1,4 @@
-"""Truncated problems, extension by zero, and delta-convergence experiments.
+"""Truncated problems and delta-convergence experiments.
 
 The degenerate problem on the full domain (a ``Domain`` with delta = 0) is
 approximated by uniformly parabolic problems on the slabs {x_N > delta} of
@@ -6,6 +6,8 @@ the same family.  Truncated meshes are node-subsets of a full mesh, so
 extending a nodal vector by zero is exact injection: the interface nodes
 carry homogeneous Dirichlet values, hence the extended finite-element
 function *is* the zero extension and its L2 norm is preserved to rounding.
+The delta sweep extends a slab field by zero through the last x_N columns
+of its prolongation.
 """
 
 from __future__ import annotations
@@ -15,45 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .discretize import (_BLOCK, Mesh, OperatorPair, _require_memory, assemble, build_mesh,
-                         restrict_mesh, tensor_form)
+from .discretize import (_BLOCK, Mesh, _require_memory, assemble, build_mesh, restrict_mesh,
+                         tensor_form)
 from .errors import ContractError, ParameterError, PreconditionError
-from .evolution import TimeGrid, flux_history, solve_implicit, stability_ratio, time_norm
+from .evolution import TimeGrid, flux_history, solve_implicit, time_norm
 from .geometry import Domain
-
-
-def extend_vector(u, tr_mesh: Mesh, full_mesh: Mesh):
-    """Zero extension of a nodal vector from the slab to the full domain.
-
-    The slab must be the last x_N layers of the full mesh, with its axes
-    exact subsets of the full axes (the nesting restrict_mesh builds).
-    """
-    n_slab = tr_mesh.shape[-1]
-    nested = (tr_mesh.shape[:-1] == full_mesh.shape[:-1] and n_slab <= full_mesh.shape[-1]
-              and all(np.allclose(ax_f[ax_f.size - ax_t.size:], ax_t, rtol=0.0, atol=1e-12)
-                      for ax_t, ax_f in zip(tr_mesh.axes, full_mesh.axes)))
-    if not nested:
-        raise ContractError("truncated mesh nodes are not a subset of the full mesh")
-    out = np.zeros(full_mesh.shape)
-    out[..., -n_slab:] = np.asarray(u, dtype=float).reshape(tr_mesh.shape)
-    return out.ravel()
-
-
-def isometry_report(u_tr, tr_ops: OperatorPair, full_ops: OperatorPair):
-    """L2 norms of a truncated vector and of its zero extension.
-
-    Both the consistent-mass norm and the lumped (nodal) norm are
-    returned; with node-subset meshes the two domains give identical
-    values up to rounding.
-    """
-    u_tr = np.asarray(u_tr, dtype=float)
-    u_ext = extend_vector(u_tr, tr_ops.mesh, full_ops.mesh)
-    return {
-        "l2_truncated": float(np.sqrt(tensor_form(u_tr, tr_ops.x1[1], tr_ops.xn[1]))),
-        "l2_extended": float(np.sqrt(tensor_form(u_ext, full_ops.x1[1], full_ops.xn[1]))),
-        "lumped_truncated": float(np.sqrt(np.sum(tr_ops.lumped_full * u_tr**2))),
-        "lumped_extended": float(np.sqrt(np.sum(full_ops.lumped_full * u_ext**2))),
-    }
 
 
 # every truncated and reference solve uses the second-order midpoint rule
@@ -214,16 +182,3 @@ def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
         reference=f"full domain, uniform mesh n={n_ref}, theta={_THETA}",
         reference_self_error=self_err,
     )
-
-
-def stability_sweep(domain: Domain, y0, grid: TimeGrid, deltas, n: int):
-    """Measured a-priori stability ratios of the truncated solves across a
-    delta ladder; their spread probes the uniformity of the estimate's
-    constant in delta."""
-    full_mesh = build_mesh(domain, n, grading=1.0)
-    ratios = {}
-    for d in deltas:
-        ratios[float(d)] = stability_ratio(solve_truncated(full_mesh, d, y0, grid))
-    vals = np.array(list(ratios.values()))
-    drift = float((vals.max() - vals.min()) / vals.min())
-    return {"ratios": ratios, "drift": drift}

@@ -14,12 +14,15 @@ streamed sweep; and the interior rows and columns sliced out of the
 full-node operators, the reference for the interior operators built
 from the 1D factors.  The full-node operators are Kronecker products of
 the 1D factors, built whole; their quadratic forms are the reference for
-the forms applied factor by factor.  eigsh on the assembled K and M,
+the forms applied factor by factor, and the weighted L2 and energy norms
+they give are the reference for the eigenpairs.  The transformed-variable
+identity residual of the Carleman weight takes its divergence from the
+full-node stiffness.  eigsh on the assembled K and M,
 which factors K itself, is the bit-for-bit reference for the eigensolve
 that hands it a factor.  The boundary parts classified by node
 coordinates, and the slab's node ids found by a meshgrid of its axis
-offsets, are the references for the parts and the extension map read
-off the node index array.  The one-sided finite-difference normal derivative
+offsets, are the references for the parts and for the zero extension
+read off the node index array.  The one-sided finite-difference normal derivative
 is the cross-check of the variational flux recovery.  The LCG recurrence stepped
 one value at a time is the reference for the jump-ahead draws.  The
 log-sum-exp that exponentiates every entry is the reference for the one
@@ -376,6 +379,70 @@ def kron_form(values, a1, an=None):
     return out if np.ndim(values) > 1 else float(out[0])
 
 
+def norms(ops, u):
+    """l2 = sqrt(u'Mu) and h1w = sqrt(u'Ku) of a nodal vector u, with the
+    full-node mass and stiffness built whole by kron_form."""
+    (kx, mx), (kn, mn) = ops.x1, ops.xn
+    return {"l2": np.sqrt(kron_form(u, mx, mn)),
+            "h1w": np.sqrt(kron_form(u, kx, mn) + kron_form(u, mx, kn))}
+
+
+def theta_dt(T, t):
+    """d Theta / dt of the Carleman time weight Theta(t) = 1 / [t (T - t)]**4."""
+    u = t * (T - t)
+    return -4.0 * (T - 2.0 * t) / u**5
+
+
+def p_residual(field, f, s):
+    """L2(Q) norm of  exp(-s xi) f - P1 z - P2 z  on interior nodes, for
+    the transformed variable z = exp(-s xi) y of the field y, with the
+    field's own Carleman weight family; z = 0 at t = 0 and t = T by the
+    limit convention.
+
+    P1 z = z_t + 2 s (A grad z . grad xi) + s z div(A grad xi) and
+    P2 z = div(A grad z) + s z xi_t + s**2 z (A grad xi . grad xi); the
+    derivatives of z are discrete (central in time, 3-point in space,
+    the full-node stiffness over the lumped mass for the divergence), the
+    xi factors closed forms.  The identity holds for a solution y of the
+    backward equation with source f, given per time node as a
+    (steps+1, n_nodes) array; the returned norm decays to zero under
+    simultaneous space-time refinement at first order or better.  The
+    weight needs a truncated domain and s > 0.
+    """
+    from degenlab.carleman import CarlemanWeights
+    from degenlab.errors import ContractError, ParameterError
+
+    if not field.mesh.domain.delta > 0.0:
+        raise ContractError("the identity residual needs a truncated domain")
+    if not s > 0.0:
+        raise ParameterError(f"s must be positive, got {s}")
+    ops, mesh, grid = field.ops, field.mesh, field.grid
+    w = CarlemanWeights.of(field)
+    alpha = w.alpha
+    t = grid.nodes[1:-1]
+    xn = mesh.xn
+    theta = np.exp(w.log_theta(t))[:, None]
+    gme = w.gamma_minus_eta(xn)[None, :]
+    decay = np.exp(-s * (theta * gme))  # exp(-s xi)
+    y = field.values
+    z = np.zeros_like(y)
+    z[1:-1] = decay * y[1:-1]
+    zt = (z[2:] - z[:-2]) / (2.0 * grid.dt)
+    zmid = z[1:-1]
+    dz_dn = mesh.grad_n(zmid)
+    div_adz = -(full_stiffness(ops) @ zmid.T).T / ops.lumped_full[None, :]
+
+    p1 = zt - 2.0 * s * (2.0 - alpha) * theta * xn[None, :] * dz_dn \
+        - s * (2.0 - alpha) * theta * zmid
+    p2 = div_adz + s * zmid * theta_dt(grid.T, t)[:, None] * gme \
+        + s**2 * (2.0 - alpha) ** 2 * theta**2 * (xn ** (2.0 - alpha))[None, :] * zmid
+    resid = decay * np.asarray(f, dtype=float)[1:-1] - p1 - p2
+
+    ii = mesh.interior
+    sq = np.sum(resid[:, ii] ** 2 * ops.lumped_full[ii][None, :], axis=1)
+    return float(np.sqrt(np.sum(sq) * grid.dt))
+
+
 def interior_blocks(ops):
     """(K, M): the interior rows and columns of the full-node stiffness and
     of ops.M_full, sliced out of the full-node operators, in CSC."""
@@ -423,6 +490,14 @@ def extension_map_meshgrid(tr_mesh, full_mesh):
     grids = np.meshgrid(*[off + np.arange(ax.size)
                           for off, ax in zip(offsets, tr_mesh.axes)], indexing="ij")
     return np.ravel_multi_index([g.ravel() for g in grids], full_mesh.shape)
+
+
+def extend_by_zero(u, tr_mesh, full_mesh):
+    """The nodal vector u of the slab injected at its full-mesh node ids
+    (extension_map_meshgrid), zero at every other node."""
+    out = np.zeros(full_mesh.n_nodes)
+    out[extension_map_meshgrid(tr_mesh, full_mesh)] = u
+    return out
 
 
 def theta_scheme_lu(ops, y0, grid, theta):

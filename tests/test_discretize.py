@@ -9,7 +9,6 @@ from degenlab.discretize import (
     build_mesh,
     hardy_check,
     mass_1d,
-    norms,
     restrict_mesh,
     stiffness_1d,
     tensor_form,
@@ -20,7 +19,7 @@ from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
 from oracles import (degenerate_eigenfunction, fd_flux, full_stiffness, hardy_ratio_quartic,
-                     interior_blocks, kron_form)
+                     interior_blocks, kron_form, norms)
 
 # frozen from the quadrature oracle (= 16/105 / (22/105))
 HARDY_QUARTIC_RATIO = 0.7272727272727273
@@ -154,15 +153,21 @@ def test_tensor_form_matches_kron_oracle(kind, n, grading, delta, form, rows, se
     assert np.all(np.abs(np.asarray(got) - want) <= 1e-12 * np.abs(want))
 
 
-def test_norms_contract():
-    d = make_domain("interval", 0.5)
-    mesh = build_mesh(d, 32)
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["interval", "square"]), n=st.integers(4, 64),
+       grading=st.floats(1.0, 4.0), delta=st.one_of(st.none(), st.floats(0.01, 0.24)))
+def test_lumped_mass_is_the_row_sum_of_the_mass(kind, n, grading, delta):
+    # lumped_full is the outer product of the 1D row sums: the row sums of
+    # M_full bit for bit on the interval, whose x_1 factor is [[1]], and to
+    # a few ulps on the square, where the two sum in another order
+    d = make_domain(kind, 0.5)
+    mesh = build_mesh(d, n, grading) if delta is None else build_mesh(truncate(d, delta), n)
     ops = assemble(mesh)
-    res = norms(ops, np.zeros(mesh.n_nodes))
-    assert res["l2"] == 0.0 and res["h1w"] == 0.0 and res["hardy_lhs"] == 0.0
-    bad = np.ones(mesh.n_nodes)
-    with pytest.raises(ContractError):
-        norms(ops, bad)
+    want = np.asarray(ops.M_full.sum(axis=1)).ravel()
+    if kind == "interval":
+        assert np.array_equal(ops.lumped_full, want)
+    else:
+        assert np.all(np.abs(ops.lumped_full - want) <= 1e-15 * want)
 
 
 def test_norms_against_spectrum():

@@ -13,7 +13,6 @@ from degenlab.evolution import (
     flux_history,
     solve_implicit,
     solve_spectral,
-    stability_ratio,
     theta_rows,
     time_reverse,
 )
@@ -22,6 +21,7 @@ from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
 from oracles import heat_flux_integral, theta_rows_kron, theta_scheme_lu
+from test_acceptance import stability_ratio
 
 # frozen from the closed-form oracle: int_0^1 (pi cos(pi))^2 e^{-2 pi^2 t} dt
 HEAT_FLUX_INTEGRAL = 0.499999998662356

@@ -2,13 +2,12 @@
 and every public definition of the package is reached by the product.
 
 The package modules (``__init__.py`` re-exports by design, so it is left
-out) and the test files are parsed with ``ast``; an imported name that no
-``Name`` node of the file loads is an unused import.  ``__future__``
-imports are directives, not names.  A public module-level function or
-class, or a public method, of a package module is reached when its name
-is a ``Name`` or an ``Attribute`` in some package module or in the
-acceptance tests: code that only its own unit tests call is dead product
-code.
+out), the test files and the benchmark's files are parsed with ``ast``; an
+imported name that no ``Name`` node of the file loads is an unused import.
+``__future__`` imports are directives, not names.  A public module-level
+function or class, or a public method, of a package module is reached when
+its name is a ``Name`` or an ``Attribute`` in some package module: code
+that only tests call, the acceptance tests included, belongs in the tests.
 """
 
 import ast
@@ -18,7 +17,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(p for p in (ROOT / "src" / "degenlab").glob("*.py") if p.name != "__init__.py")
-FILES = MODULES + sorted((ROOT / "tests").glob("*.py"))
+FILES = (MODULES + sorted((ROOT / "tests").glob("*.py"))
+         + sorted((ROOT / "perfbench").glob("*.py")))
 
 
 def unused_imports(source):
@@ -74,21 +74,32 @@ def referenced_names(source):
     return names
 
 
+def unreached(sources):
+    """Qualified name of each public definition of the sources that no
+    source names."""
+    reached = set().union(*map(referenced_names, sources))
+    return [q for source in sources for q, name in public_definitions(source)
+            if name not in reached]
+
+
 def test_scan_flags_an_unreached_method():
     source = ("class A:\n    def used(self):\n        pass\n\n"
               "    def unused(self):\n        pass\n\n"
               "    def _private(self):\n        pass\n\n\ndef f():\n    return A().used()\n")
-    reached = referenced_names(source)
-    assert [q for q, name in public_definitions(source) if name not in reached] == ["A.unused", "f"]
+    assert unreached([source]) == ["A.unused", "f"]
+
+
+def test_scan_flags_a_definition_only_tests_reach():
+    product = ("def run():\n    return helper()\n\n\ndef helper():\n    pass\n\n\n"
+               "def check():\n    pass\n\n\nrun()\n")
+    test = "from m import check\n\n\ndef test_check():\n    check()\n"
+    assert "check" in referenced_names(test)
+    assert unreached([product]) == ["check"]
 
 
 def test_public_definitions_are_reached_by_the_product():
-    sources = [p.read_text(encoding="utf-8") for p in MODULES]
-    reached = set().union(*map(referenced_names, sources + [
-        (ROOT / "tests" / "test_acceptance.py").read_text(encoding="utf-8")]))
-    unreached = [q for source in sources for q, name in public_definitions(source)
-                 if name not in reached]
-    assert unreached == []
+    # only the package counts: a definition that only tests reach is flagged
+    assert unreached([p.read_text(encoding="utf-8") for p in MODULES]) == []
 
 
 def public_parameters(source):

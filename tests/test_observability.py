@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from degenlab.discretize import assemble, build_mesh
-from degenlab.errors import ConventionError, DegenerateObservationError, ParameterError
+from degenlab.errors import DegenerateObservationError, ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, solve_spectral, time_reverse
 from degenlab.geometry import make_domain, truncate
-from degenlab.observability import (_flux_gram, estimate_constant, observability_ratio,
-                                    window_bound_check)
+from degenlab.observability import _flux_gram, estimate_constant, observability_ratio
 from degenlab.rng import Lcg, random_admissible
 from degenlab.spectral import compute_spectrum
 
 from oracles import c_obs_interval, heat_observability_ratio
+from test_acceptance import window_bound_check
 
 
 @pytest.fixture(scope="module")
@@ -181,7 +181,7 @@ def test_window_bound_rejects_forward_fields(degenerate):
     _, spec = degenerate
     grid = TimeGrid(1.0, 64)
     forward = solve_spectral(spec, spec.mode(1), grid)
-    with pytest.raises(ConventionError):
+    with pytest.raises(ValueError, match="backward-convention"):
         window_bound_check(forward)
 
 
@@ -206,7 +206,7 @@ def test_window_bound_rejects_forward_fields_square():
     ops = assemble(build_mesh(truncate(make_domain("square", 0.5), 0.2), 16))
     spec = compute_spectrum(ops, 6)
     forward = solve_spectral(spec, random_admissible(ops.mesh, Lcg(8)), TimeGrid(1.0, 32))
-    with pytest.raises(ConventionError):
+    with pytest.raises(ValueError, match="backward-convention"):
         window_bound_check(forward)
 
 

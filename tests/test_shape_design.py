@@ -5,22 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
 
-from degenlab.discretize import assemble, build_mesh, restrict_mesh
-from degenlab.errors import ContractError, ParameterError, PreconditionError
+from degenlab.discretize import assemble, build_mesh, restrict_mesh, tensor_form
+from degenlab.errors import ParameterError, PreconditionError
 from degenlab.evolution import TimeGrid, energy_history, solve_implicit
-from degenlab.geometry import make_domain, truncate
+from degenlab.geometry import make_domain
 from degenlab.rng import Lcg, random_admissible
-from degenlab.shape_design import (
-    delta_sweep,
-    extend_vector,
-    isometry_report,
-    prolongation,
-    solve_truncated,
-    stability_sweep,
-)
+from degenlab.shape_design import delta_sweep, prolongation, solve_truncated
 from degenlab.spectral import compute_spectrum
 
-from oracles import delta_sweep_blockwise, extension_map_meshgrid
+from oracles import delta_sweep_blockwise, extend_by_zero, extension_map_meshgrid
+from test_acceptance import stability_sweep
 
 
 def smooth_bump(lo, hi):
@@ -35,42 +29,6 @@ def smooth_bump(lo, hi):
         return out
 
     return f
-
-
-@pytest.fixture(scope="module")
-def nested():
-    d = make_domain("interval", 0.5)
-    full = build_mesh(d, 64, 1.0)
-    tr = restrict_mesh(full, 0.125)
-    return assemble(tr), assemble(full)
-
-
-def test_extend_zero_field(nested):
-    tr_ops, full_ops = nested
-    z = np.zeros(tr_ops.mesh.n_nodes)
-    assert np.all(extend_vector(z, tr_ops.mesh, full_ops.mesh) == 0.0)
-
-
-def test_extension_nodal_equality_and_isometry(nested):
-    tr_ops, full_ops = nested
-    tr_mesh, full_mesh = tr_ops.mesh, full_ops.mesh
-    u = np.zeros(tr_mesh.n_nodes)
-    u[tr_mesh.interior] = np.cos(3.0 * tr_mesh.points[tr_mesh.interior, 0])
-    ext = extend_vector(u, tr_mesh, full_mesh)
-    shared = np.isin(full_mesh.points[:, 0], tr_mesh.points[:, 0])
-    assert np.array_equal(ext[shared], u)
-    assert np.all(ext[~shared] == 0.0)
-    rep = isometry_report(u, tr_ops, full_ops)
-    assert rep["l2_extended"] == pytest.approx(rep["l2_truncated"], rel=1e-14)
-    assert rep["lumped_extended"] == pytest.approx(rep["lumped_truncated"], rel=1e-14)
-
-
-def test_extension_requires_nesting():
-    d = make_domain("interval", 0.5)
-    tr = build_mesh(truncate(d, 0.1), 7)  # nodes not in the full 1/16 grid
-    full = build_mesh(d, 16, 1.0)
-    with pytest.raises(ContractError):
-        extend_vector(np.zeros(tr.n_nodes), tr, full)
 
 
 def test_solve_truncated_support_check():
@@ -133,7 +91,7 @@ def test_truncated_eigenmode_decays_at_truncated_rate():
     tr_mesh = restrict_mesh(full_mesh, 0.1)
     tr_ops = assemble(tr_mesh)
     spec = compute_spectrum(tr_ops, 1)
-    y0_full = extend_vector(spec.mode(1), tr_mesh, full_mesh)
+    y0_full = extend_by_zero(spec.mode(1), tr_mesh, full_mesh)
     field = solve_truncated(full_mesh, 0.1, y0_full, grid)
     e = energy_history(field)
     lam1 = spec.eigenvalues[0]
@@ -231,22 +189,24 @@ def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
     j = 1 + int(rung * ((n - 1) // 4))
     tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
     u = random_admissible(tr_mesh, Lcg(seed))
-    rep = isometry_report(u, assemble(tr_mesh), assemble(full_mesh))
-    for norm in ("l2", "lumped"):
-        assert abs(rep[f"{norm}_extended"] - rep[f"{norm}_truncated"]) \
-            <= 1e-14 * rep[f"{norm}_truncated"]
+    pairs = ((u, assemble(tr_mesh)), (extend_by_zero(u, tr_mesh, full_mesh), assemble(full_mesh)))
+    for norm in (lambda v, o: tensor_form(v, o.x1[1], o.xn[1]),
+                 lambda v, o: np.sum(o.lumped_full * v**2)):
+        truncated, extended = (np.sqrt(norm(v, o)) for v, o in pairs)
+        assert abs(extended - truncated) <= 1e-14 * truncated
 
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(5, 40),
        rung=st.floats(0.0, 1.0, exclude_max=True))
-def test_extension_matches_meshgrid_oracle(kind, n, rung):
-    # the slab's node ids are the last x_N layers of the full mesh's index
-    # array; delta is a node j/n below MAX_DELTA = 1/4, so n starts at 5
-    full_mesh = build_mesh(make_domain(kind, 0.5), n, 1.0)
+def test_slab_columns_match_meshgrid_oracle(kind, n, rung):
+    # delta_sweep extends a slab field by zero and prolongs it in one step,
+    # by the last x_N columns of pn: the slab is the coarse mesh's last x_N
+    # layers.  delta is a node j/n below MAX_DELTA = 1/4, so n starts at 5
+    coarse = build_mesh(make_domain(kind, 0.5), n, 1.0)
     j = 1 + int(rung * ((n - 1) // 4))
-    tr_mesh = restrict_mesh(full_mesh, float(full_mesh.axes[-1][j]))
-    u = np.arange(1.0, tr_mesh.n_nodes + 1.0)
-    oracle = np.zeros(full_mesh.n_nodes)
-    oracle[extension_map_meshgrid(tr_mesh, full_mesh)] = u
-    assert np.array_equal(extend_vector(u, tr_mesh, full_mesh), oracle)
+    slab = restrict_mesh(coarse, float(coarse.axes[-1][j]))
+    px, pn = prolongation(coarse, build_mesh(coarse.domain, 2 * n, 1.0))
+    sliced = sp.kron(px, pn[:, -slab.shape[-1]:], format="csr")
+    injected = sp.kron(px, pn, format="csr")[:, extension_map_meshgrid(slab, coarse)]
+    assert sliced.shape == injected.shape and (sliced != injected).nnz == 0

@@ -6,7 +6,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from degenlab.discretize import assemble, build_mesh, norms
+from degenlab.discretize import assemble, build_mesh
 from degenlab.errors import ParameterError
 from degenlab.evolution import SpaceTimeField, TimeGrid, flux_history
 from degenlab.geometry import make_domain, truncate
@@ -15,7 +15,7 @@ from degenlab import discretize, spectral
 from degenlab.spectral import compute_spectrum, expand
 
 from oracles import (bessel_zeros, degenerate_eigenvalue, degenerate_eigenvalues,
-                     eigsh_reference, slab_eigenvalues, slab_mode_fluxes)
+                     eigsh_reference, norms, slab_eigenvalues, slab_mode_fluxes)
 
 # frozen from an independent power-series and bisection evaluation of J_{1/3}
 LAMBDA1_HALF = 4.739066397843299     # alpha = 0.5
