@@ -208,18 +208,14 @@ def _write_csv(path, context, columns, rows):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _plain(value):
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple, np.ndarray)):
-        return [_plain(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    return value
+def _json_value(value):
+    """json.dumps's hook for what it cannot write: NumPy arrays and scalars
+    as Python values (np.float64 is a float and never reaches it)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 @dataclass
@@ -498,12 +494,12 @@ def _write_summary(path, config: ExperimentConfig, checks, values):
     params = {k: v for k, v in asdict(config).items() if k not in ("experiment", "out")}
     payload = {
         "experiment": config.experiment,
-        "params": _plain(params),
-        "checks": _plain(checks),
-        "values": _plain(values),
-        "pass": bool(all(checks.values())),
+        "params": params,
+        "checks": checks,
+        "values": values,
+        "pass": all(checks.values()),
     }
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, default=_json_value) + "\n",
                     encoding="utf-8")
 
 

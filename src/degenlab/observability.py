@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as la
 
 from .discretize import tensor_form
 from .errors import DegenerateObservationError, ParameterError
@@ -106,7 +105,7 @@ def estimate_constant(grid: TimeGrid, spectrum: Spectrum, k_modes: int) -> Obser
     ratios = tuple(1.0 / gram[m, m] for m in range(k_eff))
     # eigh, not eigvalsh: LAPACK takes another route without eigenvectors,
     # which may move the last bits of c_obs
-    evals, _ = la.eigh(gram)
+    evals, _ = np.linalg.eigh(gram)
     # the Gram of an SPD observation problem stays positive until its true
     # smallest eigenvalue sinks below roundoff, so non-positivity is the
     # meaningful singularity test

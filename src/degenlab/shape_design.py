@@ -6,8 +6,8 @@ the same family.  Truncated meshes are node-subsets of a full mesh, so
 extending a nodal vector by zero is exact injection: the interface nodes
 carry homogeneous Dirichlet values, hence the extended finite-element
 function *is* the zero extension and its L2 norm is preserved to rounding.
-The delta sweep extends a slab field by zero through the last x_N columns
-of its prolongation.
+The delta sweep refines a slab field into the last x_N columns of a zeroed
+reference-size block, which is its zero extension refined.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .discretize import (_BLOCK, Mesh, _require_memory, assemble, build_mesh, restrict_mesh,
                          tensor_form)
@@ -77,18 +76,15 @@ class ConvergenceReport:
     reference_self_error: float
 
 
-def prolongation(coarse: Mesh, fine: Mesh):
-    """Per-axis factors (px, pn) of the piecewise (bi)linear interpolation from
-    the coarse to the fine nodes, kron(px, pn) in the C-order node numbering:
-    sparse 1D linear interpolations of x_1 and x_N, and px the 1x1 identity on
-    the interval; a fine node in [c_i, c_i+1) uses coarse cell i."""
-    def axis_op(xc, xf):
-        i = np.clip(np.searchsorted(xc, xf, side="right") - 1, 0, xc.size - 2)
-        t = (xf - xc[i]) / (xc[i + 1] - xc[i])
-        ij = (np.tile(np.arange(xf.size), 2), np.concatenate([i, i + 1]))
-        return sp.csr_matrix((np.concatenate([1.0 - t, t]), ij), shape=(xf.size, xc.size))
-
-    return (sp.identity(1, format="csr"), *map(axis_op, coarse.axes, fine.axes))[-2:]
+def _refine(values, axis):
+    """Linear interpolation of values along one axis onto its 2:1 uniform
+    refinement: the coarse values on the even fine nodes and the mean of the
+    two neighbours on each odd node, exact weights 1 and 1/2."""
+    v = np.moveaxis(values, axis, -1)
+    out = np.empty(v.shape[:-1] + (2 * v.shape[-1] - 1,))
+    out[..., ::2] = v
+    out[..., 1::2] = 0.5 * (v[..., :-1] + v[..., 1:])
+    return np.moveaxis(out, -1, axis)
 
 
 def _check_sweep(dimension, deltas, n_ref, steps):
@@ -117,8 +113,9 @@ def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
     """Convergence experiment: truncated solves at half the reference
     resolution, zero-extended and compared against the full-domain solve.
 
-    Uniform meshes are used throughout so that every delta is a node
-    coordinate of both resolutions and extension stays exact injection.
+    Uniform meshes are used throughout, so every delta is a node
+    coordinate of both resolutions, extension stays exact injection, and
+    each coarse axis nests 2:1 in the reference axis (:func:`_refine`).
     The reference is the delta = 0 solve at n_ref; the sweep solves
     delta = 0 and then every delta on the coarse mesh, and the delta = 0
     error is the reference's self-convergence error.  A sweep that
@@ -132,25 +129,28 @@ def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
     ref_ops = ref_field.ops
     ref_flux, _ = flux_history(ref_field)
     coarse_mesh = build_mesh(domain, n_ref // 2, grading=1.0)
-    px, pn = prolongation(coarse_mesh, ref_field.mesh)
     tnodes = grid.nodes
 
-    def error_per_time(field, pn_cols):
-        """v'Mv at every time of v = px V pn_cols' - reference(t), with V the
-        field's (x_1, x_N) time row.  The rows go through in blocks of about
-        _BLOCK reference values, tensor_form's own block: each block is
-        prolonged by one sparse product per axis and its errors formed by
-        one tensor_form call, so no full-size difference is ever held."""
-        (n1f, n1c), (nnf, nnc) = px.shape, pn_cols.shape
+    def error_per_time(field):
+        """v'Mv at every time of v = the field's time row, zero-extended and
+        refined onto the reference mesh, minus the reference's.  The rows go
+        through in blocks of about _BLOCK reference values, tensor_form's own
+        block.  A block, as (b, x_1, x_N) with one x_1 node on the interval,
+        is refined along x_1 and then x_N into the last 2 n_slab - 1 x_N
+        columns of a zeroed block: a slab is the coarse mesh's last x_N
+        layers, so that is its zero extension refined.  One tensor_form call
+        per block forms the errors, so no full-size difference is ever held."""
         ref = ref_field.values
+        n_slab, n_fine = field.mesh.shape[-1], ref_field.mesh.shape[-1]
         step = max(1, _BLOCK // ref.shape[1])
         out = np.empty(len(ref))
         for lo in range(0, len(ref), step):
-            v = field.values[lo:lo + step].reshape(-1, n1c, nnc)
+            v = field.values[lo:lo + step]
             b = len(v)
-            on_x1 = (px @ v.transpose(1, 0, 2).reshape(n1c, -1)).reshape(n1f, b, nnc)
-            on_xn = pn_cols @ on_x1.transpose(1, 0, 2).reshape(-1, nnc).T  # (x_N, t x_1)
-            diff = on_xn.T.reshape(b, -1) - ref[lo:lo + b]
+            diff = np.zeros((b, ref.shape[1] // n_fine, n_fine))
+            diff[..., 1 - 2 * n_slab:] = _refine(_refine(v.reshape(b, -1, n_slab), 1), 2)
+            diff = diff.reshape(b, -1)
+            diff -= ref[lo:lo + b]
             out[lo:lo + b] = tensor_form(diff, ref_ops.x1[1], ref_ops.xn[1])
         return out
 
@@ -158,11 +158,10 @@ def delta_sweep(domain: Domain, y0, grid: TimeGrid, deltas,
     sol_errors, fin_errors, flux_errors = [], [], []
     for d in (0.0, *deltas):
         field = solve_truncated(coarse_mesh, d, y0, grid)
-        # a slab is the coarse mesh's last x_N layers: pn's last columns extend it by zero
-        per_time = error_per_time(field, pn[:, -field.mesh.shape[-1]:])
+        per_time = error_per_time(field)
         sol_errors.append(time_norm(per_time, tnodes))
         fin_errors.append(float(np.sqrt(per_time[-1])))
-        tr_flux = flux_history(field)[0] @ px.T  # on the reference's x_1 nodes
+        tr_flux = _refine(flux_history(field)[0], 1)  # on the reference's x_1 nodes
         del field
         flux_errors.append(time_norm(tensor_form(tr_flux - ref_flux, ref_ops.x1[1]), tnodes))
 

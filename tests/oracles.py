@@ -52,6 +52,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import quad
+from scipy.interpolate import RegularGridInterpolator
 from scipy.linalg.lapack import dpttrf, dpttrs
 from scipy.optimize import brentq
 from scipy.special import jv, jvp, yv, yvp
@@ -574,15 +575,15 @@ def fd_flux(mesh, u):
 def delta_sweep_blockwise(domain, y0, grid, deltas, n_ref):
     """Errors of the delta sweep from whole fields: the reference solve at
     n_ref, the full-domain and slab solves at n_ref/2, each held as a
-    (steps+1, n_nodes) field, prolonged as a block by the 2D operator
-    kron(px, pn) (for a slab, its columns at the slab's node ids, which
-    extension_map_meshgrid finds by coordinates) and compared at once;
-    slab fluxes move to the reference's x_1 nodes by np.interp.  Returns the
-    solution, final-time and flux errors per delta and the reference's
-    self-convergence error."""
+    (steps+1, n_nodes) field, interpolated as a block onto the reference's
+    nodes by scipy's RegularGridInterpolator over the coarse axes (a slab's
+    rows first injected at its node ids, which extension_map_meshgrid finds
+    by coordinates) and compared at once; slab fluxes move to the
+    reference's x_1 nodes by np.interp.  Returns the solution, final-time
+    and flux errors per delta and the reference's self-convergence error."""
     from degenlab.discretize import assemble, build_mesh
     from degenlab.evolution import flux_history, solve_implicit, time_norm
-    from degenlab.shape_design import prolongation, solve_truncated
+    from degenlab.shape_design import solve_truncated
 
     n_sweep = n_ref // 2
 
@@ -600,17 +601,19 @@ def delta_sweep_blockwise(domain, y0, grid, deltas, n_ref):
     edge = ref_ops.x1[1]
     coarse_field = full_solve(n_sweep)
     coarse_mesh = coarse_field.mesh
-    prolong = sp.kron(*prolongation(coarse_mesh, ref_mesh), format="csr")
 
-    def error_per_time(op, values):
-        return kron_form((op @ values.T).T - ref_field.values, ref_ops.x1[1], ref_ops.xn[1])
+    def error_per_time(field):
+        values = np.zeros((grid.steps + 1, coarse_mesh.n_nodes))
+        values[:, extension_map_meshgrid(field.mesh, coarse_mesh)] = field.values
+        on_coarse = values.T.reshape(*coarse_mesh.shape, -1)
+        fine = RegularGridInterpolator(coarse_mesh.axes, on_coarse)(ref_mesh.points).T
+        return kron_form(fine - ref_field.values, ref_ops.x1[1], ref_ops.xn[1])
 
-    out = {"self_error": time_norm(error_per_time(prolong, coarse_field.values), t),
+    out = {"self_error": time_norm(error_per_time(coarse_field), t),
            "solution_errors": [], "final_time_errors": [], "flux_errors": []}
     for d in deltas:
         field = solve_truncated(coarse_mesh, d, y0, grid)
-        extend = prolong[:, extension_map_meshgrid(field.mesh, coarse_mesh)]
-        per_time = error_per_time(extend, field.values)
+        per_time = error_per_time(field)
         out["solution_errors"].append(time_norm(per_time, t))
         out["final_time_errors"].append(float(np.sqrt(per_time[-1])))
         tr_flux, _ = flux_history(field)

@@ -819,3 +819,22 @@ s_grid: [1.0, 10.0]
     table = readme_checks()
     assert set(table) == set(cli._RUNNERS)
     assert set(summary["checks"]) == table[experiment]
+
+
+def test_full_report_checks_are_the_readme_table(tmp_path):
+    # every (experiment, check) row of the README's table against the checks
+    # one full-report writes, each named with its experiment as prefix
+    cfg = write_config(tmp_path, """
+experiment: full-report
+domain: interval
+n: 20
+steps: 8
+modes: 2
+samples: 2
+deltas: [0.2, 0.1]
+s_grid: [1.0, 10.0]
+""")
+    main(["full-report", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    summary = json.loads((tmp_path / "o" / "full-report_summary.json").read_text())
+    documented = {(e, check) for e, checks in readme_checks().items() for check in checks}
+    assert {tuple(name.split(".", 1)) for name in summary["checks"]} == documented

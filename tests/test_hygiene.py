@@ -251,9 +251,23 @@ def imported_modules(source):
     return found
 
 
+def importers(package):
+    """Stem of each package module that imports the package or one of its
+    submodules."""
+    return [p.stem for p in MODULES
+            if any(m == package or m.startswith(package + ".")
+                   for m in imported_modules(p.read_text(encoding="utf-8")))]
+
+
 def test_only_the_eigensolve_imports_sparse_solvers():
     # the theta scheme factors its tridiagonal matrix with LAPACK; only the
     # shift-invert eigensolve needs splu and ARPACK
-    importers = [p.name for p in MODULES
-                 if "scipy.sparse.linalg" in imported_modules(p.read_text(encoding="utf-8"))]
-    assert importers == ["spectral.py"]
+    assert importers("scipy.sparse.linalg") == ["spectral"]
+
+
+def test_scipy_is_imported_only_by_the_operators_theta_step_and_eigensolve():
+    # the delta sweep refines its 2:1 nested axes by midpoints and the flux
+    # Gram's eigenpairs come from numpy; sparse matrices stay with the
+    # assembled operators and the eigensolve
+    assert importers("scipy") == ["discretize", "evolution", "spectral"]
+    assert importers("scipy.sparse") == ["discretize", "spectral"]

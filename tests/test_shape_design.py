@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.interpolate import RegularGridInterpolator
@@ -10,10 +9,10 @@ from degenlab.errors import ParameterError, PreconditionError
 from degenlab.evolution import TimeGrid, energy_history, solve_implicit
 from degenlab.geometry import make_domain
 from degenlab.rng import Lcg, random_admissible
-from degenlab.shape_design import delta_sweep, prolongation, solve_truncated
+from degenlab.shape_design import _refine, delta_sweep, solve_truncated
 from degenlab.spectral import compute_spectrum
 
-from oracles import delta_sweep_blockwise, extend_by_zero, extension_map_meshgrid
+from oracles import delta_sweep_blockwise, extend_by_zero
 from test_acceptance import stability_sweep
 
 
@@ -158,26 +157,31 @@ def test_stability_sweep_drift():
     assert res["drift"] <= 0.2
 
 
+def refine_row(u, n_xn):
+    """A nodal row refined as delta_sweep refines a block of rows: as
+    (1, x_1, x_N), one x_1 node on the interval, along x_1 and then x_N."""
+    return _refine(_refine(u.reshape(1, -1, n_xn), 1), 2).ravel()
+
+
 @pytest.mark.parametrize("kind", ["interval", "square"])
 @pytest.mark.parametrize("n", [4, 15, 40])
 def test_prolongation_is_tensor_linear_interpolation(kind, n):
+    # _refine along each axis is the delta sweep's prolongation from n to 2n
     d = make_domain(kind, 0.5)
     coarse, fine = build_mesh(d, n, 1.0), build_mesh(d, 2 * n, 1.0)
-    px, pn = prolongation(coarse, fine)
-    if kind == "interval":  # one x_N axis: the x_1 factor is the 1x1 identity
-        assert px.toarray().tolist() == [[1.0]]
-    P = sp.kron(px, pn, format="csr")
-    assert P.shape == (fine.n_nodes, coarse.n_nodes)
+    assert refine_row(np.zeros(coarse.n_nodes), n + 1).shape == (fine.n_nodes,)
 
     def bilinear(points):  # a + b x + c y + d x y; the interval has only x
         x, y = points[:, 0], points[:, -1] if kind == "square" else 0.0
         return 0.3 - 1.7 * x + 2.1 * y + 0.9 * x * y
 
-    assert np.allclose(P @ bilinear(coarse.points), bilinear(fine.points),
+    assert np.allclose(refine_row(bilinear(coarse.points), n + 1), bilinear(fine.points),
                        rtol=0.0, atol=1e-14)
+    # the oracle's weights come from coordinate differences, off 1/2 by
+    # roundoff, so the bound is relative to the data's size
     u = np.random.default_rng(n).standard_normal(coarse.n_nodes)
     oracle = RegularGridInterpolator(coarse.axes, u.reshape(coarse.shape))(fine.points)
-    assert np.max(np.abs(P @ u - oracle)) <= 1e-14
+    assert np.max(np.abs(refine_row(u, n + 1) - oracle)) <= 1e-14 * np.max(np.abs(u))
 
 
 @settings(max_examples=50, deadline=None)
@@ -198,15 +202,17 @@ def test_extension_isometry_on_node_ladder(kind, n, rung, seed):
 
 @settings(max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["interval", "square"]), n=st.integers(5, 40),
-       rung=st.floats(0.0, 1.0, exclude_max=True))
-def test_slab_columns_match_meshgrid_oracle(kind, n, rung):
-    # delta_sweep extends a slab field by zero and prolongs it in one step,
-    # by the last x_N columns of pn: the slab is the coarse mesh's last x_N
-    # layers.  delta is a node j/n below MAX_DELTA = 1/4, so n starts at 5
+       rung=st.floats(0.0, 1.0, exclude_max=True), seed=st.integers(0, 2**32 - 1))
+def test_slab_columns_match_meshgrid_oracle(kind, n, rung, seed):
+    # delta_sweep refines a slab field into the last 2 n_slab - 1 x_N columns
+    # of a zeroed block: the slab is the coarse mesh's last x_N layers and
+    # vanishes on its bottom one.  delta is a node j/n below MAX_DELTA = 1/4,
+    # so n starts at 5
     coarse = build_mesh(make_domain(kind, 0.5), n, 1.0)
     j = 1 + int(rung * ((n - 1) // 4))
     slab = restrict_mesh(coarse, float(coarse.axes[-1][j]))
-    px, pn = prolongation(coarse, build_mesh(coarse.domain, 2 * n, 1.0))
-    sliced = sp.kron(px, pn[:, -slab.shape[-1]:], format="csr")
-    injected = sp.kron(px, pn, format="csr")[:, extension_map_meshgrid(slab, coarse)]
-    assert sliced.shape == injected.shape and (sliced != injected).nnz == 0
+    u, n_slab = random_admissible(slab, Lcg(seed)), slab.shape[-1]
+    block = np.zeros((2 * (coarse.n_nodes // (n + 1)) - 1, 2 * n + 1))  # (x_1, x_N), refined
+    block[:, 1 - 2 * n_slab:] = refine_row(u, n_slab).reshape(-1, 2 * n_slab - 1)
+    extended = refine_row(extend_by_zero(u, slab, coarse), n + 1)
+    assert np.array_equal(block.ravel(), extended)
