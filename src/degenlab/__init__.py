@@ -25,7 +25,7 @@ from .evolution import (
     time_reverse,
 )
 from .shape_design import ConvergenceReport, delta_sweep, solve_truncated
-from .carleman import CarlemanBudget, CarlemanWeights, FieldData, S0Fit, find_s0
+from .carleman import CarlemanWeights, FieldData, S0Fit, find_s0
 from .observability import ObservabilityReport, estimate_constant, observability_ratio
 from .rng import Lcg, random_admissible
 

@@ -1,4 +1,4 @@
-"""Carleman weight system and empirical inequality budgets.
+"""Carleman weight system and the boundary constants its inequalities need.
 
 The weight family is
 
@@ -12,7 +12,8 @@ inequality budgets compare
 
     s  II Theta x_N**alpha (d_N z)**2  +  s**3 II Theta**3 z**2 x_N**(2-alpha)
 
-against a constant times the observed boundary term.  Every budget
+against a constant times the observed boundary term; the sweep returns
+the log of the constant needed, lhs / rhs_boundary.  Every budget
 integral is accumulated in log space (log-sum-exp over quadrature
 samples): for moderate s the factor exp(-2 s xi) already underflows
 double precision, while ratios of the integrals stay perfectly
@@ -36,12 +37,13 @@ the bracket at that s).  The factor exp(-2 s xi*), xi* = Theta(t*)
 and cancels in the needed constant, but 2 s xi* reaches 2 s (T/2)**-8
 (1.6e17 at s = 200, T = 0.03), where a double keeps no digit after the
 point.  So the integrands take xi - xi*, formed without cancellation
-(CarlemanWeights.xi_excess), and 2 s xi* is subtracted from the two
-reported logs only.  Each log-sum-exp skips the entries, and the whole
-time rows, that lie more than 60 below its top (_lse, _lse_rows): every
-entry of row t is at most max_x base(t) - 2 s min_x (xi - xi*)(t), plus
-for I1 the log of the bracket at the row's largest C, g, |beta| and D
-(_row_peaks), so b2 is formed on the live rows only.
+(CarlemanWeights.xi_excess): each log is 2 s xi* above its integral's,
+and only their difference is returned.  Each log-sum-exp skips the
+entries, and the whole time rows, that lie more than 60 below its top
+(_lse, _lse_rows): every entry of row t is at most max_x base(t) -
+2 s min_x (xi - xi*)(t), plus for I1 the log of the bracket at the row's
+largest C, g, |beta| and D (_row_peaks), so b2 is formed on the live
+rows only.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ class CarlemanWeights:
         return (2.0 - self.alpha) * factor * xn ** (1.0 - self.alpha)
 
     def xi_excess(self, t, xn):
-        """xi - xi* on the (t, x_N) grid, and xi* = Theta(t*) (gamma - 1)
+        """xi - xi* on the (t, x_N) grid, with xi* = Theta(t*) (gamma - 1)
         at the node t* of t nearest T/2.  The difference is
         (Theta(t) - Theta(t*)) (gamma - eta) + Theta(t*) (1 - eta), with no
         factor formed by cancellation: with u = t (T - t), Theta(t) - Theta(t*)
@@ -108,7 +110,7 @@ class CarlemanWeights:
         d_theta = (ts - t) * (self.T - t - ts) * (us + u) * (us**2 + u**2) / (u * us) ** 4
         xi = d_theta[:, None] * self.gamma_minus_eta(xn)[None, :]
         xi += theta_s * -np.expm1((2.0 - self.alpha) * np.log1p(xn - 1.0))
-        return xi, theta_s * (self.gamma - 1.0)
+        return xi
 
 
 def _check_s(s):
@@ -139,18 +141,6 @@ def _require_truncated(field: SpaceTimeField):
                             "parabolic) domain")
 
 
-@dataclass
-class CarlemanBudget:
-    """One evaluation of an inequality budget at a fixed parameter s, as the
-    logs of its integrals: the integrals themselves underflow for moderate s."""
-
-    s: float
-    log_lhs: float
-    log_rhs_boundary: float
-    log_needed_c: float
-    holds: bool
-
-
 # exp(-60) is about 8.8e-27: 1e10 entries below it, more than any array
 # the lab can hold, add less than 8.8e-17 to a sum of at least 1, under
 # half an ulp of it (1.1e-16)
@@ -177,7 +167,7 @@ def _lse_rows(bound, rows):
 
     rows(sl) gives the array on the rows sl and bound[t] is at least
     every entry of row t.  One actual row maximum is a lower bound on
-    the top, so a row whose bound lies below it plus _FLOOR holds only
+    the top, so a row whose bound lies below it plus _FLOOR has only
     entries _lse skips; only the band from the first to the last other
     row is formed.  A nan bound keeps its row.
     """
@@ -278,13 +268,13 @@ class FieldData:
             self.log_flux2 = (2.0 * np.log(flux_scale)
                               + np.log(np.einsum("tin,in,tin->tn", flux, w_edge, flux)))[:, 0]
 
-    def sweep(self, s_values, which: str, c_boundary: float = 1.0):
-        """Budgets at every parameter of ``s_values``, with the field's own
-        weight family, for a backward-convention solution.  which = "eq410"
-        puts the weighted gradient and zero-order terms of the transformed
-        variable on the left; "eq51" the single zero-order term
-        s II Theta y**2 exp(-2 s xi).  ``holds`` compares against
-        c_boundary * rhs_boundary.
+    def sweep(self, s_values, which: str):
+        """log(lhs / rhs_boundary), the log of the constant the boundary
+        term needs, at every parameter of ``s_values`` (-inf for a zero
+        lhs), with the field's own weight family, for a backward-convention
+        solution.  which = "eq410" puts the weighted gradient and zero-order
+        terms of the transformed variable on the left; "eq51" the single
+        zero-order term s II Theta y**2 exp(-2 s xi).
 
         xi - xi*, g / s, the base log terms of every integral and the row
         peaks of the bracket's factors are s-free and formed once; at each
@@ -300,7 +290,7 @@ class FieldData:
         if s_values:
             _check_range(w, self.t, max(s_values))
         alpha = w.alpha
-        xi, xi_star = w.xi_excess(self.t, self.xn)
+        xi = w.xi_excess(self.t, self.xn)
         xi_min = xi.min(axis=1)
         xi_edge = xi[:, -1]  # the observed edge is the last x_N row
         base_b = self.log_theta + self.log_flux2 + self.log_dt
@@ -317,8 +307,8 @@ class FieldData:
             bases["eq51"] = lt + self.log_y2 + self.log_dt
         rowmax = {name: base.max(axis=1) for name, base in bases.items()}
 
-        budgets = []
-        for s in s_values:
+        needed = np.empty(len(s_values))
+        for i, s in enumerate(s_values):
             two_s = 2.0 * s
 
             def decayed(name, bracket=False):
@@ -339,22 +329,8 @@ class FieldData:
                                        3.0 * np.log(s) + decayed("i2"))
             else:
                 log_lhs = np.log(s) + decayed("eq51")
-            budgets.append(_budget(s, log_lhs, log_rhs_b, c_boundary, two_s * xi_star))
-        return budgets
-
-
-def _budget(s, log_lhs, log_rhs_b, c_boundary, shift):
-    """The budget record from the logs of its two integrals, each taken
-    ``shift`` above its value; only the reported logs subtract it."""
-    # constant needed on the boundary term, lhs / rhs_b; 0 for a zero lhs
-    log_needed = -np.inf if log_lhs == -np.inf else log_lhs - log_rhs_b
-    return CarlemanBudget(
-        s=s,
-        log_lhs=float(log_lhs - shift),
-        log_rhs_boundary=float(log_rhs_b - shift),
-        log_needed_c=float(log_needed),
-        holds=bool(log_lhs <= np.log(c_boundary) + log_rhs_b + np.log1p(1e-9)),
-    )
+            needed[i] = -np.inf if log_lhs == -np.inf else log_lhs - log_rhs_b
+        return needed
 
 
 @dataclass(frozen=True)
@@ -376,7 +352,7 @@ def find_s0(fields, s_grid) -> S0Fit:
     boundary constant lhs / rhs_boundary is evaluated on the
     whole grid; s0 is the first grid point from which these are finite and
     non-increasing for every field (so the inequality with the fitted C =
-    max needed constant over the region holds at every larger grid value).
+    max needed constant over the region is met at every larger grid value).
     A failure marker is returned when no grid point qualifies.
     """
     s_grid = [float(s) for s in s_grid]
@@ -386,8 +362,7 @@ def find_s0(fields, s_grid) -> S0Fit:
         raise ParameterError("s grid must start at or above 1")
     rows = []
     for data in fields:
-        rows.append(np.fromiter((b.log_needed_c for b in data.sweep(s_grid, "eq410")),
-                                float, len(s_grid)))
+        rows.append(data.sweep(s_grid, "eq410"))
         del data  # freed before a generator builds the next one
     if not rows:
         raise ParameterError("need at least one field to calibrate")

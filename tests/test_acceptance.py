@@ -250,8 +250,8 @@ def test_criterion_9_carleman_inequality():
     assert fit.found and fit.s0 <= 200.0
     start = s_grid.index(fit.s0)
     for field in fields:
-        for b in dl.FieldData(field).sweep(s_grid[start:], "eq410", fit.c_boundary):
-            assert b.holds
+        needed = dl.FieldData(field).sweep(s_grid[start:], "eq410")
+        assert np.all(needed <= np.log(fit.c_boundary) + np.log1p(1e-9))
 
     # residual identity under simultaneous (h, dt) halving, at a horizon
     # where the transformed variable is resolvable

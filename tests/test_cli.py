@@ -13,7 +13,7 @@ import scipy.sparse.linalg as spla
 import yaml
 
 import degenlab
-from degenlab import cli, discretize, spectral
+from degenlab import carleman, cli, discretize, evolution, spectral
 from degenlab.cli import ConfigError, ExperimentConfig, load_config, main
 from degenlab.discretize import OperatorPair
 from degenlab.errors import ContractError, EigensolverError, ParameterError, PreconditionError
@@ -787,6 +787,37 @@ def test_perturbed_mode_fails_a_spectrum_check(tmp_path, monkeypatch):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     checks = json.loads((tmp_path / "o" / "spectrum_summary.json").read_text())["checks"]
     assert checks == {"mass_orthonormal": False, "stiffness_orthogonal": False}
+
+
+def test_inflated_eq51_constant_fails_the_eq51_check(tmp_path, monkeypatch):
+    # eq51 needs e**-30 of the fitted constant here; 50 e-folds more than it
+    # needs, and the eq410 fit no longer covers it at s0
+    sweep = carleman.FieldData.sweep
+
+    def inflated(self, s_values, which):
+        needed = sweep(self, s_values, which)
+        return needed + 50.0 if which == "eq51" else needed
+
+    cfg = write_config(tmp_path, BREAK_CFG)
+    assert main(["carleman", "--config", str(cfg), "--out", str(tmp_path / "ok")]) == 0
+    monkeypatch.setattr(carleman.FieldData, "sweep", inflated)
+    assert main(["carleman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    summary = json.loads((tmp_path / "o" / "carleman_summary.json").read_text())
+    assert summary["checks"] == {"s0_found": True, "eq51_holds": False}
+
+
+def test_zero_observed_flux_fails_the_s0_check(tmp_path, monkeypatch):
+    # with nothing observed, no boundary constant bounds the budgets: no s0
+    # is found, and eq51 is not compared against a fit that does not exist
+    def flux_history(field):
+        flux, _ = evolution.flux_history(field)
+        return np.zeros_like(flux), 0.0
+
+    monkeypatch.setattr(carleman, "flux_history", flux_history)
+    cfg = write_config(tmp_path, BREAK_CFG)
+    assert main(["carleman", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    summary = json.loads((tmp_path / "o" / "carleman_summary.json").read_text())
+    assert summary["checks"] == {"s0_found": False, "eq51_holds": True}
 
 
 def readme_checks():

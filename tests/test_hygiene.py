@@ -8,6 +8,8 @@ imported name that no ``Name`` node of the file loads is an unused import.
 function or class, or a public method, of a package module is reached when
 its name is a ``Name`` or an ``Attribute`` in some package module: code
 that only tests call, the acceptance tests included, belongs in the tests.
+Likewise every field of a package dataclass is read as an attribute by
+some package module.
 """
 
 import ast
@@ -100,6 +102,49 @@ def test_scan_flags_a_definition_only_tests_reach():
 def test_public_definitions_are_reached_by_the_product():
     # only the package counts: a definition that only tests reach is flagged
     assert unreached([p.read_text(encoding="utf-8") for p in MODULES]) == []
+
+
+def is_dataclass(node):
+    """Whether a class definition carries @dataclass or
+    @dataclasses.dataclass, called or not."""
+    targets = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(ast.unparse(t) in ("dataclass", "dataclasses.dataclass") for t in targets)
+
+
+def record_fields(source):
+    """(qualified name, name) of each annotated field of each module-level
+    dataclass; ClassVar annotations are class constants, not fields."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ClassDef) and is_dataclass(node):
+            found += [(f"{node.name}.{item.target.id}", item.target.id) for item in node.body
+                      if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and not ast.unparse(item.annotation).split("[")[0].endswith("ClassVar")]
+    return found
+
+
+def unread_fields(sources):
+    """Qualified name of each dataclass field of the sources that no source
+    reads as an attribute; a store (``obj.field = value``) is no read."""
+    read = {node.attr for source in sources for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [q for source in sources for q, name in record_fields(source) if name not in read]
+
+
+def test_scan_flags_an_unread_field():
+    source = ("import dataclasses\nfrom dataclasses import dataclass\n"
+              "from typing import ClassVar\n\n\n"
+              "@dataclass(frozen=True)\nclass A:\n    used: int\n    unused: float\n"
+              "    k: ClassVar[int] = 1\n\n\n"
+              "@dataclasses.dataclass\nclass B:\n    written: int\n\n\n"
+              "class C:\n    plain: int\n\n\n"
+              "def f(a, b):\n    b.written = a.used\n")
+    assert unread_fields([source]) == ["A.unused", "B.written"]
+
+
+def test_every_record_field_is_read_by_the_product():
+    # a field that no package code reads is a value computed for nothing
+    assert unread_fields([p.read_text(encoding="utf-8") for p in MODULES]) == []
 
 
 def public_parameters(source):
